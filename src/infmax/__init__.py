@@ -4,16 +4,16 @@ from .graph import Graph, as_seed_tuple, read_edge_list, write_edge_list
 from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, Simulation,
                      ic_model, lt_model, bdep_model, mixture_model,
                      sample_simulation, sample_pool, reach_set, reach_value,
-                     reach_mask_batch, reach_values_batch, reverse_reach_set,
-                     reduce_model, load_model, save_model)
+                     propagation_steps, reach_mask_batch, reach_values_batch,
+                     reverse_reach_set, reduce_model, load_model, save_model)
 from .exact import (EnumerationBudgetError, ExactReport, VarianceAudit, DepthProfile,
                     ExactInfluence, exact_report, audit_variance_bound, c_value,
                     depth_profile, exact_influence_map, outcome_count)
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINAL,
                          POOL_SIZE_FACTOR, POOL_COUNT_FACTOR, TOTAL_SAMPLE_FACTOR,
-                         Oracle, OracleConfig, build_oracle, query, required_pools,
-                         size_for_guarantee, check_eps_approx, rrs_estimate,
-                         marginal_edge_model)
+                         Oracle, OracleConfig, build_oracle, mask_pool_averages, query,
+                         required_pools, size_for_guarantee, check_eps_approx,
+                         rrs_estimate, marginal_edge_model)
 from .sketches import (NodeSketch, SketchSet, SketchOracle, build_sketches,
                        build_sketch_oracle, merge_sketches, merged_seed_sketch,
                        sketch_query)

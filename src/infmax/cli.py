@@ -27,7 +27,7 @@ from .estimators import (AVERAGING, FULL_SIMULATION, MARGINAL, MEDIAN_OF_AVERAGE
                          OracleConfig, build_oracle, marginal_edge_model,
                          rrs_estimate, size_for_guarantee)
 from .graph import as_seed_tuple
-from .maximize import adaptive_maximize, maximize_im, brute_force_max
+from .maximize import adaptive_maximize, brute_force_max, im_oracle_config, maximize_im
 from .models import load_model, sample_pool, save_model, reach_values_batch
 from .sketches import NodeSketch, SketchSet, build_sketches, sketch_query
 
@@ -241,13 +241,14 @@ def _cmd_estimate(args):
         config = size_for_guarantee(args.eps, args.delta, c, mode,
                                     tau=args.tau, master_seed=args.seed)
     oracle = build_oracle(model, config, threads=args.threads)
+    averages = oracle.pool_averages(seeds)
     _emit(args, "estimate",
           {"model": args.model, "seeds": list(seeds), "tau": args.tau,
            "eps": args.eps, "delta": args.delta, "mode": args.mode},
-          {"estimate": oracle.query(seeds),
+          {"estimate": float(np.median(averages)),
            "config": {"pools": config.pools, "pool_size": config.pool_size,
                       "total_simulations": config.total_simulations},
-           "pool_averages": oracle.pool_averages(seeds).tolist()})
+           "pool_averages": averages.tolist()})
 
 
 def _cmd_sketch_build(args):
@@ -294,8 +295,8 @@ def _cmd_maximize(args):
                                    master_seed=args.seed, threads=args.threads)
     elif args.method == "brute":
         c = c_value(model, args.tau)
-        config = size_for_guarantee(args.eps, args.delta, c, MEDIAN_OF_AVERAGES,
-                                    tau=args.tau, master_seed=args.seed)
+        config = im_oracle_config(model.num_nodes, args.s, args.tau, args.eps,
+                                  args.delta, c, args.seed)
         oracle = build_oracle(model, config, threads=args.threads)
         result = brute_force_max(oracle, args.s)
     else:
@@ -309,7 +310,11 @@ def _cmd_maximize(args):
            "validation_simulations": result.validation_simulations,
            "method": result.method,
            "trace": [{"node": t.node, "gain": t.gain, "value": t.value}
-                     for t in result.trace]})
+                     for t in result.trace],
+           "rounds": [{"budget": r.budget, "validation_budget": r.validation_budget,
+                       "seeds": list(r.seeds), "oracle_value": r.oracle_value,
+                       "validated_value": r.validated_value, "accepted": r.accepted}
+                      for r in result.rounds]})
 
 
 def _cmd_audit_variance(args):

@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import as_seed_tuple
 from .models import (DiffusionModel, Simulation, ic_model, reach_mask_batch,
                      reverse_reach_set, sample_pool, ReachScratch)
 from .models import Graph
@@ -97,22 +96,27 @@ class Oracle:
         size = self.config.pool_size
         return self._live[pool * size:(pool + 1) * size]
 
-    def _mask_value(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
-        values = mask @ self.model.graph.node_weights
-        pools = values.reshape(self.config.pools, self.config.pool_size)
-        averages = pools.sum(axis=1) / self.config.pool_size
-        return float(np.median(averages)), averages
-
     def pool_averages(self, seeds) -> np.ndarray:
-        seeds = as_seed_tuple(self.num_nodes, seeds)
+        """Average reachability value of ``seeds`` in each pool."""
         mask = reach_mask_batch(self.model.graph, self._live, seeds, self.config.tau)
-        return self._mask_value(mask)[1]
+        return mask_pool_averages(mask, self.model.graph.node_weights, self.config.pools)
 
     def query(self, seeds) -> float:
         """Median over pools of the average reachability value of ``seeds``."""
-        seeds = as_seed_tuple(self.num_nodes, seeds)
-        mask = reach_mask_batch(self.model.graph, self._live, seeds, self.config.tau)
-        return self._mask_value(mask)[0]
+        return float(np.median(self.pool_averages(seeds)))
+
+
+def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int) -> np.ndarray:
+    """Per-pool average reach value of a ``(rows, n)`` active-node mask.
+
+    Rows split into ``pools`` consecutive pools of equal size.  Every
+    simulation-backed value (oracle queries, brute force, greedy and
+    lossless sketch queries) goes through this one reduction, which keeps
+    them equal bit for bit.
+    """
+    values = mask @ node_weights
+    pool_size = values.shape[0] // pools
+    return values.reshape(pools, pool_size).sum(axis=1) / pool_size
 
 
 def build_oracle(model: DiffusionModel, config: OracleConfig, threads: int = 1) -> Oracle:

@@ -16,7 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .graph import Graph, as_seed_tuple
-from .models import IC, LT, BDEP, MIXTURE, DiffusionModel
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, propagation_steps,
+                     reach_mask_batch)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
@@ -191,45 +192,6 @@ def _outcome_chunks(model: DiffusionModel, weight: float = 1.0, offset: int = 0,
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def _propagate_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
-    """Final active mask plus the newly-activated mask of each step."""
-    rows = live.shape[0]
-    active = np.zeros((rows, graph.num_nodes), dtype=bool)
-    active[:, list(seeds)] = True
-    newly = [active.copy()]
-    frontier = active.copy()
-    tails, heads = graph.tails, graph.heads
-    for _ in range(tau):
-        nxt = np.zeros_like(active)
-        for e in range(graph.num_edges):
-            nxt[:, heads[e]] |= frontier[:, tails[e]] & live[:, e]
-        nxt &= ~active
-        newly.append(nxt)
-        if not nxt.any():
-            break
-        active |= nxt
-        frontier = nxt
-    return active, newly
-
-
-def _final_active(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
-    rows = live.shape[0]
-    active = np.zeros((rows, graph.num_nodes), dtype=bool)
-    active[:, list(seeds)] = True
-    frontier = active.copy()
-    tails, heads = graph.tails, graph.heads
-    for _ in range(tau):
-        nxt = np.zeros_like(active)
-        for e in range(graph.num_edges):
-            nxt[:, heads[e]] |= frontier[:, tails[e]] & live[:, e]
-        nxt &= ~active
-        if not nxt.any():
-            break
-        active |= nxt
-        frontier = nxt
-    return active
-
-
 def exact_report(model: DiffusionModel, seeds, tau: int,
                  compute_opt1: bool = True) -> ExactReport:
     """Exact influence, variance, and activation-step profile of ``seeds``."""
@@ -245,15 +207,14 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
     singles = np.zeros(g.num_nodes, dtype=np.float64)
     for live, probs in _outcome_chunks(model):
-        active, newly = _propagate_steps(g, live, seeds, tau)
-        for d, mask in enumerate(newly):
-            step_probs[d] += probs @ mask
+        for d, (newly, active) in enumerate(propagation_steps(g, live, seeds, tau)):
+            step_probs[d] += probs @ newly
         values = active @ w
         influence += float(probs @ values)
         second += float(probs @ (values * values))
         if compute_opt1:
             for v in range(g.num_nodes):
-                mask = _final_active(g, live, (v,), tau)
+                mask = reach_mask_batch(g, live, (v,), tau)
                 singles[v] += float(probs @ (mask @ w))
     variance = max(second - influence * influence, 0.0)
     opt1 = float(singles.max()) if compute_opt1 else float("nan")
@@ -320,7 +281,7 @@ def exact_influence_map(model: DiffusionModel, tau: int, max_size: int) -> dict:
     totals = dict.fromkeys(subsets, 0.0)
     w = g.node_weights
     for live, probs in _outcome_chunks(model):
-        singles = [_final_active(g, live, (v,), tau) for v in range(n)]
+        singles = [reach_mask_batch(g, live, (v,), tau) for v in range(n)]
         for subset in subsets:
             mask = singles[subset[0]]
             for v in subset[1:]:

@@ -10,6 +10,7 @@ one tail node and one probability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,10 +46,15 @@ class Graph:
         if m and (self.tails.min() < 0 or self.tails.max() >= n
                   or self.heads.min() < 0 or self.heads.max() >= n):
             raise ValueError("edge endpoint out of range")
-        if m and (self.probs.min() < 0.0 or self.probs.max() > 1.0):
+        # NaN propagates through min/max and fails every comparison.
+        if m and not (self.probs.min() >= 0.0 and self.probs.max() <= 1.0):
             raise ValueError("edge probability outside [0, 1]")
-        if n and self.node_weights.min() < 0.0:
-            raise ValueError("node weights must be nonnegative")
+        if n:
+            lo, hi = float(self.node_weights.min()), float(self.node_weights.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("node weights must be finite")
+            if lo < 0.0:
+                raise ValueError("node weights must be nonnegative")
         if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must have one entry per node")
         for gid in np.unique(self.groups[self.groups >= 0]):

@@ -7,6 +7,12 @@ sized so the returned set is near-optimal with high probability, and
 ``adaptive_maximize`` wraps either base algorithm in a doubling schedule
 that validates candidates on small independent oracles and stops early
 when the data allows it.
+
+Brute force and greedy accept any object with ``num_nodes`` and
+``query``.  On a simulation :class:`Oracle` they share memoized
+single-source reach masks, score a set as the union of its members'
+masks, and reduce that union through ``mask_pool_averages`` as
+``oracle.query`` does, so their values equal ``oracle.query`` bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ import numpy as np
 from .graph import as_seed_tuple
 from .models import DiffusionModel, reach_mask_batch
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, Oracle, OracleConfig,
-                         build_oracle, required_pools, size_for_guarantee)
+                         build_oracle, mask_pool_averages, required_pools,
+                         size_for_guarantee)
 from .exact import c_value
 from . import rng
 
@@ -54,54 +61,20 @@ def _oracle_sims(oracle) -> int:
     return config.total_simulations if config is not None else 0
 
 
-def brute_force_max(oracle, s: int) -> MaximizerResult:
-    """Exact argmax of the oracle over subsets of size <= s, lexicographic ties."""
-    n = oracle.num_nodes
-    s = min(int(s), n)
-    if s < 1:
-        raise ValueError("seed budget must be at least 1")
-    if math.comb(n, s) > BRUTE_FORCE_BUDGET:
-        raise ValueError("subset count exceeds the brute-force budget")
-    value_of = None
-    if isinstance(oracle, Oracle):
-        g = oracle.model.graph
-        rows = oracle._live.shape[0]
-        if n * rows * n <= _EXPLICIT_CACHE_BYTES:
-            # reach(S) is the union of single-source reaches, so sharing the
-            # per-node masks reproduces oracle.query(S) bit for bit.
-            singles = [reach_mask_batch(g, oracle._live, (v,), oracle.config.tau)
-                       for v in range(n)]
+def _explicit_reach(oracle: Oracle):
+    """Single-source reach masks over the oracle's simulations.
 
-            def value_of(subset):
-                mask = singles[subset[0]]
-                for v in subset[1:]:
-                    mask = mask | singles[v]
-                return oracle._mask_value(mask)[0]
-    if value_of is None:
-        value_of = oracle.query
-    best_seeds, best_value = None, -math.inf
-    for size in range(1, s + 1):
-        for subset in combinations(range(n), size):
-            value = value_of(subset)
-            if value > best_value:
-                best_seeds, best_value = subset, value
-    return MaximizerResult(best_seeds, best_value, _oracle_sims(oracle), "brute")
-
-
-def _greedy_explicit(oracle: Oracle, s: int) -> MaximizerResult:
-    """Greedy on a simulation oracle with explicitly maintained reach sets.
-
-    The union ``reach(S + u) = reach(S) | reach(u)`` lets each candidate be
-    scored from the maintained mask of the current seed set, and the score
-    is computed by the same mask-to-value path as ``oracle.query``, so the
-    trace matches a from-scratch recomputation bit for bit.
+    ``reach(S)`` is the union of its members' single-source reaches, so
+    ``mask_value(reach(S))`` reproduces ``oracle.query(S)`` bit for bit.
+    Returns ``(single_reach, mask_value, cached)``: masks are memoized while
+    all ``n`` of them fit in ``_EXPLICIT_CACHE_BYTES``, and ``cached``
+    says whether they do.
     """
     g = oracle.model.graph
     live = oracle._live
-    rows = live.shape[0]
     n = g.num_nodes
     cache: dict[int, np.ndarray] | None = {}
-    if n * rows * n > _EXPLICIT_CACHE_BYTES:
+    if n * live.shape[0] * n > _EXPLICIT_CACHE_BYTES:
         cache = None
 
     def single_reach(u: int) -> np.ndarray:
@@ -112,53 +85,76 @@ def _greedy_explicit(oracle: Oracle, s: int) -> MaximizerResult:
             cache[u] = mask
         return mask
 
-    chosen: list[int] = []
-    active = np.zeros((rows, n), dtype=bool)
-    current = 0.0
-    trace = []
-    for _ in range(min(int(s), n)):
-        best_node, best_value = -1, -math.inf
-        for u in range(n):
-            if u in chosen:
-                continue
-            value = oracle._mask_value(active | single_reach(u))[0]
-            if value > best_value:
-                best_node, best_value = u, value
-        chosen.append(best_node)
-        active |= single_reach(best_node)
-        trace.append(GreedyStep(best_node, best_value - current, best_value))
-        current = best_value
-    return MaximizerResult(tuple(sorted(chosen)), current, _oracle_sims(oracle),
-                           "greedy", tuple(trace))
+    def mask_value(mask: np.ndarray) -> float:
+        return float(np.median(mask_pool_averages(mask, g.node_weights,
+                                                  oracle.config.pools)))
+
+    return single_reach, mask_value, cache is not None
 
 
-def _greedy_generic(oracle, s: int) -> MaximizerResult:
+def brute_force_max(oracle, s: int) -> MaximizerResult:
+    """Exact argmax of the oracle over subsets of size <= s, lexicographic ties."""
     n = oracle.num_nodes
-    chosen: list[int] = []
-    current = 0.0
-    trace = []
-    for _ in range(min(int(s), n)):
-        best_node, best_value = -1, -math.inf
-        for u in range(n):
-            if u in chosen:
-                continue
-            value = oracle.query(tuple(sorted(chosen + [u])))
+    s = min(int(s), n)
+    if s < 1:
+        raise ValueError("seed budget must be at least 1")
+    if math.comb(n, s) > BRUTE_FORCE_BUDGET:
+        raise ValueError("subset count exceeds the brute-force budget")
+    value_of = oracle.query
+    if isinstance(oracle, Oracle):
+        single_reach, mask_value, cached = _explicit_reach(oracle)
+        if cached:
+            def value_of(subset):
+                mask = single_reach(subset[0])
+                for v in subset[1:]:
+                    mask = mask | single_reach(v)
+                return mask_value(mask)
+    best_seeds, best_value = None, -math.inf
+    for size in range(1, s + 1):
+        for subset in combinations(range(n), size):
+            value = value_of(subset)
             if value > best_value:
-                best_node, best_value = u, value
-        chosen.append(best_node)
-        trace.append(GreedyStep(best_node, best_value - current, best_value))
-        current = best_value
-    return MaximizerResult(tuple(sorted(chosen)), current, _oracle_sims(oracle),
-                           "greedy", tuple(trace))
+                best_seeds, best_value = subset, value
+    return MaximizerResult(best_seeds, best_value, _oracle_sims(oracle), "brute")
 
 
 def greedy_max(oracle, s: int) -> MaximizerResult:
-    """Greedy maximization; simulation oracles use the explicit fast path."""
+    """Greedy maximization: repeatedly add the node of largest oracle value.
+
+    Ties go to the lowest id.  On a simulation :class:`Oracle` the reach
+    mask of the chosen set is kept explicitly and each candidate ``u`` is
+    scored from ``reach(S) | reach(u)`` through the oracle's own
+    reduction, so the trace matches from-scratch queries bit for bit.
+    Any other oracle is queried with the candidate set.
+    """
     if int(s) < 1:
         raise ValueError("seed budget must be at least 1")
-    if isinstance(oracle, Oracle):
-        return _greedy_explicit(oracle, s)
-    return _greedy_generic(oracle, s)
+    n = oracle.num_nodes
+    explicit = isinstance(oracle, Oracle)
+    if explicit:
+        single_reach, mask_value, _ = _explicit_reach(oracle)
+        reached = np.zeros((oracle._live.shape[0], n), dtype=bool)
+    chosen: list[int] = []
+    current = 0.0
+    trace = []
+    for _ in range(min(int(s), n)):
+        best_node, best_value = -1, -math.inf
+        for u in range(n):
+            if u in chosen:
+                continue
+            if explicit:
+                candidate = mask_value(reached | single_reach(u))
+            else:
+                candidate = oracle.query(tuple(sorted(chosen + [u])))
+            if candidate > best_value:
+                best_node, best_value = u, candidate
+        chosen.append(best_node)
+        if explicit:
+            reached |= single_reach(best_node)
+        trace.append(GreedyStep(best_node, best_value - current, best_value))
+        current = best_value
+    return MaximizerResult(tuple(sorted(chosen)), current, _oracle_sims(oracle),
+                           "greedy", tuple(trace))
 
 
 def im_oracle_config(num_nodes: int, s: int, tau: int, epsilon: float, delta: float,

@@ -173,20 +173,12 @@ def mixture_model(components) -> DiffusionModel:
 # Each simulation owns a fixed-width block of a single keyed counter
 # stream: the draw for (master_seed, sim_index, unit j) sits at stream
 # word sim_index * stride + j, where stride rounds the model's unit count
-# up to the generator's 4-word counter block.  Single simulations jump to
-# their block with an O(1) counter advance; pools draw whole ranges in
-# one vectorized call.  Both paths produce identical bits.
+# up to the generator's 4-word counter block.  A range of simulations is
+# drawn in one vectorized call after an O(1) counter advance to its first
+# block; a single simulation is a range of one.
 
 def _stride(width: int) -> int:
     return ((width + 3) // 4) * 4
-
-
-def _sim_uniforms(master_seed: int, stream_id: int, sim_index: int, width: int) -> np.ndarray:
-    g = rng.stream(master_seed, stream_id, 0)
-    if width == 0:
-        return np.empty(0, dtype=np.float64)
-    g.bit_generator.advance(int(sim_index) * (_stride(width) // 4))
-    return g.random(width)
 
 
 def _block_uniforms(master_seed: int, stream_id: int, start: int, count: int,
@@ -264,47 +256,12 @@ def _sample_live_block(model: DiffusionModel, master_seed: int, start: int, coun
     raise ValueError(f"unknown model kind {model.kind!r}")
 
 
-def _sample_live(model: DiffusionModel, master_seed: int, sim_index: int):
-    g = model.graph
-    m = g.num_edges
-    if model.kind == IC:
-        u = _sim_uniforms(master_seed, rng.STREAM_EDGES, sim_index, m)
-        return u < g.probs, None
-    if model.kind == LT:
-        live = np.zeros(m, dtype=bool)
-        u = _sim_uniforms(master_seed, rng.STREAM_NODES, sim_index, g.num_nodes)
-        for v, edges, cum in model._plan:
-            pick = int(np.searchsorted(cum, u[v], side="right"))
-            if pick < edges.size:
-                live[edges[pick]] = True
-        return live, None
-    if model.kind == BDEP:
-        units, loose = model._plan
-        live = np.zeros(m, dtype=bool)
-        u = _sim_uniforms(master_seed, rng.STREAM_UNITS, sim_index,
-                          len(units) + loose.size)
-        for j, (members, p) in enumerate(units):
-            if u[j] < p:
-                live[members] = True
-        if loose.size:
-            live[loose] = u[len(units):] < g.probs[loose]
-        return live, None
-    if model.kind == MIXTURE:
-        cum = model._plan
-        u = _sim_uniforms(master_seed, rng.STREAM_MIXTURE, sim_index, 1)[0]
-        comp = int(np.searchsorted(cum, u, side="right"))
-        sub_live, _ = _sample_live(model.components[comp], master_seed, sim_index)
-        live = np.zeros(m, dtype=bool)
-        off = int(model.component_offsets[comp])
-        live[off:off + sub_live.size] = sub_live
-        return live, comp
-    raise ValueError(f"unknown model kind {model.kind!r}")
-
-
 def sample_simulation(model: DiffusionModel, master_seed: int, sim_index: int) -> Simulation:
     """Draw simulation ``sim_index`` of the stream keyed by ``master_seed``."""
-    live, comp = _sample_live(model, master_seed, sim_index)
+    live, comps = _sample_live_block(model, master_seed, sim_index, 1)
+    live = live[0]
     live.setflags(write=False)
+    comp = None if comps is None else int(comps[0])
     return Simulation(live, rng.check_master_seed(master_seed), int(sim_index), comp)
 
 
@@ -409,17 +366,21 @@ def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int,
     return _bfs(graph, live, (int(target),), int(tau), scratch, reverse=True)
 
 
-def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
-    """Active-node masks for a stack of simulations.
+def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
+    """Batched BFS over a stack of simulations, one step at a time.
 
-    ``live`` is ``(rows, m)``; returns ``(rows, n)`` booleans.  Matches
-    :func:`reach_set` row by row.
+    ``live`` is ``(rows, m)``.  Yields ``(newly, active)`` for steps
+    ``0 .. tau``: ``newly`` is the ``(rows, n)`` mask of nodes first
+    activated at that step (the seeds at step 0) and ``active`` the union
+    of all steps so far.  Stops early after a step that activates nothing.
+    Both arrays are updated in place by the next step, so consume them
+    before advancing.
     """
     seeds = as_seed_tuple(graph.num_nodes, seeds)
-    rows = live.shape[0]
-    active = np.zeros((rows, graph.num_nodes), dtype=bool)
+    active = np.zeros((live.shape[0], graph.num_nodes), dtype=bool)
     active[:, list(seeds)] = True
-    frontier = active.copy()
+    frontier = active
+    yield frontier, active
     tails, heads = graph.tails, graph.heads
     for _ in range(int(tau)):
         nxt = np.zeros_like(active)
@@ -427,9 +388,20 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
             nxt[:, heads[e]] |= frontier[:, tails[e]] & live[:, e]
         nxt &= ~active
         if not nxt.any():
-            break
+            return
         active |= nxt
         frontier = nxt
+        yield frontier, active
+
+
+def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
+    """Active-node masks for a stack of simulations.
+
+    ``live`` is ``(rows, m)``; returns ``(rows, n)`` booleans.  Matches
+    :func:`reach_set` row by row.
+    """
+    for _, active in propagation_steps(graph, live, seeds, tau):
+        pass
     return active
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import as_seed_tuple
 from .models import DiffusionModel, Simulation, reverse_reach_set, sample_pool, ReachScratch
-from .estimators import OracleConfig
+from .estimators import OracleConfig, mask_pool_averages
 from . import rng
 
 MIN_SKETCH_SIZE = 3
@@ -142,13 +142,12 @@ def sketch_query(sketches: SketchSet, seeds, ell: int) -> float:
     merged = merged_seed_sketch(sketches, seeds)
     if merged.size < sketches.k:
         # Nothing was truncated: the pairs are the exact reachable pairs.
-        # Reconstruct per-simulation masks so the value matches the plain
-        # averaging oracle bit for bit.
+        # Reconstruct per-simulation masks and reduce them like the plain
+        # averaging oracle, so the value matches it bit for bit.
         n = sketches.node_weights.shape[0]
         mask = np.zeros((sketches.ell, n), dtype=bool)
         mask[merged.pair_sims, merged.pair_nodes] = True
-        values = mask @ sketches.node_weights
-        return float(values.sum() / sketches.ell)
+        return float(mask_pool_averages(mask, sketches.node_weights, 1)[0])
     total_weight = (sketches.k - 1) / float(merged.ranks[sketches.k - 1])
     return total_weight / sketches.ell
 

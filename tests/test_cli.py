@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import infmax as im
 from infmax.cli import main
 
 
@@ -53,6 +54,26 @@ def test_maximize_adaptive_report(tmp_path):
     assert result["simulations_used"] > 0
     assert result["validation_simulations"] > 0
     assert len(result["seeds"]) == 2
+    rounds = result["rounds"]
+    assert rounds[-1]["accepted"]
+    assert rounds[-1]["seeds"] == result["seeds"]
+    assert sum(r["budget"] for r in rounds) == result["simulations_used"]
+    assert sum(r["validation_budget"] for r in rounds) == result["validation_simulations"]
+
+
+def test_maximize_brute_uses_union_bound_sizing(tmp_path):
+    model_path = tmp_path / "t.model"
+    run_cli(["gen", "--family", "tree", "--tau", "2", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    out = tmp_path / "max.json"
+    assert run_cli(["maximize", "--model", str(model_path), "--s", "2", "--tau", "2",
+                    "--eps", "0.5", "--delta", "0.1", "--method", "brute",
+                    "--seed", "4", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    model = im.load_model(model_path)
+    config = im.im_oracle_config(model.num_nodes, 2, 2, 0.5, 0.1, im.c_value(model, 2), 4)
+    assert result["method"] == "brute"
+    assert result["simulations_used"] == config.total_simulations
 
 
 def test_exit_codes(tmp_path):
@@ -68,6 +89,14 @@ def test_exit_codes(tmp_path):
     assert run_cli(["exact", "--model", str(star), "--seeds", "oops", "--tau", "1"]) == 2
     assert run_cli(["exact", "--model", str(tmp_path / "missing.model"),
                     "--seeds", "0", "--tau", "1"]) == 2
+    # non-finite input -> 2
+    bad = tmp_path / "nan.model"
+    (tmp_path / "nan.edges").write_text("#nodes 3\n#weight 1 nan\n0 1 nan\n")
+    bad.write_text(json.dumps({"kind": "ic", "graph_path": "nan.edges"}))
+    assert run_cli(["exact", "--model", str(bad), "--seeds", "0", "--tau", "1"]) == 2
+    (tmp_path / "nan.edges").write_text("#nodes 3\n#weight 1 inf\n0 1 0.5\n")
+    assert run_cli(["estimate", "--model", str(bad), "--seeds", "0", "--tau", "1",
+                    "--pools", "1", "--pool-size", "4"]) == 2
     # csv is reserved for tabular bench output
     assert run_cli(["--format", "csv", "exact", "--model", str(star),
                     "--seeds", "0", "--tau", "1"]) == 2

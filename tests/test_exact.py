@@ -124,6 +124,25 @@ def test_depth_profile_bounds_unrestricted_influence():
         assert profile.influence_by_tau[t] >= (1 - eps) * full - 1e-12
 
 
+@pytest.mark.parametrize("maker,seeds", [
+    (lambda: im.families.gen_random_ic(8, 14, seed=5), (0, 3)),
+    (lambda: im.families.gen_tree(3), (0,)),
+    (lambda: im.families.gen_star(6, dependent=True), (0,)),
+    (lambda: im.families.gen_two_world_mixture(), (0,)),
+    (lambda: im.lt_model(im.Graph.from_edges(
+        5, [(0, 1, 0.6), (2, 1, 0.3), (1, 3, 0.9), (3, 4, 0.5), (0, 4, 0.4)])), (0,)),
+])
+def test_depth_profile_matches_step_limited_reports(maker, seeds):
+    # the profile reads every tau off one run whose propagation stops
+    # early once a step activates nothing; each entry must still equal a
+    # separate report at that step limit
+    model = maker()
+    profile = im.depth_profile(model, seeds)
+    assert len(profile.influence_by_tau) == model.num_nodes
+    for t, value in enumerate(profile.influence_by_tau):
+        assert value == pytest.approx(im.exact_report(model, seeds, t).influence, rel=1e-12)
+
+
 def test_exact_influence_monotone_and_submodular_exhaustively():
     model = im.families.gen_random_ic(6, 10, seed=9)
     tau = 3

@@ -19,6 +19,7 @@ def test_basic_construction_and_csr():
     ([(0, 1, -0.1)], "probability"),
     ([(0, 1, 0.5, 3), (2, 3, 0.5, 3)], "share one tail"),
     ([(0, 1, 0.5, 3), (0, 2, 0.6, 3)], "agree"),
+    ([(0, 1, float("nan"))], "probability"),
 ])
 def test_validation_errors(edges, message):
     with pytest.raises(ValueError, match=message):
@@ -28,6 +29,17 @@ def test_validation_errors(edges, message):
 def test_negative_weights_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         Graph.from_edges(2, [(0, 1, 0.5)], node_weights=[1.0, -1.0])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("#nodes 3\n#weight 1 nan\n0 1 nan\n", "probability"),
+    ("#nodes 3\n#weight 1 nan\n0 1 0.5\n", "finite"),
+    ("#nodes 3\n#weight 1 inf\n0 1 0.5\n", "finite"),
+    ("#nodes 3\n#weight 1 -inf\n0 1 0.5\n", "finite"),
+])
+def test_non_finite_input_rejected(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_edge_list(text)
 
 
 def test_seed_tuple_normalization():

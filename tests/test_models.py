@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infmax as im
-from infmax.models import _sample_live, _sample_live_block
+from infmax.models import _sample_live_block
 
 
 def path_model(p=1.0):
@@ -105,10 +105,9 @@ def test_block_sampling_matches_scalar(maker):
     model = maker()
     block, comps = _sample_live_block(model, 21, 3, 25)
     for i in range(25):
-        row, comp = _sample_live(model, 21, 3 + i)
-        assert np.array_equal(block[i], row)
-        if comps is not None:
-            assert comps[i] == comp
+        sim = im.sample_simulation(model, 21, 3 + i)
+        assert np.array_equal(block[i], sim.live)
+        assert sim.component == (None if comps is None else comps[i])
 
 
 def test_pool_sampling_thread_invariant():
@@ -168,13 +167,27 @@ def test_reach_monotone_in_seeds(seed, seeds, extra):
     assert small <= big
 
 
-def test_batch_reach_matches_scalar():
-    model = random_model(11)
-    live, _ = im.sample_pool(model, 3, 200)
-    mask = im.reach_mask_batch(model.graph, live, (0, 2), 3)
-    for i in range(0, 200, 17):
-        sim = im.sample_simulation(model, 3, i)
-        ids = im.reach_set(model.graph, sim, (0, 2), 3)
+KERNEL_MODELS = {
+    "ic": random_model(11),
+    "lt": im.lt_model(im.Graph.from_edges(
+        6, [(0, 1, 0.6), (2, 1, 0.3), (1, 3, 0.9), (3, 4, 0.5), (0, 4, 0.4),
+            (4, 5, 0.7), (5, 0, 0.8), (2, 5, 0.2)])),
+    "bdep": im.families.gen_star(6, dependent=True),
+    "mixture": im.families.gen_two_world_mixture(),
+}
+
+
+@given(kind=st.sampled_from(sorted(KERNEL_MODELS)), master=st.integers(0, 10**6),
+       tau=st.integers(0, 5), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+def test_batch_reach_matches_scalar(kind, master, tau, picks):
+    model = KERNEL_MODELS[kind]
+    n = model.num_nodes
+    seeds = tuple(sorted({p % n for p in picks}))
+    live, _ = im.sample_pool(model, master, 40)
+    mask = im.reach_mask_batch(model.graph, live, seeds, tau)
+    for i in range(40):
+        sim = im.sample_simulation(model, master, i)
+        ids = im.reach_set(model.graph, sim, seeds, tau)
         assert np.array_equal(np.flatnonzero(mask[i]), ids)
 
 
