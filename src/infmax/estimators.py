@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .models import (DiffusionModel, Simulation, ic_model, reach_mask_batch,
-                     reverse_reach_set, sample_pool, ReachScratch)
+from .models import (DiffusionModel, Simulation, ic_model, pack_rows, reach_mask_batch,
+                     reverse_reach_set, sample_pool, unpack_rows, ReachScratch)
 from .models import Graph
 from . import rng
 
@@ -69,54 +68,92 @@ class Oracle:
     """Immutable median-of-pool-averages influence estimator.
 
     Pool ``i`` owns simulation indices ``i*pool_size .. (i+1)*pool_size-1``
-    of the stream keyed by ``config.master_seed``.
+    of the stream keyed by ``config.master_seed``.  The ``(rows, m)``
+    boolean live matrix is packed once at construction (:func:`pack_rows`)
+    and only the packed words are kept.
     """
 
     def __init__(self, model: DiffusionModel, config: OracleConfig,
                  live: np.ndarray, components: np.ndarray | None):
         self.model = model
         self.config = config
-        live.setflags(write=False)
-        self._live = live
+        self._live = pack_rows(live)
+        self._live.setflags(write=False)
         self._components = components
 
     @property
     def num_nodes(self) -> int:
         return self.model.num_nodes
 
-    @cached_property
+    def _unpacked(self) -> np.ndarray:
+        live = unpack_rows(self._live, self.config.total_simulations)
+        live.setflags(write=False)
+        return live
+
+    @property
     def simulations(self) -> tuple[Simulation, ...]:
         cfg = self.config
+        live = self._unpacked()
         return tuple(
-            Simulation(self._live[i], cfg.master_seed, i,
+            Simulation(live[i], cfg.master_seed, i,
                        int(self._components[i]) if self._components is not None else None)
             for i in range(cfg.total_simulations))
 
     def pool_simulations(self, pool: int) -> np.ndarray:
         size = self.config.pool_size
-        return self._live[pool * size:(pool + 1) * size]
+        return self._unpacked()[pool * size:(pool + 1) * size]
 
     def pool_averages(self, seeds) -> np.ndarray:
         """Average reachability value of ``seeds`` in each pool."""
-        mask = reach_mask_batch(self.model.graph, self._live, seeds, self.config.tau)
-        return mask_pool_averages(mask, self.model.graph.node_weights, self.config.pools)
+        cfg = self.config
+        mask = reach_mask_batch(self.model.graph, self._live, seeds, cfg.tau)
+        return mask_pool_averages(mask, self.model.graph.node_weights,
+                                  cfg.pools, cfg.pool_size)
 
     def query(self, seeds) -> float:
         """Median over pools of the average reachability value of ``seeds``."""
         return float(np.median(self.pool_averages(seeds)))
 
 
-def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int) -> np.ndarray:
-    """Per-pool average reach value of a ``(rows, n)`` active-node mask.
+def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
+    """Per-pool activation counts of a packed ``(words, n)`` node mask.
 
-    Rows split into ``pools`` consecutive pools of equal size.  Every
-    simulation-backed value (oracle queries, brute force, greedy and
-    lossless sketch queries) goes through this one reduction, which keeps
-    them equal bit for bit.
+    Row ``r`` is bit ``r % 64`` of word ``r // 64``; rows split into
+    ``pools`` consecutive pools of ``pool_size``.  Returns the ``(pools, n)``
+    int64 count of rows in each pool that activate each node.  Pool
+    boundaries may fall inside a word, and bits past the last pool
+    (padding) are never counted.
     """
-    values = mask @ node_weights
-    pool_size = values.shape[0] // pools
-    return values.reshape(pools, pool_size).sum(axis=1) / pool_size
+    words, n = mask.shape
+    prefix = np.zeros((words + 1, n), dtype=np.int64)
+    np.cumsum(np.bitwise_count(mask), axis=0, out=prefix[1:])
+    bounds = np.arange(pools + 1, dtype=np.int64) * int(pool_size)
+    word, bit = np.divmod(bounds, 64)
+    low_bits = (np.uint64(1) << bit.astype(np.uint64)) - np.uint64(1)
+    partial = np.bitwise_count(mask[np.minimum(word, words - 1)] & low_bits[:, None])
+    below = prefix[word] + partial
+    return below[1:] - below[:-1]
+
+
+def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
+                        pool_size: int) -> np.ndarray:
+    """Pool averages ``(counts @ node_weights) / pool_size`` of a ``(pools, n)``
+    count table.
+
+    Every simulation-backed value (oracle queries, brute force, greedy and
+    lossless sketch queries) ends in this one expression, so equal counts
+    give values equal bit for bit, for any node weights.  Each row is
+    summed on its own: a BLAS product may order a row's sum differently
+    depending on how many rows it is given.
+    """
+    return (counts * node_weights).sum(axis=1) / pool_size
+
+
+def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,
+                       pool_size: int) -> np.ndarray:
+    """Per-pool average reach value of a packed ``(words, n)`` node mask."""
+    return count_pool_averages(pool_counts(mask, pools, pool_size), node_weights,
+                               pool_size)
 
 
 def build_oracle(model: DiffusionModel, config: OracleConfig, threads: int = 1) -> Oracle:

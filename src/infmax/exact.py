@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from .graph import Graph, as_seed_tuple
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, propagation_steps,
-                     reach_mask_batch)
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, pack_rows,
+                     propagation_steps, reach_mask_batch, unpack_rows)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
@@ -207,14 +207,16 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
     singles = np.zeros(g.num_nodes, dtype=np.float64)
     for live, probs in _outcome_chunks(model):
-        for d, (newly, active) in enumerate(propagation_steps(g, live, seeds, tau)):
-            step_probs[d] += probs @ newly
-        values = active @ w
+        rows = live.shape[0]
+        words = pack_rows(live)
+        for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
+            step_probs[d] += probs @ unpack_rows(newly, rows)
+        values = unpack_rows(active, rows) @ w
         influence += float(probs @ values)
         second += float(probs @ (values * values))
         if compute_opt1:
             for v in range(g.num_nodes):
-                mask = reach_mask_batch(g, live, (v,), tau)
+                mask = unpack_rows(reach_mask_batch(g, words, (v,), tau), rows)
                 singles[v] += float(probs @ (mask @ w))
     variance = max(second - influence * influence, 0.0)
     opt1 = float(singles.max()) if compute_opt1 else float("nan")
@@ -281,12 +283,13 @@ def exact_influence_map(model: DiffusionModel, tau: int, max_size: int) -> dict:
     totals = dict.fromkeys(subsets, 0.0)
     w = g.node_weights
     for live, probs in _outcome_chunks(model):
-        singles = [reach_mask_batch(g, live, (v,), tau) for v in range(n)]
+        words = pack_rows(live)
+        singles = [reach_mask_batch(g, words, (v,), tau) for v in range(n)]
         for subset in subsets:
             mask = singles[subset[0]]
             for v in subset[1:]:
                 mask = mask | singles[v]
-            totals[subset] += float(probs @ (mask @ w))
+            totals[subset] += float(probs @ (unpack_rows(mask, live.shape[0]) @ w))
     return totals
 
 

@@ -145,9 +145,16 @@ def format_edge_list(graph: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list text format.
+
+    Self-loops and repeated ``(tail, head)`` pairs are rejected here, at
+    the file boundary, not in :class:`Graph`: a mixture's union graph
+    concatenates its components' edge lists, which may share pairs.
+    """
     num_nodes = None
     weights: dict[int, float] = {}
     edges = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -165,6 +172,11 @@ def parse_edge_list(text: str) -> Graph:
         if len(parts) not in (3, 4):
             raise ValueError(f"line {lineno}: expected `tail head p [group_id]`")
         tail, head, p = int(parts[0]), int(parts[1]), float(parts[2])
+        if tail == head:
+            raise ValueError(f"line {lineno}: self-loop on node {tail}")
+        if (tail, head) in seen:
+            raise ValueError(f"line {lineno}: duplicate edge ({tail}, {head})")
+        seen.add((tail, head))
         if len(parts) == 4:
             edges.append((tail, head, p, int(parts[3])))
         else:

@@ -10,9 +10,10 @@ when the data allows it.
 
 Brute force and greedy accept any object with ``num_nodes`` and
 ``query``.  On a simulation :class:`Oracle` they share memoized
-single-source reach masks, score a set as the union of its members'
-masks, and reduce that union through ``mask_pool_averages`` as
-``oracle.query`` does, so their values equal ``oracle.query`` bit for bit.
+single-source reach masks (packed 64 simulations per word), score a set
+as the union of its members' masks, and reduce that union through
+``mask_pool_averages`` as ``oracle.query`` does, so their values equal
+``oracle.query`` bit for bit.
 """
 
 from __future__ import annotations
@@ -62,32 +63,33 @@ def _oracle_sims(oracle) -> int:
 
 
 def _explicit_reach(oracle: Oracle):
-    """Single-source reach masks over the oracle's simulations.
+    """Single-source reach masks over the oracle's packed simulations.
 
     ``reach(S)`` is the union of its members' single-source reaches, so
     ``mask_value(reach(S))`` reproduces ``oracle.query(S)`` bit for bit.
     Returns ``(single_reach, mask_value, cached)``: masks are memoized while
-    all ``n`` of them fit in ``_EXPLICIT_CACHE_BYTES``, and ``cached``
+    all ``n`` packed masks fit in ``_EXPLICIT_CACHE_BYTES``, and ``cached``
     says whether they do.
     """
     g = oracle.model.graph
     live = oracle._live
+    cfg = oracle.config
     n = g.num_nodes
     cache: dict[int, np.ndarray] | None = {}
-    if n * live.shape[0] * n > _EXPLICIT_CACHE_BYTES:
+    if n * live.shape[0] * live.itemsize * n > _EXPLICIT_CACHE_BYTES:
         cache = None
 
     def single_reach(u: int) -> np.ndarray:
         if cache is not None and u in cache:
             return cache[u]
-        mask = reach_mask_batch(g, live, (u,), oracle.config.tau)
+        mask = reach_mask_batch(g, live, (u,), cfg.tau)
         if cache is not None:
             cache[u] = mask
         return mask
 
     def mask_value(mask: np.ndarray) -> float:
         return float(np.median(mask_pool_averages(mask, g.node_weights,
-                                                  oracle.config.pools)))
+                                                  cfg.pools, cfg.pool_size)))
 
     return single_reach, mask_value, cache is not None
 
@@ -133,7 +135,7 @@ def greedy_max(oracle, s: int) -> MaximizerResult:
     explicit = isinstance(oracle, Oracle)
     if explicit:
         single_reach, mask_value, _ = _explicit_reach(oracle)
-        reached = np.zeros((oracle._live.shape[0], n), dtype=bool)
+        reached = np.zeros((oracle._live.shape[0], n), dtype=np.uint64)
     chosen: list[int] = []
     current = 0.0
     trace = []

@@ -13,7 +13,10 @@ Four model kinds share one live-edge representation:
 
 A :class:`Simulation` is one i.i.d. draw: a boolean live mask over the
 model's edge list plus the ``(master_seed, sim_index)`` that produced it.
-Reachability within ``tau`` steps is a BFS over live edges.
+Reachability within ``tau`` steps of one simulation is a scalar BFS over
+its live edges.  Stacks of simulations propagate bit-parallel: they are
+packed 64 to a ``uint64`` word (:func:`pack_rows`), and one step of the
+batched kernel advances all of them at once.
 """
 
 from __future__ import annotations
@@ -366,26 +369,59 @@ def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int,
     return _bfs(graph, live, (int(target),), int(tau), scratch, reverse=True)
 
 
-def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
-    """Batched BFS over a stack of simulations, one step at a time.
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """Pack a ``(count, k)`` boolean matrix into ``(words, k)`` ``uint64``.
 
-    ``live`` is ``(rows, m)``.  Yields ``(newly, active)`` for steps
-    ``0 .. tau``: ``newly`` is the ``(rows, n)`` mask of nodes first
-    activated at that step (the seeds at step 0) and ``active`` the union
-    of all steps so far.  Stops early after a step that activates nothing.
-    Both arrays are updated in place by the next step, so consume them
-    before advancing.
+    Bit ``r`` of word ``j`` holds row ``64 * j + r``; the padding bits of
+    a partial last word are zero.
+    """
+    rows = np.asarray(rows, dtype=bool)
+    count, k = rows.shape
+    words = -(-count // 64)
+    packed = np.zeros((words * 8, k), dtype=np.uint8)
+    packed[:(count + 7) // 8] = np.packbits(rows, axis=0, bitorder="little")
+    by_word = np.ascontiguousarray(packed.reshape(words, 8, k).transpose(0, 2, 1))
+    return by_word.view("<u8")[..., 0]
+
+
+def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` rows of packed ``words`` as a ``(count, k)`` boolean
+    matrix; inverse of :func:`pack_rows`."""
+    by_column = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(by_column, axis=1, count=int(count), bitorder="little")
+    return np.ascontiguousarray(bits.T).view(bool)
+
+
+def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
+    """Bit-parallel BFS over packed simulations, one step at a time.
+
+    ``live`` is ``(words, m)`` ``uint64`` from :func:`pack_rows`: bit ``r``
+    of word ``j`` is simulation ``64 * j + r``.  Yields ``(newly, active)``
+    for steps ``0 .. tau``, both ``(words, n)`` packed masks: ``newly``
+    holds the nodes first activated at that step (the seeds at step 0)
+    and ``active`` the union of all steps so far.  Each step gathers the
+    frontier bits of every edge's tail, keeps the live ones and ORs them
+    into each head with one ``reduceat`` over the edges sorted by head.
+    Stops early after a step that activates nothing.  Seeds are set in
+    every bit, padding included; padding bits never spread, since their
+    live bits are zero.  Both arrays are updated in place by the next
+    step, so consume them before advancing.
     """
     seeds = as_seed_tuple(graph.num_nodes, seeds)
-    active = np.zeros((live.shape[0], graph.num_nodes), dtype=bool)
-    active[:, list(seeds)] = True
+    active = np.zeros((live.shape[0], graph.num_nodes), dtype=np.uint64)
+    active[:, list(seeds)] = ~np.uint64(0)
     frontier = active
     yield frontier, active
-    tails, heads = graph.tails, graph.heads
+    if graph.num_edges == 0:
+        return
+    order, starts = graph._in_order, graph._in_start
+    tails_by_head = graph.tails[order]
+    live_by_head = live[:, order]
+    has_in = np.flatnonzero(starts[1:] > starts[:-1])
     for _ in range(int(tau)):
+        hit = frontier[:, tails_by_head] & live_by_head
         nxt = np.zeros_like(active)
-        for e in range(graph.num_edges):
-            nxt[:, heads[e]] |= frontier[:, tails[e]] & live[:, e]
+        nxt[:, has_in] = np.bitwise_or.reduceat(hit, starts[has_in], axis=1)
         nxt &= ~active
         if not nxt.any():
             return
@@ -395,9 +431,10 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
 
 
 def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
-    """Active-node masks for a stack of simulations.
+    """Packed active-node masks for packed simulations.
 
-    ``live`` is ``(rows, m)``; returns ``(rows, n)`` booleans.  Matches
+    ``live`` is ``(words, m)`` and the result ``(words, n)``, both
+    ``uint64`` as laid out by :func:`pack_rows`.  Unpacked, it matches
     :func:`reach_set` row by row.
     """
     for _, active in propagation_steps(graph, live, seeds, tau):
@@ -406,7 +443,9 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
 
 
 def reach_values_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
-    return reach_mask_batch(graph, live, seeds, tau) @ graph.node_weights
+    """Per-simulation reach values of a ``(rows, m)`` boolean live matrix."""
+    mask = reach_mask_batch(graph, pack_rows(live), seeds, tau)
+    return unpack_rows(mask, live.shape[0]) @ graph.node_weights
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,22 @@ def test_maximize_brute_uses_union_bound_sizing(tmp_path):
     assert result["simulations_used"] == config.total_simulations
 
 
+def test_maximize_greedy_runs_greedy(tmp_path):
+    model_path = tmp_path / "t.model"
+    run_cli(["gen", "--family", "tree", "--tau", "2", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    out = tmp_path / "max.json"
+    assert run_cli(["maximize", "--model", str(model_path), "--s", "2", "--tau", "2",
+                    "--eps", "0.5", "--delta", "0.1", "--method", "greedy",
+                    "--seed", "4", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    model = im.load_model(model_path)
+    config = im.im_oracle_config(model.num_nodes, 2, 2, 0.5, 0.1, im.c_value(model, 2), 4)
+    assert result["method"] == "greedy"
+    assert len(result["trace"]) == 2
+    assert result["simulations_used"] == config.total_simulations
+
+
 def test_exit_codes(tmp_path):
     # unknown subcommand -> usage error
     assert run_cli(["frobnicate"]) == 2
@@ -96,6 +112,14 @@ def test_exit_codes(tmp_path):
     assert run_cli(["exact", "--model", str(bad), "--seeds", "0", "--tau", "1"]) == 2
     (tmp_path / "nan.edges").write_text("#nodes 3\n#weight 1 inf\n0 1 0.5\n")
     assert run_cli(["estimate", "--model", str(bad), "--seeds", "0", "--tau", "1",
+                    "--pools", "1", "--pool-size", "4"]) == 2
+    # self-loops and duplicate edges -> 2
+    loops = tmp_path / "loop.model"
+    loops.write_text(json.dumps({"kind": "ic", "graph_path": "loop.edges"}))
+    (tmp_path / "loop.edges").write_text("#nodes 3\n0 1 0.5\n2 2 0.5\n")
+    assert run_cli(["exact", "--model", str(loops), "--seeds", "0", "--tau", "1"]) == 2
+    (tmp_path / "loop.edges").write_text("#nodes 3\n0 1 0.5\n1 2 0.5\n0 1 0.3\n")
+    assert run_cli(["estimate", "--model", str(loops), "--seeds", "0", "--tau", "1",
                     "--pools", "1", "--pool-size", "4"]) == 2
     # csv is reserved for tabular bench output
     assert run_cli(["--format", "csv", "exact", "--model", str(star),

@@ -66,6 +66,20 @@ def test_single_pool_query_is_plain_average():
     assert oracle.query((2,)) == pytest.approx(values.sum() / 50)
 
 
+@given(pools=st.sampled_from([1, 3, 5, 7]), pool_size=st.integers(1, 100),
+       cols=st.integers(1, 6), density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+def test_packed_pool_counts_match_bool_sums(pools, pool_size, cols, density, seed):
+    mask = np.random.default_rng(seed).random((pools * pool_size, cols)) < density
+    packed = im.pack_rows(mask)
+    # set the padding bits of the last word: they must never be counted
+    tail = (pools * pool_size) % 64
+    if tail:
+        packed[-1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
+    counts = im.pool_counts(packed, pools, pool_size)
+    assert counts.shape == (pools, cols)
+    assert np.array_equal(counts, mask.reshape(pools, pool_size, cols).sum(1))
+
+
 @given(seed=st.integers(0, 1000), pools=st.sampled_from([1, 3, 5]),
        pool_size=st.integers(1, 8))
 def test_median_sandwich(seed, pools, pool_size):

@@ -69,3 +69,20 @@ def test_edge_list_parse_errors():
         parse_edge_list("#nodes 2\n#frobnicate 1\n")
     with pytest.raises(ValueError, match="expected"):
         parse_edge_list("#nodes 2\n0 1\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("#nodes 3\n1 1 0.5\n", "self-loop"),
+    ("#nodes 3\n0 1 0.5\n1 2 0.5\n2 2 1.0 4\n", "line 4: self-loop"),
+    ("#nodes 3\n0 1 0.5\n0 1 0.5\n", "line 3: duplicate edge"),
+    ("#nodes 3\n0 1 0.5 2\n0 2 0.5 2\n0 1 0.25\n", "duplicate edge \\(0, 1\\)"),
+])
+def test_edge_list_rejects_self_loops_and_duplicates(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_edge_list(text)
+
+
+def test_graph_accepts_repeated_pairs_for_mixture_unions():
+    # a mixture's union graph repeats pairs its components share
+    g = Graph.from_edges(2, [(0, 1, 0.5), (0, 1, 0.25)])
+    assert g.num_edges == 2

@@ -178,17 +178,36 @@ KERNEL_MODELS = {
 
 
 @given(kind=st.sampled_from(sorted(KERNEL_MODELS)), master=st.integers(0, 10**6),
-       tau=st.integers(0, 5), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
-def test_batch_reach_matches_scalar(kind, master, tau, picks):
+       tau=st.integers(0, 5), picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+       rows=st.integers(1, 200))
+def test_batch_reach_matches_scalar(kind, master, tau, picks, rows):
     model = KERNEL_MODELS[kind]
     n = model.num_nodes
     seeds = tuple(sorted({p % n for p in picks}))
-    live, _ = im.sample_pool(model, master, 40)
-    mask = im.reach_mask_batch(model.graph, live, seeds, tau)
-    for i in range(40):
-        sim = im.sample_simulation(model, master, i)
+    live, _ = im.sample_pool(model, master, rows)
+    packed = im.pack_rows(live)
+    assert packed.shape == (-(-rows // 64), model.graph.num_edges)
+    mask = im.reach_mask_batch(model.graph, packed, seeds, tau)
+    assert mask.shape == (packed.shape[0], n)
+    unpacked = im.unpack_rows(mask, rows)
+    for i in range(rows):
+        sim = im.Simulation(live[i], master, i)
         ids = im.reach_set(model.graph, sim, seeds, tau)
-        assert np.array_equal(np.flatnonzero(mask[i]), ids)
+        assert np.array_equal(np.flatnonzero(unpacked[i]), ids)
+
+
+@given(rows=st.integers(0, 200), cols=st.integers(0, 5), seed=st.integers(0, 10**6))
+def test_pack_rows_bit_layout(rows, cols, seed):
+    bits = np.random.default_rng(seed).random((rows, cols)) < 0.5
+    packed = im.pack_rows(bits)
+    assert packed.dtype == np.uint64
+    for r in range(rows):
+        word, bit = divmod(r, 64)
+        got = (packed[word] >> np.uint64(bit)) & np.uint64(1)
+        assert np.array_equal(got.astype(bool), bits[r])
+    if rows % 64:
+        assert not np.any(packed[-1] >> np.uint64(rows % 64))
+    assert np.array_equal(im.unpack_rows(packed, rows), bits)
 
 
 def test_per_simulation_coverage_is_submodular():

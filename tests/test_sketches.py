@@ -34,12 +34,14 @@ def test_untruncated_sketch_holds_every_pair():
 
 
 def test_lossless_query_equals_averaging_oracle_bit_for_bit():
-    model = im.families.gen_random_ic(9, 16, seed=12)
-    config = im.OracleConfig(1, 6, 2, master_seed=4)
-    oracle = im.build_oracle(model, config)
-    sketches = im.build_sketches(model, list(oracle.simulations), 2, k=200, rank_seed=9)
-    for seeds in [(0,), (3,), (0, 5), (1, 2, 7)]:
-        assert im.sketch_query(sketches, seeds, 6) == oracle.query(seeds)
+    # non-unit weights make the order of float summation observable
+    for weights in [(1.0, 1.0), (0.5, 3.0)]:
+        model = im.families.gen_random_ic(9, 16, weight_range=weights, seed=12)
+        config = im.OracleConfig(1, 6, 2, master_seed=4)
+        oracle = im.build_oracle(model, config)
+        sketches = im.build_sketches(model, list(oracle.simulations), 2, k=200, rank_seed=9)
+        for seeds in [(0,), (3,), (0, 5), (1, 2, 7)]:
+            assert im.sketch_query(sketches, seeds, 6) == oracle.query(seeds)
 
 
 def test_lossless_subadditivity():
@@ -120,11 +122,12 @@ def test_estimator_is_unbiased_on_large_universe():
 
 
 def test_sketch_oracle_medians_pool_estimates():
-    model = im.families.gen_random_ic(8, 14, seed=2)
-    config = im.OracleConfig(3, 5, 2, master_seed=6)
-    oracle = im.build_sketch_oracle(model, config, k=300, rank_seed=11)
-    explicit = im.build_oracle(model, config)
-    # lossless pools reproduce the explicit oracle exactly
-    for seeds in [(0,), (2, 5), (1, 3, 6)]:
-        assert oracle.query(seeds) == explicit.query(seeds)
-    assert len(oracle.pool_estimates((0,))) == 3
+    for weights in [(1.0, 1.0), (0.5, 3.0)]:
+        model = im.families.gen_random_ic(8, 14, weight_range=weights, seed=2)
+        config = im.OracleConfig(3, 5, 2, master_seed=6)
+        oracle = im.build_sketch_oracle(model, config, k=300, rank_seed=11)
+        explicit = im.build_oracle(model, config)
+        # lossless pools reproduce the explicit oracle exactly
+        for seeds in [(0,), (2, 5), (1, 3, 6)]:
+            assert oracle.query(seeds) == explicit.query(seeds)
+        assert len(oracle.pool_estimates((0,))) == 3
