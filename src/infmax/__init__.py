@@ -5,7 +5,7 @@ from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, Simulation,
                      ic_model, lt_model, bdep_model, mixture_model,
                      sample_simulation, sample_pool, reach_set, reach_value,
                      pack_rows, unpack_rows, propagation_steps, reach_mask_batch,
-                     reach_values_batch,
+                     reach_values_batch, start_mask,
                      reverse_reach_set, reduce_model, load_model, save_model)
 from .exact import (EnumerationBudgetError, ExactReport, VarianceAudit, DepthProfile,
                     ExactInfluence, exact_report, audit_variance_bound, c_value,

@@ -257,7 +257,7 @@ def _cmd_estimate(args):
 def _cmd_sketch_build(args):
     model = _load(args.model)
     live, _ = sample_pool(model, args.seed, args.pool_size, threads=args.threads)
-    sketch_set = build_sketches(model, list(live), args.tau, args.k, args.rank_seed)
+    sketch_set = build_sketches(model, live, args.tau, args.k, args.rank_seed)
     doc = {"k": sketch_set.k, "tau": sketch_set.tau, "ell": sketch_set.ell,
            "rank_seed": sketch_set.rank_seed, "master_seed": args.seed,
            "model": args.model,

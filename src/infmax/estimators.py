@@ -24,8 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (DiffusionModel, Simulation, ic_model, pack_rows, reach_mask_batch,
-                     reverse_reach_set, sample_pool, unpack_rows, ReachScratch)
+# reverse_reach_set is no longer called here; it stays a module attribute
+# because perfbench/layers.py wraps it at this site.
+from .models import (DiffusionModel, Simulation, _block_uniforms, _sample_live_block,
+                     ic_model, pack_rows, reach_mask_batch, reverse_reach_set,
+                     sample_pool, start_mask, unpack_rows)
 from .models import Graph
 from . import rng
 
@@ -219,6 +222,19 @@ def marginal_edge_model(model: DiffusionModel) -> DiffusionModel:
 _RRS_CHUNK = 8192
 
 
+def _rrs_live_words(model: DiffusionModel, mode: str, master_seed: int, lo: int,
+                    count: int) -> np.ndarray:
+    """Packed live rows of searches ``lo .. lo+count-1``; the uniforms behind
+    them are freed on return."""
+    if mode == FULL_SIMULATION:
+        live, _ = _sample_live_block(model, master_seed, lo, count)
+    else:
+        flips = _block_uniforms(master_seed, rng.STREAM_RRS_EDGES, lo, count,
+                                model.graph.num_edges)
+        live = flips < model.marginal_edge_probs
+    return pack_rows(live)
+
+
 def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
                  master_seed: int) -> np.ndarray:
     """Per-node influence estimates from reverse reachability searches.
@@ -227,6 +243,12 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     unbiased for any model.  ``marginal`` flips each encountered edge
     independently with its marginal probability, which is cheap but
     deliberately ignores dependence between edges.
+
+    Search ``t`` picks a uniform target node and credits its weight to
+    every node that reaches it within ``tau`` live steps.  Each chunk of
+    searches runs as one reverse propagation on the packed kernel, one
+    search per row with its target set in that row only; the credits are
+    added search by search, in order, like a loop over scalar searches.
     """
     if mode not in (FULL_SIMULATION, MARGINAL):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -234,22 +256,18 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
         raise ValueError("need at least one search")
     num_searches = int(num_searches)
     g = model.graph
-    n, m = g.num_nodes, g.num_edges
+    n = g.num_nodes
     w = g.node_weights
-    marg = model.marginal_edge_probs if mode == MARGINAL else None
     acc = np.zeros(n, dtype=np.float64)
-    scratch = ReachScratch(n)
-    from .models import _block_uniforms, _sample_live_block
     for lo in range(0, num_searches, _RRS_CHUNK):
         count = min(_RRS_CHUNK, num_searches - lo)
         u = _block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
         targets = np.minimum((u * n).astype(np.int64), n - 1)
-        if mode == FULL_SIMULATION:
-            live, _ = _sample_live_block(model, master_seed, lo, count)
-        else:
-            flips = _block_uniforms(master_seed, rng.STREAM_RRS_EDGES, lo, count, m)
-            live = flips < marg
-        for t in range(count):
-            reached = reverse_reach_set(g, live[t], int(targets[t]), tau, scratch)
-            acc[reached] += w[targets[t]]
+        words = _rrs_live_words(model, mode, master_seed, lo, count)
+        mask = reach_mask_batch(g, words, start_mask(n, targets), tau, reverse=True)
+        # An axis-0 reduce over C-contiguous rows adds them in row order,
+        # so the sums equal the scalar loop's ``acc[reached] += w[t]``.
+        contrib = unpack_rows(mask, count) * w[targets][:, None]
+        contrib[0] += acc
+        acc = np.add.reduce(contrib, axis=0)
     return n * acc / float(num_searches)

@@ -14,9 +14,13 @@ Four model kinds share one live-edge representation:
 A :class:`Simulation` is one i.i.d. draw: a boolean live mask over the
 model's edge list plus the ``(master_seed, sim_index)`` that produced it.
 Reachability within ``tau`` steps of one simulation is a scalar BFS over
-its live edges.  Stacks of simulations propagate bit-parallel: they are
-packed 64 to a ``uint64`` word (:func:`pack_rows`), and one step of the
-batched kernel advances all of them at once.
+its live edges (:func:`reach_set`, :func:`reverse_reach_set`), kept as the
+reference.  Stacks of simulations propagate bit-parallel: they are packed
+64 to a ``uint64`` word (:func:`pack_rows`), and one step of the batched
+kernel (:func:`propagation_steps`) advances all of them at once.  The
+kernel starts from one seed set shared by every row or from a packed start
+mask with its own start nodes per row (:func:`start_mask`), and runs
+forward along edges or, for reverse searches, backward.
 """
 
 from __future__ import annotations
@@ -392,34 +396,64 @@ def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
     return np.ascontiguousarray(bits.T).view(bool)
 
 
-def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
+def start_mask(num_nodes: int, targets) -> np.ndarray:
+    """Packed ``(words, n)`` start mask with node ``targets[r]`` set in row
+    ``r`` only, one start node per simulation row."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.size and (targets.min() < 0 or targets.max() >= num_nodes):
+        raise ValueError("target id out of range")
+    rows = np.arange(targets.shape[0])
+    mask = np.zeros((-(-rows.shape[0] // 64), int(num_nodes)), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    np.bitwise_or.at(mask.reshape(-1), (rows >> 6) * int(num_nodes) + targets, bits)
+    return mask
+
+
+def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int,
+                      reverse: bool = False):
     """Bit-parallel BFS over packed simulations, one step at a time.
 
     ``live`` is ``(words, m)`` ``uint64`` from :func:`pack_rows`: bit ``r``
-    of word ``j`` is simulation ``64 * j + r``.  Yields ``(newly, active)``
-    for steps ``0 .. tau``, both ``(words, n)`` packed masks: ``newly``
-    holds the nodes first activated at that step (the seeds at step 0)
-    and ``active`` the union of all steps so far.  Each step gathers the
+    of word ``j`` is simulation ``64 * j + r``.  ``seeds`` is either a node
+    collection, set in every bit (padding included), or a packed
+    ``(words, n)`` start mask holding one start set per simulation row
+    (:func:`start_mask`).  Yields ``(newly, active)`` for steps
+    ``0 .. tau``, both ``(words, n)`` packed masks: ``newly`` holds the
+    nodes first activated at that step (the start nodes at step 0) and
+    ``active`` the union of all steps so far.  Each step gathers the
     frontier bits of every edge's tail, keeps the live ones and ORs them
     into each head with one ``reduceat`` over the edges sorted by head.
-    Stops early after a step that activates nothing.  Seeds are set in
-    every bit, padding included; padding bits never spread, since their
-    live bits are zero.  Both arrays are updated in place by the next
-    step, so consume them before advancing.
+    With ``reverse`` the edges run backwards: heads are gathered and ORed
+    into tails over the edges sorted by tail, so ``active`` holds the
+    nodes that reach the start nodes.  Stops early after a step that
+    activates nothing.  Padding bits never spread, since their live bits
+    are zero.  Both arrays are updated in place by the next step, so
+    consume them before advancing.
     """
-    seeds = as_seed_tuple(graph.num_nodes, seeds)
-    active = np.zeros((live.shape[0], graph.num_nodes), dtype=np.uint64)
-    active[:, list(seeds)] = ~np.uint64(0)
+    tau = int(tau)
+    if tau < 0:
+        raise ValueError("step limit must be nonnegative")
+    if np.ndim(seeds) == 2:
+        active = np.array(seeds, dtype=np.uint64)
+        if active.shape != (live.shape[0], graph.num_nodes):
+            raise ValueError("start mask must be (words, nodes)")
+    else:
+        seeds = as_seed_tuple(graph.num_nodes, seeds)
+        active = np.zeros((live.shape[0], graph.num_nodes), dtype=np.uint64)
+        active[:, list(seeds)] = ~np.uint64(0)
     frontier = active
     yield frontier, active
     if graph.num_edges == 0:
         return
-    order, starts = graph._in_order, graph._in_start
-    tails_by_head = graph.tails[order]
-    live_by_head = live[:, order]
+    if reverse:
+        order, starts, sources = graph._out_order, graph._out_start, graph.heads
+    else:
+        order, starts, sources = graph._in_order, graph._in_start, graph.tails
+    sources_by_sink = sources[order]
+    live_by_sink = live[:, order]
     has_in = np.flatnonzero(starts[1:] > starts[:-1])
-    for _ in range(int(tau)):
-        hit = frontier[:, tails_by_head] & live_by_head
+    for _ in range(tau):
+        hit = frontier[:, sources_by_sink] & live_by_sink
         nxt = np.zeros_like(active)
         nxt[:, has_in] = np.bitwise_or.reduceat(hit, starts[has_in], axis=1)
         nxt &= ~active
@@ -430,14 +464,17 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
         yield frontier, active
 
 
-def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
+def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int,
+                     reverse: bool = False) -> np.ndarray:
     """Packed active-node masks for packed simulations.
 
     ``live`` is ``(words, m)`` and the result ``(words, n)``, both
-    ``uint64`` as laid out by :func:`pack_rows`.  Unpacked, it matches
-    :func:`reach_set` row by row.
+    ``uint64`` as laid out by :func:`pack_rows`; ``seeds`` and ``reverse``
+    are as in :func:`propagation_steps`.  Unpacked, it matches
+    :func:`reach_set` (:func:`reverse_reach_set` with ``reverse``) row by
+    row.
     """
-    for _, active in propagation_steps(graph, live, seeds, tau):
+    for _, active in propagation_steps(graph, live, seeds, tau, reverse):
         pass
     return active
 

@@ -19,12 +19,18 @@ from functools import cached_property
 import numpy as np
 
 from .graph import as_seed_tuple
-from .models import DiffusionModel, Simulation, reverse_reach_set, sample_pool, ReachScratch
+# reverse_reach_set is no longer called here; it stays a module attribute
+# because perfbench/layers.py wraps it at this site.
+from .models import (DiffusionModel, Simulation, pack_rows, reach_mask_batch,
+                     reverse_reach_set, sample_pool)
 from .estimators import OracleConfig, count_pool_averages
 from . import rng
 
 MIN_SKETCH_SIZE = 3
 _POOL_RANK_PURPOSE = 0x6B
+# Upper bound on words x max(edges, nodes) of one block of tiled sources,
+# which bounds every packed array the build propagates at once.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,50 +70,58 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
                    rank_seed: int) -> SketchSet:
     """Sketch every node against one pool of simulations.
 
-    Pairs are offered in increasing rank order by a reverse search inside
-    their own simulation, so each sketch fills with exactly its bottom-k.
+    ``pool`` is a ``(ell, m)`` boolean live matrix or a sequence of
+    :class:`Simulation` objects or live rows.  Node ``v``'s sketch holds
+    the first ``k`` pairs ``(u, i)``, in increasing ``(rank, node, sim)``
+    order and with finite rank, such that ``u`` is reachable from ``v``
+    within ``tau`` steps of simulation ``i``.  The reachable pairs come from
+    forward propagations on the packed kernel, one row per ``(source,
+    simulation)``: the pool is packed once and tiled for a block of
+    sources, each source padded to whole words, with the source set in its
+    own rows only.
     """
     if k < MIN_SKETCH_SIZE:
         raise ValueError(f"sketch size must be at least {MIN_SKETCH_SIZE}")
-    pool = list(pool)
-    live_rows = [sim.live if isinstance(sim, Simulation) else np.asarray(sim, dtype=bool)
-                 for sim in pool]
-    ell = len(live_rows)
+    g = model.graph
+    n, m = g.num_nodes, g.num_edges
+    if isinstance(pool, np.ndarray):
+        live = np.asarray(pool, dtype=bool)
+    else:
+        rows = [sim.live if isinstance(sim, Simulation) else sim for sim in pool]
+        live = np.array(rows, dtype=bool).reshape(len(rows), m)
+    ell = live.shape[0]
     if ell < 1:
         raise ValueError("pool must contain at least one simulation")
-    g = model.graph
-    n = g.num_nodes
     ranks = pair_ranks(rank_seed, ell, g.node_weights)
-    # Rank order with (node, sim) tie-break.
+    # Rank order with (node, sim) tie-break; pairs of infinite rank are
+    # never kept.
     sims_ix, nodes_ix = np.divmod(np.arange(ell * n), n)
     flat = ranks.reshape(-1)
     order = np.lexsort((sims_ix, nodes_ix, flat))
-    buf_ranks: list[list[float]] = [[] for _ in range(n)]
-    buf_nodes: list[list[int]] = [[] for _ in range(n)]
-    buf_sims: list[list[int]] = [[] for _ in range(n)]
-    remaining = n * k
-    scratch = ReachScratch(n)
-    for pos in order:
-        if remaining == 0:
-            break
-        r = float(flat[pos])
-        if not np.isfinite(r):
-            break
-        i = int(sims_ix[pos])
-        u = int(nodes_ix[pos])
-        for v in reverse_reach_set(g, live_rows[i], u, tau, scratch):
-            bucket = buf_ranks[v]
-            if len(bucket) < k:
-                bucket.append(r)
-                buf_nodes[v].append(u)
-                buf_sims[v].append(i)
-                remaining -= 1
-    sketches = tuple(
-        NodeSketch(k, np.asarray(buf_ranks[v], dtype=np.float64),
-                   np.asarray(buf_nodes[v], dtype=np.int64),
-                   np.asarray(buf_sims[v], dtype=np.int64), node=v)
-        for v in range(n))
-    return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, sketches)
+    order = order[np.isfinite(flat[order])]
+    ranks_o, nodes_o, sims_o = flat[order], nodes_ix[order], sims_ix[order]
+    # Pair f of the rank order is bit bits[f] of cell cells[f] of a source's
+    # (width, n) reach words.
+    cells = (sims_o >> 6) * n + nodes_o
+    bits = np.left_shift(np.uint64(1), (sims_o & 63).astype(np.uint64))
+    words = pack_rows(live)
+    width = words.shape[0]
+    block = max(1, _BLOCK_CELLS // (width * max(m, n, 1)))
+    sketches = []
+    for lo in range(0, n, block):
+        sources = np.arange(lo, min(lo + block, n))
+        # Each source is set in all of its rows; its padding rows have no
+        # live edges and are never read.
+        start = np.zeros((sources.size, width, n), dtype=np.uint64)
+        start[np.arange(sources.size), :, sources] = ~np.uint64(0)
+        tiled = np.tile(words, (sources.size, 1))
+        reach = reach_mask_batch(g, tiled, start.reshape(-1, n), tau)
+        reach = reach.reshape(sources.size, width * n)
+        for b, v in enumerate(sources):
+            first = (reach[b, cells] & bits).nonzero()[0][:k]
+            sketches.append(NodeSketch(k, ranks_o[first], nodes_o[first], sims_o[first],
+                                       node=int(v)))
+    return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, tuple(sketches))
 
 
 def merge_sketches(a: NodeSketch, b: NodeSketch) -> NodeSketch:
@@ -185,5 +199,5 @@ def build_sketch_oracle(model: DiffusionModel, config: OracleConfig, k: int,
     for pool in range(config.pools):
         rows = live[pool * config.pool_size:(pool + 1) * config.pool_size]
         pool_seed = rng.derive_seed(rank_seed, _POOL_RANK_PURPOSE, pool)
-        sets.append(build_sketches(model, list(rows), config.tau, k, pool_seed))
+        sets.append(build_sketches(model, rows, config.tau, k, pool_seed))
     return SketchOracle(model, config, k, rank_seed, tuple(sets))

@@ -121,6 +121,12 @@ def test_exit_codes(tmp_path):
     (tmp_path / "loop.edges").write_text("#nodes 3\n0 1 0.5\n1 2 0.5\n0 1 0.3\n")
     assert run_cli(["estimate", "--model", str(loops), "--seeds", "0", "--tau", "1",
                     "--pools", "1", "--pool-size", "4"]) == 2
+    # negative step limit -> 2
+    assert run_cli(["simulate", "--model", str(star), "--seeds", "0", "--tau", "-1",
+                    "--num", "4"]) == 2
+    assert run_cli(["sketch-build", "--model", str(star), "--tau", "-2",
+                    "--pool-size", "2", "--k", "5",
+                    "--sketch-out", str(tmp_path / "sk.json")]) == 2
     # csv is reserved for tabular bench output
     assert run_cli(["--format", "csv", "exact", "--model", str(star),
                     "--seeds", "0", "--tau", "1"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import rng
+from infmax.estimators import _RRS_CHUNK
+from infmax.models import ReachScratch, _block_uniforms, _sample_live_block
 
 
 def deterministic_path():
@@ -240,6 +243,68 @@ def test_rrs_estimate_validation():
         im.rrs_estimate(model, "bogus", 10, 1, 0)
     with pytest.raises(ValueError, match="at least one"):
         im.rrs_estimate(model, im.FULL_SIMULATION, 0, 1, 0)
+    with pytest.raises(ValueError, match="step limit"):
+        im.rrs_estimate(model, im.FULL_SIMULATION, 10, -1, 0)
+
+
+def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
+    """Reference: one scalar reverse search per target, credits added in order."""
+    g = model.graph
+    n, w = g.num_nodes, g.node_weights
+    acc = np.zeros(n, dtype=np.float64)
+    scratch = ReachScratch(n)
+    for lo in range(0, num_searches, _RRS_CHUNK):
+        count = min(_RRS_CHUNK, num_searches - lo)
+        u = _block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
+        targets = np.minimum((u * n).astype(np.int64), n - 1)
+        if mode == im.FULL_SIMULATION:
+            live, _ = _sample_live_block(model, master_seed, lo, count)
+        else:
+            live = (_block_uniforms(master_seed, rng.STREAM_RRS_EDGES, lo, count,
+                                    g.num_edges) < model.marginal_edge_probs)
+        for t in range(count):
+            reached = im.reverse_reach_set(g, live[t], int(targets[t]), tau, scratch)
+            acc[reached] += w[targets[t]]
+    return n * acc / float(num_searches)
+
+
+def reweighted(model, weights):
+    g = model.graph
+    graph = im.Graph(g.num_nodes, g.tails, g.heads, g.probs, g.groups, weights)
+    return dataclasses.replace(model, graph=graph,
+                               components=tuple(reweighted(c, weights)
+                                                for c in model.components))
+
+
+RRS_MODELS = {
+    "ic": im.families.gen_random_ic(9, 20, seed=7),
+    "lt": im.lt_model(im.Graph.from_edges(
+        6, [(0, 1, 0.6), (2, 1, 0.3), (1, 3, 0.9), (3, 4, 0.5), (0, 4, 0.4),
+            (4, 5, 0.7), (5, 0, 0.8), (2, 5, 0.2)])),
+    "bdep": im.bdep_model(im.Graph.from_edges(
+        7, [(0, 1, 0.6, 0), (0, 2, 0.6, 0), (2, 3, 0.5, 1), (2, 4, 0.5, 1),
+            (2, 5, 0.5, 1), (4, 0, 0.7), (5, 6, 0.4), (6, 2, 0.8), (3, 1, 0.3)]), 3),
+    "mixture": im.families.gen_two_world_mixture(),
+}
+
+
+@pytest.mark.parametrize("mode", [im.FULL_SIMULATION, im.MARGINAL])
+@pytest.mark.parametrize("kind", sorted(RRS_MODELS))
+def test_rrs_estimate_matches_scalar_searches_bit_for_bit(kind, mode):
+    unit = RRS_MODELS[kind]
+    n = unit.num_nodes
+    weights = np.random.default_rng(n).uniform(0.5, 3.0, n)
+    for model in (unit, reweighted(unit, weights)):
+        for tau in range(6):
+            for searches in (1, 63, 65):
+                expect = scalar_rrs_estimate(model, mode, searches, tau, tau + 3)
+                got = im.rrs_estimate(model, mode, searches, tau, tau + 3)
+                assert got.tobytes() == expect.tobytes()
+        # a second chunk, whose credits add onto the first chunk's sums
+        for searches in (_RRS_CHUNK + 1, _RRS_CHUNK + 65):
+            expect = scalar_rrs_estimate(model, mode, searches, 3, 11)
+            got = im.rrs_estimate(model, mode, searches, 3, 11)
+            assert got.tobytes() == expect.tobytes()
 
 
 def test_marginal_edge_model_of_mixture():

@@ -210,6 +210,45 @@ def test_pack_rows_bit_layout(rows, cols, seed):
     assert np.array_equal(im.unpack_rows(packed, rows), bits)
 
 
+@given(kind=st.sampled_from(sorted(KERNEL_MODELS)), master=st.integers(0, 10**6),
+       tau=st.integers(0, 5), reverse=st.booleans(), rows=st.integers(1, 200))
+def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
+    # one start node per row, in both directions
+    model = KERNEL_MODELS[kind]
+    g = model.graph
+    n = model.num_nodes
+    live, _ = im.sample_pool(model, master, rows)
+    targets = np.random.default_rng(master).integers(0, n, rows)
+    start = im.start_mask(n, targets)
+    assert np.array_equal(im.unpack_rows(start, rows), np.eye(n, dtype=bool)[targets])
+    if rows % 64:
+        assert not np.any(start[-1] >> np.uint64(rows % 64))
+    mask = im.reach_mask_batch(g, im.pack_rows(live), start, tau, reverse=reverse)
+    unpacked = im.unpack_rows(mask, rows)
+    for i in range(rows):
+        if reverse:
+            ids = im.reverse_reach_set(g, live[i], int(targets[i]), tau)
+        else:
+            ids = im.reach_set(g, im.Simulation(live[i], master, i), (int(targets[i]),), tau)
+        assert np.array_equal(np.flatnonzero(unpacked[i]), ids)
+
+
+def test_negative_step_limit_rejected():
+    model = random_model(3)
+    g = model.graph
+    live, _ = im.sample_pool(model, 0, 5)
+    packed = im.pack_rows(live)
+    with pytest.raises(ValueError, match="step limit"):
+        im.reach_mask_batch(g, packed, (0,), -1)
+    with pytest.raises(ValueError, match="step limit"):
+        im.reach_mask_batch(g, packed, im.start_mask(g.num_nodes, range(5)), -1,
+                            reverse=True)
+    with pytest.raises(ValueError, match="step limit"):
+        im.reach_values_batch(g, live, (0,), -1)
+    with pytest.raises(ValueError, match="step limit"):
+        im.build_sketches(model, live, -2, 5, rank_seed=0)
+
+
 def test_per_simulation_coverage_is_submodular():
     # exhaustive marginal-gain check on one simulation of a small instance
     model = random_model(13, n=6, m=10)

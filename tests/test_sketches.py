@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infmax as im
+import infmax.sketches as sketch_module
 from infmax import rng
+from infmax.models import ReachScratch
 from infmax.sketches import NodeSketch, pair_ranks
 
 
@@ -131,3 +133,64 @@ def test_sketch_oracle_medians_pool_estimates():
         for seeds in [(0,), (2, 5), (1, 3, 6)]:
             assert oracle.query(seeds) == explicit.query(seeds)
         assert len(oracle.pool_estimates((0,))) == 3
+
+
+def rank_order_sketches(model, live_rows, tau, k, rank_seed):
+    """Reference: offer pairs in increasing (rank, node, sim) order, each by a
+    reverse search inside its own simulation, until every sketch is full."""
+    g = model.graph
+    n = g.num_nodes
+    ell = len(live_rows)
+    ranks = pair_ranks(rank_seed, ell, g.node_weights)
+    sims_ix, nodes_ix = np.divmod(np.arange(ell * n), n)
+    flat = ranks.reshape(-1)
+    order = np.lexsort((sims_ix, nodes_ix, flat))
+    buf_ranks = [[] for _ in range(n)]
+    buf_nodes = [[] for _ in range(n)]
+    buf_sims = [[] for _ in range(n)]
+    remaining = n * k
+    scratch = ReachScratch(n)
+    for pos in order:
+        if remaining == 0:
+            break
+        r = float(flat[pos])
+        if not np.isfinite(r):
+            break
+        i = int(sims_ix[pos])
+        u = int(nodes_ix[pos])
+        for v in im.reverse_reach_set(g, live_rows[i], u, tau, scratch):
+            if len(buf_ranks[v]) < k:
+                buf_ranks[v].append(r)
+                buf_nodes[v].append(u)
+                buf_sims[v].append(i)
+                remaining -= 1
+    return [(np.asarray(buf_ranks[v], dtype=np.float64),
+             np.asarray(buf_nodes[v], dtype=np.int64),
+             np.asarray(buf_sims[v], dtype=np.int64)) for v in range(n)]
+
+
+@pytest.mark.parametrize("block_cells", [sketch_module._BLOCK_CELLS, 64])
+def test_build_sketches_matches_rank_order_searches_bit_for_bit(block_cells, monkeypatch):
+    # 64 cells split the sources into blocks of one or two
+    monkeypatch.setattr(sketch_module, "_BLOCK_CELLS", block_cells)
+    unit = im.families.gen_random_ic(9, 22, seed=5)
+    g = unit.graph
+    # zero weights give infinite ranks, which no sketch may hold
+    weights = np.random.default_rng(1).uniform(0.13, 3.0, g.num_nodes)
+    weights[::3] = 0.0
+    weighted = im.ic_model(im.Graph(g.num_nodes, g.tails, g.heads, g.probs, g.groups,
+                                    weights))
+    n = g.num_nodes
+    for model in (unit, weighted):
+        for ell in (1, 63, 64, 65, 130):
+            live, _ = im.sample_pool(model, ell, ell)
+            for tau in (0, 2, n - 1):
+                for k in (3, 32, ell * n + 1):
+                    built = im.build_sketches(model, live, tau, k, rank_seed=ell + tau)
+                    expect = rank_order_sketches(model, live, tau, k, ell + tau)
+                    assert [sk.node for sk in built.sketches] == list(range(n))
+                    for sk, (ranks, nodes, sims) in zip(built.sketches, expect):
+                        assert sk.ranks.tobytes() == ranks.tobytes()
+                        assert np.array_equal(sk.pair_nodes, nodes)
+                        assert np.array_equal(sk.pair_sims, sims)
+                        assert sk.pair_nodes.dtype == sk.pair_sims.dtype == np.int64
