@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -78,7 +79,10 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad seed list {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once: parsing leaves it unchanged, and a fresh
+    parser per call leaves reference cycles for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="infmax",
         description="Influence estimation and maximization from i.i.d. simulations")

@@ -71,16 +71,27 @@ class Oracle:
     """Immutable median-of-pool-averages influence estimator.
 
     Pool ``i`` owns simulation indices ``i*pool_size .. (i+1)*pool_size-1``
-    of the stream keyed by ``config.master_seed``.  The ``(rows, m)``
-    boolean live matrix is packed once at construction (:func:`pack_rows`)
-    and only the packed words are kept.
+    of the stream keyed by ``config.master_seed``.  ``live`` is either the
+    ``(total_simulations, m)`` boolean live matrix, packed once here
+    (:func:`pack_rows`), or its ``(ceil(total_simulations / 64), m)``
+    ``uint64`` words, kept as given; only the packed words are held.
     """
 
     def __init__(self, model: DiffusionModel, config: OracleConfig,
                  live: np.ndarray, components: np.ndarray | None):
         self.model = model
         self.config = config
-        self._live = pack_rows(live)
+        rows, m = config.total_simulations, model.graph.num_edges
+        if isinstance(live, np.ndarray) and live.dtype == np.uint64:
+            if live.shape != (-(-rows // 64), m):
+                raise ValueError(f"packed live words must be {(-(-rows // 64), m)}, "
+                                 f"got {live.shape}")
+            self._live = live.view()
+        else:
+            live = np.asarray(live, dtype=bool)
+            if live.shape != (rows, m):
+                raise ValueError(f"live matrix must be {(rows, m)}, got {live.shape}")
+            self._live = pack_rows(live)
         self._live.setflags(write=False)
         self._components = components
 
@@ -161,9 +172,9 @@ def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,
 
 def build_oracle(model: DiffusionModel, config: OracleConfig, threads: int = 1) -> Oracle:
     """Sample the oracle's simulation grid; identical for any ``threads``."""
-    live, comps = sample_pool(model, config.master_seed, config.total_simulations,
-                              threads=threads)
-    return Oracle(model, config, live, comps)
+    words, comps = sample_pool(model, config.master_seed, config.total_simulations,
+                               threads=threads, packed=True)
+    return Oracle(model, config, words, comps)
 
 
 def query(oracle, seeds) -> float:

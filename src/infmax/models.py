@@ -13,6 +13,9 @@ Four model kinds share one live-edge representation:
 
 A :class:`Simulation` is one i.i.d. draw: a boolean live mask over the
 model's edge list plus the ``(master_seed, sim_index)`` that produced it.
+Every draw is vectorized over rows and edges, and :func:`sample_pool`
+fills a pool in 64-aligned blocks of rows that its workers draw and pack
+straight into ``uint64`` words, so a pool is held packed from the start.
 Reachability within ``tau`` steps of one simulation is a scalar BFS over
 its live edges (:func:`reach_set`, :func:`reverse_reach_set`), kept as the
 reference.  Stacks of simulations propagate bit-parallel: they are packed
@@ -201,20 +204,33 @@ def _block_uniforms(master_seed: int, stream_id: int, start: int, count: int,
 def _sampling_plan(model: DiffusionModel):
     g = model.graph
     if model.kind == LT:
-        per_node = []
-        for v in range(g.num_nodes):
-            edges = g.in_edges(v)
-            if edges.size:
-                per_node.append((v, edges, np.cumsum(g.probs[edges])))
-        return per_node
+        # Edge e is live iff lo[e] <= u[head] < hi[e]: [lo, hi) is e's slice of
+        # its head's running in-weight sum, accumulated in in_edges order
+        # exactly as np.cumsum would.  Zero-weight edges get empty slices.
+        order, starts = g._in_order, g._in_start
+        slot = np.arange(order.size) - starts[g.heads[order]]
+        ordered = g.probs[order]
+        cum = np.empty_like(ordered)
+        first = slot == 0
+        cum[first] = ordered[first]
+        for k in range(1, int(slot.max(initial=0)) + 1):
+            at = np.flatnonzero(slot == k)
+            cum[at] = cum[at - 1] + ordered[at]
+        lo, hi = np.empty_like(cum), np.empty_like(cum)
+        hi[order] = cum
+        lo[order[~first]] = cum[np.flatnonzero(~first) - 1]
+        lo[order[first]] = 0.0
+        return lo, hi
     if model.kind == BDEP:
-        gids = np.unique(g.groups[g.groups >= 0])
-        units = []
-        for gid in gids:
-            members = np.flatnonzero(g.groups == gid)
-            units.append((members, float(g.probs[members[0]])))
-        loose = np.flatnonzero(g.groups < 0)
-        return units, loose
+        # One unit per group (np.unique order), then one per loose edge (id
+        # order); all members of a group share its probability.
+        grouped = g.groups >= 0
+        gids = np.unique(g.groups[grouped])
+        loose = np.flatnonzero(~grouped)
+        unit = np.empty(g.num_edges, dtype=np.int64)
+        unit[grouped] = np.searchsorted(gids, g.groups[grouped])
+        unit[loose] = gids.size + np.arange(loose.size)
+        return unit, gids.size + loose.size
     if model.kind == MIXTURE:
         cum = np.cumsum(model.component_weights)
         cum[-1] = 1.0
@@ -225,33 +241,25 @@ def _sampling_plan(model: DiffusionModel):
 def _sample_live_block(model: DiffusionModel, master_seed: int, start: int, count: int):
     """Live masks for ``count`` consecutive simulation indices."""
     g = model.graph
-    m = g.num_edges
     if model.kind == IC:
-        u = _block_uniforms(master_seed, rng.STREAM_EDGES, start, count, m)
+        u = _block_uniforms(master_seed, rng.STREAM_EDGES, start, count, g.num_edges)
         return u < g.probs, None
     if model.kind == LT:
+        lo, hi = model._plan
         u = _block_uniforms(master_seed, rng.STREAM_NODES, start, count, g.num_nodes)
-        live = np.zeros((count, m), dtype=bool)
-        for v, edges, cum in model._plan:
-            picks = np.searchsorted(cum, u[:, v], side="right")
-            for slot in range(edges.size):
-                live[picks == slot, edges[slot]] = True
+        at_head = u[:, g.heads]
+        live = at_head < hi
+        live &= at_head >= lo
         return live, None
     if model.kind == BDEP:
-        units, loose = model._plan
-        u = _block_uniforms(master_seed, rng.STREAM_UNITS, start, count,
-                            len(units) + loose.size)
-        live = np.zeros((count, m), dtype=bool)
-        for j, (members, p) in enumerate(units):
-            live[:, members] = (u[:, j] < p)[:, None]
-        if loose.size:
-            live[:, loose] = u[:, len(units):] < g.probs[loose]
-        return live, None
+        unit, width = model._plan
+        u = _block_uniforms(master_seed, rng.STREAM_UNITS, start, count, width)
+        return u[:, unit] < g.probs, None
     if model.kind == MIXTURE:
         cum = model._plan
         u = _block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
         comps = np.searchsorted(cum, u, side="right").astype(np.int64)
-        live = np.zeros((count, m), dtype=bool)
+        live = np.zeros((count, g.num_edges), dtype=bool)
         for c, comp in enumerate(model.components):
             rows = comps == c
             if not rows.any():
@@ -272,35 +280,45 @@ def sample_simulation(model: DiffusionModel, master_seed: int, sim_index: int) -
     return Simulation(live, rng.check_master_seed(master_seed), int(sim_index), comp)
 
 
+_SAMPLE_BLOCK = 1024  # rows per worker task; a multiple of 64, so blocks share no word
+
+
 def sample_pool(model: DiffusionModel, master_seed: int, count: int,
-                start: int = 0, threads: int = 1):
+                start: int = 0, threads: int = 1, packed: bool = False):
     """Live masks for simulation indices ``start .. start+count-1``.
 
-    Returns ``(live, components)`` where ``live`` is a ``(count, m)``
-    boolean matrix and ``components`` is an int array for mixtures and
-    ``None`` otherwise.  The result is independent of ``threads``.
+    Returns ``(live, components)``.  ``live`` is a ``(count, m)`` boolean
+    matrix, or with ``packed`` the ``(ceil(count / 64), m)`` ``uint64``
+    words of :func:`pack_rows`; ``components`` is an int array for
+    mixtures and ``None`` otherwise.  Rows are drawn and packed in blocks
+    of ``_SAMPLE_BLOCK``, dealt round-robin to ``threads`` workers that
+    each write their own word range, so beyond the result only one block
+    per worker is held.  The result is independent of ``threads``.
     """
     rng.check_master_seed(master_seed)
-    m = model.graph.num_edges
-    live = np.empty((count, m), dtype=bool)
+    count = int(count)
+    if count < 0:
+        raise ValueError("simulation count must be nonnegative")
+    words = np.empty((-(-count // 64), model.graph.num_edges), dtype=np.uint64)
     comps = np.empty(count, dtype=np.int64) if model.kind == MIXTURE else None
+    blocks = range(0, count, _SAMPLE_BLOCK)
 
-    def fill(lo, hi):
-        rows, row_comps = _sample_live_block(model, master_seed, start + lo, hi - lo)
-        live[lo:hi] = rows
-        if comps is not None:
-            comps[lo:hi] = row_comps
+    def fill(worker):
+        for lo in blocks[worker::threads]:
+            hi = min(lo + _SAMPLE_BLOCK, count)
+            rows, row_comps = _sample_live_block(model, master_seed, start + lo, hi - lo)
+            words[lo // 64:-(-hi // 64)] = pack_rows(rows)
+            if comps is not None:
+                comps[lo:hi] = row_comps
 
-    threads = max(1, int(threads))
-    if threads == 1 or count < 2 * threads:
-        fill(0, count)
+    threads = max(1, min(int(threads), len(blocks)))
+    if threads == 1:
+        fill(0)
     else:
-        bounds = np.linspace(0, count, threads + 1).astype(int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(fill, bounds[t], bounds[t + 1]) for t in range(threads)]
-            for f in futures:
+            for f in [pool.submit(fill, t) for t in range(threads)]:
                 f.result()
-    return live, comps
+    return (words if packed else unpack_rows(words, count)), comps
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import infmax as im
-from infmax.cli import main
+from infmax.cli import build_parser, main
 
 
 def run_cli(args):
@@ -149,11 +149,27 @@ def test_threads_do_not_change_output(tmp_path):
     run_cli(["gen", "--family", "random", "--n", "10", "--m", "14",
              "--model-out", str(model_path), "--out", str(tmp_path / "g.json")])
     a, b = tmp_path / "a.json", tmp_path / "b.json"
+    # 3 x 1000 simulations span several sampler blocks.
     run_cli(["estimate", "--model", str(model_path), "--seeds", "1", "--tau", "2",
-             "--pools", "3", "--pool-size", "50", "--threads", "1", "--out", str(a)])
+             "--pools", "3", "--pool-size", "1000", "--threads", "1", "--out", str(a)])
     run_cli(["estimate", "--model", str(model_path), "--seeds", "1", "--tau", "2",
-             "--pools", "3", "--pool-size", "50", "--threads", "4", "--out", str(b)])
+             "--pools", "3", "--pool-size", "1000", "--threads", "4", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    assert build_parser() is build_parser()
+    model_path = tmp_path / "t.model"
+    run_cli(["gen", "--family", "tree", "--tau", "2", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    out = tmp_path / "est.json"
+    base = ["estimate", "--model", str(model_path), "--seeds", "0", "--tau", "2",
+            "--pools", "1", "--pool-size", "4", "--out", str(out)]
+    assert run_cli(["--seed", "7", "--threads", "2"] + base) == 0
+    assert json.loads(out.read_text())["master_seed"] == 7
+    # Flags of one call do not carry over to the next.
+    assert run_cli(base) == 0
+    assert json.loads(out.read_text())["master_seed"] == 0
 
 
 def test_sketch_build_and_query_round_trip(tmp_path):

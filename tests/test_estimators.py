@@ -69,6 +69,26 @@ def test_single_pool_query_is_plain_average():
     assert oracle.query((2,)) == pytest.approx(values.sum() / 50)
 
 
+def test_oracle_takes_bool_rows_or_packed_words_of_its_config_shape():
+    model = im.families.gen_random_ic(9, 16, seed=4)
+    config = im.OracleConfig(1, 100, 2, 3)
+    m = model.graph.num_edges
+    built = im.build_oracle(model, config)
+    rows = built.pool_simulations(0)
+    words = im.pack_rows(rows)
+    for live in (rows, words):
+        oracle = im.Oracle(model, config, live, None)
+        assert np.array_equal(oracle.pool_averages((2, 5)), built.pool_averages((2, 5)))
+    assert words.flags.writeable
+    # Rows, words or edge columns that do not fit the config fail at
+    # construction instead of skewing or breaking later queries.
+    for live in (rows[:50], rows[:, :m - 1], np.zeros((101, m), dtype=bool),
+                 im.pack_rows(rows[:64]), words[:, :m - 1],
+                 np.zeros((3, m), dtype=np.uint64)):
+        with pytest.raises(ValueError, match="must be"):
+            im.Oracle(model, config, live, None)
+
+
 @given(pools=st.sampled_from([1, 3, 5, 7]), pool_size=st.integers(1, 100),
        cols=st.integers(1, 6), density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
 def test_packed_pool_counts_match_bool_sums(pools, pool_size, cols, density, seed):

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import infmax as im
-from infmax.models import _sample_live_block
+from infmax import rng
+from infmax.models import _SAMPLE_BLOCK, _block_uniforms, _sample_live_block
 
 
 def path_model(p=1.0):
@@ -112,10 +115,112 @@ def test_block_sampling_matches_scalar(maker):
 
 def test_pool_sampling_thread_invariant():
     model = im.families.gen_two_world_mixture()
-    l1, c1 = im.sample_pool(model, 9, 500, threads=1)
-    l4, c4 = im.sample_pool(model, 9, 500, threads=4)
+    rows = 4 * _SAMPLE_BLOCK + 500
+    l1, c1 = im.sample_pool(model, 9, rows, threads=1)
+    # Five blocks dealt to four workers that switch as often as the
+    # interpreter allows: a worker writing outside its own words shows.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        l4, c4 = im.sample_pool(model, 9, rows, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(l1, l4)
     assert np.array_equal(c1, c4)
+
+
+def test_pool_sampling_counts():
+    model = random_model(3)
+    for packed in (False, True):
+        assert im.sample_pool(model, 9, 0, packed=packed)[0].shape == (0, 14)
+    with pytest.raises(ValueError, match="nonnegative"):
+        im.sample_pool(model, 9, -1)
+
+
+def reference_live_block(model, master_seed, start, count):
+    """Live rows drawn with per-node and per-group loops over the same
+    uniforms: the sampler's stream layout, written out the long way."""
+    g = model.graph
+    live = np.zeros((count, g.num_edges), dtype=bool)
+    comps = None
+    if model.kind == im.models.IC:
+        live[:] = _block_uniforms(master_seed, rng.STREAM_EDGES, start, count,
+                                  g.num_edges) < g.probs
+    elif model.kind == im.models.LT:
+        u = _block_uniforms(master_seed, rng.STREAM_NODES, start, count, g.num_nodes)
+        for v in range(g.num_nodes):
+            edges = g.in_edges(v)
+            picks = np.searchsorted(np.cumsum(g.probs[edges]), u[:, v], side="right")
+            for slot in range(edges.size):
+                live[picks == slot, edges[slot]] = True
+    elif model.kind == im.models.BDEP:
+        gids = np.unique(g.groups[g.groups >= 0])
+        loose = np.flatnonzero(g.groups < 0)
+        u = _block_uniforms(master_seed, rng.STREAM_UNITS, start, count,
+                            gids.size + loose.size)
+        for j, gid in enumerate(gids):
+            members = np.flatnonzero(g.groups == gid)
+            live[:, members] = (u[:, j] < g.probs[members[0]])[:, None]
+        live[:, loose] = u[:, gids.size:] < g.probs[loose]
+    else:
+        cum = np.cumsum(model.component_weights)
+        cum[-1] = 1.0
+        u = _block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
+        comps = np.searchsorted(cum, u, side="right")
+        for c, comp in enumerate(model.components):
+            sub, _ = reference_live_block(comp, master_seed, start, count)
+            off = int(model.component_offsets[c])
+            live[comps == c, off:off + sub.shape[1]] = sub[comps == c]
+    return live, comps
+
+
+def lt_edge_cases():
+    # Zero-weight edges first, inside and last; node 1's weights sum to
+    # exactly 1 and node 4's leave no mass for "no edge" up to rounding.
+    return im.lt_model(im.Graph.from_edges(6, [
+        (0, 1, 0.0), (2, 1, 0.25), (3, 1, 0.0), (4, 1, 0.75), (5, 1, 0.0),
+        (0, 2, 0.5), (1, 2, 0.2), (0, 3, 1.0), (1, 4, 0.1), (2, 4, 0.2),
+        (3, 4, 0.7), (0, 5, 0.0)]))
+
+
+def bdep_edge_cases():
+    # Group ids out of order and sparse, groups at p 0 and 1, loose edges
+    # interleaved with grouped ones.
+    return im.bdep_model(im.Graph.from_edges(6, [
+        (0, 1, 0.4, 7), (3, 5, 0.6), (0, 2, 0.4, 7), (1, 3, 0.0, 2),
+        (1, 4, 0.0, 2), (4, 5, 0.25), (2, 5, 1.0, 9), (5, 0, 1.0), (2, 3, 0.5, 4),
+        (5, 1, 0.0)]), b=2)
+
+
+SAMPLER_MODELS = {
+    "ic": lambda: im.families.gen_random_ic(12, 30, seed=5),
+    "lt": lt_edge_cases,
+    "bdep": bdep_edge_cases,
+    "two-world": im.families.gen_two_world_mixture,
+    "lt-bdep-mixture": lambda: im.mixture_model([(lt_edge_cases(), 0.4),
+                                                 (bdep_edge_cases(), 0.6)]),
+    "polysimu": lambda: im.families.gen_polysimu(102),
+}
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, _SAMPLE_BLOCK + 1,
+                                   2 * _SAMPLE_BLOCK + 65])
+@pytest.mark.parametrize("kind", sorted(SAMPLER_MODELS))
+def test_pool_sampling_matches_reference_loops(kind, count):
+    model = SAMPLER_MODELS[kind]()
+    for start in (0, 5, 64):
+        expect, expect_comps = reference_live_block(model, 13, start, count)
+        for threads in (1, 2, 3):
+            live, comps = im.sample_pool(model, 13, count, start, threads)
+            words, packed_comps = im.sample_pool(model, 13, count, start, threads,
+                                                 packed=True)
+            assert live.dtype == bool and np.array_equal(live, expect)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, im.pack_rows(expect))
+            for got in (comps, packed_comps):
+                assert (got is None) == (expect_comps is None)
+                if got is not None:
+                    assert np.array_equal(got, expect_comps)
 
 
 # -- reachability -----------------------------------------------------------
