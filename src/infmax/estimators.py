@@ -129,43 +129,50 @@ class Oracle:
         return float(np.median(self.pool_averages(seeds)))
 
 
+# _LOW_BITS[b] keeps the low b bits of a word.
+_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+_LOW_BITS.setflags(write=False)
+
+
 def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
-    """Per-pool activation counts of a packed ``(words, n)`` node mask.
+    """Per-pool activation counts of a packed ``(..., words, n)`` node mask.
 
     Row ``r`` is bit ``r % 64`` of word ``r // 64``; rows split into
-    ``pools`` consecutive pools of ``pool_size``.  Returns the ``(pools, n)``
-    int64 count of rows in each pool that activate each node.  Pool
+    ``pools`` consecutive pools of ``pool_size``.  Returns the
+    ``(..., pools, n)`` int64 count of rows in each pool that activate each
+    node; leading axes are a batch of masks, each counted on its own.  Pool
     boundaries may fall inside a word, and bits past the last pool
     (padding) are never counted.
     """
-    words, n = mask.shape
-    prefix = np.zeros((words + 1, n), dtype=np.int64)
-    np.cumsum(np.bitwise_count(mask), axis=0, out=prefix[1:])
-    bounds = np.arange(pools + 1, dtype=np.int64) * int(pool_size)
-    word, bit = np.divmod(bounds, 64)
-    low_bits = (np.uint64(1) << bit.astype(np.uint64)) - np.uint64(1)
-    partial = np.bitwise_count(mask[np.minimum(word, words - 1)] & low_bits[:, None])
-    below = prefix[word] + partial
-    return below[1:] - below[:-1]
+    *lead, words, n = mask.shape
+    prefix = np.zeros((*lead, words + 1, n), dtype=np.int64)
+    np.cumsum(np.bitwise_count(mask), axis=-2, out=prefix[..., 1:, :])
+    pool_size = int(pool_size)
+    word, bit = np.divmod(np.arange(0, (pools + 1) * pool_size, pool_size), 64)
+    below = prefix[..., word, :]
+    below += np.bitwise_count(mask[..., np.minimum(word, words - 1), :] & _LOW_BITS[bit, None])
+    return below[..., 1:, :] - below[..., :-1, :]
 
 
 def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
                         pool_size: int) -> np.ndarray:
-    """Pool averages ``(counts @ node_weights) / pool_size`` of a ``(pools, n)``
-    count table.
+    """Pool averages ``(counts @ node_weights) / pool_size`` of a
+    ``(..., pools, n)`` count table, shaped ``(..., pools)``.
 
     Every simulation-backed value (oracle queries, brute force, greedy and
     lossless sketch queries) ends in this one expression, so equal counts
     give values equal bit for bit, for any node weights.  Each row is
-    summed on its own: a BLAS product may order a row's sum differently
-    depending on how many rows it is given.
+    summed on its own over the contiguous last axis, so its sum does not
+    depend on the leading axes: a BLAS product may order a row's sum
+    differently depending on how many rows it is given.
     """
-    return (counts * node_weights).sum(axis=1) / pool_size
+    return (counts * node_weights).sum(axis=-1) / pool_size
 
 
 def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,
                        pool_size: int) -> np.ndarray:
-    """Per-pool average reach value of a packed ``(words, n)`` node mask."""
+    """Per-pool average reach value ``(..., pools)`` of a packed
+    ``(..., words, n)`` node mask."""
     return count_pool_averages(pool_counts(mask, pools, pool_size), node_weights,
                                pool_size)
 

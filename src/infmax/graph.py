@@ -144,6 +144,13 @@ def format_edge_list(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int64(token: str, lineno: int) -> int:
+    value = int(token)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"line {lineno}: integer {token} out of range")
+    return value
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -162,23 +169,23 @@ def parse_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             parts = line.split()
             if parts[0] == "#nodes" and len(parts) == 2:
-                num_nodes = int(parts[1])
+                num_nodes = _int64(parts[1], lineno)
             elif parts[0] == "#weight" and len(parts) == 3:
-                weights[int(parts[1])] = float(parts[2])
+                weights[_int64(parts[1], lineno)] = float(parts[2])
             else:
                 raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
             continue
         parts = line.split()
         if len(parts) not in (3, 4):
             raise ValueError(f"line {lineno}: expected `tail head p [group_id]`")
-        tail, head, p = int(parts[0]), int(parts[1]), float(parts[2])
+        tail, head, p = _int64(parts[0], lineno), _int64(parts[1], lineno), float(parts[2])
         if tail == head:
             raise ValueError(f"line {lineno}: self-loop on node {tail}")
         if (tail, head) in seen:
             raise ValueError(f"line {lineno}: duplicate edge ({tail}, {head})")
         seen.add((tail, head))
         if len(parts) == 4:
-            edges.append((tail, head, p, int(parts[3])))
+            edges.append((tail, head, p, _int64(parts[3], lineno)))
         else:
             edges.append((tail, head, p))
     if num_nodes is None:

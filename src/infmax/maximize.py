@@ -9,18 +9,23 @@ that validates candidates on small independent oracles and stops early
 when the data allows it.
 
 Brute force and greedy accept any object with ``num_nodes`` and
-``query``.  On a simulation :class:`Oracle` they share memoized
-single-source reach masks (packed 64 simulations per word), score a set
-as the union of its members' masks, and reduce that union through
-``mask_pool_averages`` as ``oracle.query`` does, so their values equal
-``oracle.query`` bit for bit.
+``query``.  On a simulation :class:`Oracle` they share the single-source
+reach masks (packed 64 simulations per word), score a set as the union
+of its members' masks, and reduce a whole block of candidate unions per
+call through ``mask_pool_averages``, whose leading axis is the candidate,
+then take the median over pools.  Each row is reduced on its own as
+``oracle.query`` reduces it, so their values equal ``oracle.query`` bit
+for bit.  A block holds as many candidates as fit in
+``_SCORE_BLOCK_BYTES``; the first maximum of a block replaces the best
+candidate only when strictly larger, which keeps the one-by-one scan's
+tie rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from . import rng
 
 BRUTE_FORCE_BUDGET = 10**6
 _EXPLICIT_CACHE_BYTES = 1 << 27
+_SCORE_BLOCK_BYTES = 1 << 20
 
 _PURPOSE_ROUND_ORACLE = 0x0A
 _PURPOSE_ROUND_VALIDATION = 0x0B
@@ -63,60 +69,95 @@ def _oracle_sims(oracle) -> int:
 
 
 def _explicit_reach(oracle: Oracle):
-    """Single-source reach masks over the oracle's packed simulations.
+    """Blocked candidate scoring over the oracle's packed simulations.
 
-    ``reach(S)`` is the union of its members' single-source reaches, so
-    ``mask_value(reach(S))`` reproduces ``oracle.query(S)`` bit for bit.
-    Returns ``(single_reach, mask_value, cached)``: masks are memoized while
-    all ``n`` packed masks fit in ``_EXPLICIT_CACHE_BYTES``, and ``cached``
-    says whether they do.
+    The reach of a set is the union of its members' single-source reaches,
+    so ``mask_values`` of a ``(C, words, n)`` stack of such unions
+    reproduces ``oracle.query`` of each of the ``C`` sets bit for bit.
+    Returns ``(singles, reach, mask_values, block)``.  ``singles`` is the
+    ``(n, words, n)`` array of all single-source reaches, computed here in
+    id order, or ``None`` when it would exceed ``_EXPLICIT_CACHE_BYTES``;
+    ``reach(seeds)`` computes the reach of a seed tuple afresh.  ``block``
+    is how many candidates to score per call, so that a block's masks and
+    counts stay within ``_SCORE_BLOCK_BYTES``.
     """
     g = oracle.model.graph
     live = oracle._live
     cfg = oracle.config
     n = g.num_nodes
-    cache: dict[int, np.ndarray] | None = {}
-    if n * live.shape[0] * live.itemsize * n > _EXPLICIT_CACHE_BYTES:
-        cache = None
+    words = live.shape[0]
 
-    def single_reach(u: int) -> np.ndarray:
-        if cache is not None and u in cache:
-            return cache[u]
-        mask = reach_mask_batch(g, live, (u,), cfg.tau)
-        if cache is not None:
-            cache[u] = mask
-        return mask
+    def reach(seeds: tuple[int, ...]) -> np.ndarray:
+        return reach_mask_batch(g, live, seeds, cfg.tau)
 
-    def mask_value(mask: np.ndarray) -> float:
-        return float(np.median(mask_pool_averages(mask, g.node_weights,
-                                                  cfg.pools, cfg.pool_size)))
+    singles = None
+    if n * words * live.itemsize * n <= _EXPLICIT_CACHE_BYTES:
+        singles = np.empty((n, words, n), dtype=np.uint64)
+        for u in range(n):
+            singles[u] = reach((u,))
 
-    return single_reach, mask_value, cache is not None
+    def mask_values(masks: np.ndarray) -> np.ndarray:
+        return np.median(mask_pool_averages(masks, g.node_weights, cfg.pools,
+                                            cfg.pool_size), axis=-1)
+
+    block = max(1, _SCORE_BLOCK_BYTES // ((words + cfg.pools + 1) * n * 8))
+    return singles, reach, mask_values, block
+
+
+def _blocks(items, size: int):
+    """Consecutive lists of at most ``size`` items."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
+
+
+def _first_max(blocks, scores):
+    """``(item, value)`` of the first maximum score over blocks of candidates.
+
+    A block's first maximum replaces the best only when strictly larger,
+    so the result is the one a one-by-one scan with ``>`` would keep.
+    """
+    best, best_value = None, -math.inf
+    for items in blocks:
+        vals = scores(items)
+        k = int(np.argmax(vals))
+        if vals[k] > best_value:
+            best, best_value = items[k], float(vals[k])
+    return best, best_value
 
 
 def brute_force_max(oracle, s: int) -> MaximizerResult:
-    """Exact argmax of the oracle over subsets of size <= s, lexicographic ties."""
+    """Exact argmax of the oracle over subsets of size <= s, lexicographic ties.
+
+    On a simulation :class:`Oracle` each size's subsets are scored a block
+    at a time, in lexicographic order; any other oracle is queried one
+    subset at a time.
+    """
     n = oracle.num_nodes
     s = min(int(s), n)
     if s < 1:
         raise ValueError("seed budget must be at least 1")
     if math.comb(n, s) > BRUTE_FORCE_BUDGET:
         raise ValueError("subset count exceeds the brute-force budget")
-    value_of = oracle.query
     if isinstance(oracle, Oracle):
-        single_reach, mask_value, cached = _explicit_reach(oracle)
-        if cached:
-            def value_of(subset):
-                mask = single_reach(subset[0])
-                for v in subset[1:]:
-                    mask = mask | single_reach(v)
-                return mask_value(mask)
-    best_seeds, best_value = None, -math.inf
-    for size in range(1, s + 1):
-        for subset in combinations(range(n), size):
-            value = value_of(subset)
-            if value > best_value:
-                best_seeds, best_value = subset, value
+        singles, reach, mask_values, block = _explicit_reach(oracle)
+
+        def scores(subsets):
+            if singles is None:
+                return mask_values(np.stack([reach(subset) for subset in subsets]))
+            idx = np.array(subsets, dtype=np.intp)
+            masks = singles[idx[:, 0]]
+            for j in range(1, idx.shape[1]):
+                masks |= singles[idx[:, j]]
+            return mask_values(masks)
+    else:
+        block = 1
+
+        def scores(subsets):
+            return [oracle.query(subset) for subset in subsets]
+    best_seeds, best_value = _first_max(
+        chain.from_iterable(_blocks(combinations(range(n), size), block)
+                            for size in range(1, s + 1)), scores)
     return MaximizerResult(best_seeds, best_value, _oracle_sims(oracle), "brute")
 
 
@@ -124,35 +165,41 @@ def greedy_max(oracle, s: int) -> MaximizerResult:
     """Greedy maximization: repeatedly add the node of largest oracle value.
 
     Ties go to the lowest id.  On a simulation :class:`Oracle` the reach
-    mask of the chosen set is kept explicitly and each candidate ``u`` is
-    scored from ``reach(S) | reach(u)`` through the oracle's own
-    reduction, so the trace matches from-scratch queries bit for bit.
-    Any other oracle is queried with the candidate set.
+    mask of the chosen set is kept explicitly and the unchosen candidates
+    ``u`` are scored a block at a time, in id order, from
+    ``reach(S) | reach(u)`` through the oracle's own reduction, so the
+    trace matches from-scratch queries bit for bit.  Any other oracle is
+    queried with each candidate set.
     """
     if int(s) < 1:
         raise ValueError("seed budget must be at least 1")
     n = oracle.num_nodes
+    chosen: list[int] = []
     explicit = isinstance(oracle, Oracle)
     if explicit:
-        single_reach, mask_value, _ = _explicit_reach(oracle)
+        singles, reach, mask_values, block = _explicit_reach(oracle)
         reached = np.zeros((oracle._live.shape[0], n), dtype=np.uint64)
-    chosen: list[int] = []
+
+        def scores(nodes):
+            if singles is None:
+                masks = np.stack([reach((u,)) for u in nodes])
+            else:
+                masks = singles[nodes]
+            masks |= reached
+            return mask_values(masks)
+    else:
+        block = 1
+
+        def scores(nodes):
+            return [oracle.query(tuple(sorted(chosen + [u]))) for u in nodes]
     current = 0.0
     trace = []
     for _ in range(min(int(s), n)):
-        best_node, best_value = -1, -math.inf
-        for u in range(n):
-            if u in chosen:
-                continue
-            if explicit:
-                candidate = mask_value(reached | single_reach(u))
-            else:
-                candidate = oracle.query(tuple(sorted(chosen + [u])))
-            if candidate > best_value:
-                best_node, best_value = u, candidate
+        candidates = [u for u in range(n) if u not in chosen]
+        best_node, best_value = _first_max(_blocks(candidates, block), scores)
         chosen.append(best_node)
         if explicit:
-            reached |= single_reach(best_node)
+            reached |= reach((best_node,)) if singles is None else singles[best_node]
         trace.append(GreedyStep(best_node, best_value - current, best_value))
         current = best_value
     return MaximizerResult(tuple(sorted(chosen)), current, _oracle_sims(oracle),

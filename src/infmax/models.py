@@ -556,30 +556,84 @@ def save_model(model: DiffusionModel, path) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _existing_file(path: Path) -> Path:
+    try:
+        found = path.is_file()
+    except OSError:
+        found = False
+    if not found:
+        raise FileNotFoundError(f"no such file: {str(path)!r}")
+    return path
+
+
+def _named_file(base: Path, name, what: str) -> Path:
+    """The existing file ``name`` names, relative to ``base``'s directory."""
+    if not isinstance(name, str):
+        raise ValueError(f"model file: {what} must be a string, got {name!r}")
+    return _existing_file(base.parent / name)
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"model file: {what} must be an integer, got {value!r}")
+
+
+def _json_number(value, what: str) -> float:
+    # NaN fails the comparison; huge integers fail it before float() overflows.
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < 1e308:
+        return float(value)
+    raise ValueError(f"model file: {what} must be a finite number, got {value!r}")
+
+
 def load_model(path) -> DiffusionModel:
-    path = Path(path)
+    """Read a model file written by :func:`save_model`.
+
+    A malformed document raises ``ValueError``, a missing key ``KeyError``
+    and a missing file ``FileNotFoundError``; a mixture that includes
+    itself is malformed.
+    """
+    return _load_model(_existing_file(Path(path)), ())
+
+
+def _load_model(path: Path, parents: tuple) -> DiffusionModel:
+    key = path.resolve()
+    if key in parents:
+        raise ValueError(f"model file {str(path)!r} includes itself")
     doc = json.loads(path.read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("model file must hold a JSON object")
     kind = doc.get("kind")
     if kind == MIXTURE:
-        components = [(load_model(path.parent / entry["path"]), float(entry["weight"]))
-                      for entry in doc["components"]]
+        entries = doc["components"]
+        if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+            raise ValueError("model file: components must be a list of objects")
+        components = [(_load_model(_named_file(path, entry["path"], "component path"),
+                                   parents + (key,)),
+                       _json_number(entry["weight"], "component weight"))
+                      for entry in entries]
         return mixture_model(components)
-    graph = read_edge_list(path.parent / doc["graph_path"])
+    graph = read_edge_list(_named_file(path, doc["graph_path"], "graph_path"))
     if kind == IC:
         return ic_model(graph)
     if kind == LT:
         overrides = doc.get("lt_weights")
         if overrides:
+            if not (isinstance(overrides, list)
+                    and all(isinstance(o, list) and len(o) == 3 for o in overrides)):
+                raise ValueError("model file: lt_weights must be a list of "
+                                 "[tail, head, weight] triples")
             probs = np.array(graph.probs)
             index = {(int(graph.tails[e]), int(graph.heads[e])): e
                      for e in range(graph.num_edges)}
             for t, h, w in overrides:
-                if (int(t), int(h)) not in index:
+                t, h = _json_int(t, "lt_weights tail"), _json_int(h, "lt_weights head")
+                if (t, h) not in index:
                     raise ValueError(f"lt_weights names missing edge ({t}, {h})")
-                probs[index[(int(t), int(h))]] = float(w)
+                probs[index[(t, h)]] = _json_number(w, "lt_weights weight")
             graph = Graph(graph.num_nodes, graph.tails, graph.heads, probs,
                           graph.groups, graph.node_weights, graph.labels)
         return lt_model(graph)
     if kind == BDEP:
-        return bdep_model(graph, int(doc["b"]))
+        return bdep_model(graph, _json_int(doc["b"], "b"))
     raise ValueError(f"unknown model kind {kind!r}")

@@ -121,6 +121,13 @@ def test_exit_codes(tmp_path):
     (tmp_path / "loop.edges").write_text("#nodes 3\n0 1 0.5\n1 2 0.5\n0 1 0.3\n")
     assert run_cli(["estimate", "--model", str(loops), "--seeds", "0", "--tau", "1",
                     "--pools", "1", "--pool-size", "4"]) == 2
+    # malformed model documents -> 2
+    odd = tmp_path / "odd.model"
+    for doc in ([], {"kind": "ic", "graph_path": 5},
+                {"kind": "mixture", "components": [{"path": "odd.model", "weight": 1.0}]}):
+        odd.write_text(json.dumps(doc))
+        assert run_cli(["estimate", "--model", str(odd), "--seeds", "0", "--tau", "1",
+                        "--pools", "1", "--pool-size", "4"]) == 2
     # negative step limit -> 2
     assert run_cli(["simulate", "--model", str(star), "--seeds", "0", "--tau", "-1",
                     "--num", "4"]) == 2

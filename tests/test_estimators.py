@@ -103,6 +103,30 @@ def test_packed_pool_counts_match_bool_sums(pools, pool_size, cols, density, see
     assert np.array_equal(counts, mask.reshape(pools, pool_size, cols).sum(1))
 
 
+@given(pools=st.sampled_from([1, 3, 7]), pool_size=st.integers(1, 100),
+       cols=st.sampled_from([1, 2, 5, 130, 300]), batch=st.integers(1, 4),
+       density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+def test_batched_pool_reduction_equals_per_mask_calls(pools, pool_size, cols, batch,
+                                                      density, seed):
+    gen = np.random.default_rng(seed)
+    masks = im.pack_rows(gen.random((pools * pool_size, batch * cols)) < density)
+    masks = np.ascontiguousarray(masks.reshape(-1, batch, cols).transpose(1, 0, 2))
+    # set the padding bits of every last word: they must never be counted
+    tail = (pools * pool_size) % 64
+    if tail:
+        masks[:, -1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
+    counts = im.pool_counts(masks, pools, pool_size)
+    assert counts.shape == (batch, pools, cols)
+    assert np.array_equal(counts, np.stack([im.pool_counts(m, pools, pool_size)
+                                            for m in masks]))
+    weights = gen.uniform(0.5, 3.0, cols)
+    weights[gen.random(cols) < 0.3] = 0.0
+    for w in (np.ones(cols), weights):
+        batched = im.mask_pool_averages(masks, w, pools, pool_size)
+        single = np.stack([im.mask_pool_averages(m, w, pools, pool_size) for m in masks])
+        assert batched.tobytes() == single.tobytes()  # bit-exact
+
+
 @given(seed=st.integers(0, 1000), pools=st.sampled_from([1, 3, 5]),
        pool_size=st.integers(1, 8))
 def test_median_sandwich(seed, pools, pool_size):

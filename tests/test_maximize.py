@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import infmax as im
+from infmax import maximize as mx
 
 
 def max_cover_model():
@@ -195,3 +196,45 @@ def test_uniformly_perturbed_greedy_keeps_ratio():
     result = im.greedy_max(Perturbed(), s)
     achieved = base.query(result.seeds)
     assert achieved >= (1 - (1 - 1 / s) ** s) * (1 - epsilon) * opt - 1e-12
+
+
+def _hold_candidates(monkeypatch, oracle, count):
+    """Size ``_SCORE_BLOCK_BYTES`` so a block holds ``count`` candidates."""
+    cfg = oracle.config
+    words = oracle._live.shape[0]
+    monkeypatch.setattr(mx, "_SCORE_BLOCK_BYTES",
+                        count * (words + cfg.pools + 1) * oracle.num_nodes * 8)
+    assert mx._explicit_reach(oracle)[3] == count
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_blocked_scoring_matches_query_path(monkeypatch, block):
+    for weights in [(1.0, 1.0), (0.5, 3.0)]:
+        for pools in (1, 5):
+            model = im.families.gen_random_ic(9, 16, weight_range=weights, seed=pools)
+            # 23-simulation pools put pool boundaries inside words
+            oracle = im.build_oracle(model, im.OracleConfig(pools, 23, 2, 4))
+            if block is not None:
+                _hold_candidates(monkeypatch, oracle, block)
+            greedy = im.greedy_max(oracle, 4)
+            naive = im.greedy_max(GenericView(oracle), 4)
+            assert greedy.seeds == naive.seeds
+            assert greedy.trace == naive.trace  # bit-exact gains and values
+            for s in (1, 2, 3):
+                fast = im.brute_force_max(oracle, s)
+                slow = im.brute_force_max(GenericView(oracle), s)
+                assert (fast.seeds, fast.oracle_value) == (slow.seeds, slow.oracle_value)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_blocked_scoring_keeps_lowest_id_ties(monkeypatch, block):
+    # no edges and unit weights: every set of one size has the same value
+    model = im.ic_model(im.Graph.from_edges(6, []))
+    oracle = im.build_oracle(model, im.OracleConfig(3, 10, 2, 0))
+    if block is not None:
+        _hold_candidates(monkeypatch, oracle, block)
+    assert im.brute_force_max(oracle, 1).seeds == (0,)
+    assert im.brute_force_max(oracle, 2).seeds == (0, 1)
+    greedy = im.greedy_max(oracle, 4)
+    assert [step.node for step in greedy.trace] == [0, 1, 2, 3]
+    assert [step.value for step in greedy.trace] == [1.0, 2.0, 3.0, 4.0]
