@@ -408,9 +408,8 @@ def criterion_sketch_cv(master_seed: int = 0, threads: int = 1) -> CriterionResu
     leaves = 199
     edges = [(0, v, 1.0) for v in range(1, leaves + 1)]
     model = ic_model(Graph.from_edges(leaves + 1, edges))
-    oracle = build_oracle(model, OracleConfig(1, 1, 1, master_seed))
-    pool = list(oracle.simulations)
-    truth = oracle.query((0,))
+    pool, _ = sample_pool(model, master_seed, 1)
+    truth = build_oracle(model, OracleConfig(1, 1, 1, master_seed)).query((0,))
     k = 102
     redraws = 1000
     estimates = np.empty(redraws)

@@ -213,6 +213,8 @@ def _cmd_gen(args):
 def _cmd_simulate(args):
     model = _load(args.model)
     seeds = as_seed_tuple(model.num_nodes, _parse_seeds(args.seeds))
+    if args.num < 1:
+        raise ValueError("simulation count must be at least 1")
     live, _ = sample_pool(model, args.seed, args.num, threads=args.threads)
     values = reach_values_batch(model.graph, live, seeds, args.tau)
     result = {"num": args.num, "mean": float(values.mean()),

@@ -26,7 +26,7 @@ import numpy as np
 
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, Simulation, _block_uniforms, _sample_live_block,
+from .models import (DiffusionModel, _block_uniforms, _sample_live_block,
                      ic_model, pack_rows, reach_mask_batch, reverse_reach_set,
                      sample_pool, start_mask, unpack_rows)
 from .models import Graph
@@ -99,24 +99,6 @@ class Oracle:
     def num_nodes(self) -> int:
         return self.model.num_nodes
 
-    def _unpacked(self) -> np.ndarray:
-        live = unpack_rows(self._live, self.config.total_simulations)
-        live.setflags(write=False)
-        return live
-
-    @property
-    def simulations(self) -> tuple[Simulation, ...]:
-        cfg = self.config
-        live = self._unpacked()
-        return tuple(
-            Simulation(live[i], cfg.master_seed, i,
-                       int(self._components[i]) if self._components is not None else None)
-            for i in range(cfg.total_simulations))
-
-    def pool_simulations(self, pool: int) -> np.ndarray:
-        size = self.config.pool_size
-        return self._unpacked()[pool * size:(pool + 1) * size]
-
     def pool_averages(self, seeds) -> np.ndarray:
         """Average reachability value of ``seeds`` in each pool."""
         cfg = self.config
@@ -182,10 +164,6 @@ def build_oracle(model: DiffusionModel, config: OracleConfig, threads: int = 1) 
     words, comps = sample_pool(model, config.master_seed, config.total_simulations,
                                threads=threads, packed=True)
     return Oracle(model, config, words, comps)
-
-
-def query(oracle, seeds) -> float:
-    return oracle.query(seeds)
 
 
 def required_pools(delta: float) -> int:

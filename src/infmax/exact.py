@@ -10,14 +10,15 @@ outcomes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .graph import Graph, as_seed_tuple
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, pack_rows,
-                     propagation_steps, reach_mask_batch, unpack_rows)
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, propagation_steps,
+                     reach_mask_batch, unpack_rows)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
@@ -63,33 +64,68 @@ class DepthProfile:
     influence_by_tau: np.ndarray
 
 
-def _random_edge_ids(graph: Graph) -> np.ndarray:
-    p = graph.probs
-    return np.flatnonzero((p > 0.0) & (p < 1.0))
+def _units(model: DiffusionModel):
+    """Enumeration table of a non-mixture model: its random units, the
+    probability of each unit's choices, and the choice that makes each edge
+    live.
+
+    Returns ``(radices, choice_probs, edge_choice)``.  Unit ``j`` takes one
+    of ``radices[j]`` choices; its choice probabilities are the next
+    ``radices[j]`` entries of ``choice_probs``, after those of units
+    ``0 .. j-1``.  Edge ``e`` is live exactly when its unit takes the choice
+    at flat index ``edge_choice[e]``; the two indices past the last choice
+    mark edges that are never live (p = 0) and always live (p = 1).
+
+    * IC: a unit ``[1 - p, p]`` per edge with ``0 < p < 1``, by edge id.
+    * BDEP: such a unit per random group (group-id order), then per random
+      loose edge (edge-id order).
+    * LT: a unit per node with in-edges, choosing one of them by weight (in
+      ``in_edges`` order) or none with the leftover mass
+      ``max(0, 1 - p_in.sum())``.  Zero-weight in-edges are choices too.
+    """
+    g = model.graph
+    p = g.probs
+    if model.kind == LT:
+        order, starts = g._in_order, g._in_start
+        indeg = np.diff(starts)
+        nodes = np.flatnonzero(indeg)
+        radices = indeg[nodes] + 1
+        first = np.cumsum(radices) - radices
+        unit = np.searchsorted(nodes, g.heads[order])
+        flat = first[unit] + np.arange(order.size) - starts[g.heads[order]]
+        choice_probs = np.empty(int(radices.sum()), dtype=np.float64)
+        choice_probs[flat] = p[order]
+        edge_choice = np.empty(g.num_edges, dtype=np.int64)
+        edge_choice[order] = flat
+        # Per-row sums over the contiguous last axis add exactly as
+        # p_in.sum() does on each node's own slice; np.add.reduceat does not.
+        for d in np.unique(indeg[nodes]).tolist():
+            at = np.flatnonzero(radices == d + 1)
+            p_in = p[order[starts[nodes[at]][:, None] + np.arange(d)]]
+            choice_probs[first[at] + d] = np.maximum(0.0, 1.0 - p_in.sum(axis=1))
+        return radices, choice_probs, edge_choice
+    if model.kind == IC:
+        unit = np.arange(g.num_edges)
+    elif model.kind == BDEP:
+        unit = model._plan[0]
+    else:
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    unit_p = np.zeros(int(unit.max(initial=-1)) + 1, dtype=np.float64)
+    unit_p[unit] = p
+    random = (unit_p > 0.0) & (unit_p < 1.0)
+    q = unit_p[random]
+    rank = np.cumsum(random) - 1
+    edge_choice = np.where(random[unit], 2 * rank[unit] + 1,
+                           np.where(p >= 1.0, 2 * q.size + 1, 2 * q.size))
+    return (np.full(q.size, 2, dtype=np.int64), np.column_stack([1.0 - q, q]).ravel(),
+            edge_choice)
 
 
 def outcome_count(model: DiffusionModel) -> int:
     """Number of weighted outcomes full enumeration would visit."""
-    g = model.graph
-    if model.kind == IC:
-        return 1 << _random_edge_ids(g).size
-    if model.kind == BDEP:
-        gids = np.unique(g.groups[g.groups >= 0])
-        random_groups = sum(1 for gid in gids
-                            if 0.0 < g.probs[np.flatnonzero(g.groups == gid)[0]] < 1.0)
-        loose = np.flatnonzero(g.groups < 0)
-        random_loose = int(np.count_nonzero((g.probs[loose] > 0.0) & (g.probs[loose] < 1.0)))
-        return 1 << (random_groups + random_loose)
-    if model.kind == LT:
-        total = 1
-        for v in range(g.num_nodes):
-            indeg = g.in_edges(v).size
-            if indeg:
-                total *= indeg + 1
-        return total
     if model.kind == MIXTURE:
         return sum(outcome_count(c) for c in model.components)
-    raise ValueError(f"unknown model kind {model.kind!r}")
+    return math.prod(_units(model)[0].tolist())
 
 
 def _check_budget(model: DiffusionModel) -> int:
@@ -99,97 +135,55 @@ def _check_budget(model: DiffusionModel) -> int:
     return size
 
 
-def _bit_chunks(total: int):
-    lo = 0
-    while lo < total:
-        hi = min(lo + _CHUNK, total)
-        yield np.arange(lo, hi, dtype=np.int64)
-        lo = hi
-
-
 def _outcome_chunks(model: DiffusionModel, weight: float = 1.0, offset: int = 0,
                     width: int | None = None):
-    """Yield ``(live, probs)`` chunks covering the outcome space.
+    """Yield ``(words, rows, probs)`` chunks covering the outcome space.
 
-    ``live`` is ``(rows, width)`` with ``width`` defaulting to the model's
-    own edge count; ``offset``/``width`` let mixtures lift component
-    outcomes into the union edge space.
+    Each chunk holds ``rows`` consecutive outcome indices; ``words`` are
+    their packed ``(ceil(rows / 64), width)`` live edges (:func:`pack_rows`
+    layout) and ``probs`` their probabilities.  Outcome index ``i`` is
+    mixed-radix over the units of :func:`_units`, unit 0 least
+    significant; its probability is ``weight`` times the product of its
+    choice probabilities, multiplied in unit order.  ``width`` defaults to
+    the model's own edge count; ``offset``/``width`` place a mixture
+    component's edges in the union edge space.
     """
     g = model.graph
-    m = g.num_edges
     if width is None:
-        width = m
+        width = g.num_edges
     if model.kind == MIXTURE:
         for c, comp in enumerate(model.components):
             yield from _outcome_chunks(comp, weight * float(model.component_weights[c]),
                                        offset + int(model.component_offsets[c]), width)
         return
+    radices, choice_probs, edge_choice = _units(model)
+    first = np.cumsum(radices) - radices
+    total = math.prod(radices.tolist())
+    for lo in range(0, total, _CHUNK):
+        rows = min(_CHUNK, total - lo)
+        used = (rows + 7) // 8
+        # Bit r of row k is outcome lo + r taking flat choice k; the last two
+        # rows are the never-live and always-live edges.
+        bits = np.zeros((choice_probs.size + 2, -(-rows // 64) * 8), dtype=np.uint8)
+        bits[-1, :used] = np.packbits(np.ones(rows, dtype=bool), bitorder="little")
+        rest = np.arange(lo, lo + rows, dtype=np.int64)
+        probs = np.ones(rows, dtype=np.float64)
+        for j, radix in enumerate(radices.tolist()):
+            rest, digit = np.divmod(rest, radix)
+            choices = slice(first[j], first[j] + radix)
+            probs *= choice_probs[choices][digit]
+            bits[choices, :used] = np.packbits(np.arange(radix)[:, None] == digit,
+                                               axis=1, bitorder="little")
+        words = np.zeros((bits.shape[1] // 8, width), dtype=np.uint64)
+        words[:, offset:offset + g.num_edges] = bits.view("<u8")[edge_choice].T
+        yield words, rows, weight * probs
 
-    base = np.zeros(width, dtype=bool)
-    if model.kind in (IC, BDEP):
-        if model.kind == IC:
-            unit_edges = [(np.array([e]), float(g.probs[e])) for e in _random_edge_ids(g)]
-            fixed_live = np.flatnonzero(g.probs >= 1.0)
-        else:
-            unit_edges = []
-            fixed = []
-            for gid in np.unique(g.groups[g.groups >= 0]):
-                members = np.flatnonzero(g.groups == gid)
-                p = float(g.probs[members[0]])
-                if 0.0 < p < 1.0:
-                    unit_edges.append((members, p))
-                elif p >= 1.0:
-                    fixed.append(members)
-            loose = np.flatnonzero(g.groups < 0)
-            for e in loose:
-                p = float(g.probs[e])
-                if 0.0 < p < 1.0:
-                    unit_edges.append((np.array([e]), p))
-                elif p >= 1.0:
-                    fixed.append(np.array([e]))
-            fixed_live = np.concatenate(fixed) if fixed else np.empty(0, np.int64)
-        base[offset + fixed_live] = True
-        u = len(unit_edges)
-        unit_p = np.array([p for _, p in unit_edges], dtype=np.float64)
-        for idx in _bit_chunks(1 << u):
-            rows = idx.shape[0]
-            live = np.broadcast_to(base, (rows, width)).copy()
-            probs = np.full(rows, weight, dtype=np.float64)
-            if u:
-                bits = ((idx[:, None] >> np.arange(u)) & 1).astype(bool)
-                probs *= np.where(bits, unit_p, 1.0 - unit_p).prod(axis=1)
-                for j, (members, _) in enumerate(unit_edges):
-                    for e in members:
-                        live[:, offset + e] = bits[:, j]
-            yield live, probs
-        return
 
-    if model.kind == LT:
-        choosers = []
-        for v in range(g.num_nodes):
-            edges = g.in_edges(v)
-            if edges.size:
-                p_in = g.probs[edges]
-                none_p = max(0.0, 1.0 - float(p_in.sum()))
-                choosers.append((edges, np.append(p_in, none_p)))
-        radices = np.array([c[1].size for c in choosers], dtype=np.int64)
-        total = int(np.prod(radices)) if choosers else 1
-        places = np.ones(len(choosers), dtype=np.int64)
-        for j in range(1, len(choosers)):
-            places[j] = places[j - 1] * radices[j - 1]
-        for idx in _bit_chunks(total):
-            rows = idx.shape[0]
-            live = np.broadcast_to(base, (rows, width)).copy()
-            probs = np.full(rows, weight, dtype=np.float64)
-            for j, (edges, branch_p) in enumerate(choosers):
-                digit = (idx // places[j]) % radices[j]
-                probs *= branch_p[digit]
-                for slot, e in enumerate(edges):
-                    live[:, offset + e] = digit == slot
-            yield live, probs
-        return
-
-    raise ValueError(f"unknown model kind {model.kind!r}")
+def _reach_values(mask: np.ndarray, probs: np.ndarray, w: np.ndarray):
+    """Reach values of the rows of packed ``mask`` and their
+    ``probs``-weighted sum."""
+    values = unpack_rows(mask, probs.shape[0]) @ w
+    return values, float(probs @ values)
 
 
 def exact_report(model: DiffusionModel, seeds, tau: int,
@@ -206,18 +200,15 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
     second = 0.0
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
     singles = np.zeros(g.num_nodes, dtype=np.float64)
-    for live, probs in _outcome_chunks(model):
-        rows = live.shape[0]
-        words = pack_rows(live)
+    for words, rows, probs in _outcome_chunks(model):
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
             step_probs[d] += probs @ unpack_rows(newly, rows)
-        values = unpack_rows(active, rows) @ w
-        influence += float(probs @ values)
+        values, value = _reach_values(active, probs, w)
+        influence += value
         second += float(probs @ (values * values))
         if compute_opt1:
             for v in range(g.num_nodes):
-                mask = unpack_rows(reach_mask_batch(g, words, (v,), tau), rows)
-                singles[v] += float(probs @ (mask @ w))
+                singles[v] += _reach_values(reach_mask_batch(g, words, (v,), tau), probs, w)[1]
     variance = max(second - influence * influence, 0.0)
     opt1 = float(singles.max()) if compute_opt1 else float("nan")
     step_probs.setflags(write=False)
@@ -282,14 +273,13 @@ def exact_influence_map(model: DiffusionModel, tau: int, max_size: int) -> dict:
         subsets.extend(combinations(range(n), size))
     totals = dict.fromkeys(subsets, 0.0)
     w = g.node_weights
-    for live, probs in _outcome_chunks(model):
-        words = pack_rows(live)
+    for words, _, probs in _outcome_chunks(model):
         singles = [reach_mask_batch(g, words, (v,), tau) for v in range(n)]
         for subset in subsets:
             mask = singles[subset[0]]
             for v in subset[1:]:
                 mask = mask | singles[v]
-            totals[subset] += float(probs @ (unpack_rows(mask, live.shape[0]) @ w))
+            totals[subset] += _reach_values(mask, probs, w)[1]
     return totals
 
 

@@ -132,7 +132,7 @@ def mixture_model(components) -> DiffusionModel:
     flat: list[tuple[DiffusionModel, float]] = []
     for model, weight in components:
         weight = float(weight)
-        if weight <= 0.0:
+        if not weight > 0.0:
             raise ValueError("component weights must be positive")
         if model.kind == MIXTURE:
             for sub, w in zip(model.components, model.component_weights):

@@ -21,7 +21,7 @@ import numpy as np
 from .graph import as_seed_tuple
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, Simulation, pack_rows, reach_mask_batch,
+from .models import (DiffusionModel, pack_rows, reach_mask_batch,
                      reverse_reach_set, sample_pool)
 from .estimators import OracleConfig, count_pool_averages
 from . import rng
@@ -70,8 +70,7 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
                    rank_seed: int) -> SketchSet:
     """Sketch every node against one pool of simulations.
 
-    ``pool`` is a ``(ell, m)`` boolean live matrix or a sequence of
-    :class:`Simulation` objects or live rows.  Node ``v``'s sketch holds
+    ``pool`` is a ``(ell, m)`` boolean live matrix.  Node ``v``'s sketch holds
     the first ``k`` pairs ``(u, i)``, in increasing ``(rank, node, sim)``
     order and with finite rank, such that ``u`` is reachable from ``v``
     within ``tau`` steps of simulation ``i``.  The reachable pairs come from
@@ -84,11 +83,9 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
         raise ValueError(f"sketch size must be at least {MIN_SKETCH_SIZE}")
     g = model.graph
     n, m = g.num_nodes, g.num_edges
-    if isinstance(pool, np.ndarray):
-        live = np.asarray(pool, dtype=bool)
-    else:
-        rows = [sim.live if isinstance(sim, Simulation) else sim for sim in pool]
-        live = np.array(rows, dtype=bool).reshape(len(rows), m)
+    live = np.asarray(pool, dtype=bool)
+    if live.ndim != 2 or live.shape[1] != m:
+        raise ValueError(f"pool must be a (simulations, {m}) live matrix")
     ell = live.shape[0]
     if ell < 1:
         raise ValueError("pool must contain at least one simulation")

@@ -131,6 +131,10 @@ def test_exit_codes(tmp_path):
     # negative step limit -> 2
     assert run_cli(["simulate", "--model", str(star), "--seeds", "0", "--tau", "-1",
                     "--num", "4"]) == 2
+    # no simulations -> 2, not a mean of nothing
+    for num in ("0", "-3"):
+        assert run_cli(["simulate", "--model", str(star), "--seeds", "0", "--tau", "1",
+                        "--num", num]) == 2
     assert run_cli(["sketch-build", "--model", str(star), "--tau", "-2",
                     "--pool-size", "2", "--k", "5",
                     "--sketch-out", str(tmp_path / "sk.json")]) == 2

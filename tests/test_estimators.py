@@ -32,14 +32,14 @@ def test_pool_layout_owns_consecutive_indices():
     model = im.families.gen_random_ic(8, 14, seed=1)
     config = im.OracleConfig(3, 2, 2, master_seed=9)
     oracle = im.build_oracle(model, config)
-    assert len(oracle.simulations) == 6
-    for i in range(6):
-        expect = im.sample_simulation(model, 9, i)
-        assert np.array_equal(oracle.simulations[i].live, expect.live)
-    for pool in range(3):
-        rows = oracle.pool_simulations(pool)
-        assert rows.shape == (2, model.graph.num_edges)
-        assert np.array_equal(rows[0], oracle.simulations[2 * pool].live)
+    rows = np.array([im.sample_simulation(model, 9, i).live for i in range(6)])
+    from_rows = im.Oracle(model, config, rows, None)
+    for seeds in [(0,), (3,), (1, 5)]:
+        pools = oracle.pool_averages(seeds)
+        assert np.array_equal(pools, from_rows.pool_averages(seeds))
+        for pool in range(3):
+            values = im.reach_values_batch(model.graph, rows[2 * pool:2 * pool + 2], seeds, 2)
+            assert pools[pool] == values.mean()
 
 
 # -- query semantics --------------------------------------------------------
@@ -47,7 +47,6 @@ def test_pool_layout_owns_consecutive_indices():
 def test_query_on_deterministic_model_is_exact():
     oracle = im.build_oracle(deterministic_path(), im.OracleConfig(5, 4, 2, 0))
     assert oracle.query((0,)) == 3.0
-    assert im.query(oracle, (0,)) == 3.0
     # one pool of one simulation degenerates to that simulation's value
     tiny = im.build_oracle(deterministic_path(), im.OracleConfig(1, 1, 2, 0))
     sim = im.sample_simulation(deterministic_path(), 0, 0)
@@ -65,7 +64,8 @@ def test_query_is_median_of_pool_averages():
 def test_single_pool_query_is_plain_average():
     model = im.families.gen_random_ic(9, 16, seed=4)
     oracle = im.build_oracle(model, im.OracleConfig(1, 50, 2, 3))
-    values = im.reach_values_batch(model.graph, oracle.pool_simulations(0), (2,), 2)
+    live, _ = im.sample_pool(model, 3, 50)
+    values = im.reach_values_batch(model.graph, live, (2,), 2)
     assert oracle.query((2,)) == pytest.approx(values.sum() / 50)
 
 
@@ -74,7 +74,7 @@ def test_oracle_takes_bool_rows_or_packed_words_of_its_config_shape():
     config = im.OracleConfig(1, 100, 2, 3)
     m = model.graph.num_edges
     built = im.build_oracle(model, config)
-    rows = built.pool_simulations(0)
+    rows, _ = im.sample_pool(model, 3, 100)
     words = im.pack_rows(rows)
     for live in (rows, words):
         oracle = im.Oracle(model, config, live, None)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import infmax as im
+from infmax import exact
 
 
 def test_dependent_star_influence_and_variance():
@@ -61,6 +62,16 @@ def test_budget_errors():
         wide.append((0, v, 0.3))
         wide.append(((v + 1) % 27 or 1, v, 0.3))
     model = im.lt_model(im.Graph.from_edges(27, wide))
+    with pytest.raises(im.EnumerationBudgetError):
+        im.exact_report(model, (0,), 1)
+    # 3^41 outcomes exceed 2^63: a radix product taken in int64 wraps to a
+    # negative count that would pass the budget
+    wider = []
+    for v in range(1, 42):
+        wider.append((0, v, 0.3))
+        wider.append((v % 41 + 1, v, 0.3))
+    model = im.lt_model(im.Graph.from_edges(42, wider))
+    assert im.outcome_count(model) == 3 ** 41
     with pytest.raises(im.EnumerationBudgetError):
         im.exact_report(model, (0,), 1)
 
@@ -202,3 +213,156 @@ def test_exact_influence_map_matches_reports():
     for subset in [(0,), (3,), (0, 4), (2, 6)]:
         direct = im.exact_report(model, subset, 2, compute_opt1=False).influence
         assert table[subset] == pytest.approx(direct, abs=1e-12)
+
+
+# -- enumeration chunks -------------------------------------------------------
+
+def reference_outcome_chunks(model, chunk, weight=1.0, offset=0, width=None):
+    """Per-kind loops filling bool ``(rows, width)`` live matrices, one unit,
+    edge and slot at a time: the layout the unit table must reproduce."""
+    g = model.graph
+    m = g.num_edges
+    if width is None:
+        width = m
+    if model.kind == im.MIXTURE:
+        for c, comp in enumerate(model.components):
+            yield from reference_outcome_chunks(
+                comp, chunk, weight * float(model.component_weights[c]),
+                offset + int(model.component_offsets[c]), width)
+        return
+
+    def index_chunks(total):
+        for lo in range(0, total, chunk):
+            yield np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+
+    base = np.zeros(width, dtype=bool)
+    if model.kind in (im.IC, im.BDEP):
+        if model.kind == im.IC:
+            random = np.flatnonzero((g.probs > 0.0) & (g.probs < 1.0))
+            unit_edges = [(np.array([e]), float(g.probs[e])) for e in random]
+            fixed_live = np.flatnonzero(g.probs >= 1.0)
+        else:
+            unit_edges = []
+            fixed = []
+            for gid in np.unique(g.groups[g.groups >= 0]):
+                members = np.flatnonzero(g.groups == gid)
+                p = float(g.probs[members[0]])
+                if 0.0 < p < 1.0:
+                    unit_edges.append((members, p))
+                elif p >= 1.0:
+                    fixed.append(members)
+            for e in np.flatnonzero(g.groups < 0):
+                p = float(g.probs[e])
+                if 0.0 < p < 1.0:
+                    unit_edges.append((np.array([e]), p))
+                elif p >= 1.0:
+                    fixed.append(np.array([e]))
+            fixed_live = np.concatenate(fixed) if fixed else np.empty(0, np.int64)
+        base[offset + fixed_live] = True
+        u = len(unit_edges)
+        unit_p = np.array([p for _, p in unit_edges], dtype=np.float64)
+        for idx in index_chunks(1 << u):
+            rows = idx.shape[0]
+            live = np.broadcast_to(base, (rows, width)).copy()
+            probs = np.full(rows, weight, dtype=np.float64)
+            if u:
+                bits = ((idx[:, None] >> np.arange(u)) & 1).astype(bool)
+                probs *= np.where(bits, unit_p, 1.0 - unit_p).prod(axis=1)
+                for j, (members, _) in enumerate(unit_edges):
+                    for e in members:
+                        live[:, offset + e] = bits[:, j]
+            yield live, probs
+        return
+
+    choosers = []
+    for v in range(g.num_nodes):
+        edges = g.in_edges(v)
+        if edges.size:
+            p_in = g.probs[edges]
+            none_p = max(0.0, 1.0 - float(p_in.sum()))
+            choosers.append((edges, np.append(p_in, none_p)))
+    radices = np.array([c[1].size for c in choosers], dtype=np.int64)
+    total = int(np.prod(radices)) if choosers else 1
+    places = np.ones(len(choosers), dtype=np.int64)
+    for j in range(1, len(choosers)):
+        places[j] = places[j - 1] * radices[j - 1]
+    for idx in index_chunks(total):
+        rows = idx.shape[0]
+        live = np.broadcast_to(base, (rows, width)).copy()
+        probs = np.full(rows, weight, dtype=np.float64)
+        for j, (edges, branch_p) in enumerate(choosers):
+            digit = (idx // places[j]) % radices[j]
+            probs *= branch_p[digit]
+            for slot, e in enumerate(edges):
+                live[:, offset + e] = digit == slot
+        yield live, probs
+
+
+def ic_pinned_cases():
+    # Random edges between edges pinned at p 0 and p 1.
+    return im.ic_model(im.Graph.from_edges(5, [
+        (0, 1, 0.3), (1, 2, 1.0), (2, 3, 0.0), (0, 3, 0.6), (3, 4, 1.0),
+        (4, 0, 0.0), (1, 4, 0.45), (2, 0, 0.8)]))
+
+
+def bdep_edge_cases():
+    # Group ids out of order and sparse, groups at p 0 and 1, loose edges
+    # interleaved with grouped ones; nodes 6-9 match lt_edge_cases.
+    return im.bdep_model(im.Graph.from_edges(10, [
+        (0, 1, 0.4, 7), (3, 5, 0.6), (0, 2, 0.4, 7), (1, 3, 0.0, 2),
+        (1, 4, 0.0, 2), (4, 5, 0.25), (2, 5, 1.0, 9), (5, 0, 1.0), (2, 3, 0.5, 4),
+        (5, 1, 0.0)]), b=2)
+
+
+# Nine in-weights whose pairwise sum (numpy's, from 8 terms) differs from
+# their left-to-right sum in the last bit.
+WIDE_WEIGHTS = (0.056, 0.105, 0.016, 0.104, 0.034, 0.047, 0.091, 0.045, 0.06)
+
+
+def lt_edge_cases():
+    # Zero-weight edges first, inside and last; node 1's weights sum to
+    # exactly 1; node 9 has in-degree 9.
+    edges = [(0, 1, 0.0), (2, 1, 0.25), (3, 1, 0.0), (4, 1, 0.75), (5, 1, 0.0),
+             (0, 2, 0.5), (1, 2, 0.2), (0, 3, 1.0), (1, 4, 0.1), (2, 4, 0.2),
+             (3, 4, 0.7), (0, 5, 0.0)]
+    edges += [(v, 9, w) for v, w in zip((0, 1, 2, 3, 4, 5, 6, 7, 8), WIDE_WEIGHTS)]
+    return im.lt_model(im.Graph.from_edges(10, edges))
+
+
+CHUNK_MODELS = {
+    "ic": ic_pinned_cases,
+    "bdep": bdep_edge_cases,
+    "lt": lt_edge_cases,
+    "two-world": im.families.gen_two_world_mixture,
+    "lt-bdep-mixture": lambda: im.mixture_model([(lt_edge_cases(), 0.4),
+                                                 (bdep_edge_cases(), 0.6)]),
+}
+
+
+@pytest.mark.parametrize("chunk", [64, 100])
+@pytest.mark.parametrize("kind", sorted(CHUNK_MODELS))
+def test_outcome_chunks_match_reference_loops(kind, chunk, monkeypatch):
+    monkeypatch.setattr(exact, "_CHUNK", chunk)
+    model = CHUNK_MODELS[kind]()
+    expect = list(reference_outcome_chunks(model, chunk))
+    got = list(exact._outcome_chunks(model))
+    assert len(got) == len(expect)
+    assert sum(rows for _, rows, _ in got) == im.outcome_count(model)
+    m = model.graph.num_edges
+    # The reference multiplies an LT component's choices onto its mixture
+    # weight; the unit table multiplies the product by the weight last.
+    lt_rows = 0
+    if kind == "lt-bdep-mixture":
+        lt_rows = im.outcome_count(model.components[0])
+    seen = 0
+    for (words, rows, probs), (live, expect_probs) in zip(got, expect):
+        assert words.dtype == np.uint64 and words.shape == (-(-rows // 64), m)
+        assert rows == live.shape[0]
+        assert np.array_equal(im.unpack_rows(words, rows), live)
+        # padding bits past the last row stay zero
+        assert np.array_equal(words, im.pack_rows(live))
+        if seen < lt_rows:
+            assert np.allclose(probs, expect_probs, rtol=1e-15, atol=0.0)
+        else:
+            assert probs.tobytes() == expect_probs.tobytes()
+        seen += rows

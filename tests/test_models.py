@@ -76,6 +76,9 @@ def test_mixture_weight_validation():
         im.mixture_model([(a, 0.5), (b, 0.4)])
     with pytest.raises(ValueError, match="positive"):
         im.mixture_model([(a, 1.5), (b, -0.5)])
+    # NaN fails every comparison, so it must not pass as positive
+    with pytest.raises(ValueError, match="positive"):
+        im.mixture_model([(a, float("nan")), (b, 1.0)])
 
 
 def test_nested_mixture_flattens():

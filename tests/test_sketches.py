@@ -18,19 +18,23 @@ def star_model(leaves):
 
 def test_minimum_sketch_size_guard():
     model = star_model(3)
-    pool = [im.sample_simulation(model, 0, 0)]
+    pool, _ = im.sample_pool(model, 0, 1)
     with pytest.raises(ValueError, match="at least 3"):
         im.build_sketches(model, pool, 1, 2, rank_seed=0)
+    # one live row or a row of the wrong width is not a pool
+    for bad in (pool[0], pool[:, :-1]):
+        with pytest.raises(ValueError, match="live matrix"):
+            im.build_sketches(model, bad, 1, 5, rank_seed=0)
 
 
 def test_untruncated_sketch_holds_every_pair():
     path = im.ic_model(im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
-    pool = [im.sample_simulation(path, 0, 0)]
+    pool, _ = im.sample_pool(path, 0, 1)
     sketches = im.build_sketches(path, pool, 2, 5, rank_seed=1)
     assert sketches.sketches[0].size == 3
     assert sketches.sketches[1].size == 2
     assert sketches.sketches[2].size == 1
-    pool2 = [im.sample_simulation(path, 0, i) for i in range(2)]
+    pool2, _ = im.sample_pool(path, 0, 2)
     sketches2 = im.build_sketches(path, pool2, 2, 10, rank_seed=1)
     assert sketches2.sketches[0].size == 6
 
@@ -41,15 +45,16 @@ def test_lossless_query_equals_averaging_oracle_bit_for_bit():
         model = im.families.gen_random_ic(9, 16, weight_range=weights, seed=12)
         config = im.OracleConfig(1, 6, 2, master_seed=4)
         oracle = im.build_oracle(model, config)
-        sketches = im.build_sketches(model, list(oracle.simulations), 2, k=200, rank_seed=9)
+        pool, _ = im.sample_pool(model, 4, 6)
+        sketches = im.build_sketches(model, pool, 2, k=200, rank_seed=9)
         for seeds in [(0,), (3,), (0, 5), (1, 2, 7)]:
             assert im.sketch_query(sketches, seeds, 6) == oracle.query(seeds)
 
 
 def test_lossless_subadditivity():
     model = im.families.gen_random_ic(9, 16, seed=12)
-    oracle = im.build_oracle(model, im.OracleConfig(1, 4, 2, master_seed=4))
-    sketches = im.build_sketches(model, list(oracle.simulations), 2, k=200, rank_seed=9)
+    pool, _ = im.sample_pool(model, 4, 4)
+    sketches = im.build_sketches(model, pool, 2, k=200, rank_seed=9)
     ab = im.sketch_query(sketches, (0, 1), 4)
     a = im.sketch_query(sketches, (0,), 4)
     b = im.sketch_query(sketches, (1,), 4)
@@ -58,7 +63,7 @@ def test_lossless_subadditivity():
 
 def test_query_requires_matching_pool_size():
     model = star_model(4)
-    pool = [im.sample_simulation(model, 0, 0)]
+    pool, _ = im.sample_pool(model, 0, 1)
     sketches = im.build_sketches(model, pool, 1, 5, rank_seed=0)
     with pytest.raises(ValueError, match="pool size"):
         im.sketch_query(sketches, (0,), 2)
@@ -111,7 +116,7 @@ def test_rank_assignment_is_keyed_and_weighted():
 def test_estimator_is_unbiased_on_large_universe():
     # 400 pairs, k = 10: deep in the regime where (k-1)/rank_k is unbiased
     model = star_model(199)
-    pool = [im.sample_simulation(model, 0, i) for i in range(2)]
+    pool, _ = im.sample_pool(model, 0, 2)
     truth = 400.0 / 2
     redraws = 2000
     total = 0.0
