@@ -9,7 +9,7 @@ from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, Simulation,
                      reverse_reach_set, reduce_model, load_model, save_model)
 from .exact import (EnumerationBudgetError, ExactReport, VarianceAudit, DepthProfile,
                     ExactInfluence, exact_report, audit_variance_bound, c_value,
-                    depth_profile, exact_influence_map, outcome_count)
+                    depth_profile, exact_influence_map, exact_values, outcome_count)
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINAL,
                          POOL_SIZE_FACTOR, POOL_COUNT_FACTOR, TOTAL_SAMPLE_FACTOR,
                          Oracle, OracleConfig, build_oracle, pool_counts,

@@ -18,7 +18,7 @@ import numpy as np
 from .graph import Graph, as_seed_tuple
 from .models import DiffusionModel, ic_model, lt_model, bdep_model, mixture_model, sample_pool, reach_values_batch
 from .exact import (ExactInfluence, audit_variance_bound, c_value, depth_profile,
-                    exact_influence_map, exact_report)
+                    exact_influence_map, exact_report, exact_values)
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINAL,
                          OracleConfig, build_oracle, check_eps_approx,
                          marginal_edge_model, rrs_estimate, size_for_guarantee)
@@ -273,9 +273,8 @@ def criterion_moa_guarantee(master_seed: int = 0, threads: int = 1) -> Criterion
     pc = c_value(poly, ptau)
     moa_cfg = size_for_guarantee(p_eps, p_delta, pc, MEDIAN_OF_AVERAGES, tau=ptau)
     total = moa_cfg.total_simulations
-    truth = exact_report(poly, (0,), ptau, compute_opt1=False).influence
-    exact_poly = ExactInfluence(poly, ptau)
-    opt1 = exact_poly.opt1()
+    singles = exact_values(poly, ptau, [(v,) for v in range(poly.num_nodes)])
+    truth, opt1 = float(singles[0]), float(singles.max())
     trials = 200
     moa_failures = 0
     avg_failures = 0
@@ -437,11 +436,9 @@ def criterion_rrs_bias(master_seed: int = 0, threads: int = 1) -> CriterionResul
     model = families.gen_two_world_mixture()
     tau = families.TWO_WORLD_TAU
     n = model.num_nodes
-    truth = np.array([exact_report(model, (v,), tau, compute_opt1=False).influence
-                      for v in range(n)])
-    marg_model = marginal_edge_model(model)
-    marg_expect = np.array([exact_report(marg_model, (v,), tau, compute_opt1=False).influence
-                            for v in range(n)])
+    singles = [(v,) for v in range(n)]
+    truth = exact_values(model, tau, singles)
+    marg_expect = exact_values(marginal_edge_model(model), tau, singles)
     true_argmax = int(np.argmax(truth))
     marg_argmax = int(np.argmax(marg_expect))
     searches = 100_000

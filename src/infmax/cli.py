@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, bench, families
 from .exact import (EnumerationBudgetError, audit_variance_bound, c_value,
-                    exact_report)
+                    exact_report, exact_values)
 from .estimators import (AVERAGING, FULL_SIMULATION, MARGINAL, MEDIAN_OF_AVERAGES,
                          OracleConfig, build_oracle, marginal_edge_model,
                          rrs_estimate, size_for_guarantee)
@@ -173,10 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
-    return load_model(path)
-
-
 def _cmd_gen(args):
     # `gen --out x.model` writes the model there and reports on stdout;
     # with --model-out the report goes to --out like any other subcommand.
@@ -211,7 +207,7 @@ def _cmd_gen(args):
 
 
 def _cmd_simulate(args):
-    model = _load(args.model)
+    model = load_model(args.model)
     seeds = as_seed_tuple(model.num_nodes, _parse_seeds(args.seeds))
     if args.num < 1:
         raise ValueError("simulation count must be at least 1")
@@ -226,7 +222,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_exact(args):
-    model = _load(args.model)
+    model = load_model(args.model)
     seeds = as_seed_tuple(model.num_nodes, _parse_seeds(args.seeds))
     report = exact_report(model, seeds, args.tau)
     _emit(args, "exact", {"model": args.model, "seeds": list(seeds), "tau": args.tau},
@@ -236,7 +232,7 @@ def _cmd_exact(args):
 
 
 def _cmd_estimate(args):
-    model = _load(args.model)
+    model = load_model(args.model)
     seeds = as_seed_tuple(model.num_nodes, _parse_seeds(args.seeds))
     if args.pools is not None or args.pool_size is not None:
         if args.pools is None or args.pool_size is None:
@@ -261,7 +257,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_sketch_build(args):
-    model = _load(args.model)
+    model = load_model(args.model)
     live, _ = sample_pool(model, args.seed, args.pool_size, threads=args.threads)
     sketch_set = build_sketches(model, live, args.tau, args.k, args.rank_seed)
     doc = {"k": sketch_set.k, "tau": sketch_set.tau, "ell": sketch_set.ell,
@@ -298,7 +294,7 @@ def _cmd_sketch_query(args):
 
 
 def _cmd_maximize(args):
-    model = _load(args.model)
+    model = load_model(args.model)
     if args.method == "adaptive":
         result = adaptive_maximize(model, args.s, args.tau, args.eps, args.delta,
                                    master_seed=args.seed, threads=args.threads)
@@ -325,7 +321,7 @@ def _cmd_maximize(args):
 
 
 def _cmd_audit_variance(args):
-    model = _load(args.model)
+    model = load_model(args.model)
     seeds = as_seed_tuple(model.num_nodes, _parse_seeds(args.seeds))
     c = args.c if args.c is not None else c_value(model, args.tau)
     audit = audit_variance_bound(model, seeds, args.tau, c)
@@ -336,12 +332,10 @@ def _cmd_audit_variance(args):
 
 
 def _cmd_rrs_compare(args):
-    model = _load(args.model)
-    n = model.num_nodes
-    truth = [exact_report(model, (v,), args.tau, compute_opt1=False).influence
-             for v in range(n)]
-    marg_expect = [exact_report(marginal_edge_model(model), (v,), args.tau,
-                                compute_opt1=False).influence for v in range(n)]
+    model = load_model(args.model)
+    singles = [(v,) for v in range(model.num_nodes)]
+    truth = exact_values(model, args.tau, singles).tolist()
+    marg_expect = exact_values(marginal_edge_model(model), args.tau, singles).tolist()
     full = rrs_estimate(model, FULL_SIMULATION, args.num_searches, args.tau, args.seed)
     marg = rrs_estimate(model, MARGINAL, args.num_searches, args.tau, args.seed)
     _emit(args, "rrs-compare",

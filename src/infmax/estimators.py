@@ -75,6 +75,7 @@ class Oracle:
     ``(total_simulations, m)`` boolean live matrix, packed once here
     (:func:`pack_rows`), or its ``(ceil(total_simulations / 64), m)``
     ``uint64`` words, kept as given; only the packed words are held.
+    ``components`` (from :func:`sample_pool`) is accepted but not kept.
     """
 
     def __init__(self, model: DiffusionModel, config: OracleConfig,
@@ -93,7 +94,6 @@ class Oracle:
                 raise ValueError(f"live matrix must be {(rows, m)}, got {live.shape}")
             self._live = pack_rows(live)
         self._live.setflags(write=False)
-        self._components = components
 
     @property
     def num_nodes(self) -> int:

@@ -10,6 +10,7 @@ outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -128,35 +129,31 @@ def outcome_count(model: DiffusionModel) -> int:
     return math.prod(_units(model)[0].tolist())
 
 
-def _check_budget(model: DiffusionModel) -> int:
-    size = outcome_count(model)
-    if size > (1 << MAX_OUTCOME_BITS):
-        raise EnumerationBudgetError("instance too large for exact enumeration")
-    return size
+def _outcome_chunks(model: DiffusionModel):
+    """Iterator of ``(words, rows, probs)`` chunks covering the outcome space.
 
-
-def _outcome_chunks(model: DiffusionModel, weight: float = 1.0, offset: int = 0,
-                    width: int | None = None):
-    """Yield ``(words, rows, probs)`` chunks covering the outcome space.
-
-    Each chunk holds ``rows`` consecutive outcome indices; ``words`` are
-    their packed ``(ceil(rows / 64), width)`` live edges (:func:`pack_rows`
-    layout) and ``probs`` their probabilities.  Outcome index ``i`` is
-    mixed-radix over the units of :func:`_units`, unit 0 least
-    significant; its probability is ``weight`` times the product of its
-    choice probabilities, multiplied in unit order.  ``width`` defaults to
-    the model's own edge count; ``offset``/``width`` place a mixture
-    component's edges in the union edge space.
+    A chunk holds ``rows`` consecutive outcomes of one part (the model or a
+    mixture component): their packed ``(ceil(rows / 64), m)`` live edges
+    (:func:`pack_rows` layout) and probabilities.  A part's outcome index is
+    mixed-radix over its :func:`_units`, unit 0 least significant; its
+    probability is the part's weight times its choice probabilities,
+    multiplied in unit order.  This call builds each unit table once and
+    checks the budget, before any chunk is built.
     """
-    g = model.graph
-    if width is None:
-        width = g.num_edges
+    parts = [(model, 1.0, 0)]
     if model.kind == MIXTURE:
-        for c, comp in enumerate(model.components):
-            yield from _outcome_chunks(comp, weight * float(model.component_weights[c]),
-                                       offset + int(model.component_offsets[c]), width)
-        return
-    radices, choice_probs, edge_choice = _units(model)
+        parts = zip(model.components, model.component_weights.tolist(),
+                    model.component_offsets.tolist())
+    parts = [(_units(part), part.graph.num_edges, weight, offset)
+             for part, weight, offset in parts]
+    if sum(math.prod(units[0].tolist()) for units, *_ in parts) > (1 << MAX_OUTCOME_BITS):
+        raise EnumerationBudgetError("instance too large for exact enumeration")
+    return (chunk for units, m, weight, offset in parts
+            for chunk in _part_chunks(*units, weight, offset, m, model.graph.num_edges))
+
+
+def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
+    """Chunks of one part, whose ``m`` edges sit at ``offset`` of ``width``."""
     first = np.cumsum(radices) - radices
     total = math.prod(radices.tolist())
     for lo in range(0, total, _CHUNK):
@@ -175,15 +172,41 @@ def _outcome_chunks(model: DiffusionModel, weight: float = 1.0, offset: int = 0,
             bits[choices, :used] = np.packbits(np.arange(radix)[:, None] == digit,
                                                axis=1, bitorder="little")
         words = np.zeros((bits.shape[1] // 8, width), dtype=np.uint64)
-        words[:, offset:offset + g.num_edges] = bits.view("<u8")[edge_choice].T
+        words[:, offset:offset + m] = bits.view("<u8")[edge_choice].T
         yield words, rows, weight * probs
 
 
-def _reach_values(mask: np.ndarray, probs: np.ndarray, w: np.ndarray):
-    """Reach values of the rows of packed ``mask`` and their
-    ``probs``-weighted sum."""
-    values = unpack_rows(mask, probs.shape[0]) @ w
-    return values, float(probs @ values)
+def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
+                      tau: int, seed_sets) -> np.ndarray:
+    """``probs``-weighted reach value of each of ``seed_sets`` over one chunk:
+    a set's reach is the union of its members' single-source reaches, each
+    propagated once per chunk however many sets it belongs to."""
+    last_use = {v: i for i, members in enumerate(seed_sets) for v in members}
+    reach, values = {}, []
+    for i, members in enumerate(seed_sets):
+        reach.update((v, reach_mask_batch(g, words, (v,), tau)) for v in members if v not in reach)
+        # Drop each reach after its last use, so n singles hold one at a time.
+        mask = functools.reduce(np.bitwise_or, [reach.pop(v) if last_use[v] == i else reach[v]
+                                                for v in members])
+        values.append(probs @ (unpack_rows(mask, rows) @ g.node_weights))
+    return np.array(values)
+
+
+def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
+    """Exact influence of each of ``seed_sets``, all from one enumeration
+    pass.  Totals are summed chunk by chunk in chunk order, the same
+    arithmetic as :func:`exact_report`'s ``influence``.  The budget is
+    checked before ``seed_sets`` is read."""
+    g = model.graph
+    tau = int(tau)
+    if tau < 0:
+        raise ValueError("step limit must be nonnegative")
+    chunks = _outcome_chunks(model)
+    seed_sets = [as_seed_tuple(g.num_nodes, seeds) for seeds in seed_sets]
+    totals = np.zeros(len(seed_sets), dtype=np.float64)
+    for words, rows, probs in chunks:
+        totals += _chunk_set_values(g, words, rows, probs, tau, seed_sets)
+    return totals
 
 
 def exact_report(model: DiffusionModel, seeds, tau: int,
@@ -194,23 +217,22 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
     tau = int(tau)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
-    size = _check_budget(model)
-    w = g.node_weights
+    singles = [(v,) for v in range(g.num_nodes)] if compute_opt1 else []
+    size = 0
     influence = 0.0
     second = 0.0
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
-    singles = np.zeros(g.num_nodes, dtype=np.float64)
+    single_totals = np.zeros(len(singles), dtype=np.float64)
     for words, rows, probs in _outcome_chunks(model):
+        size += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
             step_probs[d] += probs @ unpack_rows(newly, rows)
-        values, value = _reach_values(active, probs, w)
-        influence += value
+        values = unpack_rows(active, rows) @ g.node_weights
+        influence += float(probs @ values)
         second += float(probs @ (values * values))
-        if compute_opt1:
-            for v in range(g.num_nodes):
-                singles[v] += _reach_values(reach_mask_batch(g, words, (v,), tau), probs, w)[1]
+        single_totals += _chunk_set_values(g, words, rows, probs, tau, singles)
     variance = max(second - influence * influence, 0.0)
-    opt1 = float(singles.max()) if compute_opt1 else float("nan")
+    opt1 = float(single_totals.max()) if compute_opt1 else float("nan")
     step_probs.setflags(write=False)
     return ExactReport(influence, variance, step_probs, opt1, size, tau, seeds)
 
@@ -231,10 +253,13 @@ def c_value(model: DiffusionModel, tau: int) -> float:
 
 def audit_variance_bound(model: DiffusionModel, seeds, tau: int, c: float) -> VarianceAudit:
     """Check Var[R(seeds)] <= c * I(seeds) * max(I(seeds), opt1) exactly."""
+    c = float(c)
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError("variance-bound scale c must be finite and positive")
     report = exact_report(model, seeds, tau)
     lhs = report.variance
-    rhs = float(c) * report.influence * max(report.influence, report.opt1)
-    return VarianceAudit(lhs, rhs, lhs <= rhs * (1.0 + _HOLDS_SLACK), float(c),
+    rhs = c * report.influence * max(report.influence, report.opt1)
+    return VarianceAudit(lhs, rhs, lhs <= rhs * (1.0 + _HOLDS_SLACK), c,
                          report.influence, report.opt1)
 
 
@@ -259,28 +284,13 @@ def depth_profile(model: DiffusionModel, seeds, tau_max: int | None = None) -> D
 
 
 def exact_influence_map(model: DiffusionModel, tau: int, max_size: int) -> dict:
-    """Exact influence of every seed set of size <= ``max_size``.
-
-    One enumeration pass shared by all subsets: per outcome the reach of a
-    set is the union of its members' single-source reaches.
-    """
-    g = model.graph
-    n = g.num_nodes
-    tau = int(tau)
-    _check_budget(model)
-    subsets = []
-    for size in range(1, min(int(max_size), n) + 1):
-        subsets.extend(combinations(range(n), size))
-    totals = dict.fromkeys(subsets, 0.0)
-    w = g.node_weights
-    for words, _, probs in _outcome_chunks(model):
-        singles = [reach_mask_batch(g, words, (v,), tau) for v in range(n)]
-        for subset in subsets:
-            mask = singles[subset[0]]
-            for v in subset[1:]:
-                mask = mask | singles[v]
-            totals[subset] += _reach_values(mask, probs, w)[1]
-    return totals
+    """Exact influence of every seed set of size <= ``max_size``, from one
+    :func:`exact_values` pass."""
+    n = model.num_nodes
+    sizes = range(1, min(int(max_size), n) + 1)
+    # Listed lazily, so an over-budget model fails before any subset is made.
+    values = exact_values(model, tau, (s for k in sizes for s in combinations(range(n), k)))
+    return dict(zip((s for k in sizes for s in combinations(range(n), k)), values.tolist()))
 
 
 class ExactInfluence:
@@ -298,9 +308,10 @@ class ExactInfluence:
     def query(self, seeds) -> float:
         key = as_seed_tuple(self.num_nodes, seeds)
         if key not in self._cache:
-            self._cache[key] = exact_report(self.model, key, self.tau,
-                                            compute_opt1=False).influence
+            self._cache[key] = float(exact_values(self.model, self.tau, [key])[0])
         return self._cache[key]
 
     def opt1(self) -> float:
-        return max(self.query((v,)) for v in range(self.num_nodes))
+        singles = [(v,) for v in range(self.num_nodes)]
+        self._cache.update(zip(singles, exact_values(self.model, self.tau, singles).tolist()))
+        return max(self._cache[key] for key in singles)

@@ -100,11 +100,9 @@ def gen_two_world_mixture() -> DiffusionModel:
     blue = ic_model(Graph.from_edges(n, [(t, h, 1.0) for t, h in _BLUE_EDGES]))
     model = mixture_model([(red, 0.5), (blue, 0.5)])
     from .estimators import marginal_edge_model
-    truth = [exact.exact_report(model, (v,), TWO_WORLD_TAU, compute_opt1=False).influence
-             for v in range(n)]
-    marginal = marginal_edge_model(model)
-    biased = [exact.exact_report(marginal, (v,), TWO_WORLD_TAU, compute_opt1=False).influence
-              for v in range(n)]
+    singles = [(v,) for v in range(n)]
+    truth = exact.exact_values(model, TWO_WORLD_TAU, singles)
+    biased = exact.exact_values(marginal_edge_model(model), TWO_WORLD_TAU, singles)
     if int(np.argmax(truth)) == int(np.argmax(biased)):
         raise AssertionError("two-world self-check failed: maximizers agree")
     return model

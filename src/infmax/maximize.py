@@ -24,12 +24,11 @@ tie rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .graph import as_seed_tuple
 from .models import DiffusionModel, reach_mask_batch
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, Oracle, OracleConfig,
                          build_oracle, mask_pool_averages, required_pools,
@@ -210,8 +209,8 @@ def im_oracle_config(num_nodes: int, s: int, tau: int, epsilon: float, delta: fl
                      c: float, master_seed: int = 0) -> OracleConfig:
     """Median-of-averages layout sized for a uniform guarantee over all
     size-s seed sets (confidence split across the subset count)."""
+    pool_size = size_for_guarantee(epsilon, delta, c, MEDIAN_OF_AVERAGES).pool_size
     delta_ma = delta / math.comb(num_nodes, min(int(s), num_nodes))
-    pool_size = math.ceil(4 * c / (epsilon * epsilon))
     return OracleConfig(required_pools(delta_ma), pool_size, tau, master_seed)
 
 

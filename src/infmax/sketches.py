@@ -14,7 +14,6 @@ whose coefficient of variation is about ``1 / sqrt(k - 2)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 

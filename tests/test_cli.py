@@ -141,6 +141,22 @@ def test_exit_codes(tmp_path):
     # csv is reserved for tabular bench output
     assert run_cli(["--format", "csv", "exact", "--model", str(star),
                     "--seeds", "0", "--tau", "1"]) == 2
+    # accuracy and confidence outside (0, 1) -> 2, before any sampling
+    tree = tmp_path / "tree.model"
+    run_cli(["gen", "--family", "tree", "--tau", "2", "--model-out", str(tree),
+             "--out", str(tmp_path / "g.json")])
+    maximize = ["maximize", "--model", str(tree), "--s", "2", "--tau", "2",
+                "--out", str(tmp_path / "max.json")]
+    for method in ("greedy", "brute", "adaptive"):
+        for flag, value in (("--eps", "0"), ("--delta", "0"), ("--eps", "1.5"),
+                            ("--eps", "-0.5"), ("--delta", "2"), ("--eps", "nan")):
+            assert run_cli(maximize + ["--method", method, flag, value]) == 2
+    # the audit's bound scale must be finite and positive -> 2
+    audit = ["audit-variance", "--model", str(tree), "--seeds", "0", "--tau", "2",
+             "--out", str(tmp_path / "audit.json")]
+    for c in ("nan", "inf", "-1", "0"):
+        assert run_cli(audit + ["--c", c]) == 2
+    assert run_cli(audit + ["--c", "2"]) == 0
 
 
 def test_same_command_line_is_byte_identical(tmp_path):
@@ -207,3 +223,35 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout or "infmax" in proc.stdout
+
+
+def test_audit_variance_report(tmp_path):
+    model_path = tmp_path / "tree.model"
+    run_cli(["gen", "--family", "tree", "--tau", "3", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    out = tmp_path / "audit.json"
+    assert run_cli(["audit-variance", "--model", str(model_path), "--seeds", "0",
+                    "--tau", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["parameters"]["c"] == 3.0  # c_value of an IC model at tau 3
+    result = report["result"]
+    assert result["holds"] is True
+    assert result["lhs"] == pytest.approx(7.0)
+    assert result["influence"] == pytest.approx(4.0)
+    assert result["rhs"] == pytest.approx(3.0 * 4.0 * max(4.0, result["opt1"]))
+
+
+def test_rrs_compare_report(tmp_path):
+    model_path = tmp_path / "tw.model"
+    run_cli(["gen", "--family", "mixture", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    out = tmp_path / "rrs.json"
+    assert run_cli(["rrs-compare", "--model", str(model_path), "--tau", "4",
+                    "--num-searches", "2000", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["exact"] == pytest.approx(
+        [3.0, 2.5, 2.0, 1.5, 1.0, 2.5, 1.0, 1.0, 1.0, 2.0, 1.5, 1.0])
+    assert result["true_argmax"] == 0
+    assert result["marginal_argmax"] == 5
+    assert len(result["marginal_expectation"]) == 12
+    assert len(result["full_estimates"]) == len(result["marginal_estimates"]) == 12

@@ -1,4 +1,5 @@
 import math
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -366,3 +367,89 @@ def test_outcome_chunks_match_reference_loops(kind, chunk, monkeypatch):
         else:
             assert probs.tobytes() == expect_probs.tobytes()
         seen += rows
+
+
+# -- one enumeration pass for every exact set value ---------------------------
+
+# Mixed sizes, unsorted members and duplicates; every id is below 5, the
+# smallest node count in CHUNK_MODELS.
+VALUE_SETS = [(3, 1), (0,), (2, 2, 4), (4, 0, 1, 3), (1, 3), (4,)]
+
+
+@pytest.mark.parametrize("kind", sorted(CHUNK_MODELS))
+def test_exact_values_match_reports(kind, monkeypatch):
+    # Sixty-four outcomes per chunk, so every total runs over many chunks.
+    monkeypatch.setattr(exact, "_CHUNK", 64)
+    model = CHUNK_MODELS[kind]()
+    for tau in range(4):
+        got = im.exact_values(model, tau, VALUE_SETS)
+        assert got.tolist() == [im.exact_report(model, s, tau, compute_opt1=False).influence
+                                for s in VALUE_SETS]
+        report = im.exact_report(model, (0,), tau)
+        oracle = im.ExactInfluence(model, tau)
+        assert oracle.opt1() == report.opt1
+        assert oracle.query((0,)) == report.influence
+        assert [oracle.query(s) for s in VALUE_SETS] == got.tolist()
+
+
+def test_exact_values_validate_input():
+    model = ic_pinned_cases()
+    with pytest.raises(ValueError, match="nonnegative"):
+        im.exact_values(model, -1, [(0,)])
+    with pytest.raises(ValueError, match="out of range"):
+        im.exact_values(model, 1, [(0,), (5,)])
+    with pytest.raises(ValueError, match="empty"):
+        im.exact_values(model, 1, [()])
+    assert im.exact_values(model, 1, []).shape == (0,)
+
+
+def test_every_exact_entry_point_checks_the_budget():
+    big_ic = im.families.gen_star(200, dependent=False)
+    with pytest.raises(im.EnumerationBudgetError, match="too large"):
+        im.exact_values(big_ic, 1, [(0,)])
+    with pytest.raises(im.EnumerationBudgetError, match="too large"):
+        im.ExactInfluence(big_ic, 1).query((0,))
+    with pytest.raises(im.EnumerationBudgetError, match="too large"):
+        im.exact_influence_map(big_ic, 1, 3)
+
+    # The budget is checked before any seed set is read, so an over-budget
+    # map fails before it lists its subsets.
+    def unread_sets():
+        raise AssertionError("seed sets read before the budget check")
+        yield
+
+    with pytest.raises(im.EnumerationBudgetError, match="too large"):
+        im.exact_values(big_ic, 1, unread_sets())
+
+
+def test_unit_tables_built_once_per_component(monkeypatch):
+    model = CHUNK_MODELS["lt-bdep-mixture"]()
+    calls = []
+    units = exact._units
+
+    def counting_units(part):
+        calls.append(part)
+        return units(part)
+
+    monkeypatch.setattr(exact, "_units", counting_units)
+    im.exact_report(model, (0,), 2)
+    assert [id(part) for part in calls] == [id(part) for part in model.components]
+
+
+def test_single_reaches_are_released_after_last_use(monkeypatch):
+    # opt1 needs n single reaches per chunk; each is dropped once no later
+    # set uses it, so at most the previous one is still alive at any call.
+    model = CHUNK_MODELS["lt"]()
+    made = []
+    reach = exact.reach_mask_batch
+
+    def tracked_reach(*args):
+        alive = sum(ref() is not None for ref in made)
+        assert alive <= 1, f"{alive} earlier reaches still held"
+        mask = reach(*args)
+        made.append(weakref.ref(mask))
+        return mask
+
+    monkeypatch.setattr(exact, "reach_mask_batch", tracked_reach)
+    exact.exact_report(model, (0,), 2)
+    assert len(made) == model.num_nodes

@@ -136,6 +136,16 @@ def test_maximize_im_sizing_arithmetic():
     assert config.total_simulations == 5536
 
 
+@pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (0.5, 0.0), (1.5, 0.1), (-0.5, 0.1),
+                                       (0.5, 2.0), (float("nan"), 0.1)])
+def test_maximize_rejects_accuracy_outside_unit_interval(eps, delta):
+    model = max_cover_model()
+    with pytest.raises(ValueError, match="must be in"):
+        im.maximize_im(model, 2, 1, eps, delta)
+    with pytest.raises(ValueError, match="must be in"):
+        im.im_oracle_config(model.num_nodes, 2, 1, eps, delta, 1.0)
+
+
 def test_maximize_im_on_deterministic_model():
     result = im.maximize_im(max_cover_model(), 2, 1, 0.5, 0.1, master_seed=3)
     assert result.seeds == (0, 3)
