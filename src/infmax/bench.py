@@ -564,6 +564,11 @@ ALL_CRITERIA = {
 
 
 def run_all(master_seed: int = 0, threads: int = 1, only=None) -> list[CriterionResult]:
+    """Criteria numbered in ``only`` (all if empty), each number checked first."""
+    unknown = sorted(set(only or ()) - ALL_CRITERIA.keys())
+    if unknown:
+        raise ValueError(f"no criterion numbered {unknown}; "
+                         f"criterion numbers are {sorted(ALL_CRITERIA)}")
     results = []
     for number in sorted(ALL_CRITERIA):
         if only and number not in only:

@@ -30,8 +30,8 @@ from .estimators import (AVERAGING, FULL_SIMULATION, MARGINAL, MEDIAN_OF_AVERAGE
 from .graph import as_seed_tuple
 # maximize_im is unused here but stays a module attribute: perfbench's
 # traced run wraps it at infmax.cli.maximize_im.
-from .maximize import (adaptive_maximize, brute_force_max, greedy_max, im_oracle_config,
-                       maximize_im)  # noqa: F401
+from .maximize import (adaptive_maximize, brute_force_fits, brute_force_max, greedy_max,
+                       im_oracle_config, maximize_im)  # noqa: F401
 from .models import load_model, sample_pool, save_model, reach_values_batch
 from .sketches import NodeSketch, SketchSet, build_sketches, sketch_query
 
@@ -302,6 +302,9 @@ def _cmd_maximize(args):
         c = c_value(model, args.tau)
         config = im_oracle_config(model.num_nodes, args.s, args.tau, args.eps,
                                   args.delta, c, args.seed)
+        # Checked here, before any sampling, as well as in brute_force_max.
+        if args.method == "brute" and not brute_force_fits(model.num_nodes, args.s):
+            raise ValueError("subset count exceeds the brute-force budget")
         oracle = build_oracle(model, config, threads=args.threads)
         maximizer = brute_force_max if args.method == "brute" else greedy_max
         result = maximizer(oracle, args.s)
@@ -350,7 +353,11 @@ def _cmd_rrs_compare(args):
 def _cmd_bench(args):
     only = None
     if args.only:
-        only = {int(part) for part in args.only.split(",")}
+        try:
+            only = {int(part) for part in args.only.split(",")}
+        except ValueError:
+            raise ValueError(f"--only takes comma-separated criterion numbers "
+                             f"{sorted(bench.ALL_CRITERIA)}, got {args.only!r}") from None
     results = bench.run_all(args.seed, args.threads, only)
     if args.format == "csv":
         buf = io.StringIO()

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -35,6 +37,11 @@ from . import rng
 POOL_SIZE_FACTOR = 4
 POOL_COUNT_FACTOR = 28
 TOTAL_SAMPLE_FACTOR = POOL_SIZE_FACTOR * POOL_COUNT_FACTOR  # 112
+
+# query_many keeps all single-source reaches while they fit here, and
+# reduces as many sets per call as fit their masks and counts here.
+_EXPLICIT_CACHE_BYTES = 1 << 27
+_SCORE_BLOCK_BYTES = 1 << 20
 
 AVERAGING = "averaging"
 MEDIAN_OF_AVERAGES = "median_of_averages"
@@ -109,6 +116,55 @@ class Oracle:
     def query(self, seeds) -> float:
         """Median over pools of the average reachability value of ``seeds``."""
         return float(np.median(self.pool_averages(seeds)))
+
+    @cached_property
+    def _single_reaches(self) -> np.ndarray | None:
+        """``(n, words, n)`` reach masks of every single node, in id order,
+        or ``None`` when they would exceed ``_EXPLICIT_CACHE_BYTES``."""
+        g, words, n = self.model.graph, self._live.shape[0], self.num_nodes
+        if n * words * 8 * n > _EXPLICIT_CACHE_BYTES:
+            return None
+        singles = np.empty((n, words, n), dtype=np.uint64)
+        for u in range(n):
+            singles[u] = reach_mask_batch(g, self._live, (u,), self.config.tau)
+        return singles
+
+    def query_many(self, seed_sets) -> np.ndarray:
+        """:meth:`query` of each of ``seed_sets`` (equal-size tuples of ids),
+        bit for bit, read a block at a time.  A set's mask is the OR of its
+        members' cached single-source reaches, or its own propagation when
+        the cache would not fit; a block goes through one
+        :func:`mask_pool_averages` call, each row reduced on its own."""
+        g, cfg = self.model.graph, self.config
+        n, words = g.num_nodes, self._live.shape[0]
+        block = max(1, _SCORE_BLOCK_BYTES // ((words + cfg.pools + 1) * max(n, 1) * 8))
+        seed_sets, values = iter(seed_sets), [np.empty(0)]
+        while sets := list(islice(seed_sets, block)):
+            ids = _id_block(sets, n)
+            singles = self._single_reaches
+            if singles is None:
+                masks = np.stack([reach_mask_batch(g, self._live, row, cfg.tau)
+                                  for row in ids])
+            else:
+                masks = singles[ids[:, 0]]
+                for j in range(1, ids.shape[1]):
+                    masks |= singles[ids[:, j]]
+            values.append(np.median(mask_pool_averages(masks, g.node_weights, cfg.pools,
+                                                       cfg.pool_size), axis=-1))
+        return np.concatenate(values)
+
+
+def _id_block(seed_sets: list, n: int) -> np.ndarray:
+    """``(C, k)`` ids of ``C`` seed sets of one size ``k >= 1``, all in ``[0, n)``."""
+    try:
+        ids = np.array(seed_sets)
+    except ValueError:  # ragged
+        ids = np.empty(0)
+    if ids.ndim != 2 or ids.shape[1] == 0 or ids.dtype.kind not in "iu":
+        raise ValueError("seed sets must be non-empty, equal-size tuples of integer ids")
+    if ids.min() < 0 or ids.max() >= n:
+        raise ValueError("seed id out of range")
+    return ids
 
 
 # _LOW_BITS[b] keeps the low b bits of a word.

@@ -305,13 +305,17 @@ class ExactInfluence:
     def num_nodes(self) -> int:
         return self.model.num_nodes
 
+    def query_many(self, seed_sets) -> np.ndarray:
+        """Exact influence of each of ``seed_sets``; the sets not memoized
+        yet are valued together in one :func:`exact_values` pass."""
+        keys = [as_seed_tuple(self.num_nodes, seeds) for seeds in seed_sets]
+        new = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        if new:
+            self._cache.update(zip(new, exact_values(self.model, self.tau, new).tolist()))
+        return np.array([self._cache[key] for key in keys], dtype=np.float64)
+
     def query(self, seeds) -> float:
-        key = as_seed_tuple(self.num_nodes, seeds)
-        if key not in self._cache:
-            self._cache[key] = float(exact_values(self.model, self.tau, [key])[0])
-        return self._cache[key]
+        return float(self.query_many([seeds])[0])
 
     def opt1(self) -> float:
-        singles = [(v,) for v in range(self.num_nodes)]
-        self._cache.update(zip(singles, exact_values(self.model, self.tau, singles).tolist()))
-        return max(self._cache[key] for key in singles)
+        return float(self.query_many([(v,) for v in range(self.num_nodes)]).max())

@@ -9,36 +9,29 @@ that validates candidates on small independent oracles and stops early
 when the data allows it.
 
 Brute force and greedy accept any object with ``num_nodes`` and
-``query``.  On a simulation :class:`Oracle` they share the single-source
-reach masks (packed 64 simulations per word), score a set as the union
-of its members' masks, and reduce a whole block of candidate unions per
-call through ``mask_pool_averages``, whose leading axis is the candidate,
-then take the median over pools.  Each row is reduced on its own as
-``oracle.query`` reduces it, so their values equal ``oracle.query`` bit
-for bit.  A block holds as many candidates as fit in
-``_SCORE_BLOCK_BYTES``; the first maximum of a block replaces the best
-candidate only when strictly larger, which keeps the one-by-one scan's
-tie rule.
+``query``.  Each subset size, or greedy step, is scored by one
+``query_many`` call where the oracle has it (``Oracle`` and
+``ExactInfluence`` do), else by one ``query`` per set; the first maximum
+wins ties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 
 import numpy as np
 
-from .models import DiffusionModel, reach_mask_batch
-from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, Oracle, OracleConfig,
-                         build_oracle, mask_pool_averages, required_pools,
-                         size_for_guarantee)
+# reach_mask_batch is no longer called here; it stays a module attribute
+# because perfbench/layers.py wraps it at this site.
+from .models import DiffusionModel, reach_mask_batch  # noqa: F401
+from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, OracleConfig, build_oracle,
+                         required_pools, size_for_guarantee)
 from .exact import c_value
 from . import rng
 
 BRUTE_FORCE_BUDGET = 10**6
-_EXPLICIT_CACHE_BYTES = 1 << 27
-_SCORE_BLOCK_BYTES = 1 << 20
 
 _PURPOSE_ROUND_ORACLE = 0x0A
 _PURPOSE_ROUND_VALIDATION = 0x0B
@@ -67,140 +60,62 @@ def _oracle_sims(oracle) -> int:
     return config.total_simulations if config is not None else 0
 
 
-def _explicit_reach(oracle: Oracle):
-    """Blocked candidate scoring over the oracle's packed simulations.
-
-    The reach of a set is the union of its members' single-source reaches,
-    so ``mask_values`` of a ``(C, words, n)`` stack of such unions
-    reproduces ``oracle.query`` of each of the ``C`` sets bit for bit.
-    Returns ``(singles, reach, mask_values, block)``.  ``singles`` is the
-    ``(n, words, n)`` array of all single-source reaches, computed here in
-    id order, or ``None`` when it would exceed ``_EXPLICIT_CACHE_BYTES``;
-    ``reach(seeds)`` computes the reach of a seed tuple afresh.  ``block``
-    is how many candidates to score per call, so that a block's masks and
-    counts stay within ``_SCORE_BLOCK_BYTES``.
-    """
-    g = oracle.model.graph
-    live = oracle._live
-    cfg = oracle.config
-    n = g.num_nodes
-    words = live.shape[0]
-
-    def reach(seeds: tuple[int, ...]) -> np.ndarray:
-        return reach_mask_batch(g, live, seeds, cfg.tau)
-
-    singles = None
-    if n * words * live.itemsize * n <= _EXPLICIT_CACHE_BYTES:
-        singles = np.empty((n, words, n), dtype=np.uint64)
-        for u in range(n):
-            singles[u] = reach((u,))
-
-    def mask_values(masks: np.ndarray) -> np.ndarray:
-        return np.median(mask_pool_averages(masks, g.node_weights, cfg.pools,
-                                            cfg.pool_size), axis=-1)
-
-    block = max(1, _SCORE_BLOCK_BYTES // ((words + cfg.pools + 1) * n * 8))
-    return singles, reach, mask_values, block
+def _values(oracle, seed_sets) -> np.ndarray:
+    """Oracle values of ``seed_sets``, in order: one ``query_many`` call when
+    the oracle has it, else one ``query`` per set."""
+    query_many = getattr(oracle, "query_many", None)
+    if query_many is not None:
+        return query_many(seed_sets)
+    return np.array([oracle.query(seeds) for seeds in seed_sets], dtype=np.float64)
 
 
-def _blocks(items, size: int):
-    """Consecutive lists of at most ``size`` items."""
-    items = iter(items)
-    while chunk := list(islice(items, size)):
-        yield chunk
-
-
-def _first_max(blocks, scores):
-    """``(item, value)`` of the first maximum score over blocks of candidates.
-
-    A block's first maximum replaces the best only when strictly larger,
-    so the result is the one a one-by-one scan with ``>`` would keep.
-    """
-    best, best_value = None, -math.inf
-    for items in blocks:
-        vals = scores(items)
-        k = int(np.argmax(vals))
-        if vals[k] > best_value:
-            best, best_value = items[k], float(vals[k])
-    return best, best_value
+def brute_force_fits(num_nodes: int, s: int) -> bool:
+    """Whether the size-``s`` subsets fit in ``BRUTE_FORCE_BUDGET``."""
+    return math.comb(num_nodes, min(int(s), num_nodes)) <= BRUTE_FORCE_BUDGET
 
 
 def brute_force_max(oracle, s: int) -> MaximizerResult:
     """Exact argmax of the oracle over subsets of size <= s, lexicographic ties.
 
-    On a simulation :class:`Oracle` each size's subsets are scored a block
-    at a time, in lexicographic order; any other oracle is queried one
-    subset at a time.
+    Each size's subsets are scored in one batch, in lexicographic order;
+    a size's first maximum replaces the best only when strictly larger.
     """
     n = oracle.num_nodes
     s = min(int(s), n)
     if s < 1:
         raise ValueError("seed budget must be at least 1")
-    if math.comb(n, s) > BRUTE_FORCE_BUDGET:
+    if not brute_force_fits(n, s):
         raise ValueError("subset count exceeds the brute-force budget")
-    if isinstance(oracle, Oracle):
-        singles, reach, mask_values, block = _explicit_reach(oracle)
-
-        def scores(subsets):
-            if singles is None:
-                return mask_values(np.stack([reach(subset) for subset in subsets]))
-            idx = np.array(subsets, dtype=np.intp)
-            masks = singles[idx[:, 0]]
-            for j in range(1, idx.shape[1]):
-                masks |= singles[idx[:, j]]
-            return mask_values(masks)
-    else:
-        block = 1
-
-        def scores(subsets):
-            return [oracle.query(subset) for subset in subsets]
-    best_seeds, best_value = _first_max(
-        chain.from_iterable(_blocks(combinations(range(n), size), block)
-                            for size in range(1, s + 1)), scores)
+    best_seeds, best_value = None, -math.inf
+    for size in range(1, s + 1):
+        values = _values(oracle, combinations(range(n), size))
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_seeds = next(islice(combinations(range(n), size), k, None))
+            best_value = float(values[k])
     return MaximizerResult(best_seeds, best_value, _oracle_sims(oracle), "brute")
 
 
 def greedy_max(oracle, s: int) -> MaximizerResult:
     """Greedy maximization: repeatedly add the node of largest oracle value.
 
-    Ties go to the lowest id.  On a simulation :class:`Oracle` the reach
-    mask of the chosen set is kept explicitly and the unchosen candidates
-    ``u`` are scored a block at a time, in id order, from
-    ``reach(S) | reach(u)`` through the oracle's own reduction, so the
-    trace matches from-scratch queries bit for bit.  Any other oracle is
-    queried with each candidate set.
+    Each step scores the chosen set plus each unchosen node, in id order,
+    in one batch, so ties go to the lowest id and the trace matches
+    from-scratch queries bit for bit.
     """
     if int(s) < 1:
         raise ValueError("seed budget must be at least 1")
     n = oracle.num_nodes
     chosen: list[int] = []
-    explicit = isinstance(oracle, Oracle)
-    if explicit:
-        singles, reach, mask_values, block = _explicit_reach(oracle)
-        reached = np.zeros((oracle._live.shape[0], n), dtype=np.uint64)
-
-        def scores(nodes):
-            if singles is None:
-                masks = np.stack([reach((u,)) for u in nodes])
-            else:
-                masks = singles[nodes]
-            masks |= reached
-            return mask_values(masks)
-    else:
-        block = 1
-
-        def scores(nodes):
-            return [oracle.query(tuple(sorted(chosen + [u]))) for u in nodes]
-    current = 0.0
-    trace = []
+    current, trace = 0.0, []
     for _ in range(min(int(s), n)):
         candidates = [u for u in range(n) if u not in chosen]
-        best_node, best_value = _first_max(_blocks(candidates, block), scores)
-        chosen.append(best_node)
-        if explicit:
-            reached |= reach((best_node,)) if singles is None else singles[best_node]
-        trace.append(GreedyStep(best_node, best_value - current, best_value))
-        current = best_value
+        values = _values(oracle, (tuple(sorted(chosen + [u])) for u in candidates))
+        k = int(np.argmax(values))
+        node, value = candidates[k], float(values[k])
+        chosen.append(node)
+        trace.append(GreedyStep(node, value - current, value))
+        current = value
     return MaximizerResult(tuple(sorted(chosen)), current, _oracle_sims(oracle),
                            "greedy", tuple(trace))
 
@@ -209,6 +124,8 @@ def im_oracle_config(num_nodes: int, s: int, tau: int, epsilon: float, delta: fl
                      c: float, master_seed: int = 0) -> OracleConfig:
     """Median-of-averages layout sized for a uniform guarantee over all
     size-s seed sets (confidence split across the subset count)."""
+    if int(s) < 1:
+        raise ValueError("seed budget must be at least 1")
     pool_size = size_for_guarantee(epsilon, delta, c, MEDIAN_OF_AVERAGES).pool_size
     delta_ma = delta / math.comb(num_nodes, min(int(s), num_nodes))
     return OracleConfig(required_pools(delta_ma), pool_size, tau, master_seed)
@@ -225,7 +142,7 @@ def maximize_im(model: DiffusionModel, s: int, tau: int, epsilon: float, delta: 
     c = c_value(model, tau)
     config = im_oracle_config(model.num_nodes, s, tau, epsilon, delta, c, master_seed)
     oracle = build_oracle(model, config, threads=threads)
-    if math.comb(model.num_nodes, min(int(s), model.num_nodes)) <= BRUTE_FORCE_BUDGET:
+    if brute_force_fits(model.num_nodes, s):
         result = brute_force_max(oracle, s)
     else:
         result = greedy_max(oracle, s)
@@ -287,8 +204,7 @@ def adaptive_maximize(model: DiffusionModel, s: int, tau: int, epsilon: float,
         else:
             config = OracleConfig(1, budget, tau, opt_seed)
         oracle = build_oracle(model, config, threads=threads)
-        if base == "brute" and math.comb(model.num_nodes,
-                                         min(int(s), model.num_nodes)) <= BRUTE_FORCE_BUDGET:
+        if base == "brute" and brute_force_fits(model.num_nodes, s):
             candidate = brute_force_max(oracle, s)
         else:
             candidate = greedy_max(oracle, s)

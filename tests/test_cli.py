@@ -92,7 +92,7 @@ def test_maximize_greedy_runs_greedy(tmp_path):
     assert result["simulations_used"] == config.total_simulations
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, monkeypatch):
     # unknown subcommand -> usage error
     assert run_cli(["frobnicate"]) == 2
     assert run_cli([]) == 2
@@ -157,6 +157,26 @@ def test_exit_codes(tmp_path):
     for c in ("nan", "inf", "-1", "0"):
         assert run_cli(audit + ["--c", c]) == 2
     assert run_cli(audit + ["--c", "2"]) == 0
+    # a bad seed budget, or brute force over the subset budget -> 2, before
+    # any sampling
+    sampled = []
+    monkeypatch.setattr(im.estimators, "sample_pool",
+                        lambda *args, **kwargs: sampled.append(args))
+    wide = tmp_path / "wide.model"
+    run_cli(["gen", "--family", "random", "--n", "300", "--m", "1200",
+             "--model-out", str(wide), "--out", str(tmp_path / "g.json")])
+    maximize = ["maximize", "--model", str(wide), "--tau", "2",
+                "--out", str(tmp_path / "max.json")]
+    assert run_cli(maximize + ["--method", "brute", "--s", "4"]) == 2
+    for method in ("greedy", "brute", "adaptive"):
+        for s in ("0", "-2"):
+            assert run_cli(maximize + ["--method", method, "--s", s]) == 2
+    assert sampled == []
+    # --only names criteria that exist, or nothing runs or is written -> 2
+    report = tmp_path / "bench.json"
+    for only in ("10", "99", "11,10", "abc", "1,,2"):
+        assert run_cli(["bench", "--only", only, "--out", str(report)]) == 2
+        assert not report.exists()
 
 
 def test_same_command_line_is_byte_identical(tmp_path):

@@ -392,6 +392,30 @@ def test_exact_values_match_reports(kind, monkeypatch):
         assert [oracle.query(s) for s in VALUE_SETS] == got.tolist()
 
 
+def test_exact_query_many_matches_query_with_one_pass_per_call(monkeypatch):
+    model = im.families.gen_random_ic(6, 9, weight_range=(0.5, 3.0), seed=4)
+    sets = [s for k in (1, 2) for s in combinations(range(6), k)]
+    expected = [im.ExactInfluence(model, 2).query(s) for s in sets]
+    passes = []
+
+    def counting(*args):
+        passes.append(args)
+        return im.exact_values(*args)
+
+    monkeypatch.setattr(exact, "exact_values", counting)
+    oracle = im.ExactInfluence(model, 2)
+    assert oracle.query_many(sets[:8]).tolist() == expected[:8]
+    assert len(passes) == 1
+    assert oracle.query_many(sets).tolist() == expected
+    assert len(passes) == 2 and len(passes[1][2]) == len(sets) - 8
+    # memoized sets, in any member order, need no pass
+    assert oracle.query_many([(1, 0), [3], (5, 4)]).tolist() == [
+        expected[sets.index(s)] for s in [(0, 1), (3,), (4, 5)]]
+    assert oracle.query_many([]).shape == (0,)
+    assert oracle.opt1() == max(expected[:6])
+    assert len(passes) == 2
+
+
 def test_exact_values_validate_input():
     model = ic_pinned_cases()
     with pytest.raises(ValueError, match="nonnegative"):

@@ -1,10 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import infmax as im
-from infmax import maximize as mx
+from infmax import estimators
 
 
 def max_cover_model():
@@ -12,7 +13,7 @@ def max_cover_model():
 
 
 class GenericView:
-    """Strips the concrete oracle type so greedy takes the query-only path."""
+    """Hides ``query_many``, so maximizers ask ``query`` once per set."""
 
     def __init__(self, oracle):
         self._oracle = oracle
@@ -146,6 +147,14 @@ def test_maximize_rejects_accuracy_outside_unit_interval(eps, delta):
         im.im_oracle_config(model.num_nodes, 2, 1, eps, delta, 1.0)
 
 
+def test_maximize_rejects_seed_budget_below_one():
+    for s in (0, -2):
+        with pytest.raises(ValueError, match="at least 1"):
+            im.maximize_im(max_cover_model(), s, 1, 0.5, 0.1)
+        with pytest.raises(ValueError, match="at least 1"):
+            im.im_oracle_config(5, s, 1, 0.5, 0.1, 1.0)
+
+
 def test_maximize_im_on_deterministic_model():
     result = im.maximize_im(max_cover_model(), 2, 1, 0.5, 0.1, master_seed=3)
     assert result.seeds == (0, 3)
@@ -211,10 +220,19 @@ def test_uniformly_perturbed_greedy_keeps_ratio():
 def _hold_candidates(monkeypatch, oracle, count):
     """Size ``_SCORE_BLOCK_BYTES`` so a block holds ``count`` candidates."""
     cfg = oracle.config
-    words = oracle._live.shape[0]
-    monkeypatch.setattr(mx, "_SCORE_BLOCK_BYTES",
+    words = -(-cfg.total_simulations // 64)
+    monkeypatch.setattr(estimators, "_SCORE_BLOCK_BYTES",
                         count * (words + cfg.pools + 1) * oracle.num_nodes * 8)
-    assert mx._explicit_reach(oracle)[3] == count
+    reduce, seen = estimators.mask_pool_averages, []
+
+    def recording(mask, *args):
+        seen.append(mask.shape[0] if mask.ndim == 3 else 1)
+        return reduce(mask, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(estimators, "mask_pool_averages", recording)
+        oracle.query_many((u,) for u in range(oracle.num_nodes))
+    assert max(seen) == count
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, None])
@@ -248,3 +266,43 @@ def test_blocked_scoring_keeps_lowest_id_ties(monkeypatch, block):
     greedy = im.greedy_max(oracle, 4)
     assert [step.node for step in greedy.trace] == [0, 1, 2, 3]
     assert [step.value for step in greedy.trace] == [1.0, 2.0, 3.0, 4.0]
+
+
+def _assert_same_maximizers(a, b):
+    for s in (1, 2, 3):
+        assert im.greedy_max(a, s).trace == im.greedy_max(b, s).trace
+        fast, slow = im.brute_force_max(a, s), im.brute_force_max(b, s)
+        assert (fast.seeds, fast.oracle_value) == (slow.seeds, slow.oracle_value)
+
+
+def test_uncached_scoring_matches_cached(monkeypatch):
+    for weights in [(1.0, 1.0), (0.5, 3.0)]:
+        for pools in (1, 5):
+            model = im.families.gen_random_ic(9, 16, weight_range=weights, seed=pools)
+            config = im.OracleConfig(pools, 23, 2, 4)
+            cached = im.build_oracle(model, config)
+            _assert_same_maximizers(cached, GenericView(cached))
+            assert cached._single_reaches is not None
+            with monkeypatch.context() as m:
+                m.setattr(estimators, "_EXPLICIT_CACHE_BYTES", 0)
+                uncached = im.build_oracle(model, config)
+                _assert_same_maximizers(uncached, cached)
+                _assert_same_maximizers(uncached, GenericView(uncached))
+                assert uncached._single_reaches is None
+
+
+def test_query_many_matches_query():
+    model = im.families.gen_random_ic(8, 14, weight_range=(0.5, 3.0), seed=3)
+    oracle = im.build_oracle(model, im.OracleConfig(5, 23, 2, 9))
+    for size in (1, 2, 3):
+        sets = list(combinations(range(8), size))
+        expected = np.array([oracle.query(seeds) for seeds in sets])
+        assert oracle.query_many(sets).tobytes() == expected.tobytes()
+        assert oracle.query_many(iter(sets)).tobytes() == expected.tobytes()
+    # members in any order, repeated or not, give the set's value
+    for seeds in [(2, 0), (0, 2, 2)]:
+        assert oracle.query_many([seeds]).tolist() == [oracle.query((0, 2))]
+    assert oracle.query_many([]).shape == (0,)
+    for bad in ([(-1,)], [(8,)], [()], [(0,), (1, 2)], [(0.5,)]):
+        with pytest.raises(ValueError):
+            oracle.query_many(bad)
