@@ -33,7 +33,7 @@ from .graph import as_seed_tuple
 from .maximize import (adaptive_maximize, brute_force_fits, brute_force_max, greedy_max,
                        im_oracle_config, maximize_im)  # noqa: F401
 from .models import load_model, sample_pool, save_model, reach_values_batch
-from .sketches import NodeSketch, SketchSet, build_sketches, sketch_query
+from .sketches import MIN_SKETCH_SIZE, NodeSketch, SketchSet, build_sketches, sketch_query
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -278,13 +278,28 @@ def _cmd_sketch_build(args):
 
 def _cmd_sketch_query(args):
     doc = json.loads(Path(args.sketches).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("sketch file must hold a JSON object")
+    for key, low in (("k", MIN_SKETCH_SIZE), ("ell", 1)):
+        if not (type(doc[key]) is int and doc[key] >= low):
+            raise ValueError(f"sketch file: {key} must be an integer of at least {low}, "
+                             f"got {doc[key]!r}")
     weights = np.asarray(doc["node_weights"], dtype=np.float64)
+    entries = doc["sketches"]
+    if not (isinstance(entries, list) and weights.shape == (len(entries),)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise ValueError("sketch file: sketches must hold one object per node weight")
     sketches = tuple(
         NodeSketch(doc["k"], np.asarray(entry["ranks"], dtype=np.float64),
                    np.asarray(entry["pair_nodes"], dtype=np.int64),
                    np.asarray(entry["pair_sims"], dtype=np.int64),
                    node=entry["node"])
-        for entry in doc["sketches"])
+        for entry in entries)
+    for sk in sketches:
+        if not (sk.ranks.ndim == 1 and sk.pair_nodes.shape == sk.pair_sims.shape == (sk.size,)
+                and np.all((sk.pair_nodes >= 0) & (sk.pair_nodes < len(entries))
+                           & (sk.pair_sims >= 0) & (sk.pair_sims < doc["ell"]))):
+            raise ValueError("sketch file: a sketch's pairs are misshapen or out of range")
     sketch_set = SketchSet(doc["k"], doc["tau"], doc["ell"], doc["rank_seed"],
                            weights, sketches)
     seeds = as_seed_tuple(weights.shape[0], _parse_seeds(args.seeds))

@@ -29,8 +29,9 @@ import numpy as np
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
 from .models import (DiffusionModel, _block_uniforms, _sample_live_block,
-                     ic_model, pack_rows, reach_mask_batch, reverse_reach_set,
-                     sample_pool, start_mask, unpack_rows)
+                     ic_model, pack_rows, reach_mask_batch, reach_table,
+                     reverse_reach_set, sample_pool, set_reaches, start_mask,
+                     unpack_rows)
 from .models import Graph
 from . import rng
 
@@ -38,9 +39,7 @@ POOL_SIZE_FACTOR = 4
 POOL_COUNT_FACTOR = 28
 TOTAL_SAMPLE_FACTOR = POOL_SIZE_FACTOR * POOL_COUNT_FACTOR  # 112
 
-# query_many keeps all single-source reaches while they fit here, and
-# reduces as many sets per call as fit their masks and counts here.
-_EXPLICIT_CACHE_BYTES = 1 << 27
+# query_many reduces as many sets per call as fit their masks and counts here.
 _SCORE_BLOCK_BYTES = 1 << 20
 
 AVERAGING = "averaging"
@@ -119,36 +118,22 @@ class Oracle:
 
     @cached_property
     def _single_reaches(self) -> np.ndarray | None:
-        """``(n, words, n)`` reach masks of every single node, in id order,
-        or ``None`` when they would exceed ``_EXPLICIT_CACHE_BYTES``."""
-        g, words, n = self.model.graph, self._live.shape[0], self.num_nodes
-        if n * words * 8 * n > _EXPLICIT_CACHE_BYTES:
-            return None
-        singles = np.empty((n, words, n), dtype=np.uint64)
-        for u in range(n):
-            singles[u] = reach_mask_batch(g, self._live, (u,), self.config.tau)
-        return singles
+        """The :func:`reach_table` of this oracle's simulations."""
+        return reach_table(self.model.graph, self._live, self.config.tau)
 
     def query_many(self, seed_sets) -> np.ndarray:
         """:meth:`query` of each of ``seed_sets`` (equal-size tuples of ids),
-        bit for bit, read a block at a time.  A set's mask is the OR of its
-        members' cached single-source reaches, or its own propagation when
-        the cache would not fit; a block goes through one
-        :func:`mask_pool_averages` call, each row reduced on its own."""
+        bit for bit, read a block at a time.  A block's masks come from
+        :func:`set_reaches` over the cached single-source reaches and go
+        through one :func:`mask_pool_averages` call, each row reduced on its
+        own."""
         g, cfg = self.model.graph, self.config
         n, words = g.num_nodes, self._live.shape[0]
         block = max(1, _SCORE_BLOCK_BYTES // ((words + cfg.pools + 1) * max(n, 1) * 8))
         seed_sets, values = iter(seed_sets), [np.empty(0)]
         while sets := list(islice(seed_sets, block)):
-            ids = _id_block(sets, n)
-            singles = self._single_reaches
-            if singles is None:
-                masks = np.stack([reach_mask_batch(g, self._live, row, cfg.tau)
-                                  for row in ids])
-            else:
-                masks = singles[ids[:, 0]]
-                for j in range(1, ids.shape[1]):
-                    masks |= singles[ids[:, j]]
+            masks = set_reaches(g, self._live, cfg.tau, _id_block(sets, n),
+                                self._single_reaches)
             values.append(np.median(mask_pool_averages(masks, g.node_weights, cfg.pools,
                                                        cfg.pool_size), axis=-1))
         return np.concatenate(values)

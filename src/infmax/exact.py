@@ -10,16 +10,16 @@ outcomes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
+from .estimators import _SCORE_BLOCK_BYTES
 from .graph import Graph, as_seed_tuple
 from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, propagation_steps,
-                     reach_mask_batch, unpack_rows)
+                     reach_table, set_reaches, unpack_rows)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
@@ -177,19 +177,15 @@ def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
 
 
 def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
-                      tau: int, seed_sets) -> np.ndarray:
-    """``probs``-weighted reach value of each of ``seed_sets`` over one chunk:
-    a set's reach is the union of its members' single-source reaches, each
-    propagated once per chunk however many sets it belongs to."""
-    last_use = {v: i for i, members in enumerate(seed_sets) for v in members}
-    reach, values = {}, []
-    for i, members in enumerate(seed_sets):
-        reach.update((v, reach_mask_batch(g, words, (v,), tau)) for v in members if v not in reach)
-        # Drop each reach after its last use, so n singles hold one at a time.
-        mask = functools.reduce(np.bitwise_or, [reach.pop(v) if last_use[v] == i else reach[v]
-                                                for v in members])
-        values.append(probs @ (unpack_rows(mask, rows) @ g.node_weights))
-    return np.array(values)
+                      tau: int, ids: np.ndarray) -> np.ndarray:
+    """``probs``-weighted reach value over one chunk of each seed set in the
+    rows of ``ids``, from the chunk's :func:`reach_table`, whose unions are
+    formed a ``_SCORE_BLOCK_BYTES`` block of sets at a time."""
+    table = reach_table(g, words, tau)
+    block = max(1, _SCORE_BLOCK_BYTES // (words.shape[0] * max(g.num_nodes, 1) * 8))
+    return np.array([probs @ (unpack_rows(mask, rows) @ g.node_weights)
+                     for lo in range(0, len(ids), block)
+                     for mask in set_reaches(g, words, tau, ids[lo:lo + block], table)])
 
 
 def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
@@ -202,10 +198,14 @@ def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
     chunks = _outcome_chunks(model)
-    seed_sets = [as_seed_tuple(g.num_nodes, seeds) for seeds in seed_sets]
-    totals = np.zeros(len(seed_sets), dtype=np.float64)
+    sets = [as_seed_tuple(g.num_nodes, seeds) for seeds in seed_sets]
+    # Pad each set to the largest size by repeating its first member; OR is
+    # idempotent, so the padding leaves every reach unchanged.
+    k = max(map(len, sets), default=1)
+    ids = np.array([s + s[:1] * (k - len(s)) for s in sets], dtype=np.int64).reshape(-1, k)
+    totals = np.zeros(len(ids), dtype=np.float64)
     for words, rows, probs in chunks:
-        totals += _chunk_set_values(g, words, rows, probs, tau, seed_sets)
+        totals += _chunk_set_values(g, words, rows, probs, tau, ids)
     return totals
 
 
@@ -217,12 +217,11 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
     tau = int(tau)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
-    singles = [(v,) for v in range(g.num_nodes)] if compute_opt1 else []
     size = 0
     influence = 0.0
     second = 0.0
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
-    single_totals = np.zeros(len(singles), dtype=np.float64)
+    single_totals = np.zeros(g.num_nodes, dtype=np.float64)
     for words, rows, probs in _outcome_chunks(model):
         size += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
@@ -230,7 +229,9 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
         values = unpack_rows(active, rows) @ g.node_weights
         influence += float(probs @ values)
         second += float(probs @ (values * values))
-        single_totals += _chunk_set_values(g, words, rows, probs, tau, singles)
+        if compute_opt1:
+            single_totals += _chunk_set_values(g, words, rows, probs, tau,
+                                               np.arange(g.num_nodes)[:, None])
     variance = max(second - influence * influence, 0.0)
     opt1 = float(single_totals.max()) if compute_opt1 else float("nan")
     step_probs.setflags(write=False)

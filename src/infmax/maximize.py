@@ -223,7 +223,7 @@ def adaptive_maximize(model: DiffusionModel, s: int, tau: int, epsilon: float,
                                     validated, accepted))
         if accepted:
             return MaximizerResult(candidate.seeds, validated, opt_used,
-                                   "adaptive-" + base, candidate.trace,
+                                   "adaptive-" + candidate.method, candidate.trace,
                                    validation_simulations=val_used,
                                    rounds=tuple(rounds))
     raise AssertionError("unreachable: final round always accepts")

@@ -497,6 +497,58 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int,
     return active
 
 
+# One block of tiled sources holds at most this many words x max(edges, nodes).
+_BLOCK_CELLS = 1 << 14
+# reach_table keeps every node's single-source reach while it fits here.
+_EXPLICIT_CACHE_BYTES = 1 << 27
+
+
+def source_reaches(graph: Graph, live: np.ndarray, tau: int):
+    """Yield the ``(b, words, n)`` :func:`reach_mask_batch` masks of single
+    sources ``0 .. n-1``, ``b`` consecutive sources at a time.  A block is
+    one propagation over ``live`` tiled ``b`` times, each source set in all
+    of its own rows."""
+    n, width = graph.num_nodes, live.shape[0]
+    block = max(1, _BLOCK_CELLS // (width * max(graph.num_edges, n, 1)))
+    for lo in range(0, n, block):
+        b = min(block, n - lo)
+        if b == 1:
+            yield reach_mask_batch(graph, live, (lo,), tau)[None]
+            continue
+        start = np.zeros((b, width, n), dtype=np.uint64)
+        start[np.arange(b), :, np.arange(lo, lo + b)] = ~np.uint64(0)
+        reach = reach_mask_batch(graph, np.tile(live, (b, 1)), start.reshape(-1, n), tau)
+        yield reach.reshape(b, width, n)
+
+
+def reach_table(graph: Graph, live: np.ndarray, tau: int) -> np.ndarray | None:
+    """``(n, words, n)`` :func:`source_reaches` of every node, or ``None``
+    when they would exceed ``_EXPLICIT_CACHE_BYTES``."""
+    n = graph.num_nodes
+    if n * live.shape[0] * n * 8 > _EXPLICIT_CACHE_BYTES:
+        return None
+    table = np.empty((n, live.shape[0], n), dtype=np.uint64)
+    lo = 0
+    for reach in source_reaches(graph, live, tau):
+        table[lo:lo + len(reach)] = reach
+        lo += len(reach)
+    return table
+
+
+def set_reaches(graph: Graph, live: np.ndarray, tau: int, ids: np.ndarray,
+                table: np.ndarray | None) -> np.ndarray:
+    """:func:`reach_mask_batch` of each seed set in the rows of the ``(C, k)``
+    node ids, as ``(C, words, n)`` masks.  Reachability is a coverage
+    function, so a set's mask is the OR of its members' ``table`` rows;
+    without a table each set propagates on its own."""
+    if table is None:
+        return np.stack([reach_mask_batch(graph, live, row, tau) for row in ids])
+    masks = table[ids[:, 0]]
+    for j in range(1, ids.shape[1]):
+        masks |= table[ids[:, j]]
+    return masks
+
+
 def reach_values_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
     """Per-simulation reach values of a ``(rows, m)`` boolean live matrix."""
     mask = reach_mask_batch(graph, pack_rows(live), seeds, tau)

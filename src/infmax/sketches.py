@@ -20,16 +20,13 @@ import numpy as np
 from .graph import as_seed_tuple
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, pack_rows, reach_mask_batch,
-                     reverse_reach_set, sample_pool)
+from .models import (DiffusionModel, pack_rows, reverse_reach_set, sample_pool,
+                     source_reaches)
 from .estimators import OracleConfig, count_pool_averages
 from . import rng
 
 MIN_SKETCH_SIZE = 3
 _POOL_RANK_PURPOSE = 0x6B
-# Upper bound on words x max(edges, nodes) of one block of tiled sources,
-# which bounds every packed array the build propagates at once.
-_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +70,8 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     the first ``k`` pairs ``(u, i)``, in increasing ``(rank, node, sim)``
     order and with finite rank, such that ``u`` is reachable from ``v``
     within ``tau`` steps of simulation ``i``.  The reachable pairs come from
-    forward propagations on the packed kernel, one row per ``(source,
-    simulation)``: the pool is packed once and tiled for a block of
-    sources, each source padded to whole words, with the source set in its
-    own rows only.
+    the pool's single-source reaches, packed once and propagated a block of
+    sources at a time (:func:`source_reaches`).
     """
     if k < MIN_SKETCH_SIZE:
         raise ValueError(f"sketch size must be at least {MIN_SKETCH_SIZE}")
@@ -100,23 +95,12 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     # (width, n) reach words.
     cells = (sims_o >> 6) * n + nodes_o
     bits = np.left_shift(np.uint64(1), (sims_o & 63).astype(np.uint64))
-    words = pack_rows(live)
-    width = words.shape[0]
-    block = max(1, _BLOCK_CELLS // (width * max(m, n, 1)))
     sketches = []
-    for lo in range(0, n, block):
-        sources = np.arange(lo, min(lo + block, n))
-        # Each source is set in all of its rows; its padding rows have no
-        # live edges and are never read.
-        start = np.zeros((sources.size, width, n), dtype=np.uint64)
-        start[np.arange(sources.size), :, sources] = ~np.uint64(0)
-        tiled = np.tile(words, (sources.size, 1))
-        reach = reach_mask_batch(g, tiled, start.reshape(-1, n), tau)
-        reach = reach.reshape(sources.size, width * n)
-        for b, v in enumerate(sources):
-            first = (reach[b, cells] & bits).nonzero()[0][:k]
+    for reach in source_reaches(g, pack_rows(live), tau):
+        for mask in reach.reshape(reach.shape[0], -1):
+            first = (mask[cells] & bits).nonzero()[0][:k]
             sketches.append(NodeSketch(k, ranks_o[first], nodes_o[first], sims_o[first],
-                                       node=int(v)))
+                                       node=len(sketches)))
     return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, tuple(sketches))
 
 

@@ -1,12 +1,11 @@
 import math
-import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 import infmax as im
-from infmax import exact
+from infmax import exact, models
 
 
 def test_dependent_star_influence_and_variance():
@@ -460,20 +459,21 @@ def test_unit_tables_built_once_per_component(monkeypatch):
     assert [id(part) for part in calls] == [id(part) for part in model.components]
 
 
-def test_single_reaches_are_released_after_last_use(monkeypatch):
-    # opt1 needs n single reaches per chunk; each is dropped once no later
-    # set uses it, so at most the previous one is still alive at any call.
-    model = CHUNK_MODELS["lt"]()
-    made = []
-    reach = exact.reach_mask_batch
+def test_exact_values_without_reach_table_are_unchanged(monkeypatch):
+    # With no room for the reach table, every set propagates on its own.
+    monkeypatch.setattr(exact, "_CHUNK", 64)
 
-    def tracked_reach(*args):
-        alive = sum(ref() is not None for ref in made)
-        assert alive <= 1, f"{alive} earlier reaches still held"
-        mask = reach(*args)
-        made.append(weakref.ref(mask))
-        return mask
+    def values(model, tau, sets):
+        report = im.exact_report(model, (0, 2), tau)
+        return (im.exact_values(model, tau, sets).tobytes(),
+                im.ExactInfluence(model, tau).query_many(sets).tobytes(),
+                report.influence, report.variance, report.opt1, report.step_probs.tobytes())
 
-    monkeypatch.setattr(exact, "reach_mask_batch", tracked_reach)
-    exact.exact_report(model, (0,), 2)
-    assert len(made) == model.num_nodes
+    for kind, make in sorted(CHUNK_MODELS.items()):
+        model = make()
+        sets = VALUE_SETS + [(v,) for v in range(model.num_nodes)]
+        for tau in range(4):
+            with_table = values(model, tau, sets)
+            with monkeypatch.context() as m:
+                m.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
+                assert values(model, tau, sets) == with_table, (kind, tau)

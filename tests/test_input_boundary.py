@@ -1,4 +1,5 @@
-"""Fuzz tests of the file boundary: edge-list text and model documents.
+"""Fuzz tests of the file boundary: edge-list text and model documents,
+and malformed sketch files.
 
 Every input either loads or raises one of the exceptions that ``cli.main``
 maps to exit code 2.
@@ -8,9 +9,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import infmax as im
+from infmax import cli
 from infmax.graph import parse_edge_list
 
 INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError)
@@ -92,3 +95,48 @@ def test_model_document_loads_or_raises_input_error(doc):
         except INPUT_ERRORS:
             return
         assert isinstance(model, im.DiffusionModel)
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+def _first_sketch(key, value):
+    def edit(doc):
+        doc["sketches"][0][key] = value
+        return doc
+    return edit
+
+
+SKETCH_EDITS = {
+    "k-not-int": _set("k", "x"),
+    "k-bool": _set("k", True),
+    "k-below-minimum": _set("k", 1),
+    "ell-zero": _set("ell", 0),
+    "top-level-list": lambda doc: [doc],
+    "sketches-not-list": _set("sketches", {}),
+    "sketch-missing": lambda doc: {**doc, "sketches": doc["sketches"][1:]},
+    "pair-node-out-of-range": _first_sketch("pair_nodes", [99]),
+    "pair-sim-out-of-range": _first_sketch("pair_sims", [-1]),
+    "ranks-length": _first_sketch("ranks", []),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SKETCH_EDITS))
+def test_malformed_sketch_file_exits_2(edit, tmp_path):
+    model = tmp_path / "star.model"
+    im.save_model(im.families.gen_star(4, dependent=False), model)
+    built = tmp_path / "sk.json"
+    assert cli.main(["--out", str(tmp_path / "b.json"), "sketch-build", "--model", str(model),
+                     "--tau", "2", "--pool-size", "5", "--k", "4",
+                     "--sketch-out", str(built)]) == 0
+    query = ["--out", str(tmp_path / "q.json"), "sketch-query", "--sketches", str(built),
+             "--seeds", "0"]
+    assert cli.main(query) == 0
+    doc = json.loads(built.read_text())
+    assert doc["sketches"][0]["pair_nodes"]
+    built.write_text(json.dumps(SKETCH_EDITS[edit](doc)))
+    assert cli.main(query) == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import infmax as im
-from infmax import estimators
+from infmax import estimators, maximize, models
 
 
 def max_cover_model():
@@ -174,6 +174,18 @@ def test_adaptive_accepts_deterministic_model_at_first_round():
     assert result.validation_simulations > 0
 
 
+def test_adaptive_brute_names_its_greedy_fallback(monkeypatch):
+    # Over the subset budget, base="brute" runs greedy and says so.
+    model = max_cover_model()
+    monkeypatch.setattr(maximize, "BRUTE_FORCE_BUDGET", 5)
+    result = im.adaptive_maximize(model, 2, 1, 0.1, 0.1, base="brute", master_seed=1)
+    assert result.method == "adaptive-greedy"
+    assert len(result.trace) == 2
+    monkeypatch.undo()
+    result = im.adaptive_maximize(model, 2, 1, 0.1, 0.1, base="brute", master_seed=1)
+    assert (result.method, result.trace) == ("adaptive-brute", ())
+
+
 def test_adaptive_schedule_total_within_twice_worst_case():
     for n0 in (1, 7, 100, 1000):
         for worst in (n0, n0 + 1, 8 * n0 + 3, 1000, 54321):
@@ -284,7 +296,7 @@ def test_uncached_scoring_matches_cached(monkeypatch):
             _assert_same_maximizers(cached, GenericView(cached))
             assert cached._single_reaches is not None
             with monkeypatch.context() as m:
-                m.setattr(estimators, "_EXPLICIT_CACHE_BYTES", 0)
+                m.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
                 uncached = im.build_oracle(model, config)
                 _assert_same_maximizers(uncached, cached)
                 _assert_same_maximizers(uncached, GenericView(uncached))

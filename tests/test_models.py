@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infmax as im
-from infmax import rng
+from infmax import models, rng
 from infmax.models import _SAMPLE_BLOCK, _block_uniforms, _sample_live_block
 
 
@@ -339,6 +339,40 @@ def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
         else:
             ids = im.reach_set(g, im.Simulation(live[i], master, i), (int(targets[i]),), tau)
         assert np.array_equal(np.flatnonzero(unpacked[i]), ids)
+
+
+@pytest.mark.parametrize("per_block", [None, 1, 4])
+def test_source_reaches_and_table_match_single_source_propagation(per_block, monkeypatch):
+    # None keeps the default block rule; 1 and 4 size _BLOCK_CELLS to that
+    # many sources per block, 4 leaving a short last block.
+    for model in (random_model(5, n=9, m=22), im.ic_model(im.Graph.from_edges(5, []))):
+        g, n = model.graph, model.num_nodes
+        # 63 and 130 rows end in a partial word
+        for rows in (1, 63, 64, 130):
+            live, _ = im.sample_pool(model, rows, rows, packed=True)
+            width = live.shape[0]
+            if per_block is not None:
+                monkeypatch.setattr(models, "_BLOCK_CELLS",
+                                    per_block * width * max(g.num_edges, n))
+            for tau in (0, 2, n - 1):
+                expect = np.stack([im.reach_mask_batch(g, live, (u,), tau) for u in range(n)])
+                blocks = list(models.source_reaches(g, live, tau))
+                if per_block is not None:
+                    assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
+                assert np.concatenate(blocks).tobytes() == expect.tobytes()
+                table = models.reach_table(g, live, tau)
+                assert table.tobytes() == expect.tobytes()
+                ids = np.array([[0, 3], [4, 1], [2, 2]])
+                unions = [im.reach_mask_batch(g, live, row, tau) for row in ids]
+                for got in (models.set_reaches(g, live, tau, ids, table),
+                            models.set_reaches(g, live, tau, ids, None)):
+                    assert got.tobytes() == np.stack(unions).tobytes()
+            # the table is kept up to exactly _EXPLICIT_CACHE_BYTES
+            monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8)
+            assert models.reach_table(g, live, 1) is not None
+            monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8 - 1)
+            assert models.reach_table(g, live, 1) is None
+            monkeypatch.undo()
 
 
 def test_negative_step_limit_rejected():

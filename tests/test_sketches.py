@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infmax as im
-import infmax.sketches as sketch_module
-from infmax import rng
+from infmax import models, rng
 from infmax.models import ReachScratch
 from infmax.sketches import NodeSketch, pair_ranks
 
@@ -174,10 +173,10 @@ def rank_order_sketches(model, live_rows, tau, k, rank_seed):
              np.asarray(buf_sims[v], dtype=np.int64)) for v in range(n)]
 
 
-@pytest.mark.parametrize("block_cells", [sketch_module._BLOCK_CELLS, 64])
+@pytest.mark.parametrize("block_cells", [models._BLOCK_CELLS, 64])
 def test_build_sketches_matches_rank_order_searches_bit_for_bit(block_cells, monkeypatch):
     # 64 cells split the sources into blocks of one or two
-    monkeypatch.setattr(sketch_module, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(models, "_BLOCK_CELLS", block_cells)
     unit = im.families.gen_random_ic(9, 22, seed=5)
     g = unit.graph
     # zero weights give infinite ranks, which no sketch may hold
