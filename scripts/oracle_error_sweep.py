@@ -50,7 +50,7 @@ def main() -> int:
     args = parser.parse_args()
 
     model, tau = build_instance(args)
-    report = exact_report(model, (0,), tau, compute_opt1=True)
+    report = exact_report(model, (0,), tau)
     c = c_value(model, tau)
     pools = required_pools(0.1)
     rows = []

@@ -6,7 +6,7 @@ from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, Simulation,
                      sample_simulation, sample_pool, reach_set, reach_value,
                      pack_rows, unpack_rows, propagation_steps, reach_mask_batch,
                      reach_values_batch, start_mask,
-                     reverse_reach_set, reduce_model, load_model, save_model)
+                     reverse_reach_set, load_model, save_model)
 from .exact import (EnumerationBudgetError, ExactReport, VarianceAudit, DepthProfile,
                     ExactInfluence, exact_report, audit_variance_bound, c_value,
                     depth_profile, exact_influence_map, exact_values, outcome_count)

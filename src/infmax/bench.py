@@ -162,7 +162,7 @@ def criterion_tree_variance(master_seed: int = 0, threads: int = 1) -> Criterion
         formula_var = tau_formula * (tau_formula - 1) * (2 * tau_formula - 1) / 12.0
         model = families.gen_tree(depth)
         if depth <= 3:
-            report = exact_report(model, (0,), depth, compute_opt1=False)
+            report = exact_report(model, (0,), depth)
             enum_ok = (abs(report.influence - mean) <= 1e-9
                        and abs(report.variance - var) <= 1e-9)
         else:

@@ -11,7 +11,8 @@ outcomes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -37,15 +38,20 @@ class ExactReport:
     ``step_probs[d, v]`` is the probability that node ``v`` first
     activates at step ``d`` (``d = 0`` marks the seeds themselves).
     ``opt1`` is the largest exact single-node influence at the same
-    step limit.
+    step limit: :func:`opt1` of the report's model, computed on first
+    read and memoized per ``(model, tau)`` for the model's lifetime.
     """
     influence: float
     variance: float
     step_probs: np.ndarray
-    opt1: float
     enumeration_size: int
     tau: int
     seeds: tuple[int, ...]
+    model: DiffusionModel = field(repr=False)
+
+    @property
+    def opt1(self) -> float:
+        return opt1(self.model, self.tau)
 
 
 @dataclass(frozen=True)
@@ -209,8 +215,23 @@ def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
     return totals
 
 
-def exact_report(model: DiffusionModel, seeds, tau: int,
-                 compute_opt1: bool = True) -> ExactReport:
+# Each model's opt1 by step limit; an entry goes when its model does.
+_OPT1_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def opt1(model: DiffusionModel, tau: int) -> float:
+    """Largest exact single-node influence within ``tau`` steps, from one
+    :func:`exact_values` pass over all singles on the first call for
+    ``(model, tau)`` and from the model's memo after that."""
+    tau = int(tau)
+    memo = _OPT1_MEMO.setdefault(model, {})
+    if tau not in memo:
+        singles = [(v,) for v in range(model.num_nodes)]
+        memo[tau] = float(exact_values(model, tau, singles).max())
+    return memo[tau]
+
+
+def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
     """Exact influence, variance, and activation-step profile of ``seeds``."""
     g = model.graph
     seeds = as_seed_tuple(g.num_nodes, seeds)
@@ -221,7 +242,6 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
     influence = 0.0
     second = 0.0
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
-    single_totals = np.zeros(g.num_nodes, dtype=np.float64)
     for words, rows, probs in _outcome_chunks(model):
         size += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
@@ -229,13 +249,9 @@ def exact_report(model: DiffusionModel, seeds, tau: int,
         values = unpack_rows(active, rows) @ g.node_weights
         influence += float(probs @ values)
         second += float(probs @ (values * values))
-        if compute_opt1:
-            single_totals += _chunk_set_values(g, words, rows, probs, tau,
-                                               np.arange(g.num_nodes)[:, None])
     variance = max(second - influence * influence, 0.0)
-    opt1 = float(single_totals.max()) if compute_opt1 else float("nan")
     step_probs.setflags(write=False)
-    return ExactReport(influence, variance, step_probs, opt1, size, tau, seeds)
+    return ExactReport(influence, variance, step_probs, size, tau, seeds, model)
 
 
 def c_value(model: DiffusionModel, tau: int) -> float:
@@ -271,7 +287,7 @@ def depth_profile(model: DiffusionModel, seeds, tau_max: int | None = None) -> D
     """
     if tau_max is None:
         tau_max = model.num_nodes - 1
-    report = exact_report(model, seeds, int(tau_max), compute_opt1=False)
+    report = exact_report(model, seeds, int(tau_max))
     w = model.graph.node_weights
     mass_by_depth = report.step_probs @ w
     influence_by_tau = np.cumsum(mass_by_depth)

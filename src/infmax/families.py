@@ -71,7 +71,7 @@ def gen_polysimu(n: int) -> DiffusionModel:
     edges.append((0, hub, p_hub))
     edges.extend((hub, v, 1.0) for v in range(26, n))
     model = ic_model(Graph.from_edges(n, edges))
-    report = exact.exact_report(model, (0,), 2, compute_opt1=False)
+    report = exact.exact_report(model, (0,), 2)
     if abs(report.influence - 100.0) > 1e-9:
         raise AssertionError("gadget self-check failed: influence != 100")
     if abs(report.variance - 75.0 * (n - 100)) > 1e-6 * report.variance:

@@ -556,35 +556,6 @@ def reach_values_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Model reduction (conditioning on a set being already active)
-
-def reduce_model(model: DiffusionModel, active) -> DiffusionModel:
-    """Restrict an independent-cascade model to the nodes outside ``active``.
-
-    Edges among the kept nodes keep their probabilities; node weights are
-    restricted, so queries on the result measure marginal value.  The kept
-    nodes are relabelled densely and the original ids recorded as labels.
-    """
-    if model.kind != IC:
-        raise ValueError("reduction implemented for IC only")
-    g = model.graph
-    if active:
-        active = as_seed_tuple(g.num_nodes, active)
-    removed = set(active)
-    kept = [v for v in range(g.num_nodes) if v not in removed]
-    remap = {v: i for i, v in enumerate(kept)}
-    edges = []
-    for t, h, p in ((int(g.tails[e]), int(g.heads[e]), float(g.probs[e]))
-                    for e in range(g.num_edges)):
-        if t in remap and h in remap:
-            edges.append((remap[t], remap[h], p))
-    reduced = Graph.from_edges(len(kept), edges,
-                               node_weights=g.node_weights[kept],
-                               labels=tuple(kept))
-    return ic_model(reduced)
-
-
-# ---------------------------------------------------------------------------
 # Model files: a JSON document referencing edge-list graph files.
 
 def save_model(model: DiffusionModel, path) -> None:

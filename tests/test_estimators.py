@@ -176,7 +176,7 @@ def test_check_eps_approx_examples():
 
 def test_averaging_oracle_is_unbiased():
     model = im.families.gen_tree(2)
-    report = im.exact_report(model, (0,), 2, compute_opt1=False)
+    report = im.exact_report(model, (0,), 2)
     rebuilds, pool_size = 500, 20
     total = 0.0
     for i in range(rebuilds):
@@ -194,7 +194,7 @@ def test_averaging_oracle_unbiased_on_mixture():
     tau = im.families.TWO_WORLD_TAU
     oracle = im.build_oracle(model, im.OracleConfig(1, 1000, tau, master_seed=2))
     for v in range(model.num_nodes):
-        report = im.exact_report(model, (v,), tau, compute_opt1=False)
+        report = im.exact_report(model, (v,), tau)
         band = 4.0 * math.sqrt(max(report.variance, 1e-12) / 1000)
         assert abs(oracle.query((v,)) - report.influence) <= band
 
@@ -255,11 +255,11 @@ def test_rrs_two_world_bias():
     model = im.families.gen_two_world_mixture()
     tau = im.families.TWO_WORLD_TAU
     n = model.num_nodes
-    truth = np.array([im.exact_report(model, (v,), tau, compute_opt1=False).influence
+    truth = np.array([im.exact_report(model, (v,), tau).influence
                       for v in range(n)])
     marg_truth = np.array(
-        [im.exact_report(im.marginal_edge_model(model), (v,), tau,
-                         compute_opt1=False).influence for v in range(n)])
+        [im.exact_report(im.marginal_edge_model(model), (v,), tau).influence
+         for v in range(n)])
     full = im.rrs_estimate(model, im.FULL_SIMULATION, 40_000, tau, master_seed=1)
     marg = im.rrs_estimate(model, im.MARGINAL, 40_000, tau, master_seed=1)
     assert int(np.argmax(truth)) == 0
@@ -274,7 +274,7 @@ def test_rrs_marginal_equals_full_on_pure_ic():
     searches = 20_000
     full = im.rrs_estimate(model, im.FULL_SIMULATION, searches, 2, master_seed=5)
     marg = im.rrs_estimate(model, im.MARGINAL, searches, 2, master_seed=6)
-    truth = np.array([im.exact_report(model, (v,), 2, compute_opt1=False).influence
+    truth = np.array([im.exact_report(model, (v,), 2).influence
                       for v in range(8)])
     q = truth / 8.0
     sigma = 8.0 * np.sqrt(q * (1 - q) / searches)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -180,22 +182,22 @@ def test_exact_influence_monotone_and_submodular_exhaustively():
                     assert gain_s >= gain_t - 1e-9
     # monotone in the step limit
     for t in range(0, 5):
-        a = im.exact_report(model, (0,), t, compute_opt1=False).influence
-        b = im.exact_report(model, (0,), t + 1, compute_opt1=False).influence
+        a = im.exact_report(model, (0,), t).influence
+        b = im.exact_report(model, (0,), t + 1).influence
         assert b >= a - 1e-12
 
 
 def test_two_world_exact_influences():
     model = im.families.gen_two_world_mixture()
     expected = [3.0, 2.5, 2.0, 1.5, 1.0, 2.5, 1.0, 1.0, 1.0, 2.0, 1.5, 1.0]
-    got = [im.exact_report(model, (v,), 4, compute_opt1=False).influence
+    got = [im.exact_report(model, (v,), 4).influence
            for v in range(model.num_nodes)]
     assert got == pytest.approx(expected)
 
 
 def test_monte_carlo_consistency_with_exact_moments():
     model = im.families.gen_tree(2)
-    report = im.exact_report(model, (0,), 2, compute_opt1=False)
+    report = im.exact_report(model, (0,), 2)
     trials, sims = 200, 400
     band = 4.0 * math.sqrt(report.variance / sims)
     failures = 0
@@ -211,7 +213,7 @@ def test_exact_influence_map_matches_reports():
     model = im.families.gen_random_ic(7, 11, seed=2)
     table = im.exact_influence_map(model, 2, 2)
     for subset in [(0,), (3,), (0, 4), (2, 6)]:
-        direct = im.exact_report(model, subset, 2, compute_opt1=False).influence
+        direct = im.exact_report(model, subset, 2).influence
         assert table[subset] == pytest.approx(direct, abs=1e-12)
 
 
@@ -382,7 +384,7 @@ def test_exact_values_match_reports(kind, monkeypatch):
     model = CHUNK_MODELS[kind]()
     for tau in range(4):
         got = im.exact_values(model, tau, VALUE_SETS)
-        assert got.tolist() == [im.exact_report(model, s, tau, compute_opt1=False).influence
+        assert got.tolist() == [im.exact_report(model, s, tau).influence
                                 for s in VALUE_SETS]
         report = im.exact_report(model, (0,), tau)
         oracle = im.ExactInfluence(model, tau)
@@ -476,4 +478,63 @@ def test_exact_values_without_reach_table_are_unchanged(monkeypatch):
             with_table = values(model, tau, sets)
             with monkeypatch.context() as m:
                 m.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
-                assert values(model, tau, sets) == with_table, (kind, tau)
+                # A fresh model, so its opt1 is not read from the first
+                # model's memo but computed without the table.
+                assert values(make(), tau, sets) == with_table, (kind, tau)
+
+
+# -- opt1, memoized per model and step limit ----------------------------------
+
+def counting_calls(monkeypatch, name):
+    """Replace ``exact.<name>`` by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    original = getattr(exact, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exact, name, counting)
+    return calls
+
+
+def test_audits_value_the_singles_once_per_step_limit(monkeypatch):
+    model = im.families.gen_random_ic(8, 14, seed=5)
+    n = model.num_nodes
+    expected = float(im.exact_values(model, 2, [(v,) for v in range(n)]).max())
+    passes = counting_calls(monkeypatch, "exact_values")
+    c = im.c_value(model, 2)
+    audits = [im.audit_variance_bound(model, (v,), 2, c) for v in range(n)]
+    audits.append(im.audit_variance_bound(model, (0, 3, 5), 2, c))
+    assert len(passes) == 1
+    assert passes[0][2] == [(v,) for v in range(n)]
+    assert {audit.opt1 for audit in audits} == {expected}
+
+
+def test_report_without_opt1_read_runs_one_enumeration_pass(monkeypatch):
+    model = CHUNK_MODELS["lt-bdep-mixture"]()
+    chunk_passes = counting_calls(monkeypatch, "_outcome_chunks")
+    value_passes = counting_calls(monkeypatch, "exact_values")
+    report = im.exact_report(model, (0, 2), 3)
+    assert len(chunk_passes) == 1 and not value_passes
+    first = report.opt1
+    assert len(chunk_passes) == 2 and len(value_passes) == 1
+    assert im.exact_report(model, (1,), 3).opt1 == first
+    assert len(chunk_passes) == 3 and len(value_passes) == 1
+
+
+def test_opt1_depends_on_the_step_limit():
+    # On the path 0 -> 1 -> 2 -> 3 node 0 reaches tau + 1 nodes.
+    path = im.ic_model(im.Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]))
+    assert [exact.opt1(path, tau) for tau in range(5)] == [1.0, 2.0, 3.0, 4.0, 4.0]
+    assert [im.exact_report(path, (3,), tau).opt1 for tau in (0, 2)] == [1.0, 3.0]
+
+
+def test_opt1_memo_does_not_keep_the_model_alive():
+    model = im.families.gen_tree(2)
+    assert im.exact_report(model, (0,), 2).opt1 == 3.0
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None

@@ -46,11 +46,11 @@ def test_star_family():
 def test_polysimu_documented_construction():
     for n in (1000, 10_000):
         model = im.families.gen_polysimu(n)
-        two_step = im.exact_report(model, (0,), 2, compute_opt1=False)
+        two_step = im.exact_report(model, (0,), 2)
         assert two_step.influence == pytest.approx(100.0, abs=1e-9)
         assert two_step.variance == pytest.approx(75.0 * (n - 100))
         assert 0.5 <= two_step.variance / (100.0 * n) <= 1.5
-        one_step = im.exact_report(model, (0,), 1, compute_opt1=False)
+        one_step = im.exact_report(model, (0,), 1)
         assert one_step.influence == pytest.approx(25.0 + 75.0 / (n - 25))
     with pytest.raises(ValueError):
         im.families.gen_polysimu(101)
@@ -59,10 +59,9 @@ def test_polysimu_documented_construction():
 def test_two_world_flips_the_maximizer():
     model = im.families.gen_two_world_mixture()
     tau = im.families.TWO_WORLD_TAU
-    truth = [im.exact_report(model, (v,), tau, compute_opt1=False).influence
+    truth = [im.exact_report(model, (v,), tau).influence
              for v in range(model.num_nodes)]
-    biased = [im.exact_report(im.marginal_edge_model(model), (v,), tau,
-                              compute_opt1=False).influence
+    biased = [im.exact_report(im.marginal_edge_model(model), (v,), tau).influence
               for v in range(model.num_nodes)]
     assert int(np.argmax(truth)) != int(np.argmax(biased))
 

@@ -416,37 +416,6 @@ def test_per_simulation_coverage_is_submodular():
                     assert gain_s >= gain_t - 1e-12
 
 
-# -- reduction --------------------------------------------------------------
-
-def test_reduce_triangle():
-    tri = im.ic_model(im.Graph.from_edges(3, [(0, 1, 0.3), (0, 2, 0.4), (1, 2, 0.6)]))
-    reduced = im.reduce_model(tri, (0,))
-    assert reduced.num_nodes == 2
-    assert reduced.graph.edge_tuples() == [(0, 1, 0.6)]
-    assert reduced.graph.labels == (1, 2)
-
-
-def test_reduce_by_nothing_is_identity():
-    model = random_model(17)
-    reduced = im.reduce_model(model, ())
-    assert reduced.num_nodes == model.num_nodes
-    assert reduced.graph.edge_tuples() == model.graph.edge_tuples()
-
-
-def test_reduce_by_everything_gives_empty_model():
-    model = path_model()
-    reduced = im.reduce_model(model, (0, 1, 2))
-    assert reduced.num_nodes == 0
-    with pytest.raises(ValueError):
-        im.exact_report(reduced, (0,), 1)
-
-
-def test_reduce_rejects_non_ic():
-    model = im.families.gen_star(4, dependent=True)
-    with pytest.raises(ValueError, match="IC only"):
-        im.reduce_model(model, (0,))
-
-
 # -- model files -------------------------------------------------------------
 
 def test_model_file_round_trip(tmp_path):
