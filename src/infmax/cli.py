@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Every subcommand emits a structured report carrying the command, its
-parameters, the master seed, and library versions, so two runs of the
-same command line are byte-identical.  Exit codes: 0 success, 2 input
-validation error, 3 enumeration budget exceeded.
+parameters, the master seed, and library and stream-layout versions, so
+two runs of the same command line are byte-identical.  Exit codes: 0
+success, 2 input validation error, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, bench, families
+from . import __version__, bench, families, rng
 from .exact import (EnumerationBudgetError, audit_variance_bound, c_value,
                     exact_report, exact_values)
 from .estimators import (AVERAGING, FULL_SIMULATION, MARGINAL, MEDIAN_OF_AVERAGES,
@@ -42,7 +42,7 @@ EXIT_BUDGET = 3
 
 def _versions() -> dict:
     return {"infmax": __version__, "numpy": np.__version__,
-            "python": platform.python_version()}
+            "python": platform.python_version(), "stream_layout": rng.STREAM_LAYOUT}
 
 
 def _jsonify(obj):

@@ -28,11 +28,9 @@ import numpy as np
 
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, _block_uniforms, _sample_live_block,
-                     ic_model, pack_rows, reach_mask_batch, reach_table,
-                     reverse_reach_set, sample_pool, set_reaches, start_mask,
-                     unpack_rows)
-from .models import Graph
+from .models import (DiffusionModel, _sample_live_block, pack_rows, reach_mask_batch,
+                     reach_table, reverse_reach_set, sample_pool, set_reaches,
+                     start_mask, unpack_rows)
 from . import rng
 
 POOL_SIZE_FACTOR = 4
@@ -248,12 +246,9 @@ def marginal_edge_model(model: DiffusionModel) -> DiffusionModel:
 
     This is the model a dependence-ignoring estimator effectively samples;
     its exact influence values are the expectations of the ``marginal``
-    reverse-search estimates.
+    reverse-search estimates.  It is built once per model.
     """
-    g = model.graph
-    return ic_model(Graph(g.num_nodes, g.tails, g.heads, model.marginal_edge_probs,
-                          np.full(g.num_edges, -1, dtype=np.int64),
-                          g.node_weights, g.labels))
+    return model._marginal_edge_model
 
 
 _RRS_CHUNK = 8192
@@ -261,14 +256,14 @@ _RRS_CHUNK = 8192
 
 def _rrs_live_words(model: DiffusionModel, mode: str, master_seed: int, lo: int,
                     count: int) -> np.ndarray:
-    """Packed live rows of searches ``lo .. lo+count-1``; the uniforms behind
-    them are freed on return."""
+    """Packed live rows of searches ``lo .. lo+count-1``: simulations of the
+    model, or in ``marginal`` mode of its :func:`marginal_edge_model` on the
+    marginal-flip stream.  The uniforms behind them are freed on return."""
     if mode == FULL_SIMULATION:
         live, _ = _sample_live_block(model, master_seed, lo, count)
     else:
-        flips = _block_uniforms(master_seed, rng.STREAM_RRS_EDGES, lo, count,
-                                model.graph.num_edges)
-        live = flips < model.marginal_edge_probs
+        live, _ = _sample_live_block(marginal_edge_model(model), master_seed, lo, count,
+                                     rng.STREAM_RRS_EDGES)
     return pack_rows(live)
 
 
@@ -298,7 +293,7 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     acc = np.zeros(n, dtype=np.float64)
     for lo in range(0, num_searches, _RRS_CHUNK):
         count = min(_RRS_CHUNK, num_searches - lo)
-        u = _block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
+        u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
         targets = np.minimum((u * n).astype(np.int64), n - 1)
         words = _rrs_live_words(model, mode, master_seed, lo, count)
         mask = reach_mask_batch(g, words, start_mask(n, targets), tau, reverse=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import _SCORE_BLOCK_BYTES
 from .graph import Graph, as_seed_tuple
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, propagation_steps,
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _units, propagation_steps,
                      reach_table, set_reaches, unpack_rows)
 
 MAX_OUTCOME_BITS = 25
@@ -69,63 +69,6 @@ class DepthProfile:
     """Influence-weighted mean activation depth plus the influence curve."""
     mean_depth: float
     influence_by_tau: np.ndarray
-
-
-def _units(model: DiffusionModel):
-    """Enumeration table of a non-mixture model: its random units, the
-    probability of each unit's choices, and the choice that makes each edge
-    live.
-
-    Returns ``(radices, choice_probs, edge_choice)``.  Unit ``j`` takes one
-    of ``radices[j]`` choices; its choice probabilities are the next
-    ``radices[j]`` entries of ``choice_probs``, after those of units
-    ``0 .. j-1``.  Edge ``e`` is live exactly when its unit takes the choice
-    at flat index ``edge_choice[e]``; the two indices past the last choice
-    mark edges that are never live (p = 0) and always live (p = 1).
-
-    * IC: a unit ``[1 - p, p]`` per edge with ``0 < p < 1``, by edge id.
-    * BDEP: such a unit per random group (group-id order), then per random
-      loose edge (edge-id order).
-    * LT: a unit per node with in-edges, choosing one of them by weight (in
-      ``in_edges`` order) or none with the leftover mass
-      ``max(0, 1 - p_in.sum())``.  Zero-weight in-edges are choices too.
-    """
-    g = model.graph
-    p = g.probs
-    if model.kind == LT:
-        order, starts = g._in_order, g._in_start
-        indeg = np.diff(starts)
-        nodes = np.flatnonzero(indeg)
-        radices = indeg[nodes] + 1
-        first = np.cumsum(radices) - radices
-        unit = np.searchsorted(nodes, g.heads[order])
-        flat = first[unit] + np.arange(order.size) - starts[g.heads[order]]
-        choice_probs = np.empty(int(radices.sum()), dtype=np.float64)
-        choice_probs[flat] = p[order]
-        edge_choice = np.empty(g.num_edges, dtype=np.int64)
-        edge_choice[order] = flat
-        # Per-row sums over the contiguous last axis add exactly as
-        # p_in.sum() does on each node's own slice; np.add.reduceat does not.
-        for d in np.unique(indeg[nodes]).tolist():
-            at = np.flatnonzero(radices == d + 1)
-            p_in = p[order[starts[nodes[at]][:, None] + np.arange(d)]]
-            choice_probs[first[at] + d] = np.maximum(0.0, 1.0 - p_in.sum(axis=1))
-        return radices, choice_probs, edge_choice
-    if model.kind == IC:
-        unit = np.arange(g.num_edges)
-    elif model.kind == BDEP:
-        unit = model._plan[0]
-    else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    unit_p = np.zeros(int(unit.max(initial=-1)) + 1, dtype=np.float64)
-    unit_p[unit] = p
-    random = (unit_p > 0.0) & (unit_p < 1.0)
-    q = unit_p[random]
-    rank = np.cumsum(random) - 1
-    edge_choice = np.where(random[unit], 2 * rank[unit] + 1,
-                           np.where(p >= 1.0, 2 * q.size + 1, 2 * q.size))
-    return (np.full(q.size, 2, dtype=np.int64), np.column_stack([1.0 - q, q]).ravel(),
-            edge_choice)
 
 
 def outcome_count(model: DiffusionModel) -> int:

@@ -13,9 +13,15 @@ Four model kinds share one live-edge representation:
 
 A :class:`Simulation` is one i.i.d. draw: a boolean live mask over the
 model's edge list plus the ``(master_seed, sim_index)`` that produced it.
-Every draw is vectorized over rows and edges, and :func:`sample_pool`
-fills a pool in 64-aligned blocks of rows that its workers draw and pack
-straight into ``uint64`` words, so a pool is held packed from the start.
+Sampling follows stream layout 2 (see :mod:`infmax.rng`): simulation
+``sim_index`` is row ``sim_index`` of a PCG64 block stream, one uniform
+per random unit of the model's :func:`_units` table, the same table exact
+enumeration walks.  Edges at p = 0 or 1 read no draw, and a mixture draws
+its component plus one block as wide as its widest component.  So any
+one simulation is regenerated in isolation as a block of one row.  Every
+draw is vectorized over rows and units, and :func:`sample_pool` fills a
+pool in 64-aligned blocks of rows that its workers draw and pack straight
+into ``uint64`` words, so a pool is held packed from the start.
 Reachability within ``tau`` steps of one simulation is a scalar BFS over
 its live edges (:func:`reach_set`, :func:`reverse_reach_set`), kept as the
 reference.  Stacks of simulations propagate bit-parallel: they are packed
@@ -84,8 +90,19 @@ class DiffusionModel:
         return float(self.component_weights.min())
 
     @cached_property
-    def _plan(self):
-        return _sampling_plan(self)
+    def _unit_table(self):
+        return _build_units(self)
+
+    @cached_property
+    def _draw_plan(self):
+        return _build_draw_plan(self)
+
+    @cached_property
+    def _marginal_edge_model(self) -> "DiffusionModel":
+        g = self.graph
+        return ic_model(Graph(g.num_nodes, g.tails, g.heads, self.marginal_edge_probs,
+                              np.full(g.num_edges, -1, dtype=np.int64),
+                              g.node_weights, g.labels))
 
     @cached_property
     def marginal_edge_probs(self) -> np.ndarray:
@@ -178,35 +195,133 @@ def mixture_model(components) -> DiffusionModel:
 
 
 # ---------------------------------------------------------------------------
-# Sampling
+# Random units
 #
-# Each simulation owns a fixed-width block of a single keyed counter
-# stream: the draw for (master_seed, sim_index, unit j) sits at stream
-# word sim_index * stride + j, where stride rounds the model's unit count
-# up to the generator's 4-word counter block.  A range of simulations is
-# drawn in one vectorized call after an O(1) counter advance to its first
-# block; a single simulation is a range of one.
+# One table of a model's random units serves exact enumeration, which walks
+# every choice of every unit, and sampling, which draws one uniform per
+# unit and simulation.
 
-def _stride(width: int) -> int:
-    return ((width + 3) // 4) * 4
+def _units(model: DiffusionModel):
+    """Random-unit table of a non-mixture model: its random units, the
+    probability of each unit's choices, and the choice that makes each edge
+    live.  Built on first use and cached on the model.
+
+    Returns ``(radices, choice_probs, edge_choice)``.  Unit ``j`` takes one
+    of ``radices[j]`` choices; its choice probabilities are the next
+    ``radices[j]`` entries of ``choice_probs``, after those of units
+    ``0 .. j-1``.  Edge ``e`` is live exactly when its unit takes the choice
+    at flat index ``edge_choice[e]``; the two indices past the last choice
+    mark edges that are never live (p = 0) and always live (p = 1).
+
+    * IC: a unit ``[1 - p, p]`` per edge with ``0 < p < 1``, by edge id.
+    * BDEP: such a unit per random group (group-id order), then per random
+      loose edge (edge-id order).
+    * LT: a unit per node with in-edges, choosing one of them by weight (in
+      ``in_edges`` order) or none with the leftover mass
+      ``max(0, 1 - p_in.sum())``.  Zero-weight in-edges are choices too.
+    """
+    return model._unit_table
 
 
-def _block_uniforms(master_seed: int, stream_id: int, start: int, count: int,
-                    width: int) -> np.ndarray:
-    g = rng.stream(master_seed, stream_id, 0)
-    if width == 0:
-        return np.empty((count, 0), dtype=np.float64)
-    stride = _stride(width)
-    g.bit_generator.advance(int(start) * (stride // 4))
-    return g.random(int(count) * stride).reshape(int(count), stride)[:, :width]
-
-
-def _sampling_plan(model: DiffusionModel):
+def _build_units(model: DiffusionModel):
     g = model.graph
+    p = g.probs
     if model.kind == LT:
-        # Edge e is live iff lo[e] <= u[head] < hi[e]: [lo, hi) is e's slice of
-        # its head's running in-weight sum, accumulated in in_edges order
-        # exactly as np.cumsum would.  Zero-weight edges get empty slices.
+        order, starts = g._in_order, g._in_start
+        indeg = np.diff(starts)
+        nodes = np.flatnonzero(indeg)
+        radices = indeg[nodes] + 1
+        first = np.cumsum(radices) - radices
+        unit = np.searchsorted(nodes, g.heads[order])
+        flat = first[unit] + np.arange(order.size) - starts[g.heads[order]]
+        choice_probs = np.empty(int(radices.sum()), dtype=np.float64)
+        choice_probs[flat] = p[order]
+        edge_choice = np.empty(g.num_edges, dtype=np.int64)
+        edge_choice[order] = flat
+        # Per-row sums over the contiguous last axis add exactly as
+        # p_in.sum() does on each node's own slice; np.add.reduceat does not.
+        for d in np.unique(indeg[nodes]).tolist():
+            at = np.flatnonzero(radices == d + 1)
+            p_in = p[order[starts[nodes[at]][:, None] + np.arange(d)]]
+            choice_probs[first[at] + d] = np.maximum(0.0, 1.0 - p_in.sum(axis=1))
+        return _frozen(radices, choice_probs, edge_choice)
+    if model.kind == IC:
+        unit = np.arange(g.num_edges)
+    elif model.kind == BDEP:
+        # One unit per group (np.unique order), then one per loose edge (id
+        # order); all members of a group share its probability.
+        grouped = g.groups >= 0
+        gids = np.unique(g.groups[grouped])
+        loose = np.flatnonzero(~grouped)
+        unit = np.empty(g.num_edges, dtype=np.int64)
+        unit[grouped] = np.searchsorted(gids, g.groups[grouped])
+        unit[loose] = gids.size + np.arange(loose.size)
+    else:
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    unit_p = np.zeros(int(unit.max(initial=-1)) + 1, dtype=np.float64)
+    unit_p[unit] = p
+    random = (unit_p > 0.0) & (unit_p < 1.0)
+    q = unit_p[random]
+    rank = np.cumsum(random) - 1
+    edge_choice = np.where(random[unit], 2 * rank[unit] + 1,
+                           np.where(p >= 1.0, 2 * q.size + 1, 2 * q.size))
+    return _frozen(np.full(q.size, 2, dtype=np.int64),
+                   np.column_stack([1.0 - q, q]).ravel(), edge_choice)
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# ---------------------------------------------------------------------------
+# Sampling, stream layout 2
+#
+# A non-mixture model draws one uniform per unit of its :func:`_units`
+# table and simulation, from its kind's block stream (rng.block_stream):
+# row i of the block is simulation i.  Edge e is live iff lo[e] <= u < hi[e]
+# for its unit's uniform u.  A binary unit's live edges take [0, q), the
+# single compare u < q; an LT node's in-edges take consecutive slices of
+# [0, 1) in in_edges order, the leftover mass choosing none.  Edges whose
+# slice is empty or covers [0, 1) are constant columns and read no draw.
+# A mixture draws its component from STREAM_MIXTURE and one shared block
+# of the widest component's width from STREAM_UNITS; each component reads
+# the leading columns of its own rows.
+
+_KIND_STREAM = {IC: rng.STREAM_EDGES, LT: rng.STREAM_NODES, BDEP: rng.STREAM_UNITS}
+
+# Uniforms (or random edges) drawn and compared per step of a block, so a
+# worker's float temporaries stay near 512 kB however wide the model is;
+# whole-block temporaries grow with the edge count and raise peak RSS.
+_DRAW_CELLS = 1 << 16
+
+# The block draw under the name test references import it by.
+_block_uniforms = rng.block_uniforms
+
+
+@dataclass(frozen=True, eq=False)
+class _DrawPlan:
+    """How a non-mixture model turns a ``(rows, width)`` block of uniforms
+    into live edges.  ``edges`` (``None``: all, in id order) are the random
+    edges, live iff ``lo <= u[:, col] < hi`` (``lo`` ``None``: zero); every
+    other edge is ``base``.  With ``col`` ``None`` random edge ``j`` reads
+    unit ``j``; otherwise the block is gathered edge-major, one row per
+    random edge, and ``lo`` and ``hi`` are columns."""
+    width: int
+    base: np.ndarray
+    edges: np.ndarray | None
+    col: np.ndarray | None
+    lo: np.ndarray | None
+    hi: np.ndarray
+
+
+def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
+    g = model.graph
+    radices, choice_probs, edge_choice = _units(model)
+    if model.kind == LT:
+        # [lo, hi) is e's slice of its head's running in-weight sum,
+        # accumulated in in_edges order exactly as np.cumsum would.
         order, starts = g._in_order, g._in_start
         slot = np.arange(order.size) - starts[g.heads[order]]
         ordered = g.probs[order]
@@ -220,55 +335,79 @@ def _sampling_plan(model: DiffusionModel):
         hi[order] = cum
         lo[order[~first]] = cum[np.flatnonzero(~first) - 1]
         lo[order[first]] = 0.0
-        return lo, hi
-    if model.kind == BDEP:
-        # One unit per group (np.unique order), then one per loose edge (id
-        # order); all members of a group share its probability.
-        grouped = g.groups >= 0
-        gids = np.unique(g.groups[grouped])
-        loose = np.flatnonzero(~grouped)
-        unit = np.empty(g.num_edges, dtype=np.int64)
-        unit[grouped] = np.searchsorted(gids, g.groups[grouped])
-        unit[loose] = gids.size + np.arange(loose.size)
-        return unit, gids.size + loose.size
+        unit = np.searchsorted(np.cumsum(radices), edge_choice, side="right")
+        base = (lo <= 0.0) & (hi >= 1.0)
+        edges = np.flatnonzero(~base & (lo < hi))
+        col, lo, hi = unit[edges], lo[edges], hi[edges]
+    else:
+        # A random edge's live choice 2j + 1 has unit j's probability q.
+        base = edge_choice == 2 * radices.size + 1
+        edges = np.flatnonzero(edge_choice < 2 * radices.size)
+        col, lo, hi = edge_choice[edges] // 2, None, choice_probs[edge_choice[edges]]
+    if np.array_equal(col, np.arange(edges.size)):
+        col = None
+    elif lo is not None:
+        lo, hi = lo[:, None], hi[:, None]
+    else:
+        hi = hi[:, None]
+    if edges.size == g.num_edges:
+        edges = None
+    return _DrawPlan(int(radices.size), base, edges, col, lo, hi)
+
+
+def _fill_live(plan: _DrawPlan, u: np.ndarray, out: np.ndarray) -> None:
+    """Write the live edges of a ``(rows, width)`` block of uniforms into
+    the edge-major ``(m, rows)`` ``out``."""
+    by_edge = plan.col is not None
+    at = np.ascontiguousarray(u.T)[plan.col] if by_edge else u
+    hit = at < plan.hi
+    if plan.lo is not None:
+        hit &= at >= plan.lo
+    if not by_edge:
+        hit = hit.T
+    if plan.edges is None:
+        out[:] = hit
+    else:
+        out[:] = plan.base[:, None]
+        out[plan.edges] = hit
+
+
+def _sample_live_block(model: DiffusionModel, master_seed: int, start: int, count: int,
+                       stream_id: int | None = None):
+    """Live masks for ``count`` consecutive simulation indices, as a
+    transposed view of edge-major rows, and their mixture components
+    (``None`` for other kinds).  A non-mixture model draws from its kind's
+    stream unless ``stream_id`` names another.  Rows are drawn and compared
+    ``_DRAW_CELLS`` uniforms or random edges at a time."""
     if model.kind == MIXTURE:
         cum = np.cumsum(model.component_weights)
         cum[-1] = 1.0
-        return cum
-    return None
-
-
-def _sample_live_block(model: DiffusionModel, master_seed: int, start: int, count: int):
-    """Live masks for ``count`` consecutive simulation indices."""
-    g = model.graph
-    if model.kind == IC:
-        u = _block_uniforms(master_seed, rng.STREAM_EDGES, start, count, g.num_edges)
-        return u < g.probs, None
-    if model.kind == LT:
-        lo, hi = model._plan
-        u = _block_uniforms(master_seed, rng.STREAM_NODES, start, count, g.num_nodes)
-        at_head = u[:, g.heads]
-        live = at_head < hi
-        live &= at_head >= lo
-        return live, None
-    if model.kind == BDEP:
-        unit, width = model._plan
-        u = _block_uniforms(master_seed, rng.STREAM_UNITS, start, count, width)
-        return u[:, unit] < g.probs, None
-    if model.kind == MIXTURE:
-        cum = model._plan
-        u = _block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
-        comps = np.searchsorted(cum, u, side="right").astype(np.int64)
-        live = np.zeros((count, g.num_edges), dtype=bool)
-        for c, comp in enumerate(model.components):
-            rows = comps == c
-            if not rows.any():
-                continue
-            sub, _ = _sample_live_block(comp, master_seed, start, count)
-            off = int(model.component_offsets[c])
-            live[rows, off:off + sub.shape[1]] = sub[rows]
-        return live, comps
-    raise ValueError(f"unknown model kind {model.kind!r}")
+        pick = rng.block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
+        comps = np.searchsorted(cum, pick, side="right").astype(np.int64)
+        parts = [(comp._draw_plan, int(off))
+                 for comp, off in zip(model.components, model.component_offsets)]
+        stream_id = rng.STREAM_UNITS
+        live = np.zeros((model.graph.num_edges, count), dtype=bool)
+    else:
+        comps, parts = None, [(model._draw_plan, 0)]
+        stream_id = _KIND_STREAM[model.kind] if stream_id is None else stream_id
+        live = np.empty((model.graph.num_edges, count), dtype=bool)
+    width = max(plan.width for plan, _ in parts)
+    step = max(1, _DRAW_CELLS // max(1, width, *(plan.hi.shape[0] for plan, _ in parts)))
+    draws = rng.block_stream(master_seed, stream_id, start, width)
+    for lo in range(0, count, step):
+        rows = min(step, count - lo)
+        u = draws.random(rows * width).reshape(rows, width)
+        if comps is None:
+            _fill_live(parts[0][0], u, live[:, lo:lo + rows])
+            continue
+        for c, (plan, off) in enumerate(parts):
+            own = np.flatnonzero(comps[lo:lo + rows] == c)
+            if own.size:
+                part = np.empty((plan.base.size, own.size), dtype=bool)
+                _fill_live(plan, u[own, :plan.width], part)
+                live[off:off + plan.base.size, lo + own] = part
+    return live.T, comps
 
 
 def sample_simulation(model: DiffusionModel, master_seed: int, sim_index: int) -> Simulation:
@@ -293,7 +432,8 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
     mixtures and ``None`` otherwise.  Rows are drawn and packed in blocks
     of ``_SAMPLE_BLOCK``, dealt round-robin to ``threads`` workers that
     each write their own word range, so beyond the result only one block
-    per worker is held.  The result is independent of ``threads``.
+    per worker is held, and a block's uniforms ``_DRAW_CELLS`` at a time.
+    The result is independent of ``threads``.
     """
     rng.check_master_seed(master_seed)
     count = int(count)
@@ -395,15 +535,15 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     """Pack a ``(count, k)`` boolean matrix into ``(words, k)`` ``uint64``.
 
     Bit ``r`` of word ``j`` holds row ``64 * j + r``; the padding bits of
-    a partial last word are zero.
+    a partial last word are zero.  Each column is packed from its own
+    contiguous copy, and the words are returned as a transposed view.
     """
     rows = np.asarray(rows, dtype=bool)
     count, k = rows.shape
-    words = -(-count // 64)
-    packed = np.zeros((words * 8, k), dtype=np.uint8)
-    packed[:(count + 7) // 8] = np.packbits(rows, axis=0, bitorder="little")
-    by_word = np.ascontiguousarray(packed.reshape(words, 8, k).transpose(0, 2, 1))
-    return by_word.view("<u8")[..., 0]
+    packed = np.zeros((k, -(-count // 64) * 8), dtype=np.uint8)
+    packed[:, :(count + 7) // 8] = np.packbits(np.ascontiguousarray(rows.T), axis=1,
+                                               bitorder="little")
+    return packed.view("<u8").T
 
 
 def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:

@@ -28,6 +28,13 @@ def test_gen_exact_pipeline(tmp_path, capsys):
     assert "versions" in report and "master_seed" in report
 
 
+def test_reports_carry_stream_layout(tmp_path):
+    out = tmp_path / "gen.json"
+    assert run_cli(["gen", "--family", "tree", "--tau", "2",
+                    "--model-out", str(tmp_path / "t.model"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["versions"]["stream_layout"] == 2
+
+
 def test_estimate_report_schema(tmp_path):
     model_path = tmp_path / "t.model"
     run_cli(["gen", "--family", "tree", "--tau", "2", "--model-out", str(model_path),

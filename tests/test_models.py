@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import models, rng
-from infmax.models import _SAMPLE_BLOCK, _block_uniforms, _sample_live_block
+from infmax.models import _SAMPLE_BLOCK, _sample_live_block
 
 
 def path_model(p=1.0):
@@ -140,40 +140,66 @@ def test_pool_sampling_counts():
         im.sample_pool(model, 9, -1)
 
 
-def reference_live_block(model, master_seed, start, count):
-    """Live rows drawn with per-node and per-group loops over the same
-    uniforms: the sampler's stream layout, written out the long way."""
+REFERENCE_STREAMS = {im.models.IC: rng.STREAM_EDGES, im.models.LT: rng.STREAM_NODES,
+                     im.models.BDEP: rng.STREAM_UNITS}
+
+
+def reference_binary_units(model):
+    """``(edge ids, q)`` of each random unit of an IC or BDEP model, in draw
+    order: groups by group id, then loose edges by edge id, skipping units
+    at p = 0 or 1."""
     g = model.graph
-    live = np.zeros((count, g.num_edges), dtype=bool)
-    comps = None
-    if model.kind == im.models.IC:
-        live[:] = _block_uniforms(master_seed, rng.STREAM_EDGES, start, count,
-                                  g.num_edges) < g.probs
-    elif model.kind == im.models.LT:
-        u = _block_uniforms(master_seed, rng.STREAM_NODES, start, count, g.num_nodes)
-        for v in range(g.num_nodes):
+    units = [np.flatnonzero(g.groups == gid) for gid in np.unique(g.groups[g.groups >= 0])]
+    units += [np.array([e]) for e in np.flatnonzero(g.groups < 0)]
+    return [(edges, g.probs[edges[0]]) for edges in units if 0.0 < g.probs[edges[0]] < 1.0]
+
+
+def reference_width(model):
+    """Uniforms per row: one per LT node with in-edges, one per random unit."""
+    g = model.graph
+    if model.kind == im.models.LT:
+        return int(np.count_nonzero(np.bincount(g.heads, minlength=g.num_nodes)))
+    return len(reference_binary_units(model))
+
+
+def reference_live_rows(model, u):
+    g = model.graph
+    live = np.zeros((u.shape[0], g.num_edges), dtype=bool)
+    if model.kind == im.models.LT:
+        heads = [v for v in range(g.num_nodes) if g.in_edges(v).size]
+        for j, v in enumerate(heads):
             edges = g.in_edges(v)
-            picks = np.searchsorted(np.cumsum(g.probs[edges]), u[:, v], side="right")
+            picks = np.searchsorted(np.cumsum(g.probs[edges]), u[:, j], side="right")
             for slot in range(edges.size):
                 live[picks == slot, edges[slot]] = True
-    elif model.kind == im.models.BDEP:
-        gids = np.unique(g.groups[g.groups >= 0])
-        loose = np.flatnonzero(g.groups < 0)
-        u = _block_uniforms(master_seed, rng.STREAM_UNITS, start, count,
-                            gids.size + loose.size)
-        for j, gid in enumerate(gids):
-            members = np.flatnonzero(g.groups == gid)
-            live[:, members] = (u[:, j] < g.probs[members[0]])[:, None]
-        live[:, loose] = u[:, gids.size:] < g.probs[loose]
-    else:
-        cum = np.cumsum(model.component_weights)
-        cum[-1] = 1.0
-        u = _block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
-        comps = np.searchsorted(cum, u, side="right")
-        for c, comp in enumerate(model.components):
-            sub, _ = reference_live_block(comp, master_seed, start, count)
-            off = int(model.component_offsets[c])
-            live[comps == c, off:off + sub.shape[1]] = sub[comps == c]
+        return live
+    live[:, g.probs >= 1.0] = True
+    for j, (edges, q) in enumerate(reference_binary_units(model)):
+        for e in edges:
+            live[:, e] = u[:, j] < q
+    return live
+
+
+def reference_live_block(model, master_seed, start, count):
+    """Live rows of stream layout 2 written out the long way: per-unit loops
+    over one uniform per random unit, and mixture components reading their
+    own rows of one shared block as wide as the widest component."""
+    if model.kind != im.models.MIXTURE:
+        u = rng.block_uniforms(master_seed, REFERENCE_STREAMS[model.kind], start, count,
+                               reference_width(model))
+        return reference_live_rows(model, u), None
+    cum = np.cumsum(model.component_weights)
+    cum[-1] = 1.0
+    pick = rng.block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
+    comps = np.searchsorted(cum, pick, side="right")
+    shared = rng.block_uniforms(master_seed, rng.STREAM_UNITS, start, count,
+                                max(reference_width(c) for c in model.components))
+    live = np.zeros((count, model.graph.num_edges), dtype=bool)
+    for c, comp in enumerate(model.components):
+        rows = comps == c
+        off = int(model.component_offsets[c])
+        live[rows, off:off + comp.graph.num_edges] = reference_live_rows(
+            comp, shared[rows, :reference_width(comp)])
     return live, comps
 
 
@@ -224,6 +250,76 @@ def test_pool_sampling_matches_reference_loops(kind, count):
                 assert (got is None) == (expect_comps is None)
                 if got is not None:
                     assert np.array_equal(got, expect_comps)
+
+
+@pytest.mark.parametrize("cells", [1, 40])
+def test_draw_steps_match_reference_loops(cells, monkeypatch):
+    # Steps of one row or a few rows give the rows of a single step.
+    monkeypatch.setattr(models, "_DRAW_CELLS", cells)
+    for kind, make in sorted(SAMPLER_MODELS.items()):
+        model = make()
+        expect, expect_comps = reference_live_block(model, 13, 5, 130)
+        live, comps = im.sample_pool(model, 13, 130, 5)
+        assert np.array_equal(live, expect), kind
+        assert (comps is None) == (expect_comps is None)
+        if comps is not None:
+            assert np.array_equal(comps, expect_comps)
+
+
+def test_draw_widths_count_random_units_only(monkeypatch):
+    widths = []
+    stream = rng.block_stream
+
+    def recording(master_seed, stream_id, start, width):
+        widths.append((stream_id, width))
+        return stream(master_seed, stream_id, start, width)
+
+    monkeypatch.setattr(rng, "block_stream", recording)
+    constant_ic = im.ic_model(im.Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)]))
+    constant_bdep = im.bdep_model(im.Graph.from_edges(
+        4, [(0, 1, 1.0, 0), (0, 2, 1.0, 0), (1, 3, 0.0, 1), (2, 3, 0.0)]), b=2)
+    cases = [(constant_ic, [(rng.STREAM_EDGES, 0)]),
+             (constant_bdep, [(rng.STREAM_UNITS, 0)]),
+             (im.families.gen_polysimu(102), [(rng.STREAM_EDGES, 1)]),
+             # LT component: 5 nodes with in-edges; BDEP component: 4 random
+             # units.  The shared block is 5 wide, not 9.
+             (SAMPLER_MODELS["lt-bdep-mixture"](),
+              [(rng.STREAM_MIXTURE, 1), (rng.STREAM_UNITS, 5)])]
+    for model, expect in cases:
+        widths.clear()
+        im.sample_pool(model, 3, 100)
+        assert widths == expect
+
+
+@pytest.mark.parametrize("kind", ["ic", "lt", "bdep", "lt-bdep-mixture"])
+def test_live_shares_match_marginals(kind):
+    model = SAMPLER_MODELS[kind]()
+    rows = 20_000
+    live, _ = im.sample_pool(model, 17, rows)
+    p = model.marginal_edge_probs
+    sigma = np.sqrt(p * (1.0 - p) / rows)
+    assert np.all(np.abs(live.mean(axis=0) - p) <= 5 * sigma)
+
+
+def row_major_pack(rows):
+    """pack_rows as first written: packbits down the rows, then a transpose
+    of the (words, 8, k) bytes."""
+    rows = np.asarray(rows, dtype=bool)
+    count, k = rows.shape
+    words = -(-count // 64)
+    packed = np.zeros((words * 8, k), dtype=np.uint8)
+    packed[:(count + 7) // 8] = np.packbits(rows, axis=0, bitorder="little")
+    by_word = np.ascontiguousarray(packed.reshape(words, 8, k).transpose(0, 2, 1))
+    return by_word.view("<u8")[..., 0]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 63, 64, 65, 1025])
+def test_pack_rows_equals_row_major_formula(count):
+    bits = np.random.default_rng(count).random((2 * count, 13)) < 0.5
+    for rows in (np.ascontiguousarray(bits[:count]), bits[::2, 1::3]):
+        got, expect = im.pack_rows(rows), row_major_pack(rows)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
 
 
 # -- reachability -----------------------------------------------------------

@@ -17,6 +17,29 @@ def test_streams_differ_across_ids_and_indices():
     assert not np.array_equal(base, rng.uniforms(7, rng.STREAM_EDGES, 4, 16))
 
 
+def test_block_rows_are_consecutive_words_of_one_pcg64_stream():
+    whole = rng.block_uniforms(7, rng.STREAM_EDGES, 0, 6, 5)
+    assert whole.shape == (6, 5)
+    assert np.array_equal(rng.block_uniforms(7, rng.STREAM_EDGES, 2, 3, 5), whole[2:5])
+    bits = np.random.PCG64(np.random.SeedSequence(7, spawn_key=(2**64, rng.STREAM_EDGES)))
+    assert np.array_equal(np.random.Generator(bits).random(30), whole.ravel())
+    assert rng.block_uniforms(7, rng.STREAM_EDGES, 4, 2, 0).shape == (2, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        rng.block_uniforms(7, rng.STREAM_EDGES, -1, 2, 5)
+
+
+def test_block_streams_differ_across_ids():
+    base = rng.block_uniforms(7, rng.STREAM_EDGES, 0, 2, 8)
+    assert not np.array_equal(base, rng.block_uniforms(8, rng.STREAM_EDGES, 0, 2, 8))
+    assert not np.array_equal(base, rng.block_uniforms(7, rng.STREAM_NODES, 0, 2, 8))
+
+
+def test_derive_seed_keys_stay_below_block_prefix():
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="keys"):
+            rng.derive_seed(1, 2, bad)
+
+
 def test_derive_seed_is_stable_and_key_sensitive():
     assert rng.derive_seed(1, 2, 3) == rng.derive_seed(1, 2, 3)
     assert rng.derive_seed(1, 2, 3) != rng.derive_seed(1, 2, 4)
