@@ -90,10 +90,6 @@ class DiffusionModel:
         return float(self.component_weights.min())
 
     @cached_property
-    def _unit_table(self):
-        return _build_units(self)
-
-    @cached_property
     def _draw_plan(self):
         return _build_draw_plan(self)
 
@@ -220,10 +216,11 @@ def _units(model: DiffusionModel):
       ``in_edges`` order) or none with the leftover mass
       ``max(0, 1 - p_in.sum())``.  Zero-weight in-edges are choices too.
     """
-    return model._unit_table
-
-
-def _build_units(model: DiffusionModel):
+    # The model is a frozen dataclass, so the table is cached straight in
+    # its __dict__, as functools.cached_property does.
+    table = model.__dict__.get("_units")
+    if table is not None:
+        return table
     g = model.graph
     p = g.probs
     if model.kind == LT:
@@ -244,35 +241,34 @@ def _build_units(model: DiffusionModel):
             at = np.flatnonzero(radices == d + 1)
             p_in = p[order[starts[nodes[at]][:, None] + np.arange(d)]]
             choice_probs[first[at] + d] = np.maximum(0.0, 1.0 - p_in.sum(axis=1))
-        return _frozen(radices, choice_probs, edge_choice)
-    if model.kind == IC:
-        unit = np.arange(g.num_edges)
-    elif model.kind == BDEP:
-        # One unit per group (np.unique order), then one per loose edge (id
-        # order); all members of a group share its probability.
-        grouped = g.groups >= 0
-        gids = np.unique(g.groups[grouped])
-        loose = np.flatnonzero(~grouped)
-        unit = np.empty(g.num_edges, dtype=np.int64)
-        unit[grouped] = np.searchsorted(gids, g.groups[grouped])
-        unit[loose] = gids.size + np.arange(loose.size)
     else:
-        raise ValueError(f"unknown model kind {model.kind!r}")
-    unit_p = np.zeros(int(unit.max(initial=-1)) + 1, dtype=np.float64)
-    unit_p[unit] = p
-    random = (unit_p > 0.0) & (unit_p < 1.0)
-    q = unit_p[random]
-    rank = np.cumsum(random) - 1
-    edge_choice = np.where(random[unit], 2 * rank[unit] + 1,
-                           np.where(p >= 1.0, 2 * q.size + 1, 2 * q.size))
-    return _frozen(np.full(q.size, 2, dtype=np.int64),
-                   np.column_stack([1.0 - q, q]).ravel(), edge_choice)
-
-
-def _frozen(*arrays):
-    for a in arrays:
+        if model.kind == IC:
+            unit = np.arange(g.num_edges)
+        elif model.kind == BDEP:
+            # One unit per group (np.unique order), then one per loose edge
+            # (id order); all members of a group share its probability.
+            grouped = g.groups >= 0
+            gids = np.unique(g.groups[grouped])
+            loose = np.flatnonzero(~grouped)
+            unit = np.empty(g.num_edges, dtype=np.int64)
+            unit[grouped] = np.searchsorted(gids, g.groups[grouped])
+            unit[loose] = gids.size + np.arange(loose.size)
+        else:
+            raise ValueError(f"unknown model kind {model.kind!r}")
+        unit_p = np.zeros(int(unit.max(initial=-1)) + 1, dtype=np.float64)
+        unit_p[unit] = p
+        random = (unit_p > 0.0) & (unit_p < 1.0)
+        q = unit_p[random]
+        rank = np.cumsum(random) - 1
+        edge_choice = np.where(random[unit], 2 * rank[unit] + 1,
+                               np.where(p >= 1.0, 2 * q.size + 1, 2 * q.size))
+        radices = np.full(q.size, 2, dtype=np.int64)
+        choice_probs = np.column_stack([1.0 - q, q]).ravel()
+    table = (radices, choice_probs, edge_choice)
+    for a in table:
         a.setflags(write=False)
-    return arrays
+    model.__dict__["_units"] = table
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +291,6 @@ _KIND_STREAM = {IC: rng.STREAM_EDGES, LT: rng.STREAM_NODES, BDEP: rng.STREAM_UNI
 # worker's float temporaries stay near 512 kB however wide the model is;
 # whole-block temporaries grow with the edge count and raise peak RSS.
 _DRAW_CELLS = 1 << 16
-
-# The block draw under the name test references import it by.
-_block_uniforms = rng.block_uniforms
-
 
 @dataclass(frozen=True, eq=False)
 class _DrawPlan:
@@ -344,7 +336,7 @@ def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
         base = edge_choice == 2 * radices.size + 1
         edges = np.flatnonzero(edge_choice < 2 * radices.size)
         col, lo, hi = edge_choice[edges] // 2, None, choice_probs[edge_choice[edges]]
-    if np.array_equal(col, np.arange(edges.size)):
+    if edges.size == radices.size and np.array_equal(col, np.arange(radices.size)):
         col = None
     elif lo is not None:
         lo, hi = lo[:, None], hi[:, None]

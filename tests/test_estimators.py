@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import infmax as im
 from infmax import rng
 from infmax.estimators import _RRS_CHUNK
-from infmax.models import ReachScratch, _block_uniforms, _sample_live_block
+from infmax.models import ReachScratch, _sample_live_block
 
 
 def deterministic_path():
@@ -299,13 +299,19 @@ def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
     scratch = ReachScratch(n)
     for lo in range(0, num_searches, _RRS_CHUNK):
         count = min(_RRS_CHUNK, num_searches - lo)
-        u = _block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
+        u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
         targets = np.minimum((u * n).astype(np.int64), n - 1)
         if mode == im.FULL_SIMULATION:
             live, _ = _sample_live_block(model, master_seed, lo, count)
         else:
-            live = (_block_uniforms(master_seed, rng.STREAM_RRS_EDGES, lo, count,
-                                    g.num_edges) < model.marginal_edge_probs)
+            # One flip per edge with 0 < p < 1, in edge-id order; edges at
+            # p = 0 or 1 draw nothing.
+            p = model.marginal_edge_probs
+            flips = np.flatnonzero((p > 0.0) & (p < 1.0))
+            u = rng.block_uniforms(master_seed, rng.STREAM_RRS_EDGES, lo, count, flips.size)
+            live = np.zeros((count, g.num_edges), dtype=bool)
+            live[:, p >= 1.0] = True
+            live[:, flips] = u < p[flips]
         for t in range(count):
             reached = im.reverse_reach_set(g, live[t], int(targets[t]), tau, scratch)
             acc[reached] += w[targets[t]]
@@ -322,6 +328,10 @@ def reweighted(model, weights):
 
 RRS_MODELS = {
     "ic": im.families.gen_random_ic(9, 20, seed=7),
+    # Edges at p = 0 and 1 stay constant in marginal mode too.
+    "ic-constant": im.ic_model(im.Graph.from_edges(
+        6, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 0.0), (3, 4, 0.7), (4, 5, 1.0),
+            (5, 0, 0.3), (1, 4, 0.0), (2, 5, 0.6)])),
     "lt": im.lt_model(im.Graph.from_edges(
         6, [(0, 1, 0.6), (2, 1, 0.3), (1, 3, 0.9), (3, 4, 0.5), (0, 4, 0.4),
             (4, 5, 0.7), (5, 0, 0.8), (2, 5, 0.2)])),

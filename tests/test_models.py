@@ -221,9 +221,18 @@ def bdep_edge_cases():
         (5, 1, 0.0)]), b=2)
 
 
+def lt_constant():
+    # Every node with in-edges still draws, though no choice is random.
+    return im.lt_model(im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+
+
 SAMPLER_MODELS = {
     "ic": lambda: im.families.gen_random_ic(12, 30, seed=5),
     "lt": lt_edge_cases,
+    # One random edge, whose unit is not the only unit drawn.
+    "lt-one-random": lambda: im.lt_model(im.Graph.from_edges(
+        3, [(0, 1, 0.5), (1, 2, 1.0)])),
+    "lt-constant": lt_constant,
     "bdep": bdep_edge_cases,
     "two-world": im.families.gen_two_world_mixture,
     "lt-bdep-mixture": lambda: im.mixture_model([(lt_edge_cases(), 0.4),
@@ -280,6 +289,7 @@ def test_draw_widths_count_random_units_only(monkeypatch):
         4, [(0, 1, 1.0, 0), (0, 2, 1.0, 0), (1, 3, 0.0, 1), (2, 3, 0.0)]), b=2)
     cases = [(constant_ic, [(rng.STREAM_EDGES, 0)]),
              (constant_bdep, [(rng.STREAM_UNITS, 0)]),
+             (lt_constant(), [(rng.STREAM_NODES, 2)]),
              (im.families.gen_polysimu(102), [(rng.STREAM_EDGES, 1)]),
              # LT component: 5 nodes with in-edges; BDEP component: 4 random
              # units.  The shared block is 5 wide, not 9.
