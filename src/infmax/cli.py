@@ -298,8 +298,10 @@ def _cmd_sketch_query(args):
     for sk in sketches:
         if not (sk.ranks.ndim == 1 and sk.pair_nodes.shape == sk.pair_sims.shape == (sk.size,)
                 and np.all((sk.pair_nodes >= 0) & (sk.pair_nodes < len(entries))
-                           & (sk.pair_sims >= 0) & (sk.pair_sims < doc["ell"]))):
-            raise ValueError("sketch file: a sketch's pairs are misshapen or out of range")
+                           & (sk.pair_sims >= 0) & (sk.pair_sims < doc["ell"]))
+                and np.unique(sk.pair_sims * len(entries) + sk.pair_nodes).size == sk.size):
+            raise ValueError("sketch file: a sketch's pairs are misshapen, out of range "
+                             "or repeated")
     sketch_set = SketchSet(doc["k"], doc["tau"], doc["ell"], doc["rank_seed"],
                            weights, sketches)
     seeds = as_seed_tuple(weights.shape[0], _parse_seeds(args.seeds))
@@ -416,6 +418,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    if args.threads < 1:
+        sys.stderr.write(f"error: --threads must be at least 1, got {args.threads}\n")
         return EXIT_USAGE
     if args.format == "csv" and args.subcommand != "bench":
         sys.stderr.write("csv output is only supported for bench\n")

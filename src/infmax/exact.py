@@ -254,28 +254,23 @@ def exact_influence_map(model: DiffusionModel, tau: int, max_size: int) -> dict:
 
 
 class ExactInfluence:
-    """Memoizing exact-influence set function, usable as an oracle."""
+    """Exact-influence set function, usable as an oracle.  It keeps no
+    values: each :meth:`query_many` call is one :func:`exact_values` pass."""
 
     def __init__(self, model: DiffusionModel, tau: int):
         self.model = model
         self.tau = int(tau)
-        self._cache: dict[tuple[int, ...], float] = {}
 
     @property
     def num_nodes(self) -> int:
         return self.model.num_nodes
 
     def query_many(self, seed_sets) -> np.ndarray:
-        """Exact influence of each of ``seed_sets``; the sets not memoized
-        yet are valued together in one :func:`exact_values` pass."""
-        keys = [as_seed_tuple(self.num_nodes, seeds) for seeds in seed_sets]
-        new = [key for key in dict.fromkeys(keys) if key not in self._cache]
-        if new:
-            self._cache.update(zip(new, exact_values(self.model, self.tau, new).tolist()))
-        return np.array([self._cache[key] for key in keys], dtype=np.float64)
+        """Exact influence of each of ``seed_sets``, from one pass."""
+        return exact_values(self.model, self.tau, seed_sets)
 
     def query(self, seeds) -> float:
         return float(self.query_many([seeds])[0])
 
     def opt1(self) -> float:
-        return float(self.query_many([(v,) for v in range(self.num_nodes)]).max())
+        return opt1(self.model, self.tau)

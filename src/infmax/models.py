@@ -209,9 +209,9 @@ def _units(model: DiffusionModel):
     at flat index ``edge_choice[e]``; the two indices past the last choice
     mark edges that are never live (p = 0) and always live (p = 1).
 
-    * IC: a unit ``[1 - p, p]`` per edge with ``0 < p < 1``, by edge id.
-    * BDEP: such a unit per random group (group-id order), then per random
-      loose edge (edge-id order).
+    * IC and BDEP: a unit ``[1 - p, p]`` per random group (group-id
+      order), then per loose edge (edge-id order), counting only those with
+      ``0 < p < 1``.  An IC model is a BDEP model whose edges are all loose.
     * LT: a unit per node with in-edges, choosing one of them by weight (in
       ``in_edges`` order) or none with the leftover mass
       ``max(0, 1 - p_in.sum())``.  Zero-weight in-edges are choices too.
@@ -242,19 +242,14 @@ def _units(model: DiffusionModel):
             p_in = p[order[starts[nodes[at]][:, None] + np.arange(d)]]
             choice_probs[first[at] + d] = np.maximum(0.0, 1.0 - p_in.sum(axis=1))
     else:
-        if model.kind == IC:
-            unit = np.arange(g.num_edges)
-        elif model.kind == BDEP:
-            # One unit per group (np.unique order), then one per loose edge
-            # (id order); all members of a group share its probability.
-            grouped = g.groups >= 0
-            gids = np.unique(g.groups[grouped])
-            loose = np.flatnonzero(~grouped)
-            unit = np.empty(g.num_edges, dtype=np.int64)
-            unit[grouped] = np.searchsorted(gids, g.groups[grouped])
-            unit[loose] = gids.size + np.arange(loose.size)
-        else:
-            raise ValueError(f"unknown model kind {model.kind!r}")
+        # One unit per group (np.unique order), then one per loose edge (id
+        # order); all members of a group share its probability.
+        grouped = g.groups >= 0
+        gids = np.unique(g.groups[grouped])
+        loose = np.flatnonzero(~grouped)
+        unit = np.empty(g.num_edges, dtype=np.int64)
+        unit[grouped] = np.searchsorted(gids, g.groups[grouped])
+        unit[loose] = gids.size + np.arange(loose.size)
         unit_p = np.zeros(int(unit.max(initial=-1)) + 1, dtype=np.float64)
         unit_p[unit] = p
         random = (unit_p > 0.0) & (unit_p < 1.0)
@@ -277,10 +272,12 @@ def _units(model: DiffusionModel):
 # A non-mixture model draws one uniform per unit of its :func:`_units`
 # table and simulation, from its kind's block stream (rng.block_stream):
 # row i of the block is simulation i.  Edge e is live iff lo[e] <= u < hi[e]
-# for its unit's uniform u.  A binary unit's live edges take [0, q), the
-# single compare u < q; an LT node's in-edges take consecutive slices of
-# [0, 1) in in_edges order, the leftover mass choosing none.  Edges whose
-# slice is empty or covers [0, 1) are constant columns and read no draw.
+# for its unit's uniform u, where a unit's edge-bearing choices take
+# consecutive slices of [0, 1) in choice order.  So a binary unit's live
+# edges take [0, q), the single compare u < q, and an LT node's in-edges
+# take consecutive slices in in_edges order, the leftover mass choosing
+# none.  Edges whose slice is empty or covers [0, 1) are constant columns
+# and read no draw.
 # A mixture draws its component from STREAM_MIXTURE and one shared block
 # of the widest component's width from STREAM_UNITS; each component reads
 # the leading columns of its own rows.
@@ -309,40 +306,31 @@ class _DrawPlan:
 
 
 def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
-    g = model.graph
     radices, choice_probs, edge_choice = _units(model)
-    if model.kind == LT:
-        # [lo, hi) is e's slice of its head's running in-weight sum,
-        # accumulated in in_edges order exactly as np.cumsum would.
-        order, starts = g._in_order, g._in_start
-        slot = np.arange(order.size) - starts[g.heads[order]]
-        ordered = g.probs[order]
-        cum = np.empty_like(ordered)
-        first = slot == 0
-        cum[first] = ordered[first]
-        for k in range(1, int(slot.max(initial=0)) + 1):
-            at = np.flatnonzero(slot == k)
-            cum[at] = cum[at - 1] + ordered[at]
-        lo, hi = np.empty_like(cum), np.empty_like(cum)
-        hi[order] = cum
-        lo[order[~first]] = cum[np.flatnonzero(~first) - 1]
-        lo[order[first]] = 0.0
-        unit = np.searchsorted(np.cumsum(radices), edge_choice, side="right")
-        base = (lo <= 0.0) & (hi >= 1.0)
-        edges = np.flatnonzero(~base & (lo < hi))
-        col, lo, hi = unit[edges], lo[edges], hi[edges]
-    else:
-        # A random edge's live choice 2j + 1 has unit j's probability q.
-        base = edge_choice == 2 * radices.size + 1
-        edges = np.flatnonzero(edge_choice < 2 * radices.size)
-        col, lo, hi = edge_choice[edges] // 2, None, choice_probs[edge_choice[edges]]
+    # Per unit, the choices that make edges live take consecutive slices
+    # [lo, hi) of [0, 1) in choice order, summed exactly as np.cumsum would;
+    # the never- and always-live indices take [0, 0) and [0, 1).
+    bearing = np.zeros(choice_probs.size + 2, dtype=bool)
+    bearing[edge_choice] = True
+    mass = np.where(bearing[:-2], choice_probs, 0.0)
+    lo, hi = np.zeros(bearing.size), np.zeros(bearing.size)
+    hi[-1] = 1.0
+    ends = np.cumsum(radices)
+    for d in np.unique(radices).tolist():
+        at = (ends - radices)[radices == d][:, None] + np.arange(d)
+        cum = np.cumsum(mass[at], axis=1)
+        hi[at], lo[at[:, 1:]] = cum, cum[:, :-1]
+    lo, hi = lo[edge_choice], hi[edge_choice]
+    base = (lo <= 0.0) & (hi >= 1.0)
+    edges = np.flatnonzero(~base & (lo < hi))
+    col = np.searchsorted(ends, edge_choice[edges], side="right")
+    lo, hi = lo[edges], hi[edges]
+    lo = lo if lo.any() else None
     if edges.size == radices.size and np.array_equal(col, np.arange(radices.size)):
         col = None
-    elif lo is not None:
-        lo, hi = lo[:, None], hi[:, None]
     else:
-        hi = hi[:, None]
-    if edges.size == g.num_edges:
+        lo, hi = (None if lo is None else lo[:, None]), hi[:, None]
+    if edges.size == edge_choice.size:
         edges = None
     return _DrawPlan(int(radices.size), base, edges, col, lo, hi)
 
@@ -456,71 +444,36 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
 # ---------------------------------------------------------------------------
 # Reachability
 
-class ReachScratch:
-    """Reusable BFS workspace (visited epochs + queue) for one node count."""
-
-    def __init__(self, num_nodes: int):
-        self.visited = np.zeros(num_nodes, dtype=np.int64)
-        self.depth = np.zeros(num_nodes, dtype=np.int64)
-        self.queue = np.empty(num_nodes, dtype=np.int64)
-        self.epoch = 0
-
-
-def _bfs(graph: Graph, live: np.ndarray, seeds, tau: int,
-         scratch: ReachScratch | None, reverse: bool) -> np.ndarray:
-    if scratch is None or scratch.visited.shape[0] != graph.num_nodes:
-        scratch = ReachScratch(graph.num_nodes)
-    scratch.epoch += 1
-    epoch = scratch.epoch
-    visited, depth, queue = scratch.visited, scratch.depth, scratch.queue
-    head = 0
-    for s in seeds:
-        visited[s] = epoch
-        depth[s] = 0
-        queue[head] = s
-        head += 1
-    tail_ptr = 0
+def _bfs(graph: Graph, live: np.ndarray, seeds, tau: int, reverse: bool) -> np.ndarray:
     endpoint = graph.tails if reverse else graph.heads
     edges_of = graph.in_edges if reverse else graph.out_edges
-    while tail_ptr < head:
-        v = int(queue[tail_ptr])
-        tail_ptr += 1
-        d = int(depth[v])
-        if d >= tau:
-            continue
-        for e in edges_of(v):
-            if not live[e]:
-                continue
-            w = int(endpoint[e])
-            if visited[w] != epoch:
-                visited[w] = epoch
-                depth[w] = d + 1
-                queue[head] = w
-                head += 1
-    out = np.sort(queue[:head].copy())
-    return out
+    frontier = set(seeds)
+    reached = set(frontier)
+    for _ in range(tau):
+        frontier = {int(endpoint[e]) for v in frontier for e in edges_of(v) if live[e]} - reached
+        if not frontier:
+            break
+        reached |= frontier
+    return np.array(sorted(reached), dtype=np.int64)
 
 
-def reach_set(graph: Graph, sim: Simulation, seeds, tau: int,
-              scratch: ReachScratch | None = None) -> np.ndarray:
+def reach_set(graph: Graph, sim: Simulation, seeds, tau: int) -> np.ndarray:
     """Nodes reachable from ``seeds`` by live paths of length <= ``tau``."""
     seeds = as_seed_tuple(graph.num_nodes, seeds)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
-    return _bfs(graph, sim.live, seeds, int(tau), scratch, reverse=False)
+    return _bfs(graph, sim.live, seeds, int(tau), reverse=False)
 
 
-def reach_value(graph: Graph, sim: Simulation, seeds, tau: int,
-                scratch: ReachScratch | None = None) -> float:
+def reach_value(graph: Graph, sim: Simulation, seeds, tau: int) -> float:
     """Total node weight of the reachable set (its size, for unit weights)."""
-    ids = reach_set(graph, sim, seeds, tau, scratch)
+    ids = reach_set(graph, sim, seeds, tau)
     return float(graph.node_weights[ids].sum())
 
 
-def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int,
-                      scratch: ReachScratch | None = None) -> np.ndarray:
+def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int) -> np.ndarray:
     """Nodes that reach ``target`` by live paths of length <= ``tau``."""
-    return _bfs(graph, live, (int(target),), int(tau), scratch, reverse=True)
+    return _bfs(graph, live, (int(target),), int(tau), reverse=True)
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -644,13 +597,10 @@ def source_reaches(graph: Graph, live: np.ndarray, tau: int):
     block = max(1, _BLOCK_CELLS // (width * max(graph.num_edges, n, 1)))
     for lo in range(0, n, block):
         b = min(block, n - lo)
-        if b == 1:
-            yield reach_mask_batch(graph, live, (lo,), tau)[None]
-            continue
         start = np.zeros((b, width, n), dtype=np.uint64)
         start[np.arange(b), :, np.arange(lo, lo + b)] = ~np.uint64(0)
-        reach = reach_mask_batch(graph, np.tile(live, (b, 1)), start.reshape(-1, n), tau)
-        yield reach.reshape(b, width, n)
+        tiled = live if b == 1 else np.tile(live, (b, 1))
+        yield reach_mask_batch(graph, tiled, start.reshape(-1, n), tau).reshape(b, width, n)
 
 
 def reach_table(graph: Graph, live: np.ndarray, tau: int) -> np.ndarray | None:

@@ -135,14 +135,13 @@ def sketch_query(sketches: SketchSet, seeds, ell: int) -> float:
         raise ValueError("ell must match the pool size used at build time")
     merged = merged_seed_sketch(sketches, seeds)
     if merged.size < sketches.k:
-        # Nothing was truncated: the pairs are the exact reachable pairs.
-        # Reconstruct per-simulation masks, count them and reduce the counts
-        # like the plain averaging oracle, so the value matches it bit for bit.
-        n = sketches.node_weights.shape[0]
-        mask = np.zeros((sketches.ell, n), dtype=bool)
-        mask[merged.pair_sims, merged.pair_nodes] = True
-        counts = mask.sum(axis=0, dtype=np.int64)[None, :]
-        return float(count_pool_averages(counts, sketches.node_weights, sketches.ell)[0])
+        # Nothing was truncated: the pairs are the exact reachable pairs, and
+        # they are unique, so a node's pair count is its activation count.
+        # Reduce the counts like the plain averaging oracle, so the value
+        # matches it bit for bit.
+        counts = np.bincount(merged.pair_nodes, minlength=sketches.node_weights.shape[0])
+        return float(count_pool_averages(counts[None, :], sketches.node_weights,
+                                         sketches.ell)[0])
     total_weight = (sketches.k - 1) / float(merged.ranks[sketches.k - 1])
     return total_weight / sketches.ell
 

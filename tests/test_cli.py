@@ -142,6 +142,12 @@ def test_exit_codes(tmp_path, monkeypatch):
     for num in ("0", "-3"):
         assert run_cli(["simulate", "--model", str(star), "--seeds", "0", "--tau", "1",
                         "--num", num]) == 2
+    # fewer than one thread -> 2
+    for threads in ("0", "-3"):
+        assert run_cli(["--threads", threads, "simulate", "--model", str(star),
+                        "--seeds", "0", "--tau", "1", "--num", "4"]) == 2
+        assert run_cli(["simulate", "--model", str(star), "--seeds", "0", "--tau", "1",
+                        "--num", "4", "--threads", threads]) == 2
     assert run_cli(["sketch-build", "--model", str(star), "--tau", "-2",
                     "--pool-size", "2", "--k", "5",
                     "--sketch-out", str(tmp_path / "sk.json")]) == 2

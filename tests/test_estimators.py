@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import infmax as im
 from infmax import rng
 from infmax.estimators import _RRS_CHUNK
-from infmax.models import ReachScratch, _sample_live_block
+from infmax.models import _sample_live_block
 
 
 def deterministic_path():
@@ -296,7 +296,6 @@ def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
     g = model.graph
     n, w = g.num_nodes, g.node_weights
     acc = np.zeros(n, dtype=np.float64)
-    scratch = ReachScratch(n)
     for lo in range(0, num_searches, _RRS_CHUNK):
         count = min(_RRS_CHUNK, num_searches - lo)
         u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
@@ -313,7 +312,7 @@ def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
             live[:, p >= 1.0] = True
             live[:, flips] = u < p[flips]
         for t in range(count):
-            reached = im.reverse_reach_set(g, live[t], int(targets[t]), tau, scratch)
+            reached = im.reverse_reach_set(g, live[t], int(targets[t]), tau)
             acc[reached] += w[targets[t]]
     return n * acc / float(num_searches)
 

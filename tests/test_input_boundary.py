@@ -111,6 +111,13 @@ def _first_sketch(key, value):
     return edit
 
 
+def _repeat_first_pair(doc):
+    first = doc["sketches"][0]
+    for key in ("ranks", "pair_nodes", "pair_sims"):
+        first[key].append(first[key][0])
+    return doc
+
+
 SKETCH_EDITS = {
     "k-not-int": _set("k", "x"),
     "k-bool": _set("k", True),
@@ -121,6 +128,7 @@ SKETCH_EDITS = {
     "sketch-missing": lambda doc: {**doc, "sketches": doc["sketches"][1:]},
     "pair-node-out-of-range": _first_sketch("pair_nodes", [99]),
     "pair-sim-out-of-range": _first_sketch("pair_sims", [-1]),
+    "pair-repeated": _repeat_first_pair,
     "ranks-length": _first_sketch("ranks", []),
 }
 

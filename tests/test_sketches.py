@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import models, rng
-from infmax.models import ReachScratch
 from infmax.sketches import NodeSketch, pair_ranks
 
 
@@ -153,7 +152,6 @@ def rank_order_sketches(model, live_rows, tau, k, rank_seed):
     buf_nodes = [[] for _ in range(n)]
     buf_sims = [[] for _ in range(n)]
     remaining = n * k
-    scratch = ReachScratch(n)
     for pos in order:
         if remaining == 0:
             break
@@ -162,7 +160,7 @@ def rank_order_sketches(model, live_rows, tau, k, rank_seed):
             break
         i = int(sims_ix[pos])
         u = int(nodes_ix[pos])
-        for v in im.reverse_reach_set(g, live_rows[i], u, tau, scratch):
+        for v in im.reverse_reach_set(g, live_rows[i], u, tau):
             if len(buf_ranks[v]) < k:
                 buf_ranks[v].append(r)
                 buf_nodes[v].append(u)
