@@ -13,7 +13,7 @@ from .exact import (EnumerationBudgetError, ExactReport, VarianceAudit, DepthPro
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINAL,
                          POOL_SIZE_FACTOR, POOL_COUNT_FACTOR, TOTAL_SAMPLE_FACTOR,
                          Oracle, OracleConfig, build_oracle, pool_counts,
-                         count_pool_averages, mask_pool_averages,
+                         count_pool_averages, mask_pool_averages, pool_median,
                          required_pools, size_for_guarantee, check_eps_approx,
                          rrs_estimate, marginal_edge_model)
 from .sketches import (NodeSketch, SketchSet, SketchOracle, build_sketches,

@@ -25,7 +25,7 @@ from . import __version__, bench, families, rng
 from .exact import (EnumerationBudgetError, audit_variance_bound, c_value,
                     exact_report, exact_values)
 from .estimators import (AVERAGING, FULL_SIMULATION, MARGINAL, MEDIAN_OF_AVERAGES,
-                         OracleConfig, build_oracle, marginal_edge_model,
+                         OracleConfig, build_oracle, marginal_edge_model, pool_median,
                          rrs_estimate, size_for_guarantee)
 from .graph import as_seed_tuple
 # maximize_im is unused here but stays a module attribute: perfbench's
@@ -250,7 +250,7 @@ def _cmd_estimate(args):
     _emit(args, "estimate",
           {"model": args.model, "seeds": list(seeds), "tau": args.tau,
            "eps": args.eps, "delta": args.delta, "mode": args.mode},
-          {"estimate": float(np.median(averages)),
+          {"estimate": float(pool_median(averages)),
            "config": {"pools": config.pools, "pool_size": config.pool_size,
                       "total_simulations": config.total_simulations},
            "pool_averages": averages.tolist()})

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice
 
 import numpy as np
@@ -112,7 +112,7 @@ class Oracle:
 
     def query(self, seeds) -> float:
         """Median over pools of the average reachability value of ``seeds``."""
-        return float(np.median(self.pool_averages(seeds)))
+        return float(pool_median(self.pool_averages(seeds)))
 
     @cached_property
     def _single_reaches(self) -> np.ndarray | None:
@@ -132,8 +132,8 @@ class Oracle:
         while sets := list(islice(seed_sets, block)):
             masks = set_reaches(g, self._live, cfg.tau, _id_block(sets, n),
                                 self._single_reaches)
-            values.append(np.median(mask_pool_averages(masks, g.node_weights, cfg.pools,
-                                                       cfg.pool_size), axis=-1))
+            values.append(pool_median(mask_pool_averages(masks, g.node_weights, cfg.pools,
+                                                         cfg.pool_size)))
         return np.concatenate(values)
 
 
@@ -150,9 +150,30 @@ def _id_block(seed_sets: list, n: int) -> np.ndarray:
     return ids
 
 
-# _LOW_BITS[b] keeps the low b bits of a word.
-_LOW_BITS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
+# _LOW_BITS[b] keeps the low b bits of a word, for b in 0 .. 64.
+_LOW_BITS = np.append((np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1),
+                      ~np.uint64(0))
 _LOW_BITS.setflags(write=False)
+
+
+@lru_cache(maxsize=32)
+def _pool_segments(pools: int, pool_size: int) -> tuple:
+    """Rows ``0 .. pools*pool_size-1`` cut at every word boundary and every
+    pool boundary into segments: ``(word, bits, first)``, where segment
+    ``j`` holds the rows set in ``bits[j]`` of word ``word[j]``, and
+    ``first[i]`` is pool ``i``'s first segment, or None when each pool is
+    one segment."""
+    rows = pools * pool_size
+    cuts = np.union1d(np.arange(0, rows + 1, pool_size), np.arange(0, rows, 64))
+    word = cuts[:-1] // 64
+    bits = _LOW_BITS[cuts[1:] - 64 * word] & ~_LOW_BITS[cuts[:-1] - 64 * word]
+    word.setflags(write=False)
+    bits.setflags(write=False)
+    if len(word) == pools:
+        return word, bits, None
+    first = np.searchsorted(cuts, np.arange(0, rows, pool_size))
+    first.setflags(write=False)
+    return word, bits, first
 
 
 def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
@@ -163,21 +184,23 @@ def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
     ``(..., pools, n)`` int64 count of rows in each pool that activate each
     node; leading axes are a batch of masks, each counted on its own.  Pool
     boundaries may fall inside a word, and bits past the last pool
-    (padding) are never counted.
+    (padding) are never counted.  Each pool's bits are counted where they
+    lie: one popcount per :func:`_pool_segments` segment, summed per pool
+    only when a pool spans several segments.
     """
-    *lead, words, n = mask.shape
-    prefix = np.zeros((*lead, words + 1, n), dtype=np.int64)
-    np.cumsum(np.bitwise_count(mask), axis=-2, out=prefix[..., 1:, :])
-    pool_size = int(pool_size)
-    word, bit = np.divmod(np.arange(0, (pools + 1) * pool_size, pool_size), 64)
-    below = prefix[..., word, :]
-    below += np.bitwise_count(mask[..., np.minimum(word, words - 1), :] & _LOW_BITS[bit, None])
-    return below[..., 1:, :] - below[..., :-1, :]
+    word, bits, first = _pool_segments(int(pools), int(pool_size))
+    segments = mask[..., word, :]
+    segments &= bits[:, None]
+    # Each popcount is cast to int64 in place of its segment's word.
+    counts = np.bitwise_count(segments, out=segments.view(np.int64))
+    if first is None:
+        return counts
+    return np.add.reduceat(counts, first, axis=-2)
 
 
 def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
                         pool_size: int) -> np.ndarray:
-    """Pool averages ``(counts @ node_weights) / pool_size`` of a
+    """Pool averages ``(counts * node_weights).sum(-1) / pool_size`` of a
     ``(..., pools, n)`` count table, shaped ``(..., pools)``.
 
     Every simulation-backed value (oracle queries, brute force, greedy and
@@ -196,6 +219,14 @@ def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,
     ``(..., words, n)`` node mask."""
     return count_pool_averages(pool_counts(mask, pools, pool_size), node_weights,
                                pool_size)
+
+
+def pool_median(averages: np.ndarray) -> np.ndarray:
+    """Median over the last axis of an odd number of pool averages: its
+    middle order statistic, equal to ``np.median(averages, axis=-1)`` bit
+    for bit when the values are not NaN."""
+    mid = averages.shape[-1] // 2
+    return np.partition(averages, mid, axis=-1)[..., mid]
 
 
 def build_oracle(model: DiffusionModel, config: OracleConfig, threads: int = 1) -> Oracle:

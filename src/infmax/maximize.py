@@ -127,8 +127,12 @@ def im_oracle_config(num_nodes: int, s: int, tau: int, epsilon: float, delta: fl
     if int(s) < 1:
         raise ValueError("seed budget must be at least 1")
     pool_size = size_for_guarantee(epsilon, delta, c, MEDIAN_OF_AVERAGES).pool_size
-    delta_ma = delta / math.comb(num_nodes, min(int(s), num_nodes))
-    return OracleConfig(required_pools(delta_ma), pool_size, tau, master_seed)
+    try:
+        pools = required_pools(delta / math.comb(num_nodes, min(int(s), num_nodes)))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"too many seed sets to split delta over: C(n={num_nodes}, "
+                         f"s={int(s)}) exceeds the float range") from None
+    return OracleConfig(pools, pool_size, tau, master_seed)
 
 
 def maximize_im(model: DiffusionModel, s: int, tau: int, epsilon: float, delta: float,

@@ -22,7 +22,7 @@ from .graph import as_seed_tuple
 # because perfbench/layers.py wraps it at this site.
 from .models import (DiffusionModel, pack_rows, reverse_reach_set, sample_pool,
                      source_reaches)
-from .estimators import OracleConfig, count_pool_averages
+from .estimators import OracleConfig, count_pool_averages, pool_median
 from . import rng
 
 MIN_SKETCH_SIZE = 3
@@ -166,7 +166,7 @@ class SketchOracle:
                          for ss in self.sketch_sets])
 
     def query(self, seeds) -> float:
-        return float(np.median(self.pool_estimates(seeds)))
+        return float(pool_median(self.pool_estimates(seeds)))
 
 
 def build_sketch_oracle(model: DiffusionModel, config: OracleConfig, k: int,

@@ -184,6 +184,14 @@ def test_exit_codes(tmp_path, monkeypatch):
     for method in ("greedy", "brute", "adaptive"):
         for s in ("0", "-2"):
             assert run_cli(maximize + ["--method", method, "--s", s]) == 2
+    # C(1100, 550) exceeds the float range, so delta cannot be split over
+    # the seed sets -> 2
+    huge = tmp_path / "huge.model"
+    run_cli(["gen", "--family", "random", "--n", "1100", "--m", "2200",
+             "--model-out", str(huge), "--out", str(tmp_path / "g.json")])
+    for method in ("greedy", "brute", "adaptive"):
+        assert run_cli(["maximize", "--model", str(huge), "--tau", "2", "--s", "550",
+                        "--method", method, "--out", str(tmp_path / "max.json")]) == 2
     assert sampled == []
     # --only names criteria that exist, or nothing runs or is written -> 2
     report = tmp_path / "bench.json"

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import infmax as im
 from infmax import rng
@@ -53,11 +53,16 @@ def test_query_on_deterministic_model_is_exact():
     assert tiny.query((1,)) == im.reach_value(deterministic_path().graph, sim, (1,), 2)
 
 
-def test_query_is_median_of_pool_averages():
+@pytest.mark.parametrize("pools,pool_size", [(1, 50), (5, 7), (213, 32), (65, 128)])
+def test_query_is_median_of_pool_averages(pools, pool_size):
     model = im.families.gen_random_ic(9, 16, seed=4)
-    oracle = im.build_oracle(model, im.OracleConfig(5, 7, 2, 3))
-    pools = oracle.pool_averages((1, 4))
-    assert oracle.query((1, 4)) == np.median(pools)
+    oracle = im.build_oracle(model, im.OracleConfig(pools, pool_size, 2, 3))
+    sets = [(1, 4), (0, 2), (3, 8), (5, 6)]
+    many = oracle.query_many(sets)
+    for seeds, value in zip(sets, many):
+        median = np.median(oracle.pool_averages(seeds))
+        assert np.float64(oracle.query(seeds)).tobytes() == median.tobytes()
+        assert value.tobytes() == median.tobytes()
     assert np.median([2.0, 5.0, 3.0]) == 3.0  # middle order statistic
 
 
@@ -89,8 +94,15 @@ def test_oracle_takes_bool_rows_or_packed_words_of_its_config_shape():
             im.Oracle(model, config, live, None)
 
 
-@given(pools=st.sampled_from([1, 3, 5, 7]), pool_size=st.integers(1, 100),
+# Explicit layouts: single-word pools at bit offsets of 32, 64-aligned
+# pools, and pools that straddle words.
+@given(pools=st.sampled_from([1, 3, 5, 7, 29, 65]), pool_size=st.integers(1, 300),
        cols=st.integers(1, 6), density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+@example(pools=65, pool_size=32, cols=3, density=0.5, seed=1)
+@example(pools=7, pool_size=64, cols=2, density=0.5, seed=2)
+@example(pools=5, pool_size=128, cols=4, density=0.3, seed=3)
+@example(pools=65, pool_size=300, cols=6, density=0.7, seed=4)
+@example(pools=29, pool_size=97, cols=1, density=1.0, seed=5)
 def test_packed_pool_counts_match_bool_sums(pools, pool_size, cols, density, seed):
     mask = np.random.default_rng(seed).random((pools * pool_size, cols)) < density
     packed = im.pack_rows(mask)
@@ -100,12 +112,17 @@ def test_packed_pool_counts_match_bool_sums(pools, pool_size, cols, density, see
         packed[-1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
     counts = im.pool_counts(packed, pools, pool_size)
     assert counts.shape == (pools, cols)
+    assert counts.dtype == np.int64
     assert np.array_equal(counts, mask.reshape(pools, pool_size, cols).sum(1))
 
 
-@given(pools=st.sampled_from([1, 3, 7]), pool_size=st.integers(1, 100),
+@given(pools=st.sampled_from([1, 3, 7]), pool_size=st.integers(1, 300),
        cols=st.sampled_from([1, 2, 5, 130, 300]), batch=st.integers(1, 4),
        density=st.floats(0.0, 1.0), seed=st.integers(0, 10**6))
+@example(pools=7, pool_size=32, cols=5, batch=3, density=0.5, seed=1)
+@example(pools=3, pool_size=64, cols=2, batch=2, density=0.5, seed=2)
+@example(pools=3, pool_size=128, cols=130, batch=2, density=0.4, seed=3)
+@example(pools=7, pool_size=300, cols=300, batch=4, density=0.6, seed=4)
 def test_batched_pool_reduction_equals_per_mask_calls(pools, pool_size, cols, batch,
                                                       density, seed):
     gen = np.random.default_rng(seed)
@@ -117,6 +134,7 @@ def test_batched_pool_reduction_equals_per_mask_calls(pools, pool_size, cols, ba
         masks[:, -1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
     counts = im.pool_counts(masks, pools, pool_size)
     assert counts.shape == (batch, pools, cols)
+    assert counts.dtype == np.int64
     assert np.array_equal(counts, np.stack([im.pool_counts(m, pools, pool_size)
                                             for m in masks]))
     weights = gen.uniform(0.5, 3.0, cols)

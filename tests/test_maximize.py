@@ -147,6 +147,14 @@ def test_maximize_rejects_accuracy_outside_unit_interval(eps, delta):
         im.im_oracle_config(model.num_nodes, 2, 1, eps, delta, 1.0)
 
 
+def test_im_oracle_config_rejects_subset_counts_past_the_float_range():
+    # C(2000, 400) has 433 digits: splitting delta over it cannot be done in
+    # floats, so the sizing fails with a message naming n and s.
+    with pytest.raises(ValueError, match=r"C\(n=2000, s=400\)"):
+        im.im_oracle_config(2000, 400, 2, 0.25, 0.1, 2.0)
+    assert im.im_oracle_config(2000, 40, 2, 0.25, 0.1, 2.0).pools == 5479
+
+
 def test_maximize_rejects_seed_budget_below_one():
     for s in (0, -2):
         with pytest.raises(ValueError, match="at least 1"):
