@@ -16,7 +16,7 @@ import json
 import math
 import platform
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +228,7 @@ def _cmd_exact(args):
     _emit(args, "exact", {"model": args.model, "seeds": list(seeds), "tau": args.tau},
           {"influence": report.influence, "variance": report.variance,
            "opt1": report.opt1, "enumeration_size": report.enumeration_size,
+           "outcomes_enumerated": report.outcomes_enumerated,
            "step_probs": report.step_probs.tolist()})
 
 
@@ -325,6 +326,8 @@ def _cmd_maximize(args):
         oracle = build_oracle(model, config, threads=args.threads)
         maximizer = brute_force_max if args.method == "brute" else greedy_max
         result = maximizer(oracle, args.s)
+        # Named as maximize_im names the same sizing and maximizer.
+        result = replace(result, method="moa-" + result.method)
     _emit(args, "maximize",
           {"model": args.model, "s": args.s, "tau": args.tau, "eps": args.eps,
            "delta": args.delta, "method": args.method},

@@ -5,7 +5,9 @@ probability, which yields exact influence values, exact reachability
 variance, per-step activation probabilities, and audits of the
 variance-bound inequality.  Only probabilistic units count toward the
 enumeration budget: edges pinned at probability 0 or 1 contribute no
-outcomes.
+outcomes.  A seed set's reach within ``tau`` steps depends only on the
+edges whose tail lies within ``tau - 1`` steps of the set, so each query
+walks only the units of those edges; every other unit sums out.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .estimators import _SCORE_BLOCK_BYTES
 from .graph import Graph, as_seed_tuple
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _units, propagation_steps,
-                     reach_table, set_reaches, unpack_rows)
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _bfs, _units,
+                     propagation_steps, reach_table, set_reaches, unpack_columns)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
@@ -37,7 +39,10 @@ class ExactReport:
 
     ``step_probs[d, v]`` is the probability that node ``v`` first
     activates at step ``d`` (``d = 0`` marks the seeds themselves).
-    ``opt1`` is the largest exact single-node influence at the same
+    ``enumeration_size`` is the model's whole outcome count
+    (:func:`outcome_count`); ``outcomes_enumerated`` counts the outcomes
+    actually walked, those of the units that the seeds' ``tau``-ball can
+    fire.  ``opt1`` is the largest exact single-node influence at the same
     step limit: :func:`opt1` of the report's model, computed on first
     read and memoized per ``(model, tau)`` for the model's lifetime.
     """
@@ -45,6 +50,7 @@ class ExactReport:
     variance: float
     step_probs: np.ndarray
     enumeration_size: int
+    outcomes_enumerated: int
     tau: int
     seeds: tuple[int, ...]
     model: DiffusionModel = field(repr=False)
@@ -78,27 +84,90 @@ def outcome_count(model: DiffusionModel) -> int:
     return math.prod(_units(model)[0].tolist())
 
 
-def _outcome_chunks(model: DiffusionModel):
-    """Iterator of ``(words, rows, probs)`` chunks covering the outcome space.
-
-    A chunk holds ``rows`` consecutive outcomes of one part (the model or a
-    mixture component): their packed ``(ceil(rows / 64), m)`` live edges
-    (:func:`pack_rows` layout) and probabilities.  A part's outcome index is
-    mixed-radix over its :func:`_units`, unit 0 least significant; its
-    probability is the part's weight times its choice probabilities,
-    multiplied in unit order.  This call builds each unit table once and
-    checks the budget, before any chunk is built.
-    """
+def _parts(model: DiffusionModel):
+    """``(parts, size)``: the ``(part, units, weight, offset)`` of the
+    model, or of each mixture component, with its :func:`_units` table read
+    once per call, and the whole model's :func:`outcome_count`, checked
+    against the budget."""
     parts = [(model, 1.0, 0)]
     if model.kind == MIXTURE:
         parts = zip(model.components, model.component_weights.tolist(),
                     model.component_offsets.tolist())
-    parts = [(_units(part), part.graph.num_edges, weight, offset)
-             for part, weight, offset in parts]
-    if sum(math.prod(units[0].tolist()) for units, *_ in parts) > (1 << MAX_OUTCOME_BITS):
+    parts = [(part, _units(part), weight, offset) for part, weight, offset in parts]
+    size = sum(math.prod(units[0].tolist()) for _, units, _, _ in parts)
+    if size > (1 << MAX_OUTCOME_BITS):
         raise EnumerationBudgetError("instance too large for exact enumeration")
-    return (chunk for units, m, weight, offset in parts
-            for chunk in _part_chunks(*units, weight, offset, m, model.graph.num_edges))
+    return parts, size
+
+
+def _ball_edges(parts, tau: int, seeds) -> np.ndarray:
+    """Boolean mask over the model's edges that can fire within ``tau``
+    steps of ``seeds``: those with ``p > 0`` whose tail is within ``tau - 1``
+    steps of ``seeds`` in their part's graph when every ``p > 0`` edge is
+    live.  Reach within ``tau`` steps depends on no other edge."""
+    relevant = np.zeros(sum(part.graph.num_edges for part, *_ in parts), dtype=bool)
+    if tau > 0:
+        for part, _, _, offset in parts:
+            g = part.graph
+            possible = g.probs > 0.0
+            near = np.zeros(g.num_nodes, dtype=bool)
+            near[_bfs(g, possible, seeds, tau - 1, reverse=False)] = True
+            relevant[offset:offset + g.num_edges] = possible & near[g.tails]
+    return relevant
+
+
+def _ball_units(units, relevant: np.ndarray):
+    """The :func:`_units` table ``units`` restricted to its units with a
+    ``relevant`` edge, in the same layout.
+
+    A kept unit keeps, in order, each choice that makes a relevant edge
+    live; its other choices (IC and BDEP "dead", LT "none" and in-edges
+    that are not relevant) merge into one, at the place of the last of
+    them, with their probabilities summed in choice order.  Every edge that
+    is not relevant is pinned never-live.  So a group is kept or dropped
+    whole, and with every edge relevant the table is ``units`` itself.
+    """
+    radices, choice_probs, edge_choice = units
+    total = choice_probs.size
+    unit = np.repeat(np.arange(radices.size), radices)
+    made = np.zeros(total + 2, dtype=bool)
+    made[edge_choice[relevant]] = True
+    made = made[:total]
+    kept = np.zeros(radices.size, dtype=bool)
+    kept[unit[made]] = True
+    # Every unit has a choice that makes no relevant edge live; the last
+    # one stands for all of them.
+    free = np.flatnonzero(~made)
+    last = np.ones(free.size, dtype=bool)
+    last[:-1] = unit[free[1:]] != unit[free[:-1]]
+    stays = made.copy()
+    stays[free[last]] = True
+    stays &= kept[unit]
+    merged = np.bincount(unit[free], weights=choice_probs[free], minlength=radices.size)
+    count = int(stays.sum())
+    index = np.append(np.cumsum(stays) - 1, [count, count + 1])
+    return (np.bincount(unit[stays], minlength=radices.size)[kept],
+            np.where(made, choice_probs, merged[unit])[stays],
+            np.where(relevant, index[edge_choice], count))
+
+
+def _outcome_chunks(parts, relevant: np.ndarray):
+    """Iterator of ``(words, rows, probs)`` chunks covering the outcome space
+    of the units of ``parts`` (from :func:`_parts`) that ``relevant`` edges
+    belong to (:func:`_ball_units`); the others sum out.
+
+    A chunk holds ``rows`` consecutive outcomes of one part (the model or a
+    mixture component): their packed ``(ceil(rows / 64), m)`` live edges
+    (:func:`pack_rows` layout) and probabilities.  A part's outcome index is
+    mixed-radix over its restricted units, unit 0 least significant; its
+    probability is the part's weight times its choice probabilities,
+    multiplied in unit order.  With every edge relevant the chunks cover
+    the whole outcome space of :func:`_units`.
+    """
+    for part, units, weight, offset in parts:
+        m = part.graph.num_edges
+        yield from _part_chunks(*_ball_units(units, relevant[offset:offset + m]),
+                                weight, offset, m, relevant.size)
 
 
 def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
@@ -115,7 +184,10 @@ def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
         rest = np.arange(lo, lo + rows, dtype=np.int64)
         probs = np.ones(rows, dtype=np.float64)
         for j, radix in enumerate(radices.tolist()):
-            rest, digit = np.divmod(rest, radix)
+            # Floor division by a scalar is several times faster than np.divmod.
+            quotient = rest // radix
+            digit = rest - quotient * radix
+            rest = quotient
             choices = slice(first[j], first[j] + radix)
             probs *= choice_probs[choices][digit]
             bits[choices, :used] = np.packbits(np.arange(radix)[:, None] == digit,
@@ -125,36 +197,57 @@ def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
         yield words, rows, weight * probs
 
 
+def _row_values(g: Graph, mask: np.ndarray, rows: int) -> np.ndarray:
+    """Reach value of each of the first ``rows`` rows of a packed
+    ``(words, n)`` node mask.  A row's value adds the weights of its active
+    nodes in node order, whatever the other rows hold, and no ``(rows, n)``
+    float matrix is formed."""
+    return np.einsum("v,vr->r", g.node_weights, unpack_columns(mask, rows))
+
+
 def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
                       tau: int, ids: np.ndarray) -> np.ndarray:
     """``probs``-weighted reach value over one chunk of each seed set in the
-    rows of ``ids``, from the chunk's :func:`reach_table`, whose unions are
-    formed a ``_SCORE_BLOCK_BYTES`` block of sets at a time."""
-    table = reach_table(g, words, tau)
+    rows of ``ids``, from the chunk's :func:`reach_table` of the sets'
+    members, whose unions are formed a ``_SCORE_BLOCK_BYTES`` block of sets
+    at a time."""
+    members, at = np.unique(ids, return_inverse=True)
+    table = reach_table(g, words, tau, members)
+    if table is not None:
+        ids = at.reshape(ids.shape)
     block = max(1, _SCORE_BLOCK_BYTES // (words.shape[0] * max(g.num_nodes, 1) * 8))
-    return np.array([probs @ (unpack_rows(mask, rows) @ g.node_weights)
+    return np.array([probs @ _row_values(g, mask, rows)
                      for lo in range(0, len(ids), block)
                      for mask in set_reaches(g, words, tau, ids[lo:lo + block], table)])
 
 
 def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
-    """Exact influence of each of ``seed_sets``, all from one enumeration
-    pass.  Totals are summed chunk by chunk in chunk order, the same
-    arithmetic as :func:`exact_report`'s ``influence``.  The budget is
-    checked before ``seed_sets`` is read."""
+    """Exact influence of each of ``seed_sets``.  Sets are grouped by the
+    edges their ``tau``-ball can fire (:func:`_ball_edges`), and each group
+    is valued in one pass over its restricted outcome space.  A set's total
+    is summed chunk by chunk in chunk order, the same arithmetic as
+    :func:`exact_report`'s ``influence``, so it depends only on the model,
+    ``tau`` and the set.  The budget is checked before ``seed_sets`` is
+    read."""
     g = model.graph
     tau = int(tau)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
-    chunks = _outcome_chunks(model)
+    parts, _ = _parts(model)
     sets = [as_seed_tuple(g.num_nodes, seeds) for seeds in seed_sets]
-    # Pad each set to the largest size by repeating its first member; OR is
-    # idempotent, so the padding leaves every reach unchanged.
-    k = max(map(len, sets), default=1)
-    ids = np.array([s + s[:1] * (k - len(s)) for s in sets], dtype=np.int64).reshape(-1, k)
-    totals = np.zeros(len(ids), dtype=np.float64)
-    for words, rows, probs in chunks:
-        totals += _chunk_set_values(g, words, rows, probs, tau, ids)
+    balls: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for i, s in enumerate(sets):
+        relevant = _ball_edges(parts, tau, s)
+        balls.setdefault(relevant.tobytes(), (relevant, []))[1].append(i)
+    totals = np.zeros(len(sets), dtype=np.float64)
+    for relevant, members in balls.values():
+        # Pad each set to the group's largest size by repeating its first
+        # member; OR is idempotent, so the padding leaves every reach unchanged.
+        k = max(len(sets[i]) for i in members)
+        ids = np.array([sets[i] + sets[i][:1] * (k - len(sets[i])) for i in members],
+                       dtype=np.int64)
+        for words, rows, probs in _outcome_chunks(parts, relevant):
+            totals[members] += _chunk_set_values(g, words, rows, probs, tau, ids)
     return totals
 
 
@@ -181,20 +274,22 @@ def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
     tau = int(tau)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
-    size = 0
+    parts, size = _parts(model)
+    walked = 0
     influence = 0.0
     second = 0.0
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
-    for words, rows, probs in _outcome_chunks(model):
-        size += rows
+    for words, rows, probs in _outcome_chunks(parts, _ball_edges(parts, tau, seeds)):
+        walked += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
-            step_probs[d] += probs @ unpack_rows(newly, rows)
-        values = unpack_rows(active, rows) @ g.node_weights
+            step_probs[d] += unpack_columns(newly, rows) @ probs
+        values = _row_values(g, active, rows)
         influence += float(probs @ values)
         second += float(probs @ (values * values))
     variance = max(second - influence * influence, 0.0)
     step_probs.setflags(write=False)
-    return ExactReport(influence, variance, step_probs, size, tau, seeds, model)
+    return ExactReport(influence, variance, step_probs, size, walked, tau,
+                       seeds, model)
 
 
 def c_value(model: DiffusionModel, tau: int) -> float:

@@ -34,6 +34,7 @@ forward along edges or, for reverse searches, backward.
 
 from __future__ import annotations
 
+import ctypes
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,6 +45,33 @@ import numpy as np
 
 from .graph import Graph, as_seed_tuple, read_edge_list, write_edge_list
 from . import rng
+
+
+def _pin_heap_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds at 4 MB; a no-op where the C
+    library has no ``mallopt``.
+
+    The sampler, the kernel and the pool reduction allocate and free
+    temporaries of up to a few MB per block.  glibc's own thresholds start
+    at 128 kB and rise only when a large mapped block is freed, so until
+    some earlier code has freed one, each such temporary is mapped or
+    trimmed away at every block and faulted in again.  The speed of a loop
+    then depended on what the process had allocated before it: on a 2-core
+    Xeon VM perfbench ``maximize`` ran at about 95 or 127 ops/s on the same
+    code, and brute force took 3,400 page faults per call in the slow state.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    mallopt(m_mmap_threshold, 4 << 20)
+    mallopt(m_trim_threshold, 4 << 20)
+
+
+_pin_heap_thresholds()
 
 IC = "ic"
 LT = "lt"
@@ -491,12 +519,17 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u8").T
 
 
+def unpack_columns(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` rows of packed ``words`` column by column: a
+    ``(k, count)`` ``uint8`` 0/1 matrix, the transpose of :func:`unpack_rows`."""
+    by_column = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(by_column, axis=1, count=int(count), bitorder="little")
+
+
 def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` rows of packed ``words`` as a ``(count, k)`` boolean
     matrix; inverse of :func:`pack_rows`."""
-    by_column = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(by_column, axis=1, count=int(count), bitorder="little")
-    return np.ascontiguousarray(bits.T).view(bool)
+    return np.ascontiguousarray(unpack_columns(words, count).T).view(bool)
 
 
 def start_mask(num_nodes: int, targets) -> np.ndarray:
@@ -588,30 +621,33 @@ _BLOCK_CELLS = 1 << 14
 _EXPLICIT_CACHE_BYTES = 1 << 27
 
 
-def source_reaches(graph: Graph, live: np.ndarray, tau: int):
-    """Yield the ``(b, words, n)`` :func:`reach_mask_batch` masks of single
-    sources ``0 .. n-1``, ``b`` consecutive sources at a time.  A block is
-    one propagation over ``live`` tiled ``b`` times, each source set in all
-    of its own rows."""
+def source_reaches(graph: Graph, live: np.ndarray, tau: int, sources=None):
+    """Yield the ``(b, words, n)`` :func:`reach_mask_batch` masks of the
+    single sources ``sources`` (every node ``0 .. n-1`` by default), ``b``
+    consecutive sources at a time.  A block is one propagation over ``live``
+    tiled ``b`` times, each source set in all of its own rows."""
     n, width = graph.num_nodes, live.shape[0]
+    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
     block = max(1, _BLOCK_CELLS // (width * max(graph.num_edges, n, 1)))
-    for lo in range(0, n, block):
-        b = min(block, n - lo)
+    for lo in range(0, sources.size, block):
+        b = min(block, sources.size - lo)
         start = np.zeros((b, width, n), dtype=np.uint64)
-        start[np.arange(b), :, np.arange(lo, lo + b)] = ~np.uint64(0)
+        start[np.arange(b), :, sources[lo:lo + b]] = ~np.uint64(0)
         tiled = live if b == 1 else np.tile(live, (b, 1))
         yield reach_mask_batch(graph, tiled, start.reshape(-1, n), tau).reshape(b, width, n)
 
 
-def reach_table(graph: Graph, live: np.ndarray, tau: int) -> np.ndarray | None:
-    """``(n, words, n)`` :func:`source_reaches` of every node, or ``None``
-    when they would exceed ``_EXPLICIT_CACHE_BYTES``."""
+def reach_table(graph: Graph, live: np.ndarray, tau: int, sources=None) -> np.ndarray | None:
+    """``(len(sources), words, n)`` :func:`source_reaches` of ``sources``
+    (every node by default), or ``None`` when they would exceed
+    ``_EXPLICIT_CACHE_BYTES``."""
     n = graph.num_nodes
-    if n * live.shape[0] * n * 8 > _EXPLICIT_CACHE_BYTES:
+    count = n if sources is None else len(sources)
+    if count * live.shape[0] * n * 8 > _EXPLICIT_CACHE_BYTES:
         return None
-    table = np.empty((n, live.shape[0], n), dtype=np.uint64)
+    table = np.empty((count, live.shape[0], n), dtype=np.uint64)
     lo = 0
-    for reach in source_reaches(graph, live, tau):
+    for reach in source_reaches(graph, live, tau, sources):
         table[lo:lo + len(reach)] = reach
         lo += len(reach)
     return table

@@ -26,6 +26,14 @@ def test_gen_exact_pipeline(tmp_path, capsys):
     assert report["result"]["influence"] == pytest.approx(4.0)
     assert report["result"]["variance"] == pytest.approx(7.0)
     assert "versions" in report and "master_seed" in report
+    # The root's 3-ball covers all 14 edges; a leaf's fires none.
+    assert report["result"]["enumeration_size"] == 16384
+    assert report["result"]["outcomes_enumerated"] == 16384
+    assert run_cli(["exact", "--model", str(model_path), "--seeds", "7",
+                    "--tau", "3", "--out", str(out)]) == 0
+    leaf = json.loads(out.read_text())["result"]
+    assert (leaf["influence"], leaf["enumeration_size"], leaf["outcomes_enumerated"]) == (
+        1.0, 16384, 1)
 
 
 def test_reports_carry_stream_layout(tmp_path):
@@ -79,7 +87,7 @@ def test_maximize_brute_uses_union_bound_sizing(tmp_path):
     result = json.loads(out.read_text())["result"]
     model = im.load_model(model_path)
     config = im.im_oracle_config(model.num_nodes, 2, 2, 0.5, 0.1, im.c_value(model, 2), 4)
-    assert result["method"] == "brute"
+    assert result["method"] == "moa-brute"
     assert result["simulations_used"] == config.total_simulations
 
 
@@ -94,9 +102,31 @@ def test_maximize_greedy_runs_greedy(tmp_path):
     result = json.loads(out.read_text())["result"]
     model = im.load_model(model_path)
     config = im.im_oracle_config(model.num_nodes, 2, 2, 0.5, 0.1, im.c_value(model, 2), 4)
-    assert result["method"] == "greedy"
+    assert result["method"] == "moa-greedy"
     assert len(result["trace"]) == 2
     assert result["simulations_used"] == config.total_simulations
+
+
+def test_maximize_methods_report_the_maximize_im_names(tmp_path):
+    # --method brute runs what maximize_im runs on a brute-force-sized
+    # instance, so both report it under one name.
+    model_path = tmp_path / "t.model"
+    run_cli(["gen", "--family", "tree", "--tau", "3", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    results = {}
+    for method in ("brute", "greedy"):
+        out = tmp_path / f"{method}.json"
+        assert run_cli(["maximize", "--model", str(model_path), "--s", "2", "--tau", "2",
+                        "--eps", "0.25", "--delta", "0.1", "--method", method,
+                        "--seed", "7", "--out", str(out)]) == 0
+        results[method] = json.loads(out.read_text())["result"]
+    assert results["greedy"]["method"] == "moa-greedy"
+    direct = im.maximize_im(im.load_model(model_path), 2, 2, 0.25, 0.1, master_seed=7)
+    brute = results["brute"]
+    assert (brute["method"], tuple(brute["seeds"]), brute["oracle_value"],
+            brute["simulations_used"]) == (direct.method, direct.seeds, direct.oracle_value,
+                                           direct.simulations_used)
+    assert direct.method == "moa-brute"
 
 
 def test_exit_codes(tmp_path, monkeypatch):

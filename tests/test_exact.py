@@ -347,7 +347,9 @@ def test_outcome_chunks_match_reference_loops(kind, chunk, monkeypatch):
     monkeypatch.setattr(exact, "_CHUNK", chunk)
     model = CHUNK_MODELS[kind]()
     expect = list(reference_outcome_chunks(model, chunk))
-    got = list(exact._outcome_chunks(model))
+    # With every edge relevant the chunks cover the whole outcome space.
+    parts, _ = exact._parts(model)
+    got = list(exact._outcome_chunks(parts, np.ones(model.graph.num_edges, dtype=bool)))
     assert len(got) == len(expect)
     assert sum(rows for _, rows, _ in got) == im.outcome_count(model)
     m = model.graph.num_edges
@@ -391,6 +393,155 @@ def test_exact_values_match_reports(kind, monkeypatch):
         assert oracle.opt1() == report.opt1
         assert oracle.query((0,)) == report.influence
         assert [oracle.query(s) for s in VALUE_SETS] == got.tolist()
+
+
+# -- enumeration over each seed set's tau-ball ---------------------------------
+
+def lt_merge_case():
+    # From node 0 within one step: node 2's in-edge from 1 can fire within
+    # two steps, its earlier in-edge from 3 cannot, so that choice merges
+    # into "none", after the kept one.
+    return im.lt_model(im.Graph.from_edges(5, [
+        (0, 1, 0.5), (3, 2, 0.4), (1, 2, 0.3), (2, 4, 0.6), (4, 3, 0.2)]))
+
+
+def split_mixture():
+    # Two IC components whose balls around node 0 hold different edges.
+    forward = im.ic_model(im.Graph.from_edges(5, [
+        (0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (3, 4, 0.5)]))
+    backward = im.ic_model(im.Graph.from_edges(5, [
+        (0, 4, 0.25), (4, 3, 0.75), (3, 2, 0.5), (2, 1, 0.5), (1, 0, 0.5)]))
+    return im.mixture_model([(forward, 0.3), (backward, 0.7)])
+
+
+BALL_MODELS = dict(CHUNK_MODELS, **{"lt-merge": lt_merge_case,
+                                    "split-mixture": split_mixture})
+
+
+def reference_report(model, seeds, tau):
+    """Influence, variance and step profile over the whole outcome space,
+    as laid out by :func:`reference_outcome_chunks`."""
+    g = model.graph
+    influence = second = 0.0
+    step_probs = np.zeros((tau + 1, g.num_nodes))
+    for live, probs in reference_outcome_chunks(model, 1 << 16):
+        rows = live.shape[0]
+        steps = im.propagation_steps(g, im.pack_rows(live), seeds, tau)
+        for d, (newly, active) in enumerate(steps):
+            step_probs[d] += probs @ im.unpack_rows(newly, rows)
+        values = im.unpack_rows(active, rows) @ g.node_weights
+        influence += float(probs @ values)
+        second += float(probs @ (values * values))
+    return influence, second - influence * influence, second, step_probs
+
+
+@pytest.mark.parametrize("kind", sorted(BALL_MODELS))
+def test_ball_reports_match_the_whole_outcome_space(kind):
+    model = BALL_MODELS[kind]()
+    for tau in range(4):
+        for seeds in VALUE_SETS:
+            report = im.exact_report(model, seeds, tau)
+            influence, variance, second, step_probs = reference_report(model, seeds, tau)
+            assert report.influence == pytest.approx(influence, rel=1e-12, abs=0.0)
+            # The variance is a difference of moments, so its rounding
+            # error scales with the second moment.
+            assert report.variance == pytest.approx(variance, rel=1e-12, abs=1e-12 * second)
+            np.testing.assert_allclose(report.step_probs, step_probs, rtol=1e-12, atol=0.0)
+            assert report.enumeration_size == im.outcome_count(model)
+            assert 1 <= report.outcomes_enumerated <= report.enumeration_size
+
+
+def test_lt_choices_outside_the_ball_merge_into_none():
+    model = lt_merge_case()
+    parts, _ = exact._parts(model)
+    relevant = exact._ball_edges(parts, 2, (0,))
+    assert relevant.tolist() == [True, False, True, False, False]
+    radices, choice_probs, edge_choice = exact._ball_units(parts[0][1], relevant)
+    # Node 1 keeps [edge 0, none]; node 2 keeps [edge 2, edge 1 + none].
+    assert radices.tolist() == [2, 2]
+    assert choice_probs.tolist() == [0.5, 0.5, 0.3, 0.4 + max(0.0, 1.0 - (0.4 + 0.3))]
+    assert edge_choice.tolist() == [0, 4, 2, 4, 4]
+    report = im.exact_report(model, (0,), 2)
+    assert report.outcomes_enumerated == 4 and report.enumeration_size == 2 * 3 * 2 * 2
+    assert report.influence == pytest.approx(1.0 + 0.5 + 0.5 * 0.3)
+    # Zero-weight in-edges never fire: from node 0 in one step, only nodes
+    # 2, 3 and 9 can activate, so nodes 1 and 5 (zero-weight edges from 0)
+    # add no outcomes.
+    assert im.exact_report(lt_edge_cases(), (0,), 1).outcomes_enumerated == 2 * 2 * 2
+
+
+def test_mixture_components_restrict_to_their_own_balls():
+    model = split_mixture()
+    parts, _ = exact._parts(model)
+    relevant = exact._ball_edges(parts, 2, (0,))
+    # forward fires 0->1 and 1->2; backward fires 0->4 and 4->3.
+    assert np.flatnonzero(relevant).tolist() == [0, 1, 4, 5]
+    report = im.exact_report(model, (0,), 2)
+    assert report.outcomes_enumerated == 4 + 4
+    assert report.influence == pytest.approx(0.3 * 1.75 + 0.7 * (1.0 + 0.25 + 0.25 * 0.75))
+    # At tau 0 no edge can fire, and each component walks one outcome.
+    assert im.exact_report(model, (0,), 0).outcomes_enumerated == 2
+
+
+def test_tree_balls_walk_only_the_subtree_in_reach():
+    tree = im.families.gen_tree(3)
+    counts = [im.exact_report(tree, (v,), 3).outcomes_enumerated for v in (0, 1, 3, 7)]
+    # The root reaches all 14 edges, node 1 its 6, node 3 its 2, a leaf none.
+    assert counts == [1 << 14, 1 << 6, 1 << 2, 1]
+    assert im.exact_report(tree, (0,), 0).outcomes_enumerated == 1
+    assert im.exact_report(tree, (0,), 1).outcomes_enumerated == 1 << 2
+
+
+@pytest.mark.parametrize("kind", sorted(BALL_MODELS))
+def test_set_values_do_not_depend_on_the_other_sets(kind):
+    model = BALL_MODELS[kind]()
+    sets = VALUE_SETS + [(v,) for v in range(model.num_nodes)] + [(0, 1), (1, 0)]
+    for tau in range(4):
+        together = im.exact_values(model, tau, sets).tolist()
+        assert im.exact_values(model, tau, sets[::-1]).tolist() == together[::-1]
+        order = np.random.default_rng(tau).permutation(len(sets))
+        shuffled = im.exact_values(model, tau, [sets[i] for i in order]).tolist()
+        assert shuffled == [together[i] for i in order]
+        assert [im.exact_values(model, tau, [s])[0] for s in sets] == together
+
+
+def test_row_values_add_active_weights_in_node_order():
+    rng = np.random.default_rng(3)
+    model = im.families.gen_random_ic(9, 12, weight_range=(0.5, 3.0), seed=6)
+    g = model.graph
+    for rows in (1, 63, 64, 130, 1000):
+        bits = rng.random((rows, g.num_nodes)) < 0.5
+        expect = np.zeros(rows)
+        for v in range(g.num_nodes):
+            expect += g.node_weights[v] * bits[:, v]
+        got = exact._row_values(g, im.pack_rows(bits), rows)
+        assert got.tobytes() == expect.tobytes()
+        # A row's value does not depend on the rows around it.
+        assert exact._row_values(g, im.pack_rows(bits[:1]), 1)[0] == got[0]
+
+
+def test_query_many_matches_the_influence_map_bit_for_bit():
+    model = im.families.gen_random_ic(7, 11, weight_range=(0.5, 3.0), seed=2)
+    for tau in (1, 2, 3):
+        table = im.exact_influence_map(model, tau, 2)
+        oracle = im.ExactInfluence(model, tau)
+        assert oracle.query_many(list(table)).tolist() == list(table.values())
+        assert [im.exact_report(model, s, tau).influence for s in list(table)[:9]] == \
+            list(table.values())[:9]
+
+
+def test_sets_sharing_a_ball_share_one_pass(monkeypatch):
+    tree = im.families.gen_tree(3)
+    passes = counting_calls(monkeypatch, "_outcome_chunks")
+    leaves = [(v,) for v in range(7, 15)]
+    im.exact_values(tree, 3, leaves)
+    assert len(passes) == 1
+    # {0, 1} fires exactly the root's edges, in any order.
+    im.exact_values(tree, 3, [(0,), (0, 1), (1, 0)])
+    assert len(passes) == 2
+    # Singles: the root, two depth-1 subtrees, four depth-2 ones, the leaves.
+    im.exact_values(tree, 3, [(v,) for v in range(tree.num_nodes)])
+    assert len(passes) == 2 + 8
 
 
 def test_exact_query_many_matches_query_with_one_pass_per_call(monkeypatch):
@@ -519,10 +670,15 @@ def test_report_without_opt1_read_runs_one_enumeration_pass(monkeypatch):
     value_passes = counting_calls(monkeypatch, "exact_values")
     report = im.exact_report(model, (0, 2), 3)
     assert len(chunk_passes) == 1 and not value_passes
+    # The singles pass walks one restricted space per distinct ball; at
+    # tau 3 each of the ten nodes has a ball of its own.
+    parts, _ = exact._parts(model)
+    balls = {exact._ball_edges(parts, 3, (v,)).tobytes() for v in range(model.num_nodes)}
+    assert len(balls) == 10
     first = report.opt1
-    assert len(chunk_passes) == 2 and len(value_passes) == 1
+    assert len(chunk_passes) == 1 + len(balls) and len(value_passes) == 1
     assert im.exact_report(model, (1,), 3).opt1 == first
-    assert len(chunk_passes) == 3 and len(value_passes) == 1
+    assert len(chunk_passes) == 2 + len(balls) and len(value_passes) == 1
 
 
 def test_opt1_depends_on_the_step_limit():

@@ -422,6 +422,8 @@ def test_pack_rows_bit_layout(rows, cols, seed):
     if rows % 64:
         assert not np.any(packed[-1] >> np.uint64(rows % 64))
     assert np.array_equal(im.unpack_rows(packed, rows), bits)
+    columns = models.unpack_columns(packed, rows)
+    assert columns.dtype == np.uint8 and np.array_equal(columns, bits.T)
 
 
 @given(kind=st.sampled_from(sorted(KERNEL_MODELS)), master=st.integers(0, 10**6),
@@ -468,6 +470,10 @@ def test_source_reaches_and_table_match_single_source_propagation(per_block, mon
                 assert np.concatenate(blocks).tobytes() == expect.tobytes()
                 table = models.reach_table(g, live, tau)
                 assert table.tobytes() == expect.tobytes()
+                # A table of chosen sources holds their rows, in the given order.
+                chosen = np.array([4, 0, 4, 2])
+                assert models.reach_table(g, live, tau, chosen).tobytes() == \
+                    expect[chosen].tobytes()
                 ids = np.array([[0, 3], [4, 1], [2, 2]])
                 unions = [im.reach_mask_batch(g, live, row, tau) for row in ids]
                 for got in (models.set_reaches(g, live, tau, ids, table),
@@ -478,6 +484,7 @@ def test_source_reaches_and_table_match_single_source_propagation(per_block, mon
             assert models.reach_table(g, live, 1) is not None
             monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8 - 1)
             assert models.reach_table(g, live, 1) is None
+            assert models.reach_table(g, live, 1, np.arange(n - 1)) is not None
             monkeypatch.undo()
 
 
