@@ -14,27 +14,10 @@ import argparse
 import csv
 import sys
 
-from infmax import families, rng
-from infmax.exact import c_value, exact_report
-from infmax.estimators import OracleConfig, build_oracle, check_eps_approx, required_pools
-
-
-def build_instance(args):
-    if args.family == "tree":
-        return families.gen_tree(args.depth), args.depth
-    if args.family == "polysimu":
-        return families.gen_polysimu(args.n), 2
-    raise SystemExit(f"unknown family {args.family}")
-
-
-def failure_rate(model, config_fn, truth, opt1, eps, trials, seed, purpose):
-    failures = 0
-    for i in range(trials):
-        config = config_fn(rng.derive_seed(seed, purpose, i))
-        oracle = build_oracle(model, config)
-        if not check_eps_approx(oracle.query((0,)), truth, opt1, eps):
-            failures += 1
-    return failures / trials
+from infmax import families
+from infmax.bench import rebuild_failures
+from infmax.exact import exact_report
+from infmax.estimators import OracleConfig, required_pools
 
 
 def main() -> int:
@@ -49,20 +32,20 @@ def main() -> int:
     parser.add_argument("--out", type=str, default=None)
     args = parser.parse_args()
 
-    model, tau = build_instance(args)
+    # --depth is the tree's tau; polysimu pins node 0's influence at tau 2.
+    model, tau = ((families.gen_tree(args.depth), args.depth) if args.family == "tree"
+                  else (families.gen_polysimu(args.n), 2))
     report = exact_report(model, (0,), tau)
-    c = c_value(model, tau)
     pools = required_pools(0.1)
     rows = []
     for budget in (int(b) for b in args.budgets.split(",")):
-        avg = failure_rate(
-            model, lambda s: OracleConfig(1, budget, tau, s),
-            report.influence, report.opt1, args.eps, args.trials, args.seed, budget)
+        avg = rebuild_failures(model, OracleConfig(1, budget, tau), report.influence,
+                               report.opt1, args.eps, args.trials, args.seed, budget,
+                               threads=1) / args.trials
         pool_size = max(1, budget // pools)
-        moa = failure_rate(
-            model, lambda s: OracleConfig(pools, pool_size, tau, s),
-            report.influence, report.opt1, args.eps, args.trials, args.seed,
-            budget + 1)
+        moa = rebuild_failures(model, OracleConfig(pools, pool_size, tau), report.influence,
+                               report.opt1, args.eps, args.trials, args.seed, budget + 1,
+                               threads=1) / args.trials
         rows.append({"budget": budget, "layout": "averaging", "failure_rate": avg})
         rows.append({"budget": pools * pool_size, "layout": f"moa-{pools}pools",
                      "failure_rate": moa})

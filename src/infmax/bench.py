@@ -11,19 +11,19 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .graph import Graph, as_seed_tuple
 from .models import DiffusionModel, ic_model, lt_model, bdep_model, mixture_model, sample_pool, reach_values_batch
-from .exact import (ExactInfluence, audit_variance_bound, c_value, depth_profile,
-                    exact_influence_map, exact_report, exact_values)
+from .exact import (audit_variance_bound, c_value, depth_profile, exact_influence_map,
+                    exact_report, exact_values)
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINAL,
                          OracleConfig, build_oracle, check_eps_approx,
                          marginal_edge_model, rrs_estimate, size_for_guarantee)
 from .sketches import build_sketches, sketch_query
-from .maximize import adaptive_maximize, brute_force_max, greedy_max, im_oracle_config, maximize_im
+from .maximize import adaptive_maximize, greedy_max, im_oracle_config, maximize_im
 from . import families
 from . import rng
 
@@ -223,78 +223,73 @@ def criterion_variance_audits(master_seed: int = 0, threads: int = 1) -> Criteri
 # ---------------------------------------------------------------------------
 # Criteria 3 and 4: averaging and median-of-averages guarantees
 
-def _rebuild_failures(model, config_fn, truth, opt1, epsilon, rebuilds, master_seed,
-                      purpose, threads):
+def rebuild_failures(model, config, truth, opt1, epsilon, rebuilds, master_seed,
+                     purpose, threads):
+    """How many of ``rebuilds`` oracles laid out as ``config`` estimate the
+    root set ``(0,)`` off ``truth`` by more than ``epsilon * max(truth, opt1)``.
+    Build ``i`` reseeds ``config`` with ``derive_seed(master_seed, purpose, i)``."""
     failures = 0
     for i in range(rebuilds):
-        seed = rng.derive_seed(master_seed, purpose, i)
-        oracle = build_oracle(model, config_fn(seed), threads=threads)
+        seeded = replace(config, master_seed=rng.derive_seed(master_seed, purpose, i))
+        oracle = build_oracle(model, seeded, threads=threads)
         if not check_eps_approx(oracle.query((0,)), truth, opt1, epsilon):
             failures += 1
     return failures
 
 
-def criterion_averaging_guarantee(master_seed: int = 0, threads: int = 1) -> CriterionResult:
-    start = time.perf_counter()
+def _tree_guarantee(mode, master_seed, purpose, threads):
+    """Criteria 3 and 4's tree half: 1000 rebuilds of a ``mode`` oracle sized
+    for eps 0.5, delta 0.1 and c 3 on ``gen_tree(3)`` at tau 3.  Returns the
+    sized config, the root's exact report, whether the failures' Wilson
+    bound is within delta, and the failure metrics."""
     model = families.gen_tree(3)
     epsilon, delta, c, tau = 0.5, 0.1, 3.0, 3
     report = exact_report(model, (0,), tau)
-    config = size_for_guarantee(epsilon, delta, c, AVERAGING, tau=tau)
+    config = size_for_guarantee(epsilon, delta, c, mode, tau=tau)
     rebuilds = 1000
-    failures = _rebuild_failures(model, lambda s: OracleConfig(1, config.pool_size, tau, s),
-                                 report.influence, report.opt1, epsilon, rebuilds,
-                                 master_seed, 3, threads)
+    failures = rebuild_failures(model, config, report.influence, report.opt1, epsilon,
+                                rebuilds, master_seed, purpose, threads)
     upper = wilson_upper(failures, rebuilds)
+    return config, report, upper <= delta, {"rebuilds": rebuilds, "failures": failures,
+                                            "wilson_upper_99": upper}
+
+
+def criterion_averaging_guarantee(master_seed: int = 0, threads: int = 1) -> CriterionResult:
+    start = time.perf_counter()
+    config, report, bounded, metrics = _tree_guarantee(AVERAGING, master_seed, 3, threads)
     runtime = time.perf_counter() - start
-    ok = config.pool_size == 120 and upper <= delta and runtime < 120
+    ok = config.pool_size == 120 and bounded and runtime < 120
     return CriterionResult(
         "averaging-guarantee", ok, runtime,
-        {"pool_size": config.pool_size, "rebuilds": rebuilds, "failures": failures,
-         "wilson_upper_99": upper, "truth": report.influence, "opt1": report.opt1},
+        {"pool_size": config.pool_size, **metrics,
+         "truth": report.influence, "opt1": report.opt1},
         "single-pool oracle, failure fraction Wilson-bounded by delta")
 
 
 def criterion_moa_guarantee(master_seed: int = 0, threads: int = 1) -> CriterionResult:
     start = time.perf_counter()
-    model = families.gen_tree(3)
-    epsilon, delta, c, tau = 0.5, 0.1, 3.0, 3
-    report = exact_report(model, (0,), tau)
-    config = size_for_guarantee(epsilon, delta, c, MEDIAN_OF_AVERAGES, tau=tau)
-    rebuilds = 1000
-    failures = _rebuild_failures(
-        model, lambda s: OracleConfig(config.pools, config.pool_size, tau, s),
-        report.influence, report.opt1, epsilon, rebuilds, master_seed, 4, threads)
-    upper = wilson_upper(failures, rebuilds)
+    config, _, bounded, metrics = _tree_guarantee(MEDIAN_OF_AVERAGES, master_seed, 4,
+                                                  threads)
 
     # Equal-total-simulation comparison on a heavy-tailed instance.
     poly = families.gen_polysimu(300)
-    ptau = 2
-    p_eps, p_delta = 0.5, 0.05
-    pc = c_value(poly, ptau)
-    moa_cfg = size_for_guarantee(p_eps, p_delta, pc, MEDIAN_OF_AVERAGES, tau=ptau)
+    ptau, p_eps = 2, 0.5
+    moa_cfg = size_for_guarantee(p_eps, 0.05, c_value(poly, ptau), MEDIAN_OF_AVERAGES,
+                                 tau=ptau)
     total = moa_cfg.total_simulations
     singles = exact_values(poly, ptau, [(v,) for v in range(poly.num_nodes)])
     truth, opt1 = float(singles[0]), float(singles.max())
     trials = 200
-    moa_failures = 0
-    avg_failures = 0
-    for i in range(trials):
-        seed = rng.derive_seed(master_seed, 41, i)
-        moa = build_oracle(poly, OracleConfig(moa_cfg.pools, moa_cfg.pool_size, ptau, seed),
-                           threads=threads)
-        if not check_eps_approx(moa.query((0,)), truth, opt1, p_eps):
-            moa_failures += 1
-        seed = rng.derive_seed(master_seed, 42, i)
-        avg = build_oracle(poly, OracleConfig(1, total, ptau, seed), threads=threads)
-        if not check_eps_approx(avg.query((0,)), truth, opt1, p_eps):
-            avg_failures += 1
+    moa_failures = rebuild_failures(poly, moa_cfg, truth, opt1, p_eps, trials,
+                                    master_seed, 41, threads)
+    avg_failures = rebuild_failures(poly, OracleConfig(1, total, ptau), truth, opt1, p_eps,
+                                    trials, master_seed, 42, threads)
     runtime = time.perf_counter() - start
     ok = (config.pool_size == 48 and config.pools >= 28 * math.log(10.0)
-          and upper <= delta and moa_failures <= avg_failures and runtime < 300)
+          and bounded and moa_failures <= avg_failures and runtime < 300)
     return CriterionResult(
         "median-amplification", ok, runtime,
-        {"pool_size": config.pool_size, "pools": config.pools, "rebuilds": rebuilds,
-         "failures": failures, "wilson_upper_99": upper,
+        {"pool_size": config.pool_size, "pools": config.pools, **metrics,
          "equal_total": total, "moa_failures": moa_failures,
          "avg_failures": avg_failures, "comparison_trials": trials,
          "poly_truth": truth, "poly_opt1": opt1},
@@ -468,51 +463,38 @@ def criterion_rrs_bias(master_seed: int = 0, threads: int = 1) -> CriterionResul
 # ---------------------------------------------------------------------------
 # Criterion 9: adaptive wrapper budget and quality
 
+def _adaptive_run(model, s, base, values, seed, threads) -> dict:
+    """One adaptive run at tau 1 and eps = delta = 0.1, scored by the exact
+    ``values`` of the seed sets of size <= ``s`` and against the worst-case
+    optimization budget."""
+    epsilon, delta = 0.1, 0.1
+    worst = im_oracle_config(model.num_nodes, s, 1, epsilon, delta,
+                             c_value(model, 1)).total_simulations
+    result = adaptive_maximize(model, s, 1, epsilon, delta, base=base, master_seed=seed,
+                               threads=threads)
+    achieved, opt = values[result.seeds], max(values.values())
+    frac = result.simulations_used / worst
+    ok = (frac <= 0.1 and achieved >= (1 - 5 * epsilon) * opt
+          and result.simulations_used <= 2 * worst)
+    return {"budget_fraction": frac, "achieved": achieved, "opt": opt,
+            "opt_sims": result.simulations_used,
+            "validation_sims": result.validation_simulations,
+            "worst_case": worst, "rounds": len(result.rounds), "ok": ok}
+
+
 def criterion_adaptive(master_seed: int = 0, threads: int = 1) -> CriterionResult:
     start = time.perf_counter()
-    epsilon, delta = 0.1, 0.1
-    runs = {}
-    ok = True
-
     cover = ic_model(Graph.from_edges(5, [(0, 1, 1.0), (0, 2, 1.0), (3, 4, 1.0)]))
-    worst = im_oracle_config(5, 2, 1, epsilon, delta, c_value(cover, 1)).total_simulations
-    result = adaptive_maximize(cover, 2, 1, epsilon, delta, base="brute",
-                               master_seed=rng.derive_seed(master_seed, 9, 0),
-                               threads=threads)
-    exact = ExactInfluence(cover, 1)
-    opt = brute_force_max(exact, 2).oracle_value
-    achieved = exact.query(result.seeds)
-    frac = result.simulations_used / worst
-    run_ok = (frac <= 0.1 and achieved >= (1 - 5 * epsilon) * opt
-              and result.simulations_used <= 2 * worst)
-    ok = ok and run_ok
-    runs["max_cover"] = {"budget_fraction": frac, "achieved": achieved, "opt": opt,
-                         "opt_sims": result.simulations_used,
-                         "validation_sims": result.validation_simulations,
-                         "worst_case": worst, "rounds": len(result.rounds),
-                         "ok": run_ok}
-
-    star = families.gen_star(200, dependent=False)
-    worst = im_oracle_config(201, 1, 1, epsilon, delta, c_value(star, 1)).total_simulations
-    result = adaptive_maximize(star, 1, 1, epsilon, delta, base="greedy",
-                               master_seed=rng.derive_seed(master_seed, 9, 1),
-                               threads=threads)
     # Exact one-step influence of the star in closed form: the center covers
     # itself plus 200 half-probability leaves; every leaf covers itself.
-    star_exact = {(0,): 101.0}
-    achieved = star_exact.get(result.seeds, 1.0)
-    opt = 101.0
-    frac = result.simulations_used / worst
-    run_ok = (frac <= 0.1 and achieved >= (1 - 5 * epsilon) * opt
-              and result.simulations_used <= 2 * worst)
-    ok = ok and run_ok
-    runs["independent_star"] = {"budget_fraction": frac, "achieved": achieved,
-                                "opt": opt, "opt_sims": result.simulations_used,
-                                "validation_sims": result.validation_simulations,
-                                "worst_case": worst, "rounds": len(result.rounds),
-                                "ok": run_ok}
+    star_values = {(v,): 101.0 if v == 0 else 1.0 for v in range(201)}
+    runs = {"max_cover": _adaptive_run(cover, 2, "brute", exact_influence_map(cover, 1, 2),
+                                       rng.derive_seed(master_seed, 9, 0), threads),
+            "independent_star": _adaptive_run(families.gen_star(200, dependent=False), 1,
+                                              "greedy", star_values,
+                                              rng.derive_seed(master_seed, 9, 1), threads)}
     runtime = time.perf_counter() - start
-    ok = ok and runtime < 180
+    ok = all(run["ok"] for run in runs.values()) and runtime < 180
     return CriterionResult(
         "adaptive-budget", ok, runtime, runs,
         "early acceptance uses <= 10% of the worst-case optimization budget; "

@@ -290,6 +290,8 @@ def _cmd_sketch_query(args):
     if not (isinstance(entries, list) and weights.shape == (len(entries),)
             and all(isinstance(entry, dict) for entry in entries)):
         raise ValueError("sketch file: sketches must hold one object per node weight")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ValueError("sketch file: node weights must be finite and nonnegative")
     sketches = tuple(
         NodeSketch(doc["k"], np.asarray(entry["ranks"], dtype=np.float64),
                    np.asarray(entry["pair_nodes"], dtype=np.int64),
@@ -300,9 +302,14 @@ def _cmd_sketch_query(args):
         if not (sk.ranks.ndim == 1 and sk.pair_nodes.shape == sk.pair_sims.shape == (sk.size,)
                 and np.all((sk.pair_nodes >= 0) & (sk.pair_nodes < len(entries))
                            & (sk.pair_sims >= 0) & (sk.pair_sims < doc["ell"]))
-                and np.unique(sk.pair_sims * len(entries) + sk.pair_nodes).size == sk.size):
+                and np.unique(sk.pair_sims * len(entries) + sk.pair_nodes).size == sk.size
+                # build_sketches writes ranks in increasing order, and a
+                # truncated query reads the k-th as the k-th smallest.
+                and np.all(np.isfinite(sk.ranks) & (sk.ranks >= 0))
+                and np.all(np.diff(sk.ranks) >= 0)):
             raise ValueError("sketch file: a sketch's pairs are misshapen, out of range "
-                             "or repeated")
+                             "or repeated, or its ranks are not finite, nonnegative "
+                             "and nondecreasing")
     sketch_set = SketchSet(doc["k"], doc["tau"], doc["ell"], doc["rank_seed"],
                            weights, sketches)
     seeds = as_seed_tuple(weights.shape[0], _parse_seeds(args.seeds))
@@ -330,17 +337,7 @@ def _cmd_maximize(args):
         result = replace(result, method="moa-" + result.method)
     _emit(args, "maximize",
           {"model": args.model, "s": args.s, "tau": args.tau, "eps": args.eps,
-           "delta": args.delta, "method": args.method},
-          {"seeds": list(result.seeds), "oracle_value": result.oracle_value,
-           "simulations_used": result.simulations_used,
-           "validation_simulations": result.validation_simulations,
-           "method": result.method,
-           "trace": [{"node": t.node, "gain": t.gain, "value": t.value}
-                     for t in result.trace],
-           "rounds": [{"budget": r.budget, "validation_budget": r.validation_budget,
-                       "seeds": list(r.seeds), "oracle_value": r.oracle_value,
-                       "validated_value": r.validated_value, "accepted": r.accepted}
-                      for r in result.rounds]})
+           "delta": args.delta, "method": args.method}, result)
 
 
 def _cmd_audit_variance(args):

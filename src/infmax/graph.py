@@ -1,11 +1,9 @@
 """Directed graphs with edge probabilities, dependence groups, and node weights.
 
-Nodes carry dense ids ``0..n-1``; an optional ``labels`` tuple maps the
-dense ids back to external names at the I/O layer.  Edge arrays are
-parallel: edge ``e`` runs ``tails[e] -> heads[e]``, is live with
-probability ``probs[e]``, and may belong to dependence group
-``groups[e]`` (``-1`` when ungrouped).  All edges of a group must share
-one tail node and one probability.
+Nodes carry dense ids ``0..n-1``.  Edge arrays are parallel: edge ``e``
+runs ``tails[e] -> heads[e]``, is live with probability ``probs[e]``, and
+may belong to dependence group ``groups[e]`` (``-1`` when ungrouped).  All
+edges of a group must share one tail node and one probability.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ class Graph:
     probs: np.ndarray
     groups: np.ndarray
     node_weights: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         n = int(self.num_nodes)
@@ -55,8 +52,6 @@ class Graph:
                 raise ValueError("node weights must be finite")
             if lo < 0.0:
                 raise ValueError("node weights must be nonnegative")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels must have one entry per node")
         for gid in np.unique(self.groups[self.groups >= 0]):
             members = np.flatnonzero(self.groups == gid)
             if np.unique(self.tails[members]).size != 1:
@@ -99,7 +94,7 @@ class Graph:
         return out
 
     @staticmethod
-    def from_edges(num_nodes: int, edges, node_weights=None, labels=None) -> "Graph":
+    def from_edges(num_nodes: int, edges, node_weights=None) -> "Graph":
         """Build from an iterable of ``(tail, head, p[, group_id])`` tuples."""
         edges = list(edges)
         tails = np.array([e[0] for e in edges], dtype=np.int64)
@@ -109,7 +104,7 @@ class Graph:
         if node_weights is None:
             node_weights = np.ones(num_nodes, dtype=np.float64)
         return Graph(num_nodes, tails, heads, probs, groups,
-                     np.asarray(node_weights, dtype=np.float64), labels)
+                     np.asarray(node_weights, dtype=np.float64))
 
 
 def as_seed_tuple(num_nodes: int, seeds) -> tuple[int, ...]:

@@ -126,7 +126,7 @@ class DiffusionModel:
         g = self.graph
         return ic_model(Graph(g.num_nodes, g.tails, g.heads, self.marginal_edge_probs,
                               np.full(g.num_edges, -1, dtype=np.int64),
-                              g.node_weights, g.labels))
+                              g.node_weights))
 
     @cached_property
     def marginal_edge_probs(self) -> np.ndarray:
@@ -773,7 +773,7 @@ def _load_model(path: Path, parents: tuple) -> DiffusionModel:
                     raise ValueError(f"lt_weights names missing edge ({t}, {h})")
                 probs[index[(t, h)]] = _json_number(w, "lt_weights weight")
             graph = Graph(graph.num_nodes, graph.tails, graph.heads, probs,
-                          graph.groups, graph.node_weights, graph.labels)
+                          graph.groups, graph.node_weights)
         return lt_model(graph)
     if kind == BDEP:
         return bdep_model(graph, _json_int(doc["b"], "b"))

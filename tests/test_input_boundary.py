@@ -118,6 +118,28 @@ def _repeat_first_pair(doc):
     return doc
 
 
+def _first_weight(value):
+    def edit(doc):
+        doc["node_weights"][0] = value
+        return doc
+    return edit
+
+
+def _first_rank(index, value):
+    def edit(doc):
+        doc["sketches"][0]["ranks"][index] = value
+        return doc
+    return edit
+
+
+def _reverse_first_sketch(doc):
+    first = doc["sketches"][0]
+    assert len(set(first["ranks"])) > 1
+    for key in ("ranks", "pair_nodes", "pair_sims"):
+        first[key].reverse()
+    return doc
+
+
 SKETCH_EDITS = {
     "k-not-int": _set("k", "x"),
     "k-bool": _set("k", True),
@@ -130,6 +152,12 @@ SKETCH_EDITS = {
     "pair-sim-out-of-range": _first_sketch("pair_sims", [-1]),
     "pair-repeated": _repeat_first_pair,
     "ranks-length": _first_sketch("ranks", []),
+    "weight-nan": _first_weight(float("nan")),
+    "weight-infinite": _first_weight(float("inf")),
+    "weight-negative": _first_weight(-5.0),
+    "rank-negative": _first_rank(0, -1.0),
+    "rank-infinite": _first_rank(-1, float("inf")),
+    "ranks-unsorted": _reverse_first_sketch,
 }
 
 
