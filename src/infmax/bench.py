@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import Graph, as_seed_tuple
-from .models import DiffusionModel, ic_model, lt_model, bdep_model, mixture_model, sample_pool, reach_values_batch
+from .models import (DiffusionModel, ic_model, lt_model, bdep_model, mixture_model,
+                     reach_mask_batch, row_values, sample_pool)
 from .exact import (audit_variance_bound, c_value, depth_profile, exact_influence_map,
                     exact_report, exact_values)
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINAL,
@@ -155,8 +156,9 @@ def criterion_tree_variance(master_seed: int = 0, threads: int = 1) -> Criterion
     for depth in (2, 3, 4, 5):
         dist = _tree_reach_distribution(depth)
         values = np.arange(dist.size)
-        mean = float(values @ dist)
-        var = float((values * values) @ dist - mean * mean)
+        # Correctly rounded sums, so the closed forms hold to the last bit.
+        mean = math.fsum(values * dist)
+        var = math.fsum(values * values * dist) - mean * mean
         tau_formula = depth + 1
         formula_mean = float(tau_formula)
         formula_var = tau_formula * (tau_formula - 1) * (2 * tau_formula - 1) / 12.0
@@ -168,8 +170,9 @@ def criterion_tree_variance(master_seed: int = 0, threads: int = 1) -> Criterion
         else:
             enum_ok = True
         live, _ = sample_pool(model, rng.derive_seed(master_seed, 1, depth), 100_000,
-                              threads=threads)
-        vals = reach_values_batch(model.graph, live, (0,), depth)
+                              threads=threads, packed=True)
+        vals = row_values(model.graph, reach_mask_batch(model.graph, live, (0,), depth),
+                          100_000)
         mc_var = float(vals.var(ddof=1))
         mc_ok = abs(mc_var / var - 1.0) <= 0.05
         formula_ok = (abs(var - formula_var) <= 1e-9 and abs(mean - formula_mean) <= 1e-9)

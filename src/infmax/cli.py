@@ -32,7 +32,7 @@ from .graph import as_seed_tuple
 # traced run wraps it at infmax.cli.maximize_im.
 from .maximize import (adaptive_maximize, brute_force_fits, brute_force_max, greedy_max,
                        im_oracle_config, maximize_im)  # noqa: F401
-from .models import load_model, sample_pool, save_model, reach_values_batch
+from .models import load_model, reach_mask_batch, row_values, sample_pool, save_model
 from .sketches import MIN_SKETCH_SIZE, NodeSketch, SketchSet, build_sketches, sketch_query
 
 EXIT_OK = 0
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--mode", choices=("avg", "moa"), default="avg")
+    p.add_argument("--mode", choices=("avg", "moa"), help="default avg, with --eps/--delta")
     p.add_argument("--pools", type=int)
     p.add_argument("--pool-size", type=int)
 
@@ -211,8 +211,9 @@ def _cmd_simulate(args):
     seeds = as_seed_tuple(model.num_nodes, _parse_seeds(args.seeds))
     if args.num < 1:
         raise ValueError("simulation count must be at least 1")
-    live, _ = sample_pool(model, args.seed, args.num, threads=args.threads)
-    values = reach_values_batch(model.graph, live, seeds, args.tau)
+    live, _ = sample_pool(model, args.seed, args.num, threads=args.threads, packed=True)
+    values = row_values(model.graph, reach_mask_batch(model.graph, live, seeds, args.tau),
+                        args.num)
     result = {"num": args.num, "mean": float(values.mean()),
               "variance": float(values.var(ddof=1)) if args.num > 1 else 0.0}
     if args.emit_values:
@@ -238,10 +239,13 @@ def _cmd_estimate(args):
     if args.pools is not None or args.pool_size is not None:
         if args.pools is None or args.pool_size is None:
             raise ValueError("--pools and --pool-size go together")
+        if (args.eps, args.delta, args.mode) != (None, None, None):
+            raise ValueError("--eps, --delta and --mode do not go with --pools/--pool-size")
         config = OracleConfig(args.pools, args.pool_size, args.tau, args.seed)
     else:
         if args.eps is None or args.delta is None:
             raise ValueError("give --eps/--delta or --pools/--pool-size")
+        args.mode = args.mode or "avg"
         mode = AVERAGING if args.mode == "avg" else MEDIAN_OF_AVERAGES
         c = c_value(model, args.tau)
         config = size_for_guarantee(args.eps, args.delta, c, mode,

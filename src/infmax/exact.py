@@ -22,7 +22,7 @@ import numpy as np
 from .estimators import _SCORE_BLOCK_BYTES
 from .graph import Graph, as_seed_tuple
 from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _bfs, _units,
-                     propagation_steps, reach_table, set_reaches, unpack_columns)
+                     propagation_steps, reach_table, row_values, set_reaches, unpack_columns)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
@@ -197,14 +197,6 @@ def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
         yield words, rows, weight * probs
 
 
-def _row_values(g: Graph, mask: np.ndarray, rows: int) -> np.ndarray:
-    """Reach value of each of the first ``rows`` rows of a packed
-    ``(words, n)`` node mask.  A row's value adds the weights of its active
-    nodes in node order, whatever the other rows hold, and no ``(rows, n)``
-    float matrix is formed."""
-    return np.einsum("v,vr->r", g.node_weights, unpack_columns(mask, rows))
-
-
 def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
                       tau: int, ids: np.ndarray) -> np.ndarray:
     """``probs``-weighted reach value over one chunk of each seed set in the
@@ -216,7 +208,7 @@ def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
     if table is not None:
         ids = at.reshape(ids.shape)
     block = max(1, _SCORE_BLOCK_BYTES // (words.shape[0] * max(g.num_nodes, 1) * 8))
-    return np.array([probs @ _row_values(g, mask, rows)
+    return np.array([np.einsum("r,r->", probs, row_values(g, mask, rows))
                      for lo in range(0, len(ids), block)
                      for mask in set_reaches(g, words, tau, ids[lo:lo + block], table)])
 
@@ -282,10 +274,10 @@ def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
     for words, rows, probs in _outcome_chunks(parts, _ball_edges(parts, tau, seeds)):
         walked += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
-            step_probs[d] += unpack_columns(newly, rows) @ probs
-        values = _row_values(g, active, rows)
-        influence += float(probs @ values)
-        second += float(probs @ (values * values))
+            step_probs[d] += np.einsum("vr,r->v", unpack_columns(newly, rows), probs)
+        values = row_values(g, active, rows)
+        influence += float(np.einsum("r,r->", probs, values))
+        second += float(np.einsum("r,r->", probs, values * values))
     variance = max(second - influence * influence, 0.0)
     step_probs.setflags(write=False)
     return ExactReport(influence, variance, step_probs, size, walked, tau,
@@ -327,11 +319,11 @@ def depth_profile(model: DiffusionModel, seeds, tau_max: int | None = None) -> D
         tau_max = model.num_nodes - 1
     report = exact_report(model, seeds, int(tau_max))
     w = model.graph.node_weights
-    mass_by_depth = report.step_probs @ w
+    mass_by_depth = np.einsum("dv,v->d", report.step_probs, w)
     influence_by_tau = np.cumsum(mass_by_depth)
     total = float(influence_by_tau[-1])
     if total > 0.0:
-        mean_depth = float(np.arange(tau_max + 1) @ mass_by_depth) / total
+        mean_depth = float(np.einsum("d,d->", np.arange(tau_max + 1), mass_by_depth)) / total
     else:
         mean_depth = 0.0
     influence_by_tau.setflags(write=False)

@@ -667,10 +667,12 @@ def set_reaches(graph: Graph, live: np.ndarray, tau: int, ids: np.ndarray,
     return masks
 
 
-def reach_values_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
-    """Per-simulation reach values of a ``(rows, m)`` boolean live matrix."""
-    mask = reach_mask_batch(graph, pack_rows(live), seeds, tau)
-    return unpack_rows(mask, live.shape[0]) @ graph.node_weights
+def row_values(graph: Graph, mask: np.ndarray, rows: int) -> np.ndarray:
+    """Reach value of each of the first ``rows`` rows of a packed
+    ``(words, n)`` node mask.  A row's value adds the weights of its active
+    nodes in node order, whatever the other rows hold, and no ``(rows, n)``
+    float matrix is formed."""
+    return np.einsum("v,vr->r", graph.node_weights, unpack_columns(mask, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,21 @@ def test_exit_codes(tmp_path, monkeypatch):
     for c in ("nan", "inf", "-1", "0"):
         assert run_cli(audit + ["--c", c]) == 2
     assert run_cli(audit + ["--c", "2"]) == 0
+    # estimate takes --eps/--delta/--mode or --pools/--pool-size, never both
+    # groups, so no report names a flag it ignored -> 2
+    report = tmp_path / "est.json"
+    estimate = ["estimate", "--model", str(tree), "--seeds", "0", "--tau", "2",
+                "--out", str(report)]
+    pools = ["--pools", "1", "--pool-size", "10"]
+    for extra in (["--eps", "2"], ["--delta", "0.1"], ["--mode", "avg"], ["--mode", "moa"],
+                  ["--eps", "0.5", "--delta", "0.1", "--mode", "moa"]):
+        assert run_cli(estimate + pools + extra) == 2
+        assert run_cli(estimate + extra + pools) == 2
+    assert not report.exists()
+    assert run_cli(estimate + pools) == 0
+    assert json.loads(report.read_text())["parameters"]["mode"] is None
+    assert run_cli(estimate + ["--eps", "0.5", "--delta", "0.1"]) == 0
+    assert json.loads(report.read_text())["parameters"]["mode"] == "avg"
     # a bad seed budget, or brute force over the subset budget -> 2, before
     # any sampling
     sampled = []

@@ -38,7 +38,9 @@ def test_pool_layout_owns_consecutive_indices():
         pools = oracle.pool_averages(seeds)
         assert np.array_equal(pools, from_rows.pool_averages(seeds))
         for pool in range(3):
-            values = im.reach_values_batch(model.graph, rows[2 * pool:2 * pool + 2], seeds, 2)
+            words = im.pack_rows(rows[2 * pool:2 * pool + 2])
+            values = im.row_values(model.graph, im.reach_mask_batch(model.graph, words, seeds, 2),
+                                   2)
             assert pools[pool] == values.mean()
 
 
@@ -69,8 +71,8 @@ def test_query_is_median_of_pool_averages(pools, pool_size):
 def test_single_pool_query_is_plain_average():
     model = im.families.gen_random_ic(9, 16, seed=4)
     oracle = im.build_oracle(model, im.OracleConfig(1, 50, 2, 3))
-    live, _ = im.sample_pool(model, 3, 50)
-    values = im.reach_values_batch(model.graph, live, (2,), 2)
+    live, _ = im.sample_pool(model, 3, 50, packed=True)
+    values = im.row_values(model.graph, im.reach_mask_batch(model.graph, live, (2,), 2), 50)
     assert oracle.query((2,)) == pytest.approx(values.sum() / 50)
 
 

@@ -1,7 +1,11 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,8 +206,9 @@ def test_monte_carlo_consistency_with_exact_moments():
     band = 4.0 * math.sqrt(report.variance / sims)
     failures = 0
     for t in range(trials):
-        live, _ = im.sample_pool(model, 1000 + t, sims)
-        mean = im.reach_values_batch(model.graph, live, (0,), 2).mean()
+        live, _ = im.sample_pool(model, 1000 + t, sims, packed=True)
+        mean = im.row_values(model.graph, im.reach_mask_batch(model.graph, live, (0,), 2),
+                             sims).mean()
         if abs(mean - report.influence) > band:
             failures += 1
     assert failures / trials <= 0.01
@@ -514,10 +519,42 @@ def test_row_values_add_active_weights_in_node_order():
         expect = np.zeros(rows)
         for v in range(g.num_nodes):
             expect += g.node_weights[v] * bits[:, v]
-        got = exact._row_values(g, im.pack_rows(bits), rows)
+        got = models.row_values(g, im.pack_rows(bits), rows)
         assert got.tobytes() == expect.tobytes()
         # A row's value does not depend on the rows around it.
-        assert exact._row_values(g, im.pack_rows(bits[:1]), 1)[0] == got[0]
+        assert models.row_values(g, im.pack_rows(bits[:1]), 1)[0] == got[0]
+
+
+# Prints the bytes of every exact output and of weighted row values.
+_VALUE_BYTES_SCRIPT = """
+import sys
+import numpy as np
+import infmax as im
+model = im.families.gen_random_ic(8, 22, seed=0)
+report = im.exact_report(model, (0, 3), 3)
+profile = im.depth_profile(model, (0, 3), 3)
+weighted = im.families.gen_random_ic(30, 80, weight_range=(0.5, 3.0), seed=1)
+words, _ = im.sample_pool(weighted, 5, 5000, packed=True)
+mask = im.reach_mask_batch(weighted.graph, words, (0, 3), 3)
+parts = [np.float64(report.influence), np.float64(report.variance), report.step_probs,
+         im.exact_values(model, 3, [(0,), (3,), (0, 3), (1, 6), (2, 7)]),
+         np.float64(profile.mean_depth), profile.influence_by_tau,
+         im.row_values(weighted.graph, mask, 5000)]
+sys.stdout.write(b"".join(part.tobytes() for part in parts).hex())
+"""
+
+
+def test_values_do_not_depend_on_blas_threads():
+    # A BLAS product may split a sum over its threads, so the thread count
+    # would move the last bits of a value; no value goes through BLAS.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    runs = [subprocess.Popen([sys.executable, "-c", _VALUE_BYTES_SCRIPT],
+                             env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                             stdout=subprocess.PIPE, text=True)
+            for threads in ("1", "4")]
+    out = [run.communicate()[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert out[0] == out[1]
 
 
 def test_query_many_matches_the_influence_map_bit_for_bit():

@@ -35,9 +35,9 @@ def test_star_family():
     assert lone.num_nodes == 1
     assert im.exact_report(lone, (0,), 1).influence == 1.0
 
-    live, _ = im.sample_pool(im.families.gen_star(200, dependent=False), 0, 2000)
-    values = im.reach_values_batch(
-        im.families.gen_star(200, dependent=False).graph, live, (0,), 1)
+    star = im.families.gen_star(200, dependent=False)
+    live, _ = im.sample_pool(star, 0, 2000, packed=True)
+    values = im.row_values(star.graph, im.reach_mask_batch(star.graph, live, (0,), 1), 2000)
     # binomial oracle: mean 1 + 200/2, variance 200 * 1/4
     assert values.mean() == pytest.approx(101.0, abs=4 * np.sqrt(50 / 2000))
     assert values.var(ddof=1) == pytest.approx(50.0, rel=0.2)

@@ -499,8 +499,6 @@ def test_negative_step_limit_rejected():
         im.reach_mask_batch(g, packed, im.start_mask(g.num_nodes, range(5)), -1,
                             reverse=True)
     with pytest.raises(ValueError, match="step limit"):
-        im.reach_values_batch(g, live, (0,), -1)
-    with pytest.raises(ValueError, match="step limit"):
         im.build_sketches(model, live, -2, 5, rank_seed=0)
 
 
