@@ -282,7 +282,7 @@ def marginal_edge_model(model: DiffusionModel) -> DiffusionModel:
     return model._marginal_edge_model
 
 
-_RRS_CHUNK = 8192
+_RRS_CELLS = 1 << 20  # searches x nodes of float64 credits per chunk (8 MB)
 
 
 def _rrs_live_words(model: DiffusionModel, mode: str, master_seed: int, lo: int,
@@ -309,9 +309,9 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
 
     Search ``t`` picks a uniform target node and credits its weight to
     every node that reaches it within ``tau`` live steps.  Each chunk of
-    searches runs as one reverse propagation on the packed kernel, one
-    search per row with its target set in that row only; the credits are
-    added search by search, in order, like a loop over scalar searches.
+    searches runs as one propagation over ``Graph.reversed``, one search
+    per row with its target set in that row only; the credits are added
+    search by search, in order, like a loop over scalar searches.
     """
     if mode not in (FULL_SIMULATION, MARGINAL):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -322,12 +322,13 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     n = g.num_nodes
     w = g.node_weights
     acc = np.zeros(n, dtype=np.float64)
-    for lo in range(0, num_searches, _RRS_CHUNK):
-        count = min(_RRS_CHUNK, num_searches - lo)
+    chunk = max(1, _RRS_CELLS // max(n, 1))
+    for lo in range(0, num_searches, chunk):
+        count = min(chunk, num_searches - lo)
         u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
         targets = np.minimum((u * n).astype(np.int64), n - 1)
         words = _rrs_live_words(model, mode, master_seed, lo, count)
-        mask = reach_mask_batch(g, words, start_mask(n, targets), tau, reverse=True)
+        mask = reach_mask_batch(g.reversed, words, start_mask(n, targets), tau)
         # An axis-0 reduce over C-contiguous rows adds them in row order,
         # so the sums equal the scalar loop's ``acc[reached] += w[t]``.
         contrib = unpack_rows(mask, count) * w[targets][:, None]

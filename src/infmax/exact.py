@@ -111,7 +111,7 @@ def _ball_edges(parts, tau: int, seeds) -> np.ndarray:
             g = part.graph
             possible = g.probs > 0.0
             near = np.zeros(g.num_nodes, dtype=bool)
-            near[_bfs(g, possible, seeds, tau - 1, reverse=False)] = True
+            near[_bfs(g, possible, seeds, tau - 1)] = True
             relevant[offset:offset + g.num_edges] = possible & near[g.tails]
     return relevant
 

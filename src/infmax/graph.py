@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -58,25 +59,28 @@ class Graph:
                 raise ValueError(f"group {gid}: edges must share one tail node")
             if np.unique(self.probs[members]).size != 1:
                 raise ValueError(f"group {gid}: per-edge probabilities must agree")
-        # CSR views, sorted by endpoint then edge id for deterministic traversal.
-        out_order = np.argsort(self.tails, kind="stable").astype(np.int64)
+        # In-edge CSR, sorted by head then edge id for deterministic traversal.
         in_order = np.argsort(self.heads, kind="stable").astype(np.int64)
-        out_start = np.zeros(n + 1, dtype=np.int64)
         in_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.tails, minlength=n), out=out_start[1:])
         np.cumsum(np.bincount(self.heads, minlength=n), out=in_start[1:])
-        for name, arr in (("out_order", out_order), ("in_order", in_order),
-                          ("out_start", out_start), ("in_start", in_start)):
+        for name, arr in (("_in_order", in_order), ("_in_start", in_start)):
             arr.setflags(write=False)
-            object.__setattr__(self, "_" + name, arr)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_edges(self) -> int:
         return int(self.tails.shape[0])
 
+    @cached_property
+    def reversed(self) -> "Graph":
+        """Every edge turned around, with the same ids, probabilities and node
+        weights and no groups: a group's turned edges would share no tail."""
+        return Graph(self.num_nodes, self.heads, self.tails, self.probs,
+                     np.full(self.num_edges, -1, dtype=np.int64), self.node_weights)
+
     def out_edges(self, node: int) -> np.ndarray:
         """Edge ids leaving ``node``, ascending."""
-        return self._out_order[self._out_start[node]:self._out_start[node + 1]]
+        return self.reversed.in_edges(node)
 
     def in_edges(self, node: int) -> np.ndarray:
         """Edge ids entering ``node``, ascending."""

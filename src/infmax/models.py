@@ -28,8 +28,8 @@ reference.  Stacks of simulations propagate bit-parallel: they are packed
 64 to a ``uint64`` word (:func:`pack_rows`), and one step of the batched
 kernel (:func:`propagation_steps`) advances all of them at once.  The
 kernel starts from one seed set shared by every row or from a packed start
-mask with its own start nodes per row (:func:`start_mask`), and runs
-forward along edges or, for reverse searches, backward.
+mask with its own start nodes per row (:func:`start_mask`); reverse
+searches run it over :attr:`Graph.reversed`.
 """
 
 from __future__ import annotations
@@ -472,13 +472,12 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
 # ---------------------------------------------------------------------------
 # Reachability
 
-def _bfs(graph: Graph, live: np.ndarray, seeds, tau: int, reverse: bool) -> np.ndarray:
-    endpoint = graph.tails if reverse else graph.heads
-    edges_of = graph.in_edges if reverse else graph.out_edges
+def _bfs(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
     frontier = set(seeds)
     reached = set(frontier)
     for _ in range(tau):
-        frontier = {int(endpoint[e]) for v in frontier for e in edges_of(v) if live[e]} - reached
+        frontier = {int(graph.heads[e]) for v in frontier for e in graph.out_edges(v)
+                    if live[e]} - reached
         if not frontier:
             break
         reached |= frontier
@@ -490,7 +489,7 @@ def reach_set(graph: Graph, sim: Simulation, seeds, tau: int) -> np.ndarray:
     seeds = as_seed_tuple(graph.num_nodes, seeds)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
-    return _bfs(graph, sim.live, seeds, int(tau), reverse=False)
+    return _bfs(graph, sim.live, seeds, int(tau))
 
 
 def reach_value(graph: Graph, sim: Simulation, seeds, tau: int) -> float:
@@ -501,7 +500,7 @@ def reach_value(graph: Graph, sim: Simulation, seeds, tau: int) -> float:
 
 def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int) -> np.ndarray:
     """Nodes that reach ``target`` by live paths of length <= ``tau``."""
-    return _bfs(graph, live, (int(target),), int(tau), reverse=True)
+    return _bfs(graph.reversed, live, (int(target),), int(tau))
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -545,8 +544,7 @@ def start_mask(num_nodes: int, targets) -> np.ndarray:
     return mask
 
 
-def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int,
-                      reverse: bool = False):
+def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
     """Bit-parallel BFS over packed simulations, one step at a time.
 
     ``live`` is ``(words, m)`` ``uint64`` from :func:`pack_rows`: bit ``r``
@@ -559,12 +557,10 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int,
     ``active`` the union of all steps so far.  Each step gathers the
     frontier bits of every edge's tail, keeps the live ones and ORs them
     into each head with one ``reduceat`` over the edges sorted by head.
-    With ``reverse`` the edges run backwards: heads are gathered and ORed
-    into tails over the edges sorted by tail, so ``active`` holds the
-    nodes that reach the start nodes.  Stops early after a step that
-    activates nothing.  Padding bits never spread, since their live bits
-    are zero.  Both arrays are updated in place by the next step, so
-    consume them before advancing.
+    Over :attr:`Graph.reversed`, ``active`` holds the nodes that reach the
+    start nodes.  Stops early after a step that activates nothing.  Padding
+    bits never spread, since their live bits are zero.  Both arrays are
+    updated in place by the next step, so consume them before advancing.
     """
     tau = int(tau)
     if tau < 0:
@@ -581,15 +577,12 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int,
     yield frontier, active
     if graph.num_edges == 0:
         return
-    if reverse:
-        order, starts, sources = graph._out_order, graph._out_start, graph.heads
-    else:
-        order, starts, sources = graph._in_order, graph._in_start, graph.tails
-    sources_by_sink = sources[order]
-    live_by_sink = live[:, order]
+    order, starts = graph._in_order, graph._in_start
+    tails_by_head = graph.tails[order]
+    live_by_head = live[:, order]
     has_in = np.flatnonzero(starts[1:] > starts[:-1])
     for _ in range(tau):
-        hit = frontier[:, sources_by_sink] & live_by_sink
+        hit = frontier[:, tails_by_head] & live_by_head
         nxt = np.zeros_like(active)
         nxt[:, has_in] = np.bitwise_or.reduceat(hit, starts[has_in], axis=1)
         nxt &= ~active
@@ -600,17 +593,15 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int,
         yield frontier, active
 
 
-def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int,
-                     reverse: bool = False) -> np.ndarray:
+def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
     """Packed active-node masks for packed simulations.
 
     ``live`` is ``(words, m)`` and the result ``(words, n)``, both
-    ``uint64`` as laid out by :func:`pack_rows`; ``seeds`` and ``reverse``
-    are as in :func:`propagation_steps`.  Unpacked, it matches
-    :func:`reach_set` (:func:`reverse_reach_set` with ``reverse``) row by
-    row.
+    ``uint64`` as laid out by :func:`pack_rows`; ``seeds`` is as in
+    :func:`propagation_steps`.  Unpacked, it matches :func:`reach_set` row
+    by row (:func:`reverse_reach_set` over :attr:`Graph.reversed`).
     """
-    for _, active in propagation_steps(graph, live, seeds, tau, reverse):
+    for _, active in propagation_steps(graph, live, seeds, tau):
         pass
     return active
 

@@ -104,29 +104,33 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, tuple(sketches))
 
 
+def _bottom_k(k: int, parts) -> NodeSketch:
+    """Bottom-k of the union of size-``k`` sketches, sorted once."""
+    ranks = np.concatenate([s.ranks for s in parts])
+    nodes = np.concatenate([s.pair_nodes for s in parts])
+    sims = np.concatenate([s.pair_sims for s in parts])
+    order = np.lexsort((sims, nodes, ranks))
+    ranks, nodes, sims = ranks[order], nodes[order], sims[order]
+    # Duplicate pairs are adjacent in this order and collapse to one entry.
+    keep = np.ones(ranks.size, dtype=bool)
+    keep[1:] = (nodes[1:] != nodes[:-1]) | (sims[1:] != sims[:-1])
+    ranks, nodes, sims = ranks[keep], nodes[keep], sims[keep]
+    return NodeSketch(k, ranks[:k], nodes[:k], sims[:k])
+
+
 def merge_sketches(a: NodeSketch, b: NodeSketch) -> NodeSketch:
     """Bottom-k of the union; duplicate pairs collapse to one entry."""
     if a.k != b.k:
         raise ValueError("cannot merge sketches of different sizes")
-    ranks = np.concatenate([a.ranks, b.ranks])
-    nodes = np.concatenate([a.pair_nodes, b.pair_nodes])
-    sims = np.concatenate([a.pair_sims, b.pair_sims])
-    order = np.lexsort((sims, nodes, ranks))
-    ranks, nodes, sims = ranks[order], nodes[order], sims[order]
-    if ranks.size:
-        keep = np.ones(ranks.size, dtype=bool)
-        same = (nodes[1:] == nodes[:-1]) & (sims[1:] == sims[:-1])
-        keep[1:] = ~same
-        ranks, nodes, sims = ranks[keep], nodes[keep], sims[keep]
-    return NodeSketch(a.k, ranks[:a.k], nodes[:a.k], sims[:a.k])
+    return _bottom_k(a.k, (a, b))
 
 
 def merged_seed_sketch(sketches: SketchSet, seeds) -> NodeSketch:
+    """Bottom-k of the seeds' merged sketches; one seed keeps its own."""
     seeds = as_seed_tuple(len(sketches.sketches), seeds)
-    merged = sketches.sketches[seeds[0]]
-    for v in seeds[1:]:
-        merged = merge_sketches(merged, sketches.sketches[v])
-    return merged
+    if len(seeds) == 1:
+        return sketches.sketches[seeds[0]]
+    return _bottom_k(sketches.k, [sketches.sketches[v] for v in seeds])
 
 
 def sketch_query(sketches: SketchSet, seeds, ell: int) -> float:

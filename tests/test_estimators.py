@@ -1,13 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import infmax as im
-from infmax import rng
-from infmax.estimators import _RRS_CHUNK
+from infmax import estimators, rng
 from infmax.models import _sample_live_block
 
 
@@ -316,24 +316,23 @@ def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
     g = model.graph
     n, w = g.num_nodes, g.node_weights
     acc = np.zeros(n, dtype=np.float64)
-    for lo in range(0, num_searches, _RRS_CHUNK):
-        count = min(_RRS_CHUNK, num_searches - lo)
-        u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
-        targets = np.minimum((u * n).astype(np.int64), n - 1)
-        if mode == im.FULL_SIMULATION:
-            live, _ = _sample_live_block(model, master_seed, lo, count)
-        else:
-            # One flip per edge with 0 < p < 1, in edge-id order; edges at
-            # p = 0 or 1 draw nothing.
-            p = model.marginal_edge_probs
-            flips = np.flatnonzero((p > 0.0) & (p < 1.0))
-            u = rng.block_uniforms(master_seed, rng.STREAM_RRS_EDGES, lo, count, flips.size)
-            live = np.zeros((count, g.num_edges), dtype=bool)
-            live[:, p >= 1.0] = True
-            live[:, flips] = u < p[flips]
-        for t in range(count):
-            reached = im.reverse_reach_set(g, live[t], int(targets[t]), tau)
-            acc[reached] += w[targets[t]]
+    # Targets and simulations are read by position, so one block holds them all.
+    u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, 0, num_searches, 1)[:, 0]
+    targets = np.minimum((u * n).astype(np.int64), n - 1)
+    if mode == im.FULL_SIMULATION:
+        live, _ = _sample_live_block(model, master_seed, 0, num_searches)
+    else:
+        # One flip per edge with 0 < p < 1, in edge-id order; edges at
+        # p = 0 or 1 draw nothing.
+        p = model.marginal_edge_probs
+        flips = np.flatnonzero((p > 0.0) & (p < 1.0))
+        u = rng.block_uniforms(master_seed, rng.STREAM_RRS_EDGES, 0, num_searches, flips.size)
+        live = np.zeros((num_searches, g.num_edges), dtype=bool)
+        live[:, p >= 1.0] = True
+        live[:, flips] = u < p[flips]
+    for t in range(num_searches):
+        reached = im.reverse_reach_set(g, live[t], int(targets[t]), tau)
+        acc[reached] += w[targets[t]]
     return n * acc / float(num_searches)
 
 
@@ -363,7 +362,7 @@ RRS_MODELS = {
 
 @pytest.mark.parametrize("mode", [im.FULL_SIMULATION, im.MARGINAL])
 @pytest.mark.parametrize("kind", sorted(RRS_MODELS))
-def test_rrs_estimate_matches_scalar_searches_bit_for_bit(kind, mode):
+def test_rrs_estimate_matches_scalar_searches_bit_for_bit(kind, mode, monkeypatch):
     unit = RRS_MODELS[kind]
     n = unit.num_nodes
     weights = np.random.default_rng(n).uniform(0.5, 3.0, n)
@@ -373,11 +372,49 @@ def test_rrs_estimate_matches_scalar_searches_bit_for_bit(kind, mode):
                 expect = scalar_rrs_estimate(model, mode, searches, tau, tau + 3)
                 got = im.rrs_estimate(model, mode, searches, tau, tau + 3)
                 assert got.tobytes() == expect.tobytes()
-        # a second chunk, whose credits add onto the first chunk's sums
-        for searches in (_RRS_CHUNK + 1, _RRS_CHUNK + 65):
+        # A second chunk, whose credits add onto the first chunk's sums.  The
+        # default budget makes a chunk of 87,381 or more searches here, too
+        # many for the scalar reference, so the budget is cut to 8,192.
+        monkeypatch.setattr(estimators, "_RRS_CELLS", 8192 * n)
+        chunk = estimators._RRS_CELLS // n
+        for searches in (chunk + 1, chunk + 65):
             expect = scalar_rrs_estimate(model, mode, searches, 3, 11)
             got = im.rrs_estimate(model, mode, searches, 3, 11)
             assert got.tobytes() == expect.tobytes()
+        monkeypatch.undo()
+
+
+# At the default budget the 2,000-node instance's 589 searches fill two chunks
+# (524 + 65); the mixture's 200 fit in one.
+RRS_CHUNKED = {
+    "ic-2000": (im.families.gen_random_ic(2000, 4000, seed=0), 589),
+    "mixture": (im.families.gen_two_world_mixture(), 200),
+}
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, 64])
+@pytest.mark.parametrize("kind", sorted(RRS_CHUNKED))
+def test_rrs_estimate_bytes_do_not_depend_on_chunk_size(kind, per_chunk, monkeypatch):
+    model, searches = RRS_CHUNKED[kind]
+    n = model.num_nodes
+    for mode in (im.FULL_SIMULATION, im.MARGINAL):
+        expect = im.rrs_estimate(model, mode, searches, 2, 9)
+        monkeypatch.setattr(estimators, "_RRS_CELLS", per_chunk * n)
+        got = im.rrs_estimate(model, mode, searches, 2, 9)
+        monkeypatch.undo()
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_rrs_estimate_credit_memory_is_bounded():
+    # One chunk of all 4,096 searches would hold a 65.5 MB float64 credit matrix.
+    model = RRS_CHUNKED["ic-2000"][0]
+    tracemalloc.start()
+    try:
+        im.rrs_estimate(model, im.FULL_SIMULATION, 4096, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_marginal_edge_model_of_mixture():

@@ -13,6 +13,28 @@ def test_basic_construction_and_csr():
     assert list(g.in_edges(0)) == []
 
 
+def test_reversed_turns_edges_around_and_drops_groups():
+    g = Graph.from_edges(4, [(0, 1, 0.5, 7), (0, 2, 0.5, 7), (2, 3, 1.0), (3, 0, 0.25)],
+                         node_weights=[1.0, 2.5, 1.0, 0.0])
+    r = g.reversed
+    assert r is g.reversed
+    assert r.num_nodes == 4 and r.num_edges == 4
+    assert np.array_equal(r.tails, g.heads) and np.array_equal(r.heads, g.tails)
+    assert np.array_equal(r.probs, g.probs)
+    assert np.array_equal(r.node_weights, g.node_weights)
+    assert np.array_equal(r.groups, [-1, -1, -1, -1])
+    # edge ids are kept: r's in-edges of a node are g's out-edges
+    for v in range(4):
+        assert list(r.in_edges(v)) == list(g.out_edges(v))
+        assert list(r.out_edges(v)) == list(g.in_edges(v))
+    assert list(r.in_edges(0)) == [0, 1]
+    # the double reverse is a new graph with g's edges, not g itself
+    rr = r.reversed
+    assert rr is not g
+    assert np.array_equal(rr.tails, g.tails) and np.array_equal(rr.heads, g.heads)
+    assert np.array_equal(rr.probs, g.probs)
+
+
 @pytest.mark.parametrize("edges,message", [
     ([(0, 9, 0.5)], "out of range"),
     ([(0, 1, 1.5)], "probability"),

@@ -429,7 +429,7 @@ def test_pack_rows_bit_layout(rows, cols, seed):
 @given(kind=st.sampled_from(sorted(KERNEL_MODELS)), master=st.integers(0, 10**6),
        tau=st.integers(0, 5), reverse=st.booleans(), rows=st.integers(1, 200))
 def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
-    # one start node per row, in both directions
+    # one start node per row, over the graph or its reversal
     model = KERNEL_MODELS[kind]
     g = model.graph
     n = model.num_nodes
@@ -439,7 +439,7 @@ def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
     assert np.array_equal(im.unpack_rows(start, rows), np.eye(n, dtype=bool)[targets])
     if rows % 64:
         assert not np.any(start[-1] >> np.uint64(rows % 64))
-    mask = im.reach_mask_batch(g, im.pack_rows(live), start, tau, reverse=reverse)
+    mask = im.reach_mask_batch(g.reversed if reverse else g, im.pack_rows(live), start, tau)
     unpacked = im.unpack_rows(mask, rows)
     for i in range(rows):
         if reverse:
@@ -447,6 +447,18 @@ def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
         else:
             ids = im.reach_set(g, im.Simulation(live[i], master, i), (int(targets[i]),), tau)
         assert np.array_equal(np.flatnonzero(unpacked[i]), ids)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
+def test_reverse_reach_set_is_reach_set_over_reversed_graph(kind):
+    model = KERNEL_MODELS[kind]
+    g = model.graph
+    live, _ = im.sample_pool(model, 3, 40)
+    for i in range(live.shape[0]):
+        target = i % g.num_nodes
+        for tau in (0, 1, 3):
+            expect = im.reach_set(g.reversed, im.Simulation(live[i], 3, i), (target,), tau)
+            assert np.array_equal(im.reverse_reach_set(g, live[i], target, tau), expect)
 
 
 @pytest.mark.parametrize("per_block", [None, 1, 4])
@@ -496,8 +508,7 @@ def test_negative_step_limit_rejected():
     with pytest.raises(ValueError, match="step limit"):
         im.reach_mask_batch(g, packed, (0,), -1)
     with pytest.raises(ValueError, match="step limit"):
-        im.reach_mask_batch(g, packed, im.start_mask(g.num_nodes, range(5)), -1,
-                            reverse=True)
+        im.reach_mask_batch(g.reversed, packed, im.start_mask(g.num_nodes, range(5)), -1)
     with pytest.raises(ValueError, match="step limit"):
         im.build_sketches(model, live, -2, 5, rank_seed=0)
 

@@ -99,6 +99,26 @@ def test_merge_is_commutative_associative_idempotent(data):
     assert key(im.merge_sketches(a, a)) == key(a)
 
 
+def test_merged_seed_sketch_equals_pairwise_fold():
+    # One sort of the union keeps the bytes of folding merge_sketches seed by
+    # seed: the bottom-k of a union does not depend on grouping.
+    def key(sk):
+        return (sk.k, sk.ranks.tobytes(), sk.pair_nodes.tobytes(), sk.pair_sims.tobytes())
+
+    for seed in range(60):
+        model = im.families.gen_random_ic(40, 120, seed=seed)
+        pool, _ = im.sample_pool(model, seed, 30)
+        picks = np.random.default_rng(seed)
+        for k in (3, 8, 40, 2000):
+            sketches = im.build_sketches(model, pool, 2, k, rank_seed=seed)
+            for size in range(1, 6):
+                seeds = sorted(picks.choice(40, size, replace=False).tolist())
+                fold = sketches.sketches[seeds[0]]
+                for v in seeds[1:]:
+                    fold = im.merge_sketches(fold, sketches.sketches[v])
+                assert key(im.merged_seed_sketch(sketches, seeds)) == key(fold)
+
+
 def test_rank_assignment_is_keyed_and_weighted():
     weights = np.array([1.0, 2.0, 0.0])
     r1 = pair_ranks(5, 4, weights)
