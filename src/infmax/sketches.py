@@ -27,6 +27,8 @@ from . import rng
 
 MIN_SKETCH_SIZE = 3
 _POOL_RANK_PURPOSE = 0x6B
+# Words per gather of a sketch build's rank-prefix scan: 2^16 uint64, 512 kB.
+_SCAN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +64,60 @@ def pair_ranks(rank_seed: int, ell: int, node_weights: np.ndarray) -> np.ndarray
         return -np.log1p(-u) / node_weights
 
 
+def _gathers(rows: int, lo: int, hi: int):
+    """Split ``rows`` rows x rank positions ``[lo, hi)`` into gathers of at
+    most ``_SCAN_CELLS`` cells, each a (row slice, first, stop) triple; each
+    row meets its positions in increasing order."""
+    span = min(hi - lo, _SCAN_CELLS)
+    per = max(1, _SCAN_CELLS // span)
+    for r in range(0, rows, per):
+        for a in range(lo, hi, span):
+            yield slice(r, r + per), a, min(a + span, hi)
+
+
+def _first_hits(words: np.ndarray, cells: np.ndarray, bits: np.ndarray,
+                count: np.ndarray, k: int) -> np.ndarray:
+    """Rank positions of each row's first ``min(count[j], k)`` hits, row by
+    row and in rank order within a row.
+
+    Rank position ``f`` hits row ``j`` of the ``(b, cells)`` reach words when
+    bit ``bits[f]`` of ``words[j, cells[f]]`` is set, and row ``j`` has
+    ``count[j]`` hits.  The rows scan a rank prefix sized so that the
+    sparsest row with more than ``k`` hits expects ``2 k`` hits in it (the
+    whole order when no row has more), take hits up to their remaining
+    need, and continue over a prefix twice as long until every row is full.
+    Each prefix copies the rows that are not yet full once, at most the
+    size of ``words``, and gathers from that copy.
+    """
+    total = cells.size
+    left = np.minimum(count, k)
+    active = np.flatnonzero(left)
+    dense = count > k
+    lo, hi = 0, total
+    if dense.any():
+        hi = min(total, -(-2 * k * total // int(count[dense].min())))
+    rows, picks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    while active.size:
+        block = words[active]
+        for s, a, z in _gathers(active.size, lo, hi):
+            r = active[s]
+            got = block[s][:, cells[a:z]]
+            got &= bits[a:z]
+            hit = np.flatnonzero(got != 0)
+            # Hits come row by row: row i's are hit[starts[i]:starts[i + 1]].
+            starts = np.searchsorted(hit, np.arange(r.size + 1) * (z - a))
+            found = np.diff(starts)
+            j = np.repeat(np.arange(r.size), found)
+            # Keep each row's first left[r] hits.
+            take = np.arange(hit.size) - starts[j] < left[r][j]
+            rows.append(r[j[take]])
+            picks.append(hit[take] - j[take] * (z - a) + a)
+            left[r] -= found
+        active = active[left[active] > 0]
+        lo, hi = hi, min(total, 2 * hi)
+    return np.concatenate(picks)[np.argsort(np.concatenate(rows), kind="stable")]
+
+
 def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
                    rank_seed: int) -> SketchSet:
     """Sketch every node against one pool of simulations.
@@ -71,7 +127,13 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     order and with finite rank, such that ``u`` is reachable from ``v``
     within ``tau`` steps of simulation ``i``.  The reachable pairs come from
     the pool's single-source reaches, packed once and propagated a block of
-    sources at a time (:func:`source_reaches`).
+    sources at a time (:func:`source_reaches`).  Each block is scanned for
+    all of its sources together: a popcount of a source's finite-rank reach
+    bits counts its pairs, and the sources read doubling prefixes of the
+    rank order, the first sized for ``2 k`` pairs of the sparsest source
+    with more than ``k``, until each holds ``min(k, pairs)``.  No gather
+    exceeds ``_SCAN_CELLS`` words (512 kB), and each prefix copies the
+    block's unfilled sources once.
     """
     if k < MIN_SKETCH_SIZE:
         raise ValueError(f"sketch size must be at least {MIN_SKETCH_SIZE}")
@@ -85,23 +147,37 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
         raise ValueError("pool must contain at least one simulation")
     ranks = pair_ranks(rank_seed, ell, g.node_weights)
     # Rank order with (node, sim) tie-break; pairs of infinite rank are
-    # never kept.
-    sims_ix, nodes_ix = np.divmod(np.arange(ell * n), n)
-    flat = ranks.reshape(-1)
-    order = np.lexsort((sims_ix, nodes_ix, flat))
-    order = order[np.isfinite(flat[order])]
-    ranks_o, nodes_o, sims_o = flat[order], nodes_ix[order], sims_ix[order]
+    # never kept.  Pairs are numbered node-major, so a stable sort breaks
+    # ties by number.  Ties are rare, and a stable sort of 10,000 ranks
+    # takes about 0.8 ms more than a plain one, so it runs only when the
+    # plain sort finds a tie.
+    flat = ranks.T.reshape(-1)
+    finite_pairs = np.flatnonzero(np.isfinite(flat))
+    order = finite_pairs[np.argsort(flat[finite_pairs])]
+    ranks_o = flat[order]
+    if (ranks_o[1:] == ranks_o[:-1]).any():
+        order = finite_pairs[np.argsort(flat[finite_pairs], kind="stable")]
+        ranks_o = flat[order]
+    nodes_o, sims_o = np.divmod(order, ell)
     # Pair f of the rank order is bit bits[f] of cell cells[f] of a source's
-    # (width, n) reach words.
+    # (width, n) reach words.  The finite-rank bits leave out the padding of
+    # a partial last word, which a source's own column sets.
     cells = (sims_o >> 6) * n + nodes_o
     bits = np.left_shift(np.uint64(1), (sims_o & 63).astype(np.uint64))
-    sketches = []
+    finite_bits = pack_rows(np.isfinite(ranks))
+    k_scan = min(k, order.size)
+    counts, picks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for reach in source_reaches(g, pack_rows(live), tau):
-        for mask in reach.reshape(reach.shape[0], -1):
-            first = (mask[cells] & bits).nonzero()[0][:k]
-            sketches.append(NodeSketch(k, ranks_o[first], nodes_o[first], sims_o[first],
-                                       node=len(sketches)))
-    return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, tuple(sketches))
+        count = np.bitwise_count(reach & finite_bits).sum(axis=(1, 2), dtype=np.int64)
+        picks.append(_first_hits(reach.reshape(reach.shape[0], -1), cells, bits,
+                                 count, k_scan))
+        counts.append(count)
+    picks = np.concatenate(picks)
+    ranks_p, nodes_p, sims_p = ranks_o[picks], nodes_o[picks], sims_o[picks]
+    ends = np.cumsum(np.minimum(np.concatenate(counts), k_scan)).tolist()
+    sketches = tuple(NodeSketch(k, ranks_p[a:z], nodes_p[a:z], sims_p[a:z], node=v)
+                     for v, (a, z) in enumerate(zip([0] + ends, ends)))
+    return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, sketches)
 
 
 def _bottom_k(k: int, parts) -> NodeSketch:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infmax as im
-from infmax import models, rng
+from infmax import models, rng, sketches
 from infmax.sketches import NodeSketch, pair_ranks
 
 
@@ -216,3 +216,98 @@ def test_build_sketches_matches_rank_order_searches_bit_for_bit(block_cells, mon
                         assert np.array_equal(sk.pair_nodes, nodes)
                         assert np.array_equal(sk.pair_sims, sims)
                         assert sk.pair_nodes.dtype == sk.pair_sims.dtype == np.int64
+
+
+def fixed_outdegree_model(n, outdegree, seed):
+    """IC model where every node has ``outdegree`` out-edges to distinct
+    random heads, each live with probability in [0.5, 0.9]."""
+    draw = np.random.default_rng(seed)
+    edges = []
+    for u in range(n):
+        heads = draw.choice([v for v in range(n) if v != u], outdegree, replace=False)
+        edges += [(u, int(v), float(draw.uniform(0.5, 0.9))) for v in heads]
+    return im.ic_model(im.Graph.from_edges(n, edges))
+
+
+def assert_matches_rank_order(model, live, tau, k, rank_seed):
+    built = im.build_sketches(model, live, tau, k, rank_seed=rank_seed)
+    expect = rank_order_sketches(model, live, tau, k, rank_seed)
+    for sk, (ranks, nodes, sims) in zip(built.sketches, expect, strict=True):
+        assert sk.ranks.tobytes() == ranks.tobytes()
+        assert np.array_equal(sk.pair_nodes, nodes)
+        assert np.array_equal(sk.pair_sims, sims)
+
+
+@pytest.mark.parametrize("scan_cells", [sketches._SCAN_CELLS, 50])
+def test_block_scan_branches_match_rank_order_searches(scan_cells, monkeypatch):
+    # 50 cells split every gather by rows and most by rank prefix too.
+    monkeypatch.setattr(sketches, "_SCAN_CELLS", scan_cells)
+    prefixes = []
+    gathers = sketches._gathers
+
+    def record(rows, lo, hi):
+        prefixes.append(lo)
+        return gathers(rows, lo, hi)
+
+    monkeypatch.setattr(sketches, "_gathers", record)
+    # Criterion 7's star: the hub fills, and the leaves reach only themselves.
+    star = star_model(199)
+    for ell, k in ((1, 102), (2, 10)):
+        live, _ = im.sample_pool(star, 0, ell)
+        for j in range(3):
+            assert_matches_rank_order(star, live, 1, k, rng.derive_seed(3, 7, j))
+    # 70 simulations cross a word boundary.  With k = 8 the first prefix is
+    # short, so the rows that are not yet full read further prefixes.
+    model = fixed_outdegree_model(30, 4, seed=1)
+    live, _ = im.sample_pool(model, 5, 70)
+    prefixes.clear()
+    for tau in (2, model.num_nodes - 1):
+        for rank_seed in range(10):
+            assert_matches_rank_order(model, live, tau, 8, rank_seed)
+    assert max(prefixes) > 0
+
+
+def test_tied_ranks_break_by_node_then_simulation(monkeypatch):
+    # Ranks rounded up to quarters tie often; both the build and the
+    # reference order ties by (node, sim).
+    exact = sketches.pair_ranks
+
+    def tied(rank_seed, ell, node_weights):
+        return np.ceil(exact(rank_seed, ell, node_weights) * 4) / 4
+
+    monkeypatch.setattr(sketches, "pair_ranks", tied)
+    monkeypatch.setitem(globals(), "pair_ranks", tied)
+    model = fixed_outdegree_model(30, 4, seed=3)
+    live, _ = im.sample_pool(model, 1, 70)
+    for tau in (1, 2):
+        for k in (3, 8, 70 * 30 + 1):
+            assert_matches_rank_order(model, live, tau, k, rank_seed=k)
+
+
+def test_sketch_size_past_every_pair_keeps_every_pair():
+    model = fixed_outdegree_model(30, 4, seed=4)
+    live, _ = im.sample_pool(model, 0, 70)
+    huge = im.build_sketches(model, live, 2, 10**30, rank_seed=5)
+    every = im.build_sketches(model, live, 2, 70 * 30 + 1, rank_seed=5)
+    assert huge.k == 10**30
+    for a, b in zip(huge.sketches, every.sketches, strict=True):
+        assert a.ranks.tobytes() == b.ranks.tobytes()
+        assert np.array_equal(a.pair_nodes, b.pair_nodes)
+        assert np.array_equal(a.pair_sims, b.pair_sims)
+
+
+def test_graphs_without_finite_ranks_build_empty_sketches():
+    # Weight zero gives every pair an infinite rank, so no sketch holds one.
+    g = fixed_outdegree_model(30, 4, seed=5).graph
+    zero = im.ic_model(im.Graph(g.num_nodes, g.tails, g.heads, g.probs, g.groups,
+                                np.zeros(g.num_nodes)))
+    live, _ = im.sample_pool(zero, 2, 70)
+    for tau in (1, 2):
+        for k in (8, 10**30):
+            assert_matches_rank_order(zero, live, tau, k, rank_seed=1)
+            built = im.build_sketches(zero, live, tau, k, rank_seed=1)
+            assert all(sk.size == 0 for sk in built.sketches)
+            assert im.sketch_query(built, (0, 7), 70) == 0.0
+    empty = im.ic_model(im.Graph.from_edges(0, []))
+    live, _ = im.sample_pool(empty, 0, 3)
+    assert im.build_sketches(empty, live, 2, 8, rank_seed=1).sketches == ()
