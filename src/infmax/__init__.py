@@ -5,7 +5,7 @@ from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, Simulation,
                      ic_model, lt_model, bdep_model, mixture_model,
                      sample_simulation, sample_pool, reach_set, reach_value,
                      pack_rows, unpack_rows, propagation_steps, reach_mask_batch,
-                     row_values, start_mask,
+                     row_values, start_mask, ball_edges,
                      reverse_reach_set, load_model, save_model)
 from .exact import (EnumerationBudgetError, ExactReport, VarianceAudit, DepthProfile,
                     ExactInfluence, exact_report, audit_variance_bound, c_value,
@@ -15,7 +15,7 @@ from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINA
                          Oracle, OracleConfig, build_oracle, pool_counts,
                          count_pool_averages, mask_pool_averages, pool_median,
                          required_pools, size_for_guarantee, check_eps_approx,
-                         rrs_estimate, marginal_edge_model)
+                         rrs_estimate, marginal_edge_model, seed_set_pool_averages)
 from .sketches import (NodeSketch, SketchSet, SketchOracle, build_sketches,
                        build_sketch_oracle, merge_sketches, merged_seed_sketch,
                        sketch_query)

@@ -22,7 +22,8 @@ from .exact import (audit_variance_bound, c_value, depth_profile, exact_influenc
                     exact_report, exact_values)
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINAL,
                          OracleConfig, build_oracle, check_eps_approx,
-                         marginal_edge_model, rrs_estimate, size_for_guarantee)
+                         marginal_edge_model, pool_median, rrs_estimate,
+                         seed_set_pool_averages, size_for_guarantee)
 from .sketches import build_sketches, sketch_query
 from .maximize import adaptive_maximize, greedy_max, im_oracle_config, maximize_im
 from . import families
@@ -234,8 +235,8 @@ def rebuild_failures(model, config, truth, opt1, epsilon, rebuilds, master_seed,
     failures = 0
     for i in range(rebuilds):
         seeded = replace(config, master_seed=rng.derive_seed(master_seed, purpose, i))
-        oracle = build_oracle(model, seeded, threads=threads)
-        if not check_eps_approx(oracle.query((0,)), truth, opt1, epsilon):
+        estimate = float(pool_median(seed_set_pool_averages(model, seeded, (0,), threads)))
+        if not check_eps_approx(estimate, truth, opt1, epsilon):
             failures += 1
     return failures
 

@@ -26,7 +26,7 @@ from .exact import (EnumerationBudgetError, audit_variance_bound, c_value,
                     exact_report, exact_values)
 from .estimators import (AVERAGING, FULL_SIMULATION, MARGINAL, MEDIAN_OF_AVERAGES,
                          OracleConfig, build_oracle, marginal_edge_model, pool_median,
-                         rrs_estimate, size_for_guarantee)
+                         rrs_estimate, seed_set_pool_averages, size_for_guarantee)
 from .graph import as_seed_tuple
 # maximize_im is unused here but stays a module attribute: perfbench's
 # traced run wraps it at infmax.cli.maximize_im.
@@ -250,8 +250,7 @@ def _cmd_estimate(args):
         c = c_value(model, args.tau)
         config = size_for_guarantee(args.eps, args.delta, c, mode,
                                     tau=args.tau, master_seed=args.seed)
-    oracle = build_oracle(model, config, threads=args.threads)
-    averages = oracle.pool_averages(seeds)
+    averages = seed_set_pool_averages(model, config, seeds, threads=args.threads)
     _emit(args, "estimate",
           {"model": args.model, "seeds": list(seeds), "tau": args.tau,
            "eps": args.eps, "delta": args.delta, "mode": args.mode},

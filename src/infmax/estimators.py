@@ -26,11 +26,12 @@ from itertools import islice
 
 import numpy as np
 
+from .graph import Graph, as_seed_tuple
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, _sample_live_block, pack_rows, reach_mask_batch,
-                     reach_table, reverse_reach_set, sample_pool, set_reaches,
-                     start_mask, unpack_rows)
+from .models import (DiffusionModel, _word_sampler, ball_edges, pack_rows,
+                     reach_mask_batch, reach_table, reverse_reach_set, sample_pool,
+                     set_reaches, start_mask, unpack_rows)
 from . import rng
 
 POOL_SIZE_FACTOR = 4
@@ -39,6 +40,13 @@ TOTAL_SAMPLE_FACTOR = POOL_SIZE_FACTOR * POOL_COUNT_FACTOR  # 112
 
 # query_many reduces as many sets per call as fit their masks and counts here.
 _SCORE_BLOCK_BYTES = 1 << 20
+# A single-set pool samples and propagates its seed set's ball alone when the
+# ball holds at most 1 / _BALL_SHARE of the edges.  Measured on a 2-core Xeon
+# VM against the full pool: balls of a quarter of the edges or less took
+# 0.80-0.96 of its time on perfbench's BDEP shape, balls of 0.3-0.5 of them
+# 0.88-1.05, and adaptive_maximize's validation balls (40-47% of 150 edges)
+# about 1.04.
+_BALL_SHARE = 4
 
 AVERAGING = "averaging"
 MEDIAN_OF_AVERAGES = "median_of_averages"
@@ -236,18 +244,56 @@ def build_oracle(model: DiffusionModel, config: OracleConfig, threads: int = 1) 
     return Oracle(model, config, words, comps)
 
 
+def seed_set_pool_averages(model: DiffusionModel, config: OracleConfig, seeds,
+                           threads: int = 1) -> np.ndarray:
+    """``build_oracle(model, config).pool_averages(seeds)``, bit for bit.
+
+    When the ``tau``-ball of ``seeds`` (:func:`ball_edges`) holds at most
+    ``1 / _BALL_SHARE`` of the model's edges, only the ball's columns of the
+    pool are packed and propagated, over the graph of those edges; every
+    unit of every simulation is still drawn.  A larger ball saves less
+    propagation than picking it out costs, so its pool is the oracle's.
+    """
+    g = model.graph
+    seeds = as_seed_tuple(g.num_nodes, seeds)
+    ball = ball_edges(model, config.tau, seeds)
+    edges = ball if _BALL_SHARE * int(ball.sum()) <= ball.size else None
+    words, _ = sample_pool(model, config.master_seed, config.total_simulations,
+                           threads=threads, packed=True, edges=edges)
+    if edges is not None:
+        g = Graph(g.num_nodes, g.tails[ball], g.heads[ball], g.probs[ball],
+                  np.full(words.shape[1], -1, dtype=np.int64), g.node_weights)
+    mask = reach_mask_batch(g, words, seeds, config.tau)
+    return mask_pool_averages(mask, g.node_weights, config.pools, config.pool_size)
+
+
 def required_pools(delta: float) -> int:
     """Smallest odd pool count >= 28 ln(1/delta)."""
-    pools = max(1, math.ceil(POOL_COUNT_FACTOR * math.log(1.0 / delta)))
+    pools = POOL_COUNT_FACTOR * math.log(1.0 / delta)
+    if not math.isfinite(pools):
+        raise ValueError("the pool count is not a finite number: delta is too small")
+    pools = max(1, math.ceil(pools))
     return pools if pools % 2 == 1 else pools + 1
+
+
+def _pool_size(numerator: float, denominator: float) -> int:
+    """``ceil(numerator / denominator)``, or ``ValueError`` when the ratio is
+    not a finite number, a denominator that underflowed to 0 included."""
+    size = numerator / denominator if denominator > 0.0 else math.inf
+    if not math.isfinite(size):
+        raise ValueError("the pool size is not a finite number: "
+                         "epsilon or delta is too small")
+    return math.ceil(size)
 
 
 def size_for_guarantee(epsilon: float, delta: float, c: float, mode: str,
                        tau: int = 0, master_seed: int = 0) -> OracleConfig:
     """Pool layout guaranteeing an (epsilon, delta) approximation.
 
-    ``tau`` and ``master_seed`` are passed through to the config so the
-    result can be handed straight to :func:`build_oracle`.
+    Raises ``ValueError`` when ``epsilon`` or ``delta`` is so small that the
+    layout is not a finite number.  ``tau`` and ``master_seed`` are passed
+    through to the config so the result can be handed straight to
+    :func:`build_oracle`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -256,11 +302,11 @@ def size_for_guarantee(epsilon: float, delta: float, c: float, mode: str,
     if c < 1.0:
         raise ValueError("variance-bound scale c must be at least 1")
     if mode == AVERAGING:
-        pool_size = math.ceil(c / (epsilon * epsilon * delta))
-        return OracleConfig(1, pool_size, tau, master_seed)
+        return OracleConfig(1, _pool_size(c, epsilon * epsilon * delta), tau, master_seed)
     if mode == MEDIAN_OF_AVERAGES:
-        pool_size = math.ceil(POOL_SIZE_FACTOR * c / (epsilon * epsilon))
-        return OracleConfig(required_pools(delta), pool_size, tau, master_seed)
+        return OracleConfig(required_pools(delta),
+                            _pool_size(POOL_SIZE_FACTOR * c, epsilon * epsilon), tau,
+                            master_seed)
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 
@@ -283,19 +329,6 @@ def marginal_edge_model(model: DiffusionModel) -> DiffusionModel:
 
 
 _RRS_CELLS = 1 << 20  # searches x nodes of float64 credits per chunk (8 MB)
-
-
-def _rrs_live_words(model: DiffusionModel, mode: str, master_seed: int, lo: int,
-                    count: int) -> np.ndarray:
-    """Packed live rows of searches ``lo .. lo+count-1``: simulations of the
-    model, or in ``marginal`` mode of its :func:`marginal_edge_model` on the
-    marginal-flip stream.  The uniforms behind them are freed on return."""
-    if mode == FULL_SIMULATION:
-        live, _ = _sample_live_block(model, master_seed, lo, count)
-    else:
-        live, _ = _sample_live_block(marginal_edge_model(model), master_seed, lo, count,
-                                     rng.STREAM_RRS_EDGES)
-    return pack_rows(live)
 
 
 def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
@@ -322,12 +355,19 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     n = g.num_nodes
     w = g.node_weights
     acc = np.zeros(n, dtype=np.float64)
+    # A full search reads a simulation of the model; a marginal one, of its
+    # marginal_edge_model on the marginal-flip stream.
+    if mode == FULL_SIMULATION:
+        draw, _ = model._edge_sampler
+    else:
+        draw, _ = _word_sampler(marginal_edge_model(model), np.arange(g.num_edges),
+                                rng.STREAM_RRS_EDGES)
     chunk = max(1, _RRS_CELLS // max(n, 1))
     for lo in range(0, num_searches, chunk):
         count = min(chunk, num_searches - lo)
         u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
         targets = np.minimum((u * n).astype(np.int64), n - 1)
-        words = _rrs_live_words(model, mode, master_seed, lo, count)
+        words, _ = draw(master_seed, lo, count)
         mask = reach_mask_batch(g.reversed, words, start_mask(n, targets), tau)
         # An axis-0 reduce over C-contiguous rows adds them in row order,
         # so the sums equal the scalar loop's ``acc[reached] += w[t]``.

@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimators import _SCORE_BLOCK_BYTES
 from .graph import Graph, as_seed_tuple
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _bfs, _units,
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _units, ball_edges,
                      propagation_steps, reach_table, row_values, set_reaches, unpack_columns)
 
 MAX_OUTCOME_BITS = 25
@@ -98,22 +98,6 @@ def _parts(model: DiffusionModel):
     if size > (1 << MAX_OUTCOME_BITS):
         raise EnumerationBudgetError("instance too large for exact enumeration")
     return parts, size
-
-
-def _ball_edges(parts, tau: int, seeds) -> np.ndarray:
-    """Boolean mask over the model's edges that can fire within ``tau``
-    steps of ``seeds``: those with ``p > 0`` whose tail is within ``tau - 1``
-    steps of ``seeds`` in their part's graph when every ``p > 0`` edge is
-    live.  Reach within ``tau`` steps depends on no other edge."""
-    relevant = np.zeros(sum(part.graph.num_edges for part, *_ in parts), dtype=bool)
-    if tau > 0:
-        for part, _, _, offset in parts:
-            g = part.graph
-            possible = g.probs > 0.0
-            near = np.zeros(g.num_nodes, dtype=bool)
-            near[_bfs(g, possible, seeds, tau - 1)] = True
-            relevant[offset:offset + g.num_edges] = possible & near[g.tails]
-    return relevant
 
 
 def _ball_units(units, relevant: np.ndarray):
@@ -215,7 +199,7 @@ def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
 
 def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
     """Exact influence of each of ``seed_sets``.  Sets are grouped by the
-    edges their ``tau``-ball can fire (:func:`_ball_edges`), and each group
+    edges their ``tau``-ball can fire (:func:`ball_edges`), and each group
     is valued in one pass over its restricted outcome space.  A set's total
     is summed chunk by chunk in chunk order, the same arithmetic as
     :func:`exact_report`'s ``influence``, so it depends only on the model,
@@ -229,7 +213,7 @@ def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
     sets = [as_seed_tuple(g.num_nodes, seeds) for seeds in seed_sets]
     balls: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for i, s in enumerate(sets):
-        relevant = _ball_edges(parts, tau, s)
+        relevant = ball_edges(model, tau, s)
         balls.setdefault(relevant.tobytes(), (relevant, []))[1].append(i)
     totals = np.zeros(len(sets), dtype=np.float64)
     for relevant, members in balls.values():
@@ -271,7 +255,7 @@ def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
     influence = 0.0
     second = 0.0
     step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
-    for words, rows, probs in _outcome_chunks(parts, _ball_edges(parts, tau, seeds)):
+    for words, rows, probs in _outcome_chunks(parts, ball_edges(model, tau, seeds)):
         walked += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
             step_probs[d] += np.einsum("vr,r->v", unpack_columns(newly, rows), probs)

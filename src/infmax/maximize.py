@@ -27,7 +27,8 @@ import numpy as np
 # because perfbench/layers.py wraps it at this site.
 from .models import DiffusionModel, reach_mask_batch  # noqa: F401
 from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, OracleConfig, build_oracle,
-                         required_pools, size_for_guarantee)
+                         pool_median, required_pools, seed_set_pool_averages,
+                         size_for_guarantee)
 from .exact import c_value
 from . import rng
 
@@ -129,7 +130,7 @@ def im_oracle_config(num_nodes: int, s: int, tau: int, epsilon: float, delta: fl
     pool_size = size_for_guarantee(epsilon, delta, c, MEDIAN_OF_AVERAGES).pool_size
     try:
         pools = required_pools(delta / math.comb(num_nodes, min(int(s), num_nodes)))
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):
         raise ValueError(f"too many seed sets to split delta over: C(n={num_nodes}, "
                          f"s={int(s)}) exceeds the float range") from None
     return OracleConfig(pools, pool_size, tau, master_seed)
@@ -217,8 +218,8 @@ def adaptive_maximize(model: DiffusionModel, s: int, tau: int, epsilon: float,
         val_seed = rng.derive_seed(master_seed, _PURPOSE_ROUND_VALIDATION, i)
         val_config = size_for_guarantee(epsilon, delta_i, c, MEDIAN_OF_AVERAGES,
                                         tau=tau, master_seed=val_seed)
-        validation = build_oracle(model, val_config, threads=threads)
-        validated = validation.query(candidate.seeds)
+        validated = float(pool_median(
+            seed_set_pool_averages(model, val_config, candidate.seeds, threads)))
         val_used += val_config.total_simulations
         accepted = final or validated >= threshold * candidate.oracle_value
         rounds.append(AdaptiveRound(config.total_simulations,

@@ -20,8 +20,12 @@ enumeration walks.  Edges at p = 0 or 1 read no draw, and a mixture draws
 its component plus one block as wide as its widest component.  So any
 one simulation is regenerated in isolation as a block of one row.  Every
 draw is vectorized over rows and units, and :func:`sample_pool` fills a
-pool in 64-aligned blocks of rows that its workers draw and pack straight
-into ``uint64`` words, so a pool is held packed from the start.
+pool in 64-aligned blocks of rows whose uniforms its workers compare and
+pack straight into ``uint64`` words, so no boolean live matrix is built.
+It packs every edge or only those of an edge mask, such as a seed set's
+``tau``-ball (:func:`ball_edges`), the only edges its reach within ``tau``
+steps depends on; every unit is drawn either way, so a column's bits do
+not depend on which others are chosen.
 Reachability within ``tau`` steps of one simulation is a scalar BFS over
 its live edges (:func:`reach_set`, :func:`reverse_reach_set`), kept as the
 reference.  Stacks of simulations propagate bit-parallel: they are packed
@@ -120,6 +124,11 @@ class DiffusionModel:
     @cached_property
     def _draw_plan(self):
         return _build_draw_plan(self)
+
+    @cached_property
+    def _edge_sampler(self):
+        """:func:`_word_sampler` of every edge, on the model's own stream."""
+        return _word_sampler(self, np.arange(self.graph.num_edges))
 
     @cached_property
     def _marginal_edge_model(self) -> "DiffusionModel":
@@ -308,29 +317,37 @@ def _units(model: DiffusionModel):
 # and read no draw.
 # A mixture draws its component from STREAM_MIXTURE and one shared block
 # of the widest component's width from STREAM_UNITS; each component reads
-# the leading columns of its own rows.
+# the leading columns of its own rows.  The word sampler compares a
+# component's columns over every row and keeps the words of its own rows.
 
 _KIND_STREAM = {IC: rng.STREAM_EDGES, LT: rng.STREAM_NODES, BDEP: rng.STREAM_UNITS}
 
-# Uniforms (or random edges) drawn and compared per step of a block, so a
-# worker's float temporaries stay near 512 kB however wide the model is;
-# whole-block temporaries grow with the edge count and raise peak RSS.
+# Uniforms drawn and compared per step, so a worker's float temporaries
+# stay near 512 kB however wide the model is; whole-block temporaries grow
+# with the unit count and raise peak RSS.
 _DRAW_CELLS = 1 << 16
+# A selection reads only the uniform columns of its own units when they
+# are at most this share of the row: gathering a few columns beats
+# comparing every unit, gathering most of them does not.
+_GATHER_SHARE = 4
+
 
 @dataclass(frozen=True, eq=False)
 class _DrawPlan:
     """How a non-mixture model turns a ``(rows, width)`` block of uniforms
-    into live edges.  ``edges`` (``None``: all, in id order) are the random
-    edges, live iff ``lo <= u[:, col] < hi`` (``lo`` ``None``: zero); every
-    other edge is ``base``.  With ``col`` ``None`` random edge ``j`` reads
-    unit ``j``; otherwise the block is gathered edge-major, one row per
-    random edge, and ``lo`` and ``hi`` are columns."""
+    into live edges: edge ``e`` is live iff ``lo[e] <= u[:, unit[e]] <
+    hi[e]``.  ``random`` marks the edges whose slice is neither empty nor
+    all of ``[0, 1)``; of the others, those in ``always`` are live in every
+    row.  In a ``binary`` plan every random slice starts at 0, so the random
+    edges of one unit share its slice ``[0, unit_hi)``."""
     width: int
-    base: np.ndarray
-    edges: np.ndarray | None
-    col: np.ndarray | None
-    lo: np.ndarray | None
+    unit: np.ndarray
+    lo: np.ndarray
     hi: np.ndarray
+    random: np.ndarray
+    always: np.ndarray
+    binary: bool
+    unit_hi: np.ndarray
 
 
 def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
@@ -349,115 +366,187 @@ def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
         cum = np.cumsum(mass[at], axis=1)
         hi[at], lo[at[:, 1:]] = cum, cum[:, :-1]
     lo, hi = lo[edge_choice], hi[edge_choice]
-    base = (lo <= 0.0) & (hi >= 1.0)
-    edges = np.flatnonzero(~base & (lo < hi))
-    col = np.searchsorted(ends, edge_choice[edges], side="right")
-    lo, hi = lo[edges], hi[edges]
-    lo = lo if lo.any() else None
-    if edges.size == radices.size and np.array_equal(col, np.arange(radices.size)):
-        col = None
+    always = (lo <= 0.0) & (hi >= 1.0)
+    random = ~always & (lo < hi)
+    unit = np.searchsorted(ends, edge_choice, side="right")
+    unit_hi = np.zeros(radices.size)
+    unit_hi[unit[random]] = hi[random]
+    return _DrawPlan(int(radices.size), unit, lo, hi, random, always,
+                     not lo[random].any(), unit_hi)
+
+
+@dataclass(frozen=True, eq=False)
+class _Pick:
+    """The selected edges of one :class:`_DrawPlan`.  ``read`` is the
+    uniform columns read: a slice of the plan's leading ``width`` columns,
+    or their ids.  ``col`` is each selected random edge's column among
+    them, and ``lo`` and ``hi`` its slice; a binary plan has ``lo`` ``None``
+    and ``hi`` per column read.  ``random_at`` and ``always_at`` are the
+    output columns of the selected random and always-live edges."""
+    read: slice | np.ndarray
+    col: slice | np.ndarray
+    lo: np.ndarray | None
+    hi: np.ndarray
+    random_at: slice | np.ndarray
+    always_at: slice | np.ndarray
+
+
+def _as_slice(ids: np.ndarray) -> slice | np.ndarray:
+    """``ids`` as a slice when they are consecutive, so that indexing with
+    them takes a view or a plain copy instead of a gather or a scatter."""
+    start = int(ids[0]) if ids.size else 0
+    if np.array_equal(ids, np.arange(start, start + ids.size)):
+        return slice(start, start + ids.size)
+    return ids
+
+
+def _pick(plan: _DrawPlan, edges: np.ndarray, at: np.ndarray) -> _Pick:
+    """The :class:`_Pick` of ``plan``'s edge ids ``edges``, output at columns ``at``."""
+    random = edges[plan.random[edges]]
+    units = plan.unit[random]
+    read = np.unique(units)
+    if read.size * _GATHER_SHARE > plan.width:
+        read, col = slice(plan.width), units
     else:
-        lo, hi = (None if lo is None else lo[:, None]), hi[:, None]
-    if edges.size == edge_choice.size:
-        edges = None
-    return _DrawPlan(int(radices.size), base, edges, col, lo, hi)
-
-
-def _fill_live(plan: _DrawPlan, u: np.ndarray, out: np.ndarray) -> None:
-    """Write the live edges of a ``(rows, width)`` block of uniforms into
-    the edge-major ``(m, rows)`` ``out``."""
-    by_edge = plan.col is not None
-    at = np.ascontiguousarray(u.T)[plan.col] if by_edge else u
-    hit = at < plan.hi
-    if plan.lo is not None:
-        hit &= at >= plan.lo
-    if not by_edge:
-        hit = hit.T
-    if plan.edges is None:
-        out[:] = hit
+        col = np.searchsorted(read, units)
+    if plan.binary:
+        lo, hi = None, plan.unit_hi[read]
     else:
-        out[:] = plan.base[:, None]
-        out[plan.edges] = hit
+        lo, hi = plan.lo[random][:, None], plan.hi[random][:, None]
+    return _Pick(read, _as_slice(col), lo, hi, _as_slice(at[plan.random[edges]]),
+                 _as_slice(at[plan.always[edges]]))
 
 
-def _sample_live_block(model: DiffusionModel, master_seed: int, start: int, count: int,
-                       stream_id: int | None = None):
-    """Live masks for ``count`` consecutive simulation indices, as a
-    transposed view of edge-major rows, and their mixture components
-    (``None`` for other kinds).  A non-mixture model draws from its kind's
-    stream unless ``stream_id`` names another.  Rows are drawn and compared
-    ``_DRAW_CELLS`` uniforms or random edges at a time."""
+def _pick_words(pick: _Pick, u: np.ndarray) -> np.ndarray:
+    """Packed ``(ceil(rows / 64), k)`` words of the ``k`` random edges of
+    ``pick`` over a ``(rows, width)`` block of uniforms.  A binary plan
+    compares each unit read once, row-major, and its edges share the unit's
+    words; otherwise each edge's column is gathered unit-major and compared
+    against its slice."""
+    x = u[:, pick.read]
+    if pick.lo is None:
+        return pack_rows(x < pick.hi)[:, pick.col]
+    at = np.ascontiguousarray(x.T)[pick.col]
+    hit = at < pick.hi
+    hit &= at >= pick.lo
+    return pack_rows(hit.T)
+
+
+def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | None = None):
+    """``(draw, step)`` for the sorted edge ids ``edges`` of ``model``:
+    ``draw(master_seed, start, count)`` returns the packed ``(ceil(count /
+    64), len(edges))`` live words of simulations ``start .. start+count-1``
+    and their mixture components (``None`` for other kinds), ``step`` rows
+    at a time.  A non-mixture model draws from its kind's stream unless
+    ``stream_id`` names another.
+
+    Every unit of every row is drawn, in stream order, whatever ``edges``
+    holds, so a column's bits do not depend on the other columns chosen.
+    Each step's uniforms go straight to words: a part's random edges are
+    compared and packed (:func:`_pick_words`) and ANDed with the words of
+    the rows the part owns (every row, outside a mixture), which are also
+    the words of its always-live edges.
+    """
     if model.kind == MIXTURE:
         cum = np.cumsum(model.component_weights)
         cum[-1] = 1.0
-        pick = rng.block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
-        comps = np.searchsorted(cum, pick, side="right").astype(np.int64)
-        parts = [(comp._draw_plan, int(off))
-                 for comp, off in zip(model.components, model.component_offsets)]
         stream_id = rng.STREAM_UNITS
-        live = np.zeros((model.graph.num_edges, count), dtype=bool)
+        parts = [(comp, int(off)) for comp, off in zip(model.components,
+                                                      model.component_offsets)]
     else:
-        comps, parts = None, [(model._draw_plan, 0)]
+        cum = None
         stream_id = _KIND_STREAM[model.kind] if stream_id is None else stream_id
-        live = np.empty((model.graph.num_edges, count), dtype=bool)
-    width = max(plan.width for plan, _ in parts)
-    step = max(1, _DRAW_CELLS // max(1, width, *(plan.hi.shape[0] for plan, _ in parts)))
-    draws = rng.block_stream(master_seed, stream_id, start, width)
-    for lo in range(0, count, step):
-        rows = min(step, count - lo)
-        u = draws.random(rows * width).reshape(rows, width)
-        if comps is None:
-            _fill_live(parts[0][0], u, live[:, lo:lo + rows])
-            continue
-        for c, (plan, off) in enumerate(parts):
-            own = np.flatnonzero(comps[lo:lo + rows] == c)
-            if own.size:
-                part = np.empty((plan.base.size, own.size), dtype=bool)
-                _fill_live(plan, u[own, :plan.width], part)
-                live[off:off + plan.base.size, lo + own] = part
-    return live.T, comps
+        parts = [(model, 0)]
+    picks = []
+    for comp, off in parts:
+        inside = np.flatnonzero((edges >= off) & (edges < off + comp.graph.num_edges))
+        picks.append(_pick(comp._draw_plan, edges[inside] - off, inside))
+    width = max(comp._draw_plan.width for comp, _ in parts)
+    # A step holds _DRAW_CELLS floats in whole words; a gathering pick holds
+    # one per selected random edge and row.
+    cells = max([width] + [p.hi.shape[0] for p in picks if p.lo is not None])
+    step = max(64, _DRAW_CELLS // max(1, cells) // 64 * 64)
+
+    def draw(master_seed: int, start: int, count: int):
+        words = np.zeros((-(-count // 64), edges.size), dtype=np.uint64)
+        if cum is None:
+            comps = None
+            owned = [np.full(words.shape[0], ~np.uint64(0))]
+            if count % 64:
+                owned[0][-1] = (np.uint64(1) << np.uint64(count % 64)) - np.uint64(1)
+        else:
+            choice = rng.block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)
+            comps = np.searchsorted(cum, choice[:, 0], side="right").astype(np.int64)
+            owned = [pack_rows((comps == c)[:, None])[:, 0] for c in range(len(picks))]
+        draws = rng.block_stream(master_seed, stream_id, start, width)
+        for lo in range(0, count, step):
+            rows = min(step, count - lo)
+            u = draws.random(rows * width).reshape(rows, width)
+            at = slice(lo // 64, -(-(lo + rows) // 64))
+            for pick, own in zip(picks, owned):
+                own = own[at, None]
+                words[at, pick.random_at] = _pick_words(pick, u) & own
+                words[at, pick.always_at] = own
+        return words, comps
+
+    return draw, step
+
+
+# Fewest rows per worker task; a multiple of 64, so blocks share no word.
+_SAMPLE_BLOCK = 1024
 
 
 def sample_simulation(model: DiffusionModel, master_seed: int, sim_index: int) -> Simulation:
     """Draw simulation ``sim_index`` of the stream keyed by ``master_seed``."""
-    live, comps = _sample_live_block(model, master_seed, sim_index, 1)
+    live, comps = sample_pool(model, master_seed, 1, sim_index)
     live = live[0]
     live.setflags(write=False)
     comp = None if comps is None else int(comps[0])
     return Simulation(live, rng.check_master_seed(master_seed), int(sim_index), comp)
 
 
-_SAMPLE_BLOCK = 1024  # rows per worker task; a multiple of 64, so blocks share no word
-
-
 def sample_pool(model: DiffusionModel, master_seed: int, count: int,
-                start: int = 0, threads: int = 1, packed: bool = False):
+                start: int = 0, threads: int = 1, packed: bool = False,
+                edges: np.ndarray | None = None):
     """Live masks for simulation indices ``start .. start+count-1``.
 
-    Returns ``(live, components)``.  ``live`` is a ``(count, m)`` boolean
-    matrix, or with ``packed`` the ``(ceil(count / 64), m)`` ``uint64``
-    words of :func:`pack_rows`; ``components`` is an int array for
-    mixtures and ``None`` otherwise.  Rows are drawn and packed in blocks
-    of ``_SAMPLE_BLOCK``, dealt round-robin to ``threads`` workers that
-    each write their own word range, so beyond the result only one block
-    per worker is held, and a block's uniforms ``_DRAW_CELLS`` at a time.
-    The result is independent of ``threads``.
+    Returns ``(live, components)``.  ``live`` is a ``(count, k)`` boolean
+    matrix, or with ``packed`` the ``(ceil(count / 64), k)`` ``uint64``
+    words of :func:`pack_rows`, over the ``k`` edges of the boolean mask
+    ``edges`` in id order (every edge when ``None``); ``components`` is an
+    int array for mixtures and ``None`` otherwise.  A column does not depend
+    on which other edges are chosen.  Rows are drawn and packed in blocks of
+    at least ``_SAMPLE_BLOCK`` (a block is one draw step when a step holds
+    more), dealt round-robin to ``threads`` workers that each write their
+    own word range, so beyond the result only one step's uniforms per
+    worker are held.  The result is independent of ``threads``.
     """
     rng.check_master_seed(master_seed)
     count = int(count)
     if count < 0:
         raise ValueError("simulation count must be nonnegative")
-    words = np.empty((-(-count // 64), model.graph.num_edges), dtype=np.uint64)
+    m = model.graph.num_edges
+    if edges is None:
+        draw, step = model._edge_sampler
+        k = m
+    else:
+        edges = np.asarray(edges)
+        if edges.dtype != bool or edges.shape != (m,):
+            raise ValueError(f"edge selection must be a boolean mask over the {m} edges")
+        draw, step = _word_sampler(model, np.flatnonzero(edges))
+        k = int(edges.sum())
+    words = np.empty((-(-count // 64), k), dtype=np.uint64)
     comps = np.empty(count, dtype=np.int64) if model.kind == MIXTURE else None
-    blocks = range(0, count, _SAMPLE_BLOCK)
+    block = max(_SAMPLE_BLOCK, step)
+    blocks = range(0, count, block)
 
     def fill(worker):
         for lo in blocks[worker::threads]:
-            hi = min(lo + _SAMPLE_BLOCK, count)
-            rows, row_comps = _sample_live_block(model, master_seed, start + lo, hi - lo)
-            words[lo // 64:-(-hi // 64)] = pack_rows(rows)
+            hi = min(lo + block, count)
+            block_words, block_comps = draw(master_seed, start + lo, hi - lo)
+            words[lo // 64:-(-hi // 64)] = block_words
             if comps is not None:
-                comps[lo:hi] = row_comps
+                comps[lo:hi] = block_comps
 
     threads = max(1, min(int(threads), len(blocks)))
     if threads == 1:
@@ -503,16 +592,56 @@ def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int) -> 
     return _bfs(graph.reversed, live, (int(target),), int(tau))
 
 
+def ball_edges(model: DiffusionModel, tau: int, seeds) -> np.ndarray:
+    """Boolean mask over the model's edges that can fire within ``tau``
+    steps of ``seeds``: those with ``p > 0`` whose tail is within ``tau - 1``
+    steps of ``seeds`` when every ``p > 0`` edge is live, in the graph of the
+    edge's own mixture component.  Reach within ``tau`` steps depends on no
+    other edge."""
+    parts = [(model, 0)]
+    if model.kind == MIXTURE:
+        parts = zip(model.components, model.component_offsets.tolist())
+    relevant = np.zeros(model.graph.num_edges, dtype=bool)
+    if tau > 0:
+        for part, offset in parts:
+            g = part.graph
+            possible = g.probs > 0.0
+            near = np.zeros(g.num_nodes, dtype=bool)
+            near[_bfs(g, possible, seeds, tau - 1)] = True
+            relevant[offset:offset + g.num_edges] = possible & near[g.tails]
+    return relevant
+
+
+# _BIT_VALUES[b] is bit b of a byte: an 8-row slice dotted with it packs those rows.
+_BIT_VALUES = (1 << np.arange(8)).astype(np.uint8)
+# A C-contiguous matrix at least this wide packs faster 8 rows at a time
+# than through its column-major copy, which grows costly with the width
+# (measured on a 2-core Xeon VM: 22 against 59 us at 1,024 x 64, 64
+# against 36 us at 3,264 x 20).
+_ROW_PACK_COLUMNS = 40
+
+
 def pack_rows(rows: np.ndarray) -> np.ndarray:
     """Pack a ``(count, k)`` boolean matrix into ``(words, k)`` ``uint64``.
 
     Bit ``r`` of word ``j`` holds row ``64 * j + r``; the padding bits of
-    a partial last word are zero.  Each column is packed from its own
-    contiguous copy, and the words are returned as a transposed view.
+    a partial last word are zero.  A wide C-contiguous matrix is packed 8
+    rows to a byte by one integer product over its rows; any other is
+    packed column by column from the contiguous copy of its transpose,
+    which a transposed view already is, and the words are returned as a
+    transposed view.  Both give the same words.
     """
     rows = np.asarray(rows, dtype=bool)
     count, k = rows.shape
-    packed = np.zeros((k, -(-count // 64) * 8), dtype=np.uint8)
+    words = -(-count // 64)
+    if rows.flags.c_contiguous and k >= _ROW_PACK_COLUMNS:
+        if count < 64 * words:
+            rows = np.concatenate([rows, np.zeros((64 * words - count, k), dtype=bool)])
+        octets = np.einsum("rbk,b->rk", rows.view(np.uint8).reshape(8 * words, 8, k),
+                           _BIT_VALUES)
+        return np.ascontiguousarray(octets.reshape(words, 8, k).transpose(0, 2, 1)
+                                    ).view("<u8")[..., 0]
+    packed = np.zeros((k, words * 8), dtype=np.uint8)
     packed[:, :(count + 7) // 8] = np.packbits(np.ascontiguousarray(rows.T), axis=1,
                                                bitorder="little")
     return packed.view("<u8").T

@@ -215,6 +215,14 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert json.loads(report.read_text())["parameters"]["mode"] is None
     assert run_cli(estimate + ["--eps", "0.5", "--delta", "0.1"]) == 0
     assert json.loads(report.read_text())["parameters"]["mode"] == "avg"
+    # accuracy or confidence so small that the pool layout is not a finite
+    # number -> 2, not a traceback
+    for tiny in (["--eps", "1e-300", "--delta", "0.1"],
+                 ["--eps", "1e-160", "--delta", "0.1"],
+                 ["--eps", "0.5", "--delta", "1e-320"],
+                 ["--eps", "0.5", "--delta", "1e-320", "--mode", "moa"]):
+        assert run_cli(estimate + tiny) == 2
+    assert run_cli(maximize + ["--eps", "1e-300", "--delta", "0.1"]) == 2
     # a bad seed budget, or brute force over the subset budget -> 2, before
     # any sampling
     sampled = []

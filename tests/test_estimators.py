@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 
 import infmax as im
 from infmax import estimators, rng
-from infmax.models import _sample_live_block
 
 
 def deterministic_path():
@@ -192,6 +191,72 @@ def test_check_eps_approx_examples():
     assert not im.check_eps_approx(120.0, 100.0, 50.0, 0.1)
 
 
+# -- single-set pools from the tau-ball ---------------------------------------
+
+def with_sink_and_isolated_node(model):
+    """``model`` with two more nodes of weight 2: a sink, the head of a new
+    edge from node 0 at p = 0.5, and a node that no edge touches."""
+    if model.kind == im.models.MIXTURE:
+        return im.mixture_model([(with_sink_and_isolated_node(c), w) for c, w in
+                                 zip(model.components, model.component_weights)])
+    g = model.graph
+    return dataclasses.replace(model, graph=im.Graph(
+        g.num_nodes + 2, np.append(g.tails, 0), np.append(g.heads, g.num_nodes),
+        np.append(g.probs, 0.5), np.append(g.groups, -1),
+        np.append(g.node_weights, [2.0, 2.0])))
+
+
+def random_lt(n, m, seed):
+    g = im.families.gen_random_ic(n, m, seed=seed).graph
+    sums = np.bincount(g.heads, weights=g.probs, minlength=n)
+    probs = g.probs * 0.9 / np.maximum(sums, 1.0)[g.heads]
+    return im.lt_model(im.Graph(n, g.tails, g.heads, probs, g.groups, g.node_weights))
+
+
+def random_bdep(n, m, seed):
+    # Each node's out-edges in groups of two, at the first member's probability.
+    g = im.families.gen_random_ic(n, m, seed=seed).graph
+    edges = []
+    for v in range(n):
+        out = g.out_edges(v)
+        for lo in range(0, out.size, 2):
+            p = float(g.probs[out[lo]])
+            edges += [(v, int(g.heads[e]), p, v * m + lo) for e in out[lo:lo + 2]]
+    return im.bdep_model(im.Graph.from_edges(n, edges), b=2)
+
+
+BALL_MODELS = {
+    "ic": lambda: im.families.gen_random_ic(12, 30, seed=5),
+    "lt": lambda: random_lt(12, 30, 6),
+    "bdep": lambda: random_bdep(12, 30, 7),
+    "mixture": lambda: im.mixture_model([(random_lt(12, 30, 6), 0.3),
+                                         (random_bdep(12, 30, 7), 0.7)]),
+    "two-world": im.families.gen_two_world_mixture,
+    "polysimu": lambda: im.families.gen_polysimu(102),
+    "tree": lambda: im.families.gen_tree(3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BALL_MODELS))
+def test_seed_set_pool_averages_equal_the_oracle_bit_for_bit(kind, monkeypatch):
+    # Small draw steps cut every pool above 1024 rows into several blocks,
+    # so two threads each fill some of them.
+    monkeypatch.setattr(im.models, "_DRAW_CELLS", 1)
+    model = with_sink_and_isolated_node(BALL_MODELS[kind]())
+    n = model.num_nodes
+    sink, isolated = n - 2, n - 1
+    seed_sets = [(0,), (sink,), (isolated,), (0, sink, isolated), (1, n // 2)]
+    for tau in (0, 1, 2, 3, n - 1):
+        for pool_size in (1, 63, 65, 130):
+            config = im.OracleConfig(11, pool_size, tau, master_seed=tau + pool_size)
+            oracle = im.build_oracle(model, config)
+            for seeds in seed_sets:
+                expect = oracle.pool_averages(seeds)
+                for threads in (1, 2):
+                    got = im.seed_set_pool_averages(model, config, seeds, threads)
+                    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
 # -- statistical behaviour ---------------------------------------------------
 
 def test_averaging_oracle_is_unbiased():
@@ -320,7 +385,7 @@ def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
     u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, 0, num_searches, 1)[:, 0]
     targets = np.minimum((u * n).astype(np.int64), n - 1)
     if mode == im.FULL_SIMULATION:
-        live, _ = _sample_live_block(model, master_seed, 0, num_searches)
+        live, _ = im.sample_pool(model, master_seed, num_searches)
     else:
         # One flip per edge with 0 < p < 1, in edge-id order; edges at
         # p = 0 or 1 draw nothing.

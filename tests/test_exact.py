@@ -459,7 +459,7 @@ def test_ball_reports_match_the_whole_outcome_space(kind):
 def test_lt_choices_outside_the_ball_merge_into_none():
     model = lt_merge_case()
     parts, _ = exact._parts(model)
-    relevant = exact._ball_edges(parts, 2, (0,))
+    relevant = im.ball_edges(model, 2, (0,))
     assert relevant.tolist() == [True, False, True, False, False]
     radices, choice_probs, edge_choice = exact._ball_units(parts[0][1], relevant)
     # Node 1 keeps [edge 0, none]; node 2 keeps [edge 2, edge 1 + none].
@@ -477,8 +477,7 @@ def test_lt_choices_outside_the_ball_merge_into_none():
 
 def test_mixture_components_restrict_to_their_own_balls():
     model = split_mixture()
-    parts, _ = exact._parts(model)
-    relevant = exact._ball_edges(parts, 2, (0,))
+    relevant = im.ball_edges(model, 2, (0,))
     # forward fires 0->1 and 1->2; backward fires 0->4 and 4->3.
     assert np.flatnonzero(relevant).tolist() == [0, 1, 4, 5]
     report = im.exact_report(model, (0,), 2)
@@ -709,8 +708,7 @@ def test_report_without_opt1_read_runs_one_enumeration_pass(monkeypatch):
     assert len(chunk_passes) == 1 and not value_passes
     # The singles pass walks one restricted space per distinct ball; at
     # tau 3 each of the ten nodes has a ball of its own.
-    parts, _ = exact._parts(model)
-    balls = {exact._ball_edges(parts, 3, (v,)).tobytes() for v in range(model.num_nodes)}
+    balls = {im.ball_edges(model, 3, (v,)).tobytes() for v in range(model.num_nodes)}
     assert len(balls) == 10
     first = report.opt1
     assert len(chunk_passes) == 1 + len(balls) and len(value_passes) == 1

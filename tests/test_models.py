@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import models, rng
-from infmax.models import _SAMPLE_BLOCK, _sample_live_block
+from infmax.models import _SAMPLE_BLOCK
 
 
 def path_model(p=1.0):
@@ -109,7 +109,7 @@ def test_simulation_reproducibility():
 ])
 def test_block_sampling_matches_scalar(maker):
     model = maker()
-    block, comps = _sample_live_block(model, 21, 3, 25)
+    block, comps = im.sample_pool(model, 21, 25, 3)
     for i in range(25):
         sim = im.sample_simulation(model, 21, 3 + i)
         assert np.array_equal(block[i], sim.live)
@@ -301,6 +301,37 @@ def test_draw_widths_count_random_units_only(monkeypatch):
         assert widths == expect
 
 
+@given(kind=st.sampled_from(sorted(SAMPLER_MODELS)), start=st.integers(0, 200),
+       count=st.sampled_from([1, 63, 64, 65, "block + 1"]),
+       threads=st.sampled_from([1, 2]), data=st.data())
+def test_edge_selection_equals_masked_columns_of_full_pool(kind, start, count, threads,
+                                                           data):
+    model = SAMPLER_MODELS[kind]()
+    m = model.graph.num_edges
+    if count == "block + 1":
+        # One more than the full pool's block: a selection may block differently.
+        _, step = models._word_sampler(model, np.arange(m))
+        count = max(_SAMPLE_BLOCK, step) + 1
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    full, comps = im.sample_pool(model, 13, count, start, threads, packed=True)
+    words, picked_comps = im.sample_pool(model, 13, count, start, threads, packed=True,
+                                         edges=mask)
+    assert words.shape == (full.shape[0], int(mask.sum()))
+    assert np.array_equal(words, full[:, mask])
+    assert (comps is None) == (picked_comps is None)
+    if comps is not None:
+        assert np.array_equal(comps, picked_comps)
+    live, _ = im.sample_pool(model, 13, count, start, threads, edges=mask)
+    assert np.array_equal(live, im.unpack_rows(full, count)[:, mask])
+
+
+def test_edge_selection_must_be_a_mask_over_the_edges():
+    model = random_model(3)
+    for bad in (np.ones(13, dtype=bool), np.arange(14), np.ones((2, 14), dtype=bool)):
+        with pytest.raises(ValueError, match="boolean mask"):
+            im.sample_pool(model, 9, 5, edges=bad)
+
+
 @pytest.mark.parametrize("kind", ["ic", "lt", "bdep", "lt-bdep-mixture"])
 def test_live_shares_match_marginals(kind):
     model = SAMPLER_MODELS[kind]()
@@ -325,11 +356,15 @@ def row_major_pack(rows):
 
 @pytest.mark.parametrize("count", [0, 1, 7, 63, 64, 65, 1025])
 def test_pack_rows_equals_row_major_formula(count):
-    bits = np.random.default_rng(count).random((2 * count, 13)) < 0.5
-    for rows in (np.ascontiguousarray(bits[:count]), bits[::2, 1::3]):
-        got, expect = im.pack_rows(rows), row_major_pack(rows)
-        assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert got.tobytes() == expect.tobytes()
+    # Narrow and wide, row-major, strided and column-major matrices take
+    # each of pack_rows' two ways.
+    for width in (13, 130):
+        bits = np.random.default_rng(count).random((2 * count, width)) < 0.5
+        for rows in (np.ascontiguousarray(bits[:count]), bits[::2, 1::3],
+                     np.asfortranarray(bits[:count])):
+            got, expect = im.pack_rows(rows), row_major_pack(rows)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
 
 # -- reachability -----------------------------------------------------------
