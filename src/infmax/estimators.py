@@ -40,13 +40,6 @@ TOTAL_SAMPLE_FACTOR = POOL_SIZE_FACTOR * POOL_COUNT_FACTOR  # 112
 
 # query_many reduces as many sets per call as fit their masks and counts here.
 _SCORE_BLOCK_BYTES = 1 << 20
-# A single-set pool samples and propagates its seed set's ball alone when the
-# ball holds at most 1 / _BALL_SHARE of the edges.  Measured on a 2-core Xeon
-# VM against the full pool: balls of a quarter of the edges or less took
-# 0.80-0.96 of its time on perfbench's BDEP shape, balls of 0.3-0.5 of them
-# 0.88-1.05, and adaptive_maximize's validation balls (40-47% of 150 edges)
-# about 1.04.
-_BALL_SHARE = 4
 
 AVERAGING = "averaging"
 MEDIAN_OF_AVERAGES = "median_of_averages"
@@ -248,16 +241,14 @@ def seed_set_pool_averages(model: DiffusionModel, config: OracleConfig, seeds,
                            threads: int = 1) -> np.ndarray:
     """``build_oracle(model, config).pool_averages(seeds)``, bit for bit.
 
-    When the ``tau``-ball of ``seeds`` (:func:`ball_edges`) holds at most
-    ``1 / _BALL_SHARE`` of the model's edges, only the ball's columns of the
-    pool are packed and propagated, over the graph of those edges; every
-    unit of every simulation is still drawn.  A larger ball saves less
-    propagation than picking it out costs, so its pool is the oracle's.
+    Only the columns of the ``tau``-ball of ``seeds`` (:func:`ball_edges`)
+    are sampled, which draws only their units, and they propagate over the
+    graph of those edges; a ball of every edge takes the oracle's pool.
     """
     g = model.graph
     seeds = as_seed_tuple(g.num_nodes, seeds)
     ball = ball_edges(model, config.tau, seeds)
-    edges = ball if _BALL_SHARE * int(ball.sum()) <= ball.size else None
+    edges = None if ball.all() else ball
     words, _ = sample_pool(model, config.master_seed, config.total_simulations,
                            threads=threads, packed=True, edges=edges)
     if edges is not None:
@@ -362,7 +353,10 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     else:
         draw, _ = _word_sampler(marginal_edge_model(model), np.arange(g.num_edges),
                                 rng.STREAM_RRS_EDGES)
+    # Chunks of whole tiles where they hold more than one.
     chunk = max(1, _RRS_CELLS // max(n, 1))
+    if chunk > rng.TILE_ROWS:
+        chunk -= chunk % rng.TILE_ROWS
     for lo in range(0, num_searches, chunk):
         count = min(chunk, num_searches - lo)
         u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]

@@ -53,11 +53,20 @@ class Graph:
                 raise ValueError("node weights must be finite")
             if lo < 0.0:
                 raise ValueError("node weights must be nonnegative")
-        for gid in np.unique(self.groups[self.groups >= 0]):
-            members = np.flatnonzero(self.groups == gid)
-            if np.unique(self.tails[members]).size != 1:
-                raise ValueError(f"group {gid}: edges must share one tail node")
-            if np.unique(self.probs[members]).size != 1:
+        # Each grouped edge against its group's first edge, in one sort; the
+        # smallest group id with a mismatch is named.
+        grouped = np.flatnonzero(self.groups >= 0)
+        if grouped.size:
+            order = grouped[np.argsort(self.groups[grouped], kind="stable")]
+            gids = self.groups[order]
+            first = np.flatnonzero(np.diff(gids, prepend=-1))
+            lead = order[np.repeat(first, np.diff(first, append=order.size))]
+            bad_tail = self.tails[order] != self.tails[lead]
+            bad = bad_tail | (self.probs[order] != self.probs[lead])
+            if bad.any():
+                gid = gids[bad.argmax()]
+                if bad_tail[gids == gid].any():
+                    raise ValueError(f"group {gid}: edges must share one tail node")
                 raise ValueError(f"group {gid}: per-edge probabilities must agree")
         # In-edge CSR, sorted by head then edge id for deterministic traversal.
         in_order = np.argsort(self.heads, kind="stable").astype(np.int64)

@@ -13,19 +13,20 @@ Four model kinds share one live-edge representation:
 
 A :class:`Simulation` is one i.i.d. draw: a boolean live mask over the
 model's edge list plus the ``(master_seed, sim_index)`` that produced it.
-Sampling follows stream layout 2 (see :mod:`infmax.rng`): simulation
-``sim_index`` is row ``sim_index`` of a PCG64 block stream, one uniform
-per random unit of the model's :func:`_units` table, the same table exact
-enumeration walks.  Edges at p = 0 or 1 read no draw, and a mixture draws
-its component plus one block as wide as its widest component.  So any
-one simulation is regenerated in isolation as a block of one row.  Every
-draw is vectorized over rows and units, and :func:`sample_pool` fills a
-pool in 64-aligned blocks of rows whose uniforms its workers compare and
-pack straight into ``uint64`` words, so no boolean live matrix is built.
-It packs every edge or only those of an edge mask, such as a seed set's
-``tau``-ball (:func:`ball_edges`), the only edges its reach within ``tau``
-steps depends on; every unit is drawn either way, so a column's bits do
-not depend on which others are chosen.
+Sampling follows stream layout 3 (see :mod:`infmax.rng`): simulation
+``sim_index`` reads one uniform per random unit of the model's
+:func:`_units` table, the same table exact enumeration walks, from a PCG64
+block stream whose tiles of 1,024 simulations are unit-major.  Edges at
+p = 0 or 1 read no draw, and a mixture draws its component plus the units
+of one stream as wide as its widest component.  So any one simulation is
+regenerated in isolation.  :func:`sample_pool` fills a pool in blocks of
+whole tiles whose uniforms its workers compare and pack straight into
+``uint64`` words, so no boolean live matrix is built.  It packs every edge
+or only those of an edge mask, such as a seed set's ``tau``-ball
+(:func:`ball_edges`), the only edges its reach within ``tau`` steps depends
+on, and draws only the units those edges read; every draw sits at its own
+stream position, so a column's bits do not depend on which others are
+chosen.
 Reachability within ``tau`` steps of one simulation is a scalar BFS over
 its live edges (:func:`reach_set`, :func:`reverse_reach_set`), kept as the
 reference.  Stacks of simulations propagate bit-parallel: they are packed
@@ -170,10 +171,10 @@ def bdep_model(graph: Graph, b: int) -> DiffusionModel:
     if int(b) < 1:
         raise ValueError("group size bound must be at least 1")
     b = int(b)
-    for gid in np.unique(graph.groups[graph.groups >= 0]):
-        size = int(np.count_nonzero(graph.groups == gid))
-        if size > b:
-            raise ValueError(f"group {gid} has {size} edges, bound is {b}")
+    gids, sizes = np.unique(graph.groups[graph.groups >= 0], return_counts=True)
+    over = np.flatnonzero(sizes > b)
+    if over.size:
+        raise ValueError(f"group {gids[over[0]]} has {sizes[over[0]]} edges, bound is {b}")
     return DiffusionModel(BDEP, graph, b=b)
 
 
@@ -304,42 +305,41 @@ def _units(model: DiffusionModel):
 
 
 # ---------------------------------------------------------------------------
-# Sampling, stream layout 2
+# Sampling, stream layout 3
 #
 # A non-mixture model draws one uniform per unit of its :func:`_units`
-# table and simulation, from its kind's block stream (rng.block_stream):
-# row i of the block is simulation i.  Edge e is live iff lo[e] <= u < hi[e]
+# table and simulation, from its kind's block stream (rng.BlockReader), whose
+# width is the table's unit count.  Edge e is live iff lo[e] <= u < hi[e]
 # for its unit's uniform u, where a unit's edge-bearing choices take
 # consecutive slices of [0, 1) in choice order.  So a binary unit's live
 # edges take [0, q), the single compare u < q, and an LT node's in-edges
 # take consecutive slices in in_edges order, the leftover mass choosing
 # none.  Edges whose slice is empty or covers [0, 1) are constant columns
 # and read no draw.
-# A mixture draws its component from STREAM_MIXTURE and one shared block
-# of the widest component's width from STREAM_UNITS; each component reads
-# the leading columns of its own rows.  The word sampler compares a
-# component's columns over every row and keeps the words of its own rows.
+# A mixture draws its component from STREAM_MIXTURE and its units from one
+# STREAM_UNITS stream as wide as its widest component; each component reads
+# the leading units of its own rows.  The word sampler compares a
+# component's units over every row and keeps the words of its own rows.
+# Tiles are unit-major, so a sampler draws only the units its edges read.
 
 _KIND_STREAM = {IC: rng.STREAM_EDGES, LT: rng.STREAM_NODES, BDEP: rng.STREAM_UNITS}
 
-# Uniforms drawn and compared per step, so a worker's float temporaries
-# stay near 512 kB however wide the model is; whole-block temporaries grow
-# with the unit count and raise peak RSS.
+# Uniforms drawn and compared per chunk of a tile's units, so a worker's
+# float temporaries stay near 512 kB however wide the model is.
 _DRAW_CELLS = 1 << 16
-# A selection reads only the uniform columns of its own units when they
-# are at most this share of the row: gathering a few columns beats
-# comparing every unit, gathering most of them does not.
-_GATHER_SHARE = 4
+# Draws per sample_pool block, at least a tile: a pool that needs fewer, such
+# as a seed set's ball, is one block and fills on the calling thread.
+_BLOCK_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class _DrawPlan:
-    """How a non-mixture model turns a ``(rows, width)`` block of uniforms
-    into live edges: edge ``e`` is live iff ``lo[e] <= u[:, unit[e]] <
-    hi[e]``.  ``random`` marks the edges whose slice is neither empty nor
-    all of ``[0, 1)``; of the others, those in ``always`` are live in every
-    row.  In a ``binary`` plan every random slice starts at 0, so the random
-    edges of one unit share its slice ``[0, unit_hi)``."""
+    """How a non-mixture model turns a unit's uniforms into live edges: edge
+    ``e`` is live iff ``lo[e] <= u[unit[e]] < hi[e]``.  ``random`` marks the
+    edges whose slice is neither empty nor all of ``[0, 1)``; of the
+    others, those in ``always`` are live in every row.  In a ``binary`` plan
+    every random slice starts at 0, so the random edges of one unit share
+    its slice ``[0, unit_hi)``."""
     width: int
     unit: np.ndarray
     lo: np.ndarray
@@ -377,16 +377,17 @@ def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
 
 @dataclass(frozen=True, eq=False)
 class _Pick:
-    """The selected edges of one :class:`_DrawPlan`.  ``read`` is the
-    uniform columns read: a slice of the plan's leading ``width`` columns,
-    or their ids.  ``col`` is each selected random edge's column among
-    them, and ``lo`` and ``hi`` its slice; a binary plan has ``lo`` ``None``
-    and ``hi`` per column read.  ``random_at`` and ``always_at`` are the
-    output columns of the selected random and always-live edges."""
-    read: slice | np.ndarray
-    col: slice | np.ndarray
+    """The selected edges of one :class:`_DrawPlan`, as tests of the
+    sampler's drawn units: test ``i`` compares the uniforms of drawn unit
+    ``row[i]`` against ``[lo[i], hi[i])``, and ``row`` is nondecreasing.  A
+    binary plan tests each unit read once against ``[0, hi)`` and has ``lo``
+    ``None``; any other tests each random edge.  ``col`` is each selected
+    random edge's test; ``random_at`` and ``always_at`` are the output
+    columns of the selected random and always-live edges."""
+    row: np.ndarray
     lo: np.ndarray | None
     hi: np.ndarray
+    col: slice | np.ndarray
     random_at: slice | np.ndarray
     always_at: slice | np.ndarray
 
@@ -400,52 +401,41 @@ def _as_slice(ids: np.ndarray) -> slice | np.ndarray:
     return ids
 
 
-def _pick(plan: _DrawPlan, edges: np.ndarray, at: np.ndarray) -> _Pick:
-    """The :class:`_Pick` of ``plan``'s edge ids ``edges``, output at columns ``at``."""
+def _pick(plan: _DrawPlan, edges: np.ndarray, at: np.ndarray, drawn: np.ndarray) -> _Pick:
+    """The :class:`_Pick` of ``plan``'s edge ids ``edges``, output at columns
+    ``at``, over the sorted unit ids ``drawn``."""
     random = edges[plan.random[edges]]
     units = plan.unit[random]
-    read = np.unique(units)
-    if read.size * _GATHER_SHARE > plan.width:
-        read, col = slice(plan.width), units
-    else:
-        col = np.searchsorted(read, units)
     if plan.binary:
-        lo, hi = None, plan.unit_hi[read]
+        tested = np.unique(units)
+        lo, hi, col = None, plan.unit_hi[tested][:, None], np.searchsorted(tested, units)
     else:
+        order = np.argsort(units, kind="stable")
+        tested, random = units[order], random[order]
         lo, hi = plan.lo[random][:, None], plan.hi[random][:, None]
-    return _Pick(read, _as_slice(col), lo, hi, _as_slice(at[plan.random[edges]]),
-                 _as_slice(at[plan.always[edges]]))
-
-
-def _pick_words(pick: _Pick, u: np.ndarray) -> np.ndarray:
-    """Packed ``(ceil(rows / 64), k)`` words of the ``k`` random edges of
-    ``pick`` over a ``(rows, width)`` block of uniforms.  A binary plan
-    compares each unit read once, row-major, and its edges share the unit's
-    words; otherwise each edge's column is gathered unit-major and compared
-    against its slice."""
-    x = u[:, pick.read]
-    if pick.lo is None:
-        return pack_rows(x < pick.hi)[:, pick.col]
-    at = np.ascontiguousarray(x.T)[pick.col]
-    hit = at < pick.hi
-    hit &= at >= pick.lo
-    return pack_rows(hit.T)
+        col = np.empty_like(order)
+        col[order] = np.arange(order.size)
+    return _Pick(np.searchsorted(drawn, tested), lo, hi, _as_slice(col),
+                 _as_slice(at[plan.random[edges]]), _as_slice(at[plan.always[edges]]))
 
 
 def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | None = None):
-    """``(draw, step)`` for the sorted edge ids ``edges`` of ``model``:
+    """``(draw, block)`` for the sorted edge ids ``edges`` of ``model``:
     ``draw(master_seed, start, count)`` returns the packed ``(ceil(count /
     64), len(edges))`` live words of simulations ``start .. start+count-1``
-    and their mixture components (``None`` for other kinds), ``step`` rows
-    at a time.  A non-mixture model draws from its kind's stream unless
-    ``stream_id`` names another.
+    and their mixture components (``None`` for other kinds), and ``block``
+    is the rows of a :func:`sample_pool` block, whole tiles of about
+    ``_BLOCK_DRAWS`` draws.  A non-mixture model draws from its kind's
+    stream unless ``stream_id`` names another.
 
-    Every unit of every row is drawn, in stream order, whatever ``edges``
-    holds, so a column's bits do not depend on the other columns chosen.
-    Each step's uniforms go straight to words: a part's random edges are
-    compared and packed (:func:`_pick_words`) and ANDed with the words of
-    the rows the part owns (every row, outside a mixture), which are also
-    the words of its always-live edges.
+    Only the units that ``edges`` read are drawn, a tile part and a chunk
+    of them at a time, and each draw is at its own stream position, so a
+    column's bits do not depend on the other columns chosen.  A part's
+    tests are compared, packed 64 rows to a word and placed by absolute
+    row, so a tile's words are whole words whatever ``start`` is; the
+    result is shifted into place once.  Each random edge takes its test's
+    words, ANDed in a mixture with the words of the rows its part owns,
+    which are also the words of its always-live edges.
     """
     if model.kind == MIXTURE:
         cum = np.cumsum(model.component_weights)
@@ -457,43 +447,72 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
         cum = None
         stream_id = _KIND_STREAM[model.kind] if stream_id is None else stream_id
         parts = [(model, 0)]
-    picks = []
+    width = max(comp._draw_plan.width for comp, _ in parts)
+    chosen = []
     for comp, off in parts:
         inside = np.flatnonzero((edges >= off) & (edges < off + comp.graph.num_edges))
-        picks.append(_pick(comp._draw_plan, edges[inside] - off, inside))
-    width = max(comp._draw_plan.width for comp, _ in parts)
-    # A step holds _DRAW_CELLS floats in whole words; a gathering pick holds
-    # one per selected random edge and row.
-    cells = max([width] + [p.hi.shape[0] for p in picks if p.lo is not None])
-    step = max(64, _DRAW_CELLS // max(1, cells) // 64 * 64)
+        chosen.append((comp._draw_plan, edges[inside] - off, inside))
+    drawn = np.unique(np.concatenate([plan.unit[ids[plan.random[ids]]]
+                                      for plan, ids, _ in chosen]))
+    picks = [_pick(plan, ids, at, drawn) for plan, ids, at in chosen]
+    tile = rng.TILE_ROWS
+    chunk = max(1, _DRAW_CELLS // tile)
+    # Per chunk of drawn units: its runs of consecutive unit ids, and each
+    # pick's tests of it with their rows in the chunk.
+    reads = []
+    for lo in range(0, drawn.size, chunk):
+        units = drawn[lo:lo + chunk]
+        cuts = [0, *(np.flatnonzero(np.diff(units) != 1) + 1).tolist(), units.size]
+        runs = [(int(units[a]), b - a, a) for a, b in zip(cuts, cuts[1:])]
+        tests = []
+        for pick in picks:
+            t0, t1 = np.searchsorted(pick.row, [lo, lo + chunk]).tolist()
+            tests.append((t0, t1, _as_slice(pick.row[t0:t1] - lo)))
+        reads.append((runs, tests))
+    block = tile * max(1, _BLOCK_DRAWS // max(1, drawn.size * tile))
 
     def draw(master_seed: int, start: int, count: int):
-        words = np.zeros((-(-count // 64), edges.size), dtype=np.uint64)
-        if cum is None:
-            comps = None
-            owned = [np.full(words.shape[0], ~np.uint64(0))]
-            if count % 64:
-                owned[0][-1] = (np.uint64(1) << np.uint64(count % 64)) - np.uint64(1)
-        else:
+        comps = None
+        part_of = np.zeros(count, dtype=np.int64)
+        if cum is not None:
             choice = rng.block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)
-            comps = np.searchsorted(cum, choice[:, 0], side="right").astype(np.int64)
-            owned = [pack_rows((comps == c)[:, None])[:, 0] for c in range(len(picks))]
-        draws = rng.block_stream(master_seed, stream_id, start, width)
-        for lo in range(0, count, step):
-            rows = min(step, count - lo)
-            u = draws.random(rows * width).reshape(rows, width)
-            at = slice(lo // 64, -(-(lo + rows) // 64))
-            for pick, own in zip(picks, owned):
-                own = own[at, None]
-                words[at, pick.random_at] = _pick_words(pick, u) & own
-                words[at, pick.always_at] = own
+            comps = part_of = np.searchsorted(cum, choice[:, 0], side="right")
+        # Each pick's test words by absolute row: bit b of word w is row
+        # start - shift + 64 w + b, so every tile part fills whole words.
+        shift = start % 64
+        test_words = [np.zeros((p.hi.shape[0], -(-(shift + count) // 64) + 1), dtype=np.uint64)
+                      for p in picks]
+        if drawn.size:
+            reader = rng.BlockReader(master_seed, stream_id, width)
+            u = np.empty((chunk, tile))
+            hits = [np.empty((p.hi.shape[0], tile), dtype=bool) for p in picks]
+            for lo, rows in rng.tile_parts(start, count):
+                lead = (start + lo) % 64
+                cols = slice(lead, lead + rows)
+                for runs, chunk_tests in reads:
+                    reader.read_units(start + lo, rows, runs, u, lead)
+                    for pick, hit, (t0, t1, at) in zip(picks, hits, chunk_tests):
+                        x = u[at, cols]
+                        np.less(x, pick.hi[t0:t1], out=hit[t0:t1, cols])
+                        if pick.lo is not None:
+                            hit[t0:t1, cols] &= x >= pick.lo[t0:t1]
+                end = -(-(lead + rows) // 64) * 64
+                first = (shift + lo - lead) // 64
+                for hit, bits in zip(hits, test_words):
+                    hit[:, :lead] = False
+                    hit[:, lead + rows:end] = False
+                    bits[:, first:first + end // 64] = np.packbits(
+                        hit[:, :end], axis=1, bitorder="little").view("<u8")
+        words = np.zeros((-(-count // 64), edges.size), dtype=np.uint64)
+        for c, (pick, bits) in enumerate(zip(picks, test_words)):
+            if shift:
+                bits = (bits[:, :-1] >> np.uint64(shift)) | (bits[:, 1:] << np.uint64(64 - shift))
+            own = pack_rows((part_of == c)[:, None])
+            words[:, pick.random_at] = bits[pick.col, :words.shape[0]].T & own
+            words[:, pick.always_at] = own
         return words, comps
 
-    return draw, step
-
-
-# Fewest rows per worker task; a multiple of 64, so blocks share no word.
-_SAMPLE_BLOCK = 1024
+    return draw, block
 
 
 def sample_simulation(model: DiffusionModel, master_seed: int, sim_index: int) -> Simulation:
@@ -516,10 +535,11 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
     ``edges`` in id order (every edge when ``None``); ``components`` is an
     int array for mixtures and ``None`` otherwise.  A column does not depend
     on which other edges are chosen.  Rows are drawn and packed in blocks of
-    at least ``_SAMPLE_BLOCK`` (a block is one draw step when a step holds
-    more), dealt round-robin to ``threads`` workers that each write their
-    own word range, so beyond the result only one step's uniforms per
-    worker are held.  The result is independent of ``threads``.
+    whole tiles (see :func:`_word_sampler`), cut at the tiles of the stream
+    when ``start`` is a multiple of 64, dealt round-robin to ``threads``
+    workers that each write their own word range, so beyond the result only
+    one chunk's uniforms per worker are held.  The result is independent of
+    ``threads``.
     """
     rng.check_master_seed(master_seed)
     count = int(count)
@@ -527,22 +547,25 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
         raise ValueError("simulation count must be nonnegative")
     m = model.graph.num_edges
     if edges is None:
-        draw, step = model._edge_sampler
+        draw, block = model._edge_sampler
         k = m
     else:
         edges = np.asarray(edges)
         if edges.dtype != bool or edges.shape != (m,):
             raise ValueError(f"edge selection must be a boolean mask over the {m} edges")
-        draw, step = _word_sampler(model, np.flatnonzero(edges))
+        draw, block = _word_sampler(model, np.flatnonzero(edges))
         k = int(edges.sum())
     words = np.empty((-(-count // 64), k), dtype=np.uint64)
     comps = np.empty(count, dtype=np.int64) if model.kind == MIXTURE else None
-    block = max(_SAMPLE_BLOCK, step)
-    blocks = range(0, count, block)
+    # Blocks start at pool rows that are whole words: the first at 0, the
+    # others at the stream's tile boundaries, rounded up to a word.
+    first = -int(start) % rng.TILE_ROWS
+    first += -first % 64
+    cuts = sorted({0, *range(first, count, block)}) if count else []
+    blocks = list(zip(cuts, cuts[1:] + [count]))
 
     def fill(worker):
-        for lo in blocks[worker::threads]:
-            hi = min(lo + block, count)
+        for lo, hi in blocks[worker::threads]:
             block_words, block_comps = draw(master_seed, start + lo, hi - lo)
             words[lo // 64:-(-hi // 64)] = block_words
             if comps is not None:
@@ -612,36 +635,17 @@ def ball_edges(model: DiffusionModel, tau: int, seeds) -> np.ndarray:
     return relevant
 
 
-# _BIT_VALUES[b] is bit b of a byte: an 8-row slice dotted with it packs those rows.
-_BIT_VALUES = (1 << np.arange(8)).astype(np.uint8)
-# A C-contiguous matrix at least this wide packs faster 8 rows at a time
-# than through its column-major copy, which grows costly with the width
-# (measured on a 2-core Xeon VM: 22 against 59 us at 1,024 x 64, 64
-# against 36 us at 3,264 x 20).
-_ROW_PACK_COLUMNS = 40
-
-
 def pack_rows(rows: np.ndarray) -> np.ndarray:
     """Pack a ``(count, k)`` boolean matrix into ``(words, k)`` ``uint64``.
 
     Bit ``r`` of word ``j`` holds row ``64 * j + r``; the padding bits of
-    a partial last word are zero.  A wide C-contiguous matrix is packed 8
-    rows to a byte by one integer product over its rows; any other is
-    packed column by column from the contiguous copy of its transpose,
-    which a transposed view already is, and the words are returned as a
-    transposed view.  Both give the same words.
+    a partial last word are zero.  The rows are packed column by column from
+    the contiguous copy of their transpose, which a transposed view already
+    is, and the words are returned as a transposed view.
     """
     rows = np.asarray(rows, dtype=bool)
     count, k = rows.shape
-    words = -(-count // 64)
-    if rows.flags.c_contiguous and k >= _ROW_PACK_COLUMNS:
-        if count < 64 * words:
-            rows = np.concatenate([rows, np.zeros((64 * words - count, k), dtype=bool)])
-        octets = np.einsum("rbk,b->rk", rows.view(np.uint8).reshape(8 * words, 8, k),
-                           _BIT_VALUES)
-        return np.ascontiguousarray(octets.reshape(words, 8, k).transpose(0, 2, 1)
-                                    ).view("<u8")[..., 0]
-    packed = np.zeros((k, words * 8), dtype=np.uint8)
+    packed = np.zeros((k, -(-count // 64) * 8), dtype=np.uint8)
     packed[:, :(count + 7) // 8] = np.packbits(np.ascontiguousarray(rows.T), axis=1,
                                                bitorder="little")
     return packed.view("<u8").T

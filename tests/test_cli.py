@@ -40,7 +40,7 @@ def test_reports_carry_stream_layout(tmp_path):
     out = tmp_path / "gen.json"
     assert run_cli(["gen", "--family", "tree", "--tau", "2",
                     "--model-out", str(tmp_path / "t.model"), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["versions"]["stream_layout"] == 2
+    assert json.loads(out.read_text())["versions"]["stream_layout"] == 3
 
 
 def test_estimate_report_schema(tmp_path):

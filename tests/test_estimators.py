@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import infmax as im
 from infmax import estimators, rng
+from stream_reference import reference_uniforms
 
 
 def deterministic_path():
@@ -239,20 +240,22 @@ BALL_MODELS = {
 
 @pytest.mark.parametrize("kind", sorted(BALL_MODELS))
 def test_seed_set_pool_averages_equal_the_oracle_bit_for_bit(kind, monkeypatch):
-    # Small draw steps cut every pool above 1024 rows into several blocks,
-    # so two threads each fill some of them.
+    # One tile per block and one unit per chunk: several threads each fill some
+    # blocks of every pool above 1024 rows.
+    monkeypatch.setattr(im.models, "_BLOCK_DRAWS", 1)
     monkeypatch.setattr(im.models, "_DRAW_CELLS", 1)
     model = with_sink_and_isolated_node(BALL_MODELS[kind]())
     n = model.num_nodes
     sink, isolated = n - 2, n - 1
     seed_sets = [(0,), (sink,), (isolated,), (0, sink, isolated), (1, n // 2)]
     for tau in (0, 1, 2, 3, n - 1):
-        for pool_size in (1, 63, 65, 130):
+        # 11 pools of 93 and 192 end a simulation short of a tile and two.
+        for pool_size in (1, 63, 65, 93, 130, 192):
             config = im.OracleConfig(11, pool_size, tau, master_seed=tau + pool_size)
             oracle = im.build_oracle(model, config)
             for seeds in seed_sets:
                 expect = oracle.pool_averages(seeds)
-                for threads in (1, 2):
+                for threads in (1, 2, 3):
                     got = im.seed_set_pool_averages(model, config, seeds, threads)
                     assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
@@ -382,16 +385,16 @@ def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
     n, w = g.num_nodes, g.node_weights
     acc = np.zeros(n, dtype=np.float64)
     # Targets and simulations are read by position, so one block holds them all.
-    u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, 0, num_searches, 1)[:, 0]
+    u = reference_uniforms(master_seed, rng.STREAM_RRS_TARGET, 0, num_searches, 1)[:, 0]
     targets = np.minimum((u * n).astype(np.int64), n - 1)
     if mode == im.FULL_SIMULATION:
         live, _ = im.sample_pool(model, master_seed, num_searches)
     else:
-        # One flip per edge with 0 < p < 1, in edge-id order; edges at
-        # p = 0 or 1 draw nothing.
+        # One flip per edge with 0 < p < 1, in edge-id order, from stream
+        # layout 3's tiles; edges at p = 0 or 1 draw nothing.
         p = model.marginal_edge_probs
         flips = np.flatnonzero((p > 0.0) & (p < 1.0))
-        u = rng.block_uniforms(master_seed, rng.STREAM_RRS_EDGES, 0, num_searches, flips.size)
+        u = reference_uniforms(master_seed, rng.STREAM_RRS_EDGES, 0, num_searches, flips.size)
         live = np.zeros((num_searches, g.num_edges), dtype=bool)
         live[:, p >= 1.0] = True
         live[:, flips] = u < p[flips]

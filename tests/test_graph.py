@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infmax.graph import Graph, as_seed_tuple, format_edge_list, parse_edge_list
+from infmax.models import bdep_model
 
 
 def test_basic_construction_and_csr():
@@ -108,3 +109,42 @@ def test_graph_accepts_repeated_pairs_for_mixture_unions():
     # a mixture's union graph repeats pairs its components share
     g = Graph.from_edges(2, [(0, 1, 0.5), (0, 1, 0.25)])
     assert g.num_edges == 2
+
+
+def many_groups(count):
+    """``count`` groups of two edges each, all leaving node 0."""
+    n = 2 * count + 1
+    heads = np.arange(1, n)
+    groups = np.repeat(np.arange(count), 2)
+    return n, np.zeros(n - 1, dtype=np.int64), heads, np.full(n - 1, 0.5), groups
+
+
+def test_many_groups_validate_in_one_pass():
+    # 20,000 groups took over a second when each group scanned every edge.
+    n, tails, heads, probs, groups = many_groups(20_000)
+    g = Graph(n, tails, heads, probs, groups, np.ones(n))
+    assert g.num_edges == 40_000
+    assert bdep_model(g, 2).b == 2
+    # Groups 7 and 9 grow to three and four edges; the smaller id is named.
+    groups = groups.copy()
+    groups[100] = 7
+    groups[[300, 301]] = 9
+    with pytest.raises(ValueError, match="group 7 has 3 edges, bound is 2"):
+        bdep_model(Graph(n, tails, heads, probs, groups, np.ones(n)), 2)
+
+
+@pytest.mark.parametrize("bad_tail,bad_prob,message", [
+    (9, 9, "group 9: edges must share one tail"),
+    (12, 9, "group 9: per-edge probabilities must agree"),
+    (9, 12, "group 9: edges must share one tail"),
+])
+def test_the_smallest_bad_group_is_named(bad_tail, bad_prob, message):
+    n, tails, heads, probs, groups = many_groups(50)
+    tails, probs = tails.copy(), probs.copy()
+    # The last edge of each named group breaks it.
+    tails[2 * bad_tail + 1] = 3
+    probs[2 * bad_prob + 1] = 0.25
+    # Groups listed out of id order.
+    order = np.random.default_rng(0).permutation(n - 1)
+    with pytest.raises(ValueError, match=message):
+        Graph(n, tails[order], heads[order], probs[order], groups[order], np.ones(n))

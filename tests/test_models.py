@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import models, rng
-from infmax.models import _SAMPLE_BLOCK
+from stream_reference import TILE, reference_uniforms
 
 
 def path_model(p=1.0):
@@ -116,9 +117,11 @@ def test_block_sampling_matches_scalar(maker):
         assert sim.component == (None if comps is None else comps[i])
 
 
-def test_pool_sampling_thread_invariant():
+def test_pool_sampling_thread_invariant(monkeypatch):
+    # One tile per block.
+    monkeypatch.setattr(models, "_BLOCK_DRAWS", 1)
     model = im.families.gen_two_world_mixture()
-    rows = 4 * _SAMPLE_BLOCK + 500
+    rows = 4 * TILE + 500
     l1, c1 = im.sample_pool(model, 9, rows, threads=1)
     # Five blocks dealt to four workers that switch as often as the
     # interpreter allows: a worker writing outside its own words shows.
@@ -181,18 +184,19 @@ def reference_live_rows(model, u):
 
 
 def reference_live_block(model, master_seed, start, count):
-    """Live rows of stream layout 2 written out the long way: per-unit loops
-    over one uniform per random unit, and mixture components reading their
-    own rows of one shared block as wide as the widest component."""
+    """Live rows of stream layout 3 written out the long way: per-unit loops
+    over one uniform per random unit, each read at its own (tile, unit)
+    position, and mixture components reading their own rows of one shared
+    stream as wide as the widest component."""
     if model.kind != im.models.MIXTURE:
-        u = rng.block_uniforms(master_seed, REFERENCE_STREAMS[model.kind], start, count,
+        u = reference_uniforms(master_seed, REFERENCE_STREAMS[model.kind], start, count,
                                reference_width(model))
         return reference_live_rows(model, u), None
     cum = np.cumsum(model.component_weights)
     cum[-1] = 1.0
-    pick = rng.block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
+    pick = reference_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
     comps = np.searchsorted(cum, pick, side="right")
-    shared = rng.block_uniforms(master_seed, rng.STREAM_UNITS, start, count,
+    shared = reference_uniforms(master_seed, rng.STREAM_UNITS, start, count,
                                 max(reference_width(c) for c in model.components))
     live = np.zeros((count, model.graph.num_edges), dtype=bool)
     for c, comp in enumerate(model.components):
@@ -241,77 +245,111 @@ SAMPLER_MODELS = {
 }
 
 
-@pytest.mark.parametrize("count", [1, 63, 64, 65, _SAMPLE_BLOCK + 1,
-                                   2 * _SAMPLE_BLOCK + 65])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, TILE - 1, TILE, TILE + 1, 2 * TILE + 65])
 @pytest.mark.parametrize("kind", sorted(SAMPLER_MODELS))
-def test_pool_sampling_matches_reference_loops(kind, count):
+def test_pool_sampling_matches_reference_loops(kind, count, monkeypatch):
+    # Blocks of four tiles for a selection of one or two units and of one
+    # tile for a wide one, so a selection may block differently from the
+    # full pool.
+    monkeypatch.setattr(models, "_BLOCK_DRAWS", 8 * TILE)
     model = SAMPLER_MODELS[kind]()
-    for start in (0, 5, 64):
+    m = model.graph.num_edges
+    masks = [None, np.arange(m) % 3 == 1, np.arange(m) == m - 1]
+    for start in (0, 1, 5, 64, 1000, 1023):
         expect, expect_comps = reference_live_block(model, 13, start, count)
-        for threads in (1, 2, 3):
-            live, comps = im.sample_pool(model, 13, count, start, threads)
+        for threads, mask in itertools.product((1, 2, 3), masks):
+            cols = slice(None) if mask is None else mask
+            live, comps = im.sample_pool(model, 13, count, start, threads, edges=mask)
             words, packed_comps = im.sample_pool(model, 13, count, start, threads,
-                                                 packed=True)
-            assert live.dtype == bool and np.array_equal(live, expect)
+                                                 packed=True, edges=mask)
+            assert live.dtype == bool and np.array_equal(live, expect[:, cols])
             assert words.dtype == np.uint64
-            assert np.array_equal(words, im.pack_rows(expect))
+            assert np.array_equal(words, im.pack_rows(expect[:, cols]))
             for got in (comps, packed_comps):
                 assert (got is None) == (expect_comps is None)
                 if got is not None:
                     assert np.array_equal(got, expect_comps)
 
 
-@pytest.mark.parametrize("cells", [1, 40])
+@pytest.mark.parametrize("cells", [1, 40, 3 * TILE])
 def test_draw_steps_match_reference_loops(cells, monkeypatch):
-    # Steps of one row or a few rows give the rows of a single step.
+    # Chunks of one unit (the first two) or of three units of a tile.
     monkeypatch.setattr(models, "_DRAW_CELLS", cells)
     for kind, make in sorted(SAMPLER_MODELS.items()):
         model = make()
-        expect, expect_comps = reference_live_block(model, 13, 5, 130)
-        live, comps = im.sample_pool(model, 13, 130, 5)
+        expect, expect_comps = reference_live_block(model, 13, 5, 1100)
+        live, comps = im.sample_pool(model, 13, 1100, 5)
         assert np.array_equal(live, expect), kind
         assert (comps is None) == (expect_comps is None)
         if comps is not None:
             assert np.array_equal(comps, expect_comps)
 
 
+class RecordingReader(rng.BlockReader):
+    """A block reader that logs its stream and width, and every read."""
+    log = []
+
+    def __init__(self, master_seed, stream_id, width):
+        super().__init__(master_seed, stream_id, width)
+        self.log.append(("open", stream_id, width))
+
+    def _read(self, position, out):
+        self.log.append(("read", position, out.size))
+        super()._read(position, out)
+
+
 def test_draw_widths_count_random_units_only(monkeypatch):
-    widths = []
-    stream = rng.block_stream
-
-    def recording(master_seed, stream_id, start, width):
-        widths.append((stream_id, width))
-        return stream(master_seed, stream_id, start, width)
-
-    monkeypatch.setattr(rng, "block_stream", recording)
+    monkeypatch.setattr(rng, "BlockReader", RecordingReader)
     constant_ic = im.ic_model(im.Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)]))
     constant_bdep = im.bdep_model(im.Graph.from_edges(
         4, [(0, 1, 1.0, 0), (0, 2, 1.0, 0), (1, 3, 0.0, 1), (2, 3, 0.0)]), b=2)
-    cases = [(constant_ic, [(rng.STREAM_EDGES, 0)]),
-             (constant_bdep, [(rng.STREAM_UNITS, 0)]),
-             (lt_constant(), [(rng.STREAM_NODES, 2)]),
+    # Models with no random unit read no stream at all.
+    cases = [(constant_ic, []), (constant_bdep, []), (lt_constant(), []),
              (im.families.gen_polysimu(102), [(rng.STREAM_EDGES, 1)]),
+             # Both LT nodes with in-edges are units; one of them is random.
+             (SAMPLER_MODELS["lt-one-random"](), [(rng.STREAM_NODES, 2)]),
              # LT component: 5 nodes with in-edges; BDEP component: 4 random
-             # units.  The shared block is 5 wide, not 9.
+             # units.  The shared stream is 5 wide, not 9.
              (SAMPLER_MODELS["lt-bdep-mixture"](),
               [(rng.STREAM_MIXTURE, 1), (rng.STREAM_UNITS, 5)])]
     for model, expect in cases:
-        widths.clear()
+        RecordingReader.log.clear()
         im.sample_pool(model, 3, 100)
-        assert widths == expect
+        assert [entry[1:] for entry in RecordingReader.log if entry[0] == "open"] == expect
+
+
+def test_a_selection_draws_only_its_units(monkeypatch):
+    monkeypatch.setattr(rng, "BlockReader", RecordingReader)
+    model = SAMPLER_MODELS["ic"]()
+    width = models._units(model)[0].size
+    unit = model._draw_plan.unit
+    mask = np.zeros(model.graph.num_edges, dtype=bool)
+    mask[[3, 4, 5, 17]] = True
+    assert np.array_equal(unit, np.arange(model.graph.num_edges))
+    for start, count, calls in ((0, 2 * TILE, 4), (1000, 48, 8), (0, 700, 2), (0, 300, 4)):
+        RecordingReader.log.clear()
+        im.sample_pool(model, 3, count, start, edges=mask)
+        reads = [entry[1:] for entry in RecordingReader.log if entry[0] == "read"]
+        # Each edge is its own unit.  Units 3-5 are one run, read as one
+        # span per tile part of at least half a tile and unit by unit in a
+        # shorter part; unit 17 is another run.
+        assert len(reads) == calls
+        drawn = set()
+        for position, size in reads:
+            for p in range(position, position + size):
+                tile, rest = divmod(p, TILE * width)
+                if start <= tile * TILE + rest % TILE < start + count:
+                    drawn.add(rest // TILE)
+        assert drawn == {3, 4, 5, 17}
 
 
 @given(kind=st.sampled_from(sorted(SAMPLER_MODELS)), start=st.integers(0, 200),
-       count=st.sampled_from([1, 63, 64, 65, "block + 1"]),
+       count=st.sampled_from([1, 63, 64, 65, TILE + 1]),
        threads=st.sampled_from([1, 2]), data=st.data())
 def test_edge_selection_equals_masked_columns_of_full_pool(kind, start, count, threads,
                                                            data):
     model = SAMPLER_MODELS[kind]()
     m = model.graph.num_edges
-    if count == "block + 1":
-        # One more than the full pool's block: a selection may block differently.
-        _, step = models._word_sampler(model, np.arange(m))
-        count = max(_SAMPLE_BLOCK, step) + 1
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
     full, comps = im.sample_pool(model, 13, count, start, threads, packed=True)
     words, picked_comps = im.sample_pool(model, 13, count, start, threads, packed=True,
@@ -356,8 +394,7 @@ def row_major_pack(rows):
 
 @pytest.mark.parametrize("count", [0, 1, 7, 63, 64, 65, 1025])
 def test_pack_rows_equals_row_major_formula(count):
-    # Narrow and wide, row-major, strided and column-major matrices take
-    # each of pack_rows' two ways.
+    # Narrow and wide, row-major, strided and column-major matrices.
     for width in (13, 130):
         bits = np.random.default_rng(count).random((2 * count, width)) < 0.5
         for rows in (np.ascontiguousarray(bits[:count]), bits[::2, 1::3],
