@@ -29,9 +29,9 @@ import numpy as np
 from .graph import Graph, as_seed_tuple
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, _word_sampler, ball_edges, pack_rows,
-                     reach_mask_batch, reach_table, reverse_reach_set, sample_pool,
-                     set_reaches, start_mask, unpack_rows)
+from .models import (DiffusionModel, _word_sampler, ball_edges, node_weighted_sums,
+                     pack_rows, reach_mask_batch, reach_table, reverse_reach_set,
+                     sample_pool, set_reaches, start_mask, unpack_rows)
 from . import rng
 
 POOL_SIZE_FACTOR = 4
@@ -160,21 +160,31 @@ _LOW_BITS.setflags(write=False)
 @lru_cache(maxsize=32)
 def _pool_segments(pools: int, pool_size: int) -> tuple:
     """Rows ``0 .. pools*pool_size-1`` cut at every word boundary and every
-    pool boundary into segments: ``(word, bits, first)``, where segment
-    ``j`` holds the rows set in ``bits[j]`` of word ``word[j]``, and
-    ``first[i]`` is pool ``i``'s first segment, or None when each pool is
-    one segment."""
+    pool boundary into segments, ``runs`` per pool: ``(word, bits, runs)``,
+    where segment ``i * runs + j`` holds the rows of pool ``i`` set in its
+    ``bits`` of word ``word``.  A pool cut into fewer segments is padded
+    with empty ones (no bits of word 0)."""
     rows = pools * pool_size
     cuts = np.union1d(np.arange(0, rows + 1, pool_size), np.arange(0, rows, 64))
-    word = cuts[:-1] // 64
-    bits = _LOW_BITS[cuts[1:] - 64 * word] & ~_LOW_BITS[cuts[:-1] - 64 * word]
+    lo, hi = cuts[:-1], cuts[1:]
+    pool, at = lo // pool_size, lo // 64
+    slot = np.arange(lo.size) - np.searchsorted(lo, pool * pool_size)
+    runs = int(slot.max()) + 1
+    word = np.zeros((pools, runs), dtype=np.int64)
+    bits = np.zeros((pools, runs), dtype=np.uint64)
+    word[pool, slot] = at
+    bits[pool, slot] = _LOW_BITS[hi - 64 * at] & ~_LOW_BITS[lo - 64 * at]
+    word, bits = word.reshape(-1), bits.reshape(-1)
     word.setflags(write=False)
     bits.setflags(write=False)
-    if len(word) == pools:
-        return word, bits, None
-    first = np.searchsorted(cuts, np.arange(0, rows, pool_size))
-    first.setflags(write=False)
-    return word, bits, first
+    return word, bits, runs
+
+
+def _nodes_first(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last (node) axis moved first, as a view; a few
+    microseconds cheaper than ``np.moveaxis``, which these small per-set
+    reductions would feel."""
+    return a.transpose(a.ndim - 1, *range(a.ndim - 1))
 
 
 def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
@@ -185,33 +195,51 @@ def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
     ``(..., pools, n)`` int64 count of rows in each pool that activate each
     node; leading axes are a batch of masks, each counted on its own.  Pool
     boundaries may fall inside a word, and bits past the last pool
-    (padding) are never counted.  Each pool's bits are counted where they
-    lie: one popcount per :func:`_pool_segments` segment, summed per pool
-    only when a pool spans several segments.
+    (padding) are never counted.
+
+    The counts are taken over a node-major ``(n, ..., words)`` copy of the
+    mask, where every pool is a run of ``runs`` units, and returned as a view
+    of their node-major ``(n, ..., pools)`` memory.  When ``g =
+    gcd(pool_size, 64)`` is at least 8, the units are the words read as
+    ``uint{g}``, ``pool_size // g`` per pool; otherwise they are the
+    :func:`_pool_segments` of each pool, gathered and masked.
     """
-    word, bits, first = _pool_segments(int(pools), int(pool_size))
-    segments = mask[..., word, :]
-    segments &= bits[:, None]
-    # Each popcount is cast to int64 in place of its segment's word.
-    counts = np.bitwise_count(segments, out=segments.view(np.int64))
-    if first is None:
-        return counts
-    return np.add.reduceat(counts, first, axis=-2)
+    pools, pool_size = int(pools), int(pool_size)
+    by_node = np.ascontiguousarray(_nodes_first(mask), dtype="<u8")
+    g = math.gcd(pool_size, 64)
+    if g >= 8:
+        runs = pool_size // g
+        units = by_node.view(f"<u{g // 8}")[..., :pools * runs]
+    else:
+        word, bits, runs = _pool_segments(pools, pool_size)
+        units = by_node[..., word]
+        units &= bits
+    counts = np.bitwise_count(units).reshape(units.shape[:-1] + (pools, runs))
+    # A sum along each run costs per pool; runs no longer than the pool
+    # count are added instead as strided columns of whole pools, one add
+    # per unit of a run.
+    if runs > pools:
+        totals = counts.sum(axis=-1, dtype=np.int64)
+    else:
+        totals = counts[..., 0].astype(np.int64)
+        for j in range(1, runs):
+            totals += counts[..., j]
+    return totals.transpose(*range(1, totals.ndim), 0)
 
 
 def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
                         pool_size: int) -> np.ndarray:
-    """Pool averages ``(counts * node_weights).sum(-1) / pool_size`` of a
-    ``(..., pools, n)`` count table, shaped ``(..., pools)``.
+    """Pool averages ``sum_v node_weights[v] * counts[..., v] / pool_size``
+    of a ``(..., pools, n)`` count table, shaped ``(..., pools)``.
 
     Every simulation-backed value (oracle queries, brute force, greedy and
     lossless sketch queries) ends in this one expression, so equal counts
-    give values equal bit for bit, for any node weights.  Each row is
-    summed on its own over the contiguous last axis, so its sum does not
-    depend on the leading axes: a BLAS product may order a row's sum
-    differently depending on how many rows it is given.
+    give values equal bit for bit, for any node weights.  The weighted sum is
+    :func:`node_weighted_sums` over the node-major counts, which adds each
+    pool's terms in node order, the order :func:`row_values` uses, whatever
+    the leading axes and the other pools hold.
     """
-    return (counts * node_weights).sum(axis=-1) / pool_size
+    return node_weighted_sums(node_weights, _nodes_first(counts)) / pool_size
 
 
 def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -791,12 +792,34 @@ def set_reaches(graph: Graph, live: np.ndarray, tau: int, ids: np.ndarray,
     return masks
 
 
+def node_weighted_sums(node_weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``sum_v node_weights[v] * columns[v]``, the weighted sum over the
+    leading node axis of ``columns``, shaped ``columns.shape[1:]``.
+
+    Each output adds its ``n`` terms in node order, ``acc = acc + w[v] *
+    x[v]``, whatever the other outputs hold; every simulation-backed value
+    (row values, pool averages) ends here.  einsum adds in that order only
+    over C-contiguous node-major columns with more than one output: a
+    transposed view or a lone output is summed in another order.  So the
+    columns are made contiguous, and a lone output is padded with a zero
+    (in float64, which einsum would cast the columns to anyway).
+    """
+    columns = np.ascontiguousarray(columns)
+    outputs = columns.shape[1:]
+    if math.prod(outputs) == 1:
+        padded = np.zeros((columns.shape[0], 2))
+        padded[:, 0] = columns.reshape(-1)
+        return np.einsum("v,vr->r", node_weights, padded)[:1].reshape(outputs)
+    return np.einsum("v,v...->...", node_weights, columns)
+
+
 def row_values(graph: Graph, mask: np.ndarray, rows: int) -> np.ndarray:
     """Reach value of each of the first ``rows`` rows of a packed
-    ``(words, n)`` node mask.  A row's value adds the weights of its active
+    ``(words, n)`` node mask, the :func:`node_weighted_sums` of its
+    ``(n, rows)`` columns: a row's value adds the weights of its active
     nodes in node order, whatever the other rows hold, and no ``(rows, n)``
     float matrix is formed."""
-    return np.einsum("v,vr->r", graph.node_weights, unpack_columns(mask, rows))
+    return node_weighted_sums(graph.node_weights, unpack_columns(mask, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -217,8 +217,9 @@ def sketch_query(sketches: SketchSet, seeds, ell: int) -> float:
     if merged.size < sketches.k:
         # Nothing was truncated: the pairs are the exact reachable pairs, and
         # they are unique, so a node's pair count is its activation count.
-        # Reduce the counts like the plain averaging oracle, so the value
-        # matches it bit for bit.
+        # count_pool_averages adds the weighted counts in node order, as the
+        # plain averaging oracle does (its one pool is a lone output, which
+        # node_weighted_sums pads), so the value matches it bit for bit.
         counts = np.bincount(merged.pair_nodes, minlength=sketches.node_weights.shape[0])
         return float(count_pool_averages(counts[None, :], sketches.node_weights,
                                          sketches.ell)[0])

@@ -105,6 +105,10 @@ def test_oracle_takes_bool_rows_or_packed_words_of_its_config_shape():
 @example(pools=5, pool_size=128, cols=4, density=0.3, seed=3)
 @example(pools=65, pool_size=300, cols=6, density=0.7, seed=4)
 @example(pools=29, pool_size=97, cols=1, density=1.0, seed=5)
+@example(pools=1, pool_size=8, cols=3, density=0.5, seed=6)
+@example(pools=1, pool_size=16, cols=2, density=0.5, seed=7)
+@example(pools=1, pool_size=192, cols=4, density=0.4, seed=8)
+@example(pools=1, pool_size=320, cols=5, density=0.6, seed=9)
 def test_packed_pool_counts_match_bool_sums(pools, pool_size, cols, density, seed):
     mask = np.random.default_rng(seed).random((pools * pool_size, cols)) < density
     packed = im.pack_rows(mask)
@@ -145,6 +149,27 @@ def test_batched_pool_reduction_equals_per_mask_calls(pools, pool_size, cols, ba
         batched = im.mask_pool_averages(masks, w, pools, pool_size)
         single = np.stack([im.mask_pool_averages(m, w, pools, pool_size) for m in masks])
         assert batched.tobytes() == single.tobytes()  # bit-exact
+
+
+@pytest.mark.parametrize("pools,pool_size", [(1, 300), (1, 320), (7, 32), (5, 128), (3, 23)])
+def test_weighted_pool_values_add_in_node_order(pools, pool_size):
+    # 40 nodes with non-unit weights: a sum in any other order shows.
+    model = im.families.gen_random_ic(40, 120, weight_range=(0.5, 3.0), seed=pool_size)
+    g, config = model.graph, im.OracleConfig(pools, pool_size, 2, master_seed=5)
+    oracle = im.build_oracle(model, config)
+    for sets in ([(v,) for v in range(40)], [(0, 7), (3, 39), (12, 20), (5, 31)]):
+        many = oracle.query_many(sets)
+        assert many.tobytes() == np.array([oracle.query(s) for s in sets]).tobytes()
+    live, _ = im.sample_pool(model, 5, config.total_simulations, packed=True)
+    lossless = im.build_sketch_oracle(model, config, k=pool_size * 40 + 1, rank_seed=11)
+    for seeds in [(0,), (3, 39), (1, 12, 20)]:
+        counts = im.pool_counts(im.reach_mask_batch(g, live, seeds, 2), pools, pool_size)
+        expect = np.zeros(pools)
+        for v in range(40):
+            expect = expect + g.node_weights[v] * counts[:, v]
+        averages = oracle.pool_averages(seeds)
+        assert averages.tobytes() == (expect / pool_size).tobytes()
+        assert lossless.pool_estimates(seeds).tobytes() == averages.tobytes()
 
 
 @given(seed=st.integers(0, 1000), pools=st.sampled_from([1, 3, 5]),

@@ -511,17 +511,18 @@ def test_set_values_do_not_depend_on_the_other_sets(kind):
 
 def test_row_values_add_active_weights_in_node_order():
     rng = np.random.default_rng(3)
-    model = im.families.gen_random_ic(9, 12, weight_range=(0.5, 3.0), seed=6)
-    g = model.graph
-    for rows in (1, 63, 64, 130, 1000):
-        bits = rng.random((rows, g.num_nodes)) < 0.5
-        expect = np.zeros(rows)
-        for v in range(g.num_nodes):
-            expect += g.node_weights[v] * bits[:, v]
-        got = models.row_values(g, im.pack_rows(bits), rows)
-        assert got.tobytes() == expect.tobytes()
-        # A row's value does not depend on the rows around it.
-        assert models.row_values(g, im.pack_rows(bits[:1]), 1)[0] == got[0]
+    for n, m, seed in ((9, 12, 6), (40, 80, 7), (300, 600, 8)):
+        g = im.families.gen_random_ic(n, m, weight_range=(0.5, 3.0), seed=seed).graph
+        for rows in (1, 2, 63, 64, 65, 130, 1000):
+            bits = rng.random((rows, n)) < 0.5
+            expect = np.zeros(rows)
+            for v in range(n):
+                expect += g.node_weights[v] * bits[:, v]
+            got = models.row_values(g, im.pack_rows(bits), rows)
+            assert got.tobytes() == expect.tobytes()
+            # A row's value does not depend on the rows around it.
+            one = models.row_values(g, im.pack_rows(bits[:1]), 1)
+            assert one.tobytes() == got[:1].tobytes()
 
 
 # Prints the bytes of every exact output and of weighted row values.
