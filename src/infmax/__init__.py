@@ -1,9 +1,8 @@
 """Influence estimation and seed-set maximization from i.i.d. simulations."""
 
 from .graph import Graph, as_seed_tuple, read_edge_list, write_edge_list
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, Simulation,
-                     ic_model, lt_model, bdep_model, mixture_model,
-                     sample_simulation, sample_pool, reach_set, reach_value,
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel,
+                     ic_model, lt_model, bdep_model, mixture_model, sample_pool,
                      pack_rows, unpack_rows, propagation_steps, reach_mask_batch,
                      row_values, start_mask, ball_edges,
                      reverse_reach_set, load_model, save_model)
@@ -16,9 +15,8 @@ from .estimators import (AVERAGING, MEDIAN_OF_AVERAGES, FULL_SIMULATION, MARGINA
                          count_pool_averages, mask_pool_averages, pool_median,
                          required_pools, size_for_guarantee, check_eps_approx,
                          rrs_estimate, marginal_edge_model, seed_set_pool_averages)
-from .sketches import (NodeSketch, SketchSet, SketchOracle, build_sketches,
-                       build_sketch_oracle, merge_sketches, merged_seed_sketch,
-                       sketch_query)
+from .sketches import (NodeSketch, SketchSet, build_sketches, merge_sketches,
+                       merged_seed_sketch, sketch_query)
 from .maximize import (GreedyStep, MaximizerResult, AdaptiveRound, brute_force_max,
                        greedy_max, maximize_im, adaptive_maximize, im_oracle_config,
                        adaptive_schedule)

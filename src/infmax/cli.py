@@ -355,6 +355,8 @@ def _cmd_audit_variance(args):
 
 
 def _cmd_rrs_compare(args):
+    if args.num_searches < 1:
+        raise ValueError("search count must be at least 1")
     model = load_model(args.model)
     singles = [(v,) for v in range(model.num_nodes)]
     truth = exact_values(model, args.tau, singles).tolist()

@@ -11,8 +11,8 @@ Four model kinds share one live-edge representation:
                  in ``ic``.
 * ``mixture`` -- draw one component model by weight, then sample it.
 
-A :class:`Simulation` is one i.i.d. draw: a boolean live mask over the
-model's edge list plus the ``(master_seed, sim_index)`` that produced it.
+A simulation is one i.i.d. draw: a boolean live mask over the model's edge
+list, fixed by the ``(master_seed, sim_index)`` that produced it.
 Sampling follows stream layout 3 (see :mod:`infmax.rng`): simulation
 ``sim_index`` reads one uniform per random unit of the model's
 :func:`_units` table, the same table exact enumeration walks, from a PCG64
@@ -27,14 +27,14 @@ or only those of an edge mask, such as a seed set's ``tau``-ball
 on, and draws only the units those edges read; every draw sits at its own
 stream position, so a column's bits do not depend on which others are
 chosen.
-Reachability within ``tau`` steps of one simulation is a scalar BFS over
-its live edges (:func:`reach_set`, :func:`reverse_reach_set`), kept as the
-reference.  Stacks of simulations propagate bit-parallel: they are packed
-64 to a ``uint64`` word (:func:`pack_rows`), and one step of the batched
-kernel (:func:`propagation_steps`) advances all of them at once.  The
-kernel starts from one seed set shared by every row or from a packed start
-mask with its own start nodes per row (:func:`start_mask`); reverse
-searches run it over :attr:`Graph.reversed`.
+Reachability within ``tau`` steps propagates bit-parallel over stacks of
+simulations: they are packed 64 to a ``uint64`` word (:func:`pack_rows`),
+and one step of the batched kernel (:func:`propagation_steps`) advances
+all of them at once.  The kernel starts from one seed set shared by every
+row or from a packed start mask with its own start nodes per row
+(:func:`start_mask`); reverse searches run it over :attr:`Graph.reversed`.
+:func:`reverse_reach_set` is the scalar BFS of one simulation's reverse
+reach, kept as a reference.
 """
 
 from __future__ import annotations
@@ -85,22 +85,6 @@ BDEP = "bdep"
 MIXTURE = "mixture"
 
 _WEIGHT_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class Simulation:
-    """One draw of concurrently live edges.
-
-    ``live`` indexes the owning model's edge list.  Identical
-    ``(master_seed, sim_index)`` always reproduce identical live edges.
-    """
-    live: np.ndarray
-    master_seed: int
-    sim_index: int
-    component: int | None = None
-
-    def live_edge_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.live)
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,15 +500,6 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
     return draw, block
 
 
-def sample_simulation(model: DiffusionModel, master_seed: int, sim_index: int) -> Simulation:
-    """Draw simulation ``sim_index`` of the stream keyed by ``master_seed``."""
-    live, comps = sample_pool(model, master_seed, 1, sim_index)
-    live = live[0]
-    live.setflags(write=False)
-    comp = None if comps is None else int(comps[0])
-    return Simulation(live, rng.check_master_seed(master_seed), int(sim_index), comp)
-
-
 def sample_pool(model: DiffusionModel, master_seed: int, count: int,
                 start: int = 0, threads: int = 1, packed: bool = False,
                 edges: np.ndarray | None = None):
@@ -595,20 +570,6 @@ def _bfs(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
             break
         reached |= frontier
     return np.array(sorted(reached), dtype=np.int64)
-
-
-def reach_set(graph: Graph, sim: Simulation, seeds, tau: int) -> np.ndarray:
-    """Nodes reachable from ``seeds`` by live paths of length <= ``tau``."""
-    seeds = as_seed_tuple(graph.num_nodes, seeds)
-    if tau < 0:
-        raise ValueError("step limit must be nonnegative")
-    return _bfs(graph, sim.live, seeds, int(tau))
-
-
-def reach_value(graph: Graph, sim: Simulation, seeds, tau: int) -> float:
-    """Total node weight of the reachable set (its size, for unit weights)."""
-    ids = reach_set(graph, sim, seeds, tau)
-    return float(graph.node_weights[ids].sum())
 
 
 def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int) -> np.ndarray:
@@ -732,8 +693,9 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
 
     ``live`` is ``(words, m)`` and the result ``(words, n)``, both
     ``uint64`` as laid out by :func:`pack_rows`; ``seeds`` is as in
-    :func:`propagation_steps`.  Unpacked, it matches :func:`reach_set` row
-    by row (:func:`reverse_reach_set` over :attr:`Graph.reversed`).
+    :func:`propagation_steps`.  Over :attr:`Graph.reversed` from a
+    :func:`start_mask`, unpacked row ``r`` matches :func:`reverse_reach_set`
+    of row ``r``'s live edges and start node.
     """
     for _, active in propagation_steps(graph, live, seeds, tau):
         pass

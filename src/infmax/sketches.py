@@ -18,15 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import as_seed_tuple
-# reverse_reach_set is no longer called here; it stays a module attribute
-# because perfbench/layers.py wraps it at this site.
+# reverse_reach_set and sample_pool are no longer called here; they stay
+# module attributes because perfbench/layers.py wraps them at this site.
 from .models import (DiffusionModel, pack_rows, reverse_reach_set, sample_pool,
                      source_reaches)
-from .estimators import OracleConfig, count_pool_averages, pool_median
+from .estimators import count_pool_averages
 from . import rng
 
 MIN_SKETCH_SIZE = 3
-_POOL_RANK_PURPOSE = 0x6B
 # Words per gather of a sketch build's rank-prefix scan: 2^16 uint64, 512 kB.
 _SCAN_CELLS = 1 << 16
 
@@ -226,38 +225,3 @@ def sketch_query(sketches: SketchSet, seeds, ell: int) -> float:
     total_weight = (sketches.k - 1) / float(merged.ranks[sketches.k - 1])
     return total_weight / sketches.ell
 
-
-class SketchOracle:
-    """Median-of-pools oracle whose pools answer from sketches."""
-
-    def __init__(self, model: DiffusionModel, config: OracleConfig, k: int,
-                 rank_seed: int, sketch_sets: tuple[SketchSet, ...]):
-        self.model = model
-        self.config = config
-        self.k = int(k)
-        self.rank_seed = int(rank_seed)
-        self.sketch_sets = sketch_sets
-
-    @property
-    def num_nodes(self) -> int:
-        return self.model.num_nodes
-
-    def pool_estimates(self, seeds) -> np.ndarray:
-        return np.array([sketch_query(ss, seeds, self.config.pool_size)
-                         for ss in self.sketch_sets])
-
-    def query(self, seeds) -> float:
-        return float(pool_median(self.pool_estimates(seeds)))
-
-
-def build_sketch_oracle(model: DiffusionModel, config: OracleConfig, k: int,
-                        rank_seed: int, threads: int = 1) -> SketchOracle:
-    """Sample the same simulation grid as :func:`build_oracle`, sketched per pool."""
-    live, _ = sample_pool(model, config.master_seed, config.total_simulations,
-                          threads=threads)
-    sets = []
-    for pool in range(config.pools):
-        rows = live[pool * config.pool_size:(pool + 1) * config.pool_size]
-        pool_seed = rng.derive_seed(rank_seed, _POOL_RANK_PURPOSE, pool)
-        sets.append(build_sketches(model, rows, config.tau, k, pool_seed))
-    return SketchOracle(model, config, k, rank_seed, tuple(sets))

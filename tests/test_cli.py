@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import infmax as im
+from infmax import cli
 from infmax.cli import build_parser, main
 
 
@@ -251,6 +252,25 @@ def test_exit_codes(tmp_path, monkeypatch):
     for only in ("10", "99", "11,10", "abc", "1,,2"):
         assert run_cli(["bench", "--only", only, "--out", str(report)]) == 2
         assert not report.exists()
+
+
+def test_rrs_compare_rejects_no_searches(tmp_path, monkeypatch):
+    # A search count below 1 is a usage error (2) before anything else runs:
+    # not the budget error (3) of a model too large to enumerate, and not
+    # after both exact enumerations of a small one.
+    big, small = tmp_path / "big.model", tmp_path / "small.model"
+    for path, n, m in ((big, 30, 80), (small, 6, 8)):
+        run_cli(["gen", "--family", "random", "--n", str(n), "--m", str(m),
+                 "--model-out", str(path), "--out", str(tmp_path / "g.json")])
+    for num in ("0", "-3"):
+        assert run_cli(["rrs-compare", "--model", str(big), "--tau", "2",
+                        "--num-searches", num]) == 2
+    enumerated = []
+    monkeypatch.setattr(cli, "exact_values", lambda *args: enumerated.append(args))
+    for num in ("0", "-3"):
+        assert run_cli(["rrs-compare", "--model", str(small), "--tau", "2",
+                        "--num-searches", num]) == 2
+    assert enumerated == []
 
 
 def test_same_command_line_is_byte_identical(tmp_path):

@@ -32,7 +32,7 @@ def test_pool_layout_owns_consecutive_indices():
     model = im.families.gen_random_ic(8, 14, seed=1)
     config = im.OracleConfig(3, 2, 2, master_seed=9)
     oracle = im.build_oracle(model, config)
-    rows = np.array([im.sample_simulation(model, 9, i).live for i in range(6)])
+    rows = np.array([im.sample_pool(model, 9, 1, i)[0][0] for i in range(6)])
     from_rows = im.Oracle(model, config, rows, None)
     for seeds in [(0,), (3,), (1, 5)]:
         pools = oracle.pool_averages(seeds)
@@ -51,8 +51,9 @@ def test_query_on_deterministic_model_is_exact():
     assert oracle.query((0,)) == 3.0
     # one pool of one simulation degenerates to that simulation's value
     tiny = im.build_oracle(deterministic_path(), im.OracleConfig(1, 1, 2, 0))
-    sim = im.sample_simulation(deterministic_path(), 0, 0)
-    assert tiny.query((1,)) == im.reach_value(deterministic_path().graph, sim, (1,), 2)
+    g = deterministic_path().graph
+    live, _ = im.sample_pool(deterministic_path(), 0, 1, packed=True)
+    assert tiny.query((1,)) == im.row_values(g, im.reach_mask_batch(g, live, (1,), 2), 1)[0]
 
 
 @pytest.mark.parametrize("pools,pool_size", [(1, 50), (5, 7), (213, 32), (65, 128)])
@@ -161,7 +162,10 @@ def test_weighted_pool_values_add_in_node_order(pools, pool_size):
         many = oracle.query_many(sets)
         assert many.tobytes() == np.array([oracle.query(s) for s in sets]).tobytes()
     live, _ = im.sample_pool(model, 5, config.total_simulations, packed=True)
-    lossless = im.build_sketch_oracle(model, config, k=pool_size * 40 + 1, rank_seed=11)
+    # k above a pool's 40 x pool_size pairs keeps every pool's sketches lossless.
+    rows = im.unpack_rows(live, config.total_simulations)
+    lossless = [im.build_sketches(model, rows[p * pool_size:(p + 1) * pool_size], 2,
+                                  pool_size * 40 + 1, rank_seed=11 + p) for p in range(pools)]
     for seeds in [(0,), (3, 39), (1, 12, 20)]:
         counts = im.pool_counts(im.reach_mask_batch(g, live, seeds, 2), pools, pool_size)
         expect = np.zeros(pools)
@@ -169,7 +173,8 @@ def test_weighted_pool_values_add_in_node_order(pools, pool_size):
             expect = expect + g.node_weights[v] * counts[:, v]
         averages = oracle.pool_averages(seeds)
         assert averages.tobytes() == (expect / pool_size).tobytes()
-        assert lossless.pool_estimates(seeds).tobytes() == averages.tobytes()
+        estimates = np.array([im.sketch_query(ss, seeds, pool_size) for ss in lossless])
+        assert estimates.tobytes() == averages.tobytes()
 
 
 @given(seed=st.integers(0, 1000), pools=st.sampled_from([1, 3, 5]),

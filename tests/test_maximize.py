@@ -83,17 +83,6 @@ def test_greedy_explicit_matches_naive_recomputation():
             assert a.gain == b.gain
 
 
-def test_sketched_greedy_matches_explicit_in_lossless_regime():
-    model = im.families.gen_random_ic(10, 18, seed=21)
-    config = im.OracleConfig(3, 8, 2, 13)
-    explicit = im.greedy_max(im.build_oracle(model, config), 3)
-    sketched = im.greedy_max(im.build_sketch_oracle(model, config, k=500, rank_seed=2), 3)
-    assert sketched.seeds == explicit.seeds
-    for a, b in zip(explicit.trace, sketched.trace):
-        assert a.node == b.node
-        assert a.value == b.value
-
-
 def test_greedy_gains_non_increasing_on_submodular_oracle():
     model = im.families.gen_random_ic(9, 16, seed=30)
     oracle = im.build_oracle(model, im.OracleConfig(1, 40, 2, 7))

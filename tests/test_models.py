@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import models, rng
+from scalar_reference import reach_ids
 from stream_reference import TILE, reference_uniforms
 
 
@@ -18,23 +19,34 @@ def random_model(seed, n=8, m=14):
     return im.families.gen_random_ic(n, m, seed=seed)
 
 
+def one_live_row(model, master_seed, sim_index):
+    """Simulation ``sim_index`` of the stream as a boolean live row."""
+    return im.sample_pool(model, master_seed, 1, sim_index)[0][0]
+
+
+def reached(graph, live, seeds, tau):
+    """Ids reached from ``seeds`` in the first row of packed ``live``."""
+    mask = im.reach_mask_batch(graph, live, seeds, tau)
+    return set(np.flatnonzero(im.unpack_rows(mask, 1)[0]).tolist())
+
+
 # -- sampling posts ---------------------------------------------------------
 
 def test_ic_degenerate_probabilities():
     all_live = im.ic_model(im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     all_dead = im.ic_model(im.Graph.from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)]))
     for i in range(20):
-        assert im.sample_simulation(all_live, 1, i).live.all()
-        assert not im.sample_simulation(all_dead, 1, i).live.any()
+        assert one_live_row(all_live, 1, i).all()
+        assert not one_live_row(all_dead, 1, i).any()
 
 
 def test_two_world_simulations_never_mix():
     model = im.families.gen_two_world_mixture()
     red_edges = 7
     for i in range(100):
-        sim = im.sample_simulation(model, 11, i)
-        ids = sim.live_edge_ids()
-        if sim.component == 0:
+        live, comps = im.sample_pool(model, 11, 1, i)
+        ids = np.flatnonzero(live[0])
+        if comps[0] == 0:
             assert np.array_equal(ids, np.arange(red_edges))
         else:
             assert np.array_equal(ids, np.arange(red_edges, model.graph.num_edges))
@@ -44,8 +56,7 @@ def test_lt_at_most_one_incoming_live_edge():
     g = im.Graph.from_edges(4, [(0, 3, 0.3), (1, 3, 0.3), (2, 3, 0.3), (0, 1, 0.8)])
     model = im.lt_model(g)
     for i in range(300):
-        sim = im.sample_simulation(model, 5, i)
-        live_heads = g.heads[sim.live_edge_ids()]
+        live_heads = g.heads[np.flatnonzero(one_live_row(model, 5, i))]
         _, counts = np.unique(live_heads, return_counts=True)
         assert counts.max(initial=0) <= 1
 
@@ -60,8 +71,7 @@ def test_bdep_groups_all_or_none():
     model = im.families.gen_star(6, dependent=True)
     seen = set()
     for i in range(200):
-        sim = im.sample_simulation(model, 5, i)
-        seen.add(int(sim.live.sum()))
+        seen.add(int(one_live_row(model, 5, i).sum()))
     assert seen == {0, 6}
 
 
@@ -95,11 +105,11 @@ def test_nested_mixture_flattens():
 
 def test_simulation_reproducibility():
     model = random_model(4)
-    a = im.sample_simulation(model, 42, 9)
-    b = im.sample_simulation(model, 42, 9)
-    assert np.array_equal(a.live, b.live)
-    c = im.sample_simulation(model, 43, 9)
-    assert not np.array_equal(a.live, c.live)
+    a = one_live_row(model, 42, 9)
+    b = one_live_row(model, 42, 9)
+    assert np.array_equal(a, b)
+    c = one_live_row(model, 43, 9)
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("maker", [
@@ -112,9 +122,10 @@ def test_block_sampling_matches_scalar(maker):
     model = maker()
     block, comps = im.sample_pool(model, 21, 25, 3)
     for i in range(25):
-        sim = im.sample_simulation(model, 21, 3 + i)
-        assert np.array_equal(block[i], sim.live)
-        assert sim.component == (None if comps is None else comps[i])
+        live, comp = im.sample_pool(model, 21, 1, 3 + i)
+        assert np.array_equal(block[i], live[0])
+        assert (comp is None) == (comps is None)
+        assert comp is None or comp[0] == comps[i]
 
 
 def test_pool_sampling_thread_invariant(monkeypatch):
@@ -430,37 +441,37 @@ def test_node_weighted_sums_add_in_node_order(n, dtype):
 
 def test_reach_examples_on_live_path():
     model = path_model()
-    sim = im.sample_simulation(model, 0, 0)
+    live, _ = im.sample_pool(model, 0, 1, packed=True)
     g = model.graph
-    assert list(im.reach_set(g, sim, (0,), 2)) == [0, 1, 2]
-    assert list(im.reach_set(g, sim, (0,), 1)) == [0, 1]
-    assert list(im.reach_set(g, sim, (0,), 0)) == [0]
-    assert im.reach_value(g, sim, (0,), 2) == 3.0
+    assert reached(g, live, (0,), 2) == {0, 1, 2}
+    assert reached(g, live, (0,), 1) == {0, 1}
+    assert reached(g, live, (0,), 0) == {0}
+    assert im.row_values(g, im.reach_mask_batch(g, live, (0,), 2), 1)[0] == 3.0
 
 
-def test_reach_value_uses_node_weights():
+def test_row_values_use_node_weights():
     g = im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)],
                             node_weights=[0.5, 2.0, 0.0])
     model = im.ic_model(g)
-    sim = im.sample_simulation(model, 0, 0)
-    assert im.reach_value(g, sim, (0,), 2) == 2.5
-    assert im.reach_value(g, sim, (0,), 0) == 0.5
+    live, _ = im.sample_pool(model, 0, 1, packed=True)
+    assert im.row_values(g, im.reach_mask_batch(g, live, (0,), 2), 1)[0] == 2.5
+    assert im.row_values(g, im.reach_mask_batch(g, live, (0,), 0), 1)[0] == 0.5
 
 
 def test_reach_rejects_empty_seeds():
     model = path_model()
-    sim = im.sample_simulation(model, 0, 0)
+    live, _ = im.sample_pool(model, 0, 1, packed=True)
     with pytest.raises(ValueError, match="empty seed set"):
-        im.reach_set(model.graph, sim, (), 1)
+        im.reach_mask_batch(model.graph, live, (), 1)
 
 
 @given(seed=st.integers(0, 10**6), sim_index=st.integers(0, 500),
        tau=st.integers(0, 6))
 def test_reach_monotone_in_tau(seed, sim_index, tau):
     model = random_model(seed % 50)
-    sim = im.sample_simulation(model, seed, sim_index)
-    smaller = set(im.reach_set(model.graph, sim, (0,), tau))
-    larger = set(im.reach_set(model.graph, sim, (0,), tau + 1))
+    live, _ = im.sample_pool(model, seed, 1, sim_index, packed=True)
+    smaller = reached(model.graph, live, (0,), tau)
+    larger = reached(model.graph, live, (0,), tau + 1)
     assert smaller <= larger
 
 
@@ -469,9 +480,9 @@ def test_reach_monotone_in_tau(seed, sim_index, tau):
        extra=st.integers(0, 7))
 def test_reach_monotone_in_seeds(seed, seeds, extra):
     model = random_model(seed % 50)
-    sim = im.sample_simulation(model, seed, 0)
-    small = set(im.reach_set(model.graph, sim, tuple(seeds), 2))
-    big = set(im.reach_set(model.graph, sim, tuple(seeds | {extra}), 2))
+    live, _ = im.sample_pool(model, seed, 1, packed=True)
+    small = reached(model.graph, live, tuple(seeds), 2)
+    big = reached(model.graph, live, tuple(seeds | {extra}), 2)
     assert small <= big
 
 
@@ -499,8 +510,7 @@ def test_batch_reach_matches_scalar(kind, master, tau, picks, rows):
     assert mask.shape == (packed.shape[0], n)
     unpacked = im.unpack_rows(mask, rows)
     for i in range(rows):
-        sim = im.Simulation(live[i], master, i)
-        ids = im.reach_set(model.graph, sim, seeds, tau)
+        ids = reach_ids(model.graph, live[i], seeds, tau)
         assert np.array_equal(np.flatnonzero(unpacked[i]), ids)
 
 
@@ -539,7 +549,7 @@ def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
         if reverse:
             ids = im.reverse_reach_set(g, live[i], int(targets[i]), tau)
         else:
-            ids = im.reach_set(g, im.Simulation(live[i], master, i), (int(targets[i]),), tau)
+            ids = reach_ids(g, live[i], (int(targets[i]),), tau)
         assert np.array_equal(np.flatnonzero(unpacked[i]), ids)
 
 
@@ -551,7 +561,7 @@ def test_reverse_reach_set_is_reach_set_over_reversed_graph(kind):
     for i in range(live.shape[0]):
         target = i % g.num_nodes
         for tau in (0, 1, 3):
-            expect = im.reach_set(g.reversed, im.Simulation(live[i], 3, i), (target,), tau)
+            expect = reach_ids(g.reversed, live[i], (target,), tau)
             assert np.array_equal(im.reverse_reach_set(g, live[i], target, tau), expect)
 
 
@@ -610,13 +620,13 @@ def test_negative_step_limit_rejected():
 def test_per_simulation_coverage_is_submodular():
     # exhaustive marginal-gain check on one simulation of a small instance
     model = random_model(13, n=6, m=10)
-    sim = im.sample_simulation(model, 7, 1)
+    live, _ = im.sample_pool(model, 7, 1, 1, packed=True)
     g = model.graph
 
     def f(nodes):
         if not nodes:
             return 0.0
-        return im.reach_value(g, sim, tuple(nodes), 3)
+        return im.row_values(g, im.reach_mask_batch(g, live, tuple(nodes), 3), 1)[0]
 
     universe = range(6)
     from itertools import combinations
@@ -643,9 +653,7 @@ def test_model_file_round_trip(tmp_path):
         assert back.kind == model.kind
         assert back.num_nodes == model.num_nodes
         assert back.graph.edge_tuples() == model.graph.edge_tuples()
-        sim_a = im.sample_simulation(model, 3, 4)
-        sim_b = im.sample_simulation(back, 3, 4)
-        assert np.array_equal(sim_a.live, sim_b.live)
+        assert np.array_equal(one_live_row(model, 3, 4), one_live_row(back, 3, 4))
 
 
 def test_lt_weight_override(tmp_path):

@@ -146,16 +146,22 @@ def test_estimator_is_unbiased_on_large_universe():
     assert abs(mean - truth) <= 4 * sigma
 
 
-def test_sketch_oracle_medians_pool_estimates():
+def test_lossless_pool_sketches_match_oracle_pools():
     for weights in [(1.0, 1.0), (0.5, 3.0)]:
         model = im.families.gen_random_ic(8, 14, weight_range=weights, seed=2)
         config = im.OracleConfig(3, 5, 2, master_seed=6)
-        oracle = im.build_sketch_oracle(model, config, k=300, rank_seed=11)
         explicit = im.build_oracle(model, config)
+        # The oracle's grid, sketched a pool at a time; k = 300 is above a
+        # pool's 5 x 8 pairs, so every pool is lossless.
+        live, _ = im.sample_pool(model, 6, config.total_simulations)
+        sets = [im.build_sketches(model, live[5 * p:5 * p + 5], 2, 300, rank_seed=11 + p)
+                for p in range(3)]
         # lossless pools reproduce the explicit oracle exactly
         for seeds in [(0,), (2, 5), (1, 3, 6)]:
-            assert oracle.query(seeds) == explicit.query(seeds)
-        assert len(oracle.pool_estimates((0,))) == 3
+            estimates = np.array([im.sketch_query(ss, seeds, 5) for ss in sets])
+            assert len(estimates) == 3
+            assert estimates.tobytes() == explicit.pool_averages(seeds).tobytes()
+            assert float(im.pool_median(estimates)) == explicit.query(seeds)
 
 
 def rank_order_sketches(model, live_rows, tau, k, rank_seed):
