@@ -12,6 +12,9 @@ walks only the units of those edges; every other unit sums out.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -21,12 +24,14 @@ import numpy as np
 
 from .estimators import _SCORE_BLOCK_BYTES
 from .graph import Graph, as_seed_tuple
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _units, ball_edges,
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _units, ball, ball_edges,
                      propagation_steps, reach_table, row_values, set_reaches, unpack_columns)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
 _HOLDS_SLACK = 1e-9
+# Largest (tau + 1) x n float64 step profile an exact report allocates.
+_STEP_PROFILE_BYTES = 1 << 27
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -111,28 +116,32 @@ def _ball_units(units, relevant: np.ndarray):
     is not relevant is pinned never-live.  So a group is kept or dropped
     whole, and with every edge relevant the table is ``units`` itself.
     """
+    if relevant.all():
+        return units
     radices, choice_probs, edge_choice = units
     total = choice_probs.size
-    unit = np.repeat(np.arange(radices.size), radices)
-    made = np.zeros(total + 2, dtype=bool)
-    made[edge_choice[relevant]] = True
-    made = made[:total]
-    kept = np.zeros(radices.size, dtype=bool)
-    kept[unit[made]] = True
-    # Every unit has a choice that makes no relevant edge live; the last
-    # one stands for all of them.
-    free = np.flatnonzero(~made)
-    last = np.ones(free.size, dtype=bool)
-    last[:-1] = unit[free[1:]] != unit[free[:-1]]
-    stays = made.copy()
-    stays[free[last]] = True
-    stays &= kept[unit]
-    merged = np.bincount(unit[free], weights=choice_probs[free], minlength=radices.size)
-    count = int(stays.sum())
-    index = np.append(np.cumsum(stays) - 1, [count, count + 1])
-    return (np.bincount(unit[stays], minlength=radices.size)[kept],
-            np.where(made, choice_probs, merged[unit])[stays],
-            np.where(relevant, index[edge_choice], count))
+    made = set(edge_choice[relevant].tolist())
+    firsts = list(itertools.accumulate(radices.tolist(), initial=0))
+    probs = choice_probs.tolist()
+    index = [0] * (total + 2)
+    kept_radices, kept_probs = [], []
+    for u in sorted({bisect.bisect_right(firsts, c) - 1 for c in made if c < total}):
+        choices = range(firsts[u], firsts[u + 1])
+        free = [c for c in choices if c not in made]
+        merged = 0.0
+        for c in free:
+            merged += probs[c]
+        for c in choices:
+            if c in made:
+                index[c] = len(kept_probs)
+                kept_probs.append(probs[c])
+            elif c == free[-1]:
+                kept_probs.append(merged)
+        kept_radices.append(len(choices) - len(free) + 1)
+    count = len(kept_probs)
+    index[total:] = count, count + 1
+    return (np.array(kept_radices, dtype=np.int64), np.array(kept_probs, dtype=np.float64),
+            np.where(relevant, np.array(index)[edge_choice], count))
 
 
 def _outcome_chunks(parts, relevant: np.ndarray):
@@ -155,30 +164,141 @@ def _outcome_chunks(parts, relevant: np.ndarray):
 
 
 def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
-    """Chunks of one part, whose ``m`` edges sit at ``offset`` of ``width``."""
-    first = np.cumsum(radices) - radices
-    total = math.prod(radices.tolist())
+    """Chunks of one part, whose ``m`` edges sit at ``offset`` of ``width``.
+
+    Unit ``j`` has stride ``s``, the product of the radices below it, and
+    radix ``r``: outcome ``o`` gives it choice ``o // s % r``, a pattern
+    that repeats every ``s * r`` outcomes, so its choice words repeat too
+    (:class:`_ChoiceWords`).  The units whose period fits in a chunk give
+    outcome ``o`` entry ``o % period`` of their Kronecker product, built
+    once: each factor multiplies on in unit order, so every entry has the
+    bits of the sequential product ``1.0 * p0 * p1 ...``, and only the
+    units above multiply row by row.
+    """
+    radices = radices.tolist()
+    strides, firsts = [], [0]
+    total = 1
+    for r in radices:
+        strides.append(total)
+        firsts.append(firsts[-1] + r)
+        total *= r
+    fit = sum(s * r <= _CHUNK for s, r in zip(strides, radices))
+    head = np.ones(1)
+    for j in range(fit):
+        head = np.multiply.outer(choice_probs[firsts[j]:firsts[j + 1]], head).ravel()
+    choice_words = _ChoiceWords(radices, strides, firsts, total,
+                                aligned=_CHUNK % 64 == 0 or total <= _CHUNK)
     for lo in range(0, total, _CHUNK):
         rows = min(_CHUNK, total - lo)
-        used = (rows + 7) // 8
-        # Bit r of row k is outcome lo + r taking flat choice k; the last two
-        # rows are the never-live and always-live edges.
-        bits = np.zeros((choice_probs.size + 2, -(-rows // 64) * 8), dtype=np.uint8)
-        bits[-1, :used] = np.packbits(np.ones(rows, dtype=bool), bitorder="little")
-        rest = np.arange(lo, lo + rows, dtype=np.int64)
-        probs = np.ones(rows, dtype=np.float64)
-        for j, radix in enumerate(radices.tolist()):
-            # Floor division by a scalar is several times faster than np.divmod.
-            quotient = rest // radix
-            digit = rest - quotient * radix
-            rest = quotient
-            choices = slice(first[j], first[j] + radix)
-            probs *= choice_probs[choices][digit]
-            bits[choices, :used] = np.packbits(np.arange(radix)[:, None] == digit,
-                                               axis=1, bitorder="little")
-        words = np.zeros((bits.shape[1] // 8, width), dtype=np.uint64)
-        words[:, offset:offset + m] = bits.view("<u8")[edge_choice].T
+        probs = head
+        if fit < len(radices):
+            phase = lo % head.size
+            probs = np.tile(head, -(-(phase + rows) // head.size))[phase:phase + rows]
+            at = np.arange(lo, lo + rows, dtype=np.int64)
+            for j in range(fit, len(radices)):
+                probs *= choice_probs[firsts[j]:firsts[j + 1]][at // strides[j] % radices[j]]
+        words = np.zeros((-(-rows // 64), width), dtype=np.uint64)
+        words[:, offset:offset + m] = choice_words(lo, rows)[edge_choice].T
         yield words, rows, weight * probs
+
+
+_ONES = ~np.uint64(0)
+# Largest boolean block of choice rows x outcomes packed in one call.
+_BOOL_BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _word_patterns(radices: tuple[int, ...]) -> np.ndarray:
+    """``(sum(radices), 1)`` words of units whose radices multiply to a
+    divisor of 64, so that every word repeats their whole period: bit ``b``
+    of unit ``j``'s choice ``c`` is set when ``b // stride % radix == c``.
+    At most 64 radix tuples qualify."""
+    rows, stride = [], 1
+    for r in radices:
+        rows.append(np.arange(64) // stride % r == np.arange(r)[:, None])
+        stride *= r
+    bits = np.concatenate(rows) if rows else np.zeros((0, 64), dtype=bool)
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    words.setflags(write=False)
+    return words
+
+
+def _periodic_words(stride: int, radix: int, lo: int, count: int) -> np.ndarray:
+    """``(radix, count)`` words of one unit from outcome ``lo`` on: bit ``b``
+    of word ``w`` in row ``c`` is set when outcome ``lo + 64 w + b`` gives it
+    choice ``c``.  The pattern repeats every ``lcm(stride * radix, 64)``
+    outcomes, a whole number of words, so one period is packed and tiled."""
+    span = min(math.lcm(stride * radix, 64), 64 * count)
+    digits = np.arange(lo, lo + span, dtype=np.int64) // stride % radix
+    period = np.packbits(np.arange(radix)[:, None] == digits, axis=1,
+                         bitorder="little").view("<u8")
+    if period.shape[1] < count:
+        period = np.tile(period, (1, -(-count // period.shape[1])))[:, :count]
+    return period
+
+
+class _ChoiceWords:
+    """Packed choice rows of one part's units, a chunk at a time.
+
+    Called with a chunk's first outcome ``lo`` and its ``rows``, it returns
+    ``(choices + 2, ceil(rows / 64))`` words: bit ``b`` of word ``w`` in
+    row ``k`` is set when outcome ``lo + 64 w + b`` takes flat choice ``k``;
+    the last two rows are the never-live and always-live edges, and the
+    padding bits past ``rows`` are zero.  Strides grow with the unit, so
+    when every chunk starts on a word (``aligned``) the units whose period
+    divides 64 come first and repeat one word per choice
+    (:func:`_word_patterns`), and the units whose stride is whole words come
+    last and set whole words, all of them at once.  The units between
+    broadcast their periods into one boolean block when the chunk is the
+    whole outcome space and the block is small; otherwise each packs its own
+    period (:func:`_periodic_words`).
+    """
+
+    def __init__(self, radices, strides, firsts, total: int, aligned: bool):
+        self.total = total
+        units = len(radices)
+        narrow = wide = 0
+        if aligned:
+            narrow = sum(64 % (s * r) == 0 for s, r in zip(strides, radices))
+            wide = sum(s % 64 == 0 for s in strides)
+        self.narrow_words = _word_patterns(tuple(radices[:narrow]))
+        self.middle = [(firsts[j], strides[j], radices[j]) for j in range(narrow, units - wide)]
+        self.wide = firsts[units - wide]
+        self.size = firsts[-1] + 2
+        if wide:
+            # Each wide choice's words per digit step, radix and choice number.
+            self.wide_terms = np.array([(strides[j] // 64, radices[j], c)
+                                        for j in range(units - wide, units)
+                                        for c in range(radices[j])]).T[:, :, None]
+
+    def __call__(self, lo: int, rows: int) -> np.ndarray:
+        count = -(-rows // 64)
+        bits = np.empty((self.size, count), dtype=np.uint64)
+        bits[:len(self.narrow_words)] = self.narrow_words
+        if self.middle:
+            top, end = self.middle[0][0], self.wide
+            if rows == self.total and (end - top) * rows <= _BOOL_BLOCK:
+                # Every period divides the chunk: row (c, a, d, b) of a unit's
+                # (r, rows // (s * r), r, s) view is set when d == c.
+                block = np.empty((end - top, rows), dtype=bool)
+                for first, s, r in self.middle:
+                    view = block[first - top:first - top + r].reshape(r, -1, r, s)
+                    view[...] = np.eye(r, dtype=bool)[:, None, :, None]
+                packed = np.zeros((end - top, count * 8), dtype=np.uint8)
+                packed[:, :(rows + 7) // 8] = np.packbits(block, axis=1, bitorder="little")
+                bits[top:end] = packed.view("<u8")
+            else:
+                for first, s, r in self.middle:
+                    bits[first:first + r] = _periodic_words(s, r, lo, count)
+        if self.wide < self.size - 2:
+            steps, radix, choice = self.wide_terms
+            at = np.arange(lo // 64, lo // 64 + count, dtype=np.int64)
+            bits[self.wide:-2] = np.where(at // steps % radix == choice, _ONES, np.uint64(0))
+        bits[-2] = 0
+        bits[-1] = _ONES
+        if rows % 64:
+            bits[:, -1] &= np.uint64((1 << (rows % 64)) - 1)
+        return bits
 
 
 def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
@@ -244,24 +364,45 @@ def opt1(model: DiffusionModel, tau: int) -> float:
 
 
 def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
-    """Exact influence, variance, and activation-step profile of ``seeds``."""
+    """Exact influence, variance, and activation-step profile of ``seeds``.
+
+    Step ``d`` can first activate only the nodes whose ``p > 0`` distance
+    from ``seeds`` (:func:`ball`) is ``1 .. d``, and step 0 only the seeds,
+    so each step reduces only those columns and the values only the ball's
+    nodes; every column left out is zero in every row, so no sum changes.
+    """
     g = model.graph
-    seeds = as_seed_tuple(g.num_nodes, seeds)
+    n = g.num_nodes
+    seeds = as_seed_tuple(n, seeds)
     tau = int(tau)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
+    if (tau + 1) * n * 8 > _STEP_PROFILE_BYTES:
+        raise ValueError(f"step limit {tau} needs a {(tau + 1) * n * 8}-byte step profile, "
+                         f"over the {_STEP_PROFILE_BYTES}-byte budget")
     parts, size = _parts(model)
+    distance, relevant = ball(model, tau, seeds)
+    # Nodes by distance: ends[d] of them lie within d steps, for every step
+    # 0 .. n - 1, and by_step holds the step profile in their order.  No
+    # node first activates after step n - 1.
+    by_distance = np.argsort(distance, kind="stable")
+    ends = np.cumsum(np.bincount(distance, minlength=n)).tolist()
+    by_step = np.zeros((min(tau, n - 1) + 1, ends[n - 1]), dtype=np.float64)
+    near = np.flatnonzero(distance < n)
     walked = 0
     influence = 0.0
     second = 0.0
-    step_probs = np.zeros((tau + 1, g.num_nodes), dtype=np.float64)
-    for words, rows, probs in _outcome_chunks(parts, ball_edges(model, tau, seeds)):
+    for words, rows, probs in _outcome_chunks(parts, relevant):
         walked += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
-            step_probs[d] += np.einsum("vr,r->v", unpack_columns(newly, rows), probs)
-        values = row_values(g, active, rows)
+            lo = ends[0] if d else 0
+            by_step[d, lo:ends[d]] += np.einsum(
+                "vr,r->v", unpack_columns(newly, rows, by_distance[lo:ends[d]]), probs)
+        values = row_values(g, active, rows, near)
         influence += float(np.einsum("r,r->", probs, values))
         second += float(np.einsum("r,r->", probs, values * values))
+    step_probs = np.zeros((tau + 1, n), dtype=np.float64)
+    step_probs[:len(by_step), by_distance[:ends[n - 1]]] = by_step
     variance = max(second - influence * influence, 0.0)
     step_probs.setflags(write=False)
     return ExactReport(influence, variance, step_probs, size, walked, tau,

@@ -81,6 +81,27 @@ class Graph:
         return int(self.tails.shape[0])
 
     @cached_property
+    def _in_heads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The in-edge CSR as the propagation kernel reads it: each edge's
+        tail in ``_in_order``, the nodes with in-edges, and where their
+        in-edges start."""
+        starts = self._in_start
+        has_in = np.flatnonzero(starts[1:] > starts[:-1])
+        return self.tails[self._in_order], has_in, starts[has_in]
+
+    @cached_property
+    def _possible_out(self) -> tuple[list[int], list[int], list[int]]:
+        """The out-edges with ``p > 0`` as Python lists for the ``tau``-ball
+        search: node ``v``'s are ``edges[starts[v]:starts[v + 1]]``, in
+        edge-id order, and ``heads`` holds their heads in the same order."""
+        possible = np.flatnonzero(self.probs > 0.0)
+        tails = self.tails[possible]
+        edges = possible[np.argsort(tails, kind="stable")]
+        starts = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=self.num_nodes), out=starts[1:])
+        return starts.tolist(), edges.tolist(), self.heads[edges].tolist()
+
+    @cached_property
     def reversed(self) -> "Graph":
         """Every edge turned around, with the same ids, probabilities and node
         weights and no groups: a group's turned edges would share no tail."""

@@ -577,24 +577,54 @@ def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int) -> 
     return _bfs(graph.reversed, live, (int(target),), int(tau))
 
 
+def ball(model: DiffusionModel, tau: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """``(distance, edges)`` of the ``tau``-ball of ``seeds``, from one
+    breadth-first search per model part over its ``p > 0`` edges.
+
+    ``distance[v]`` is the fewest such edges on a path from ``seeds`` to
+    ``v``, the least over a mixture's components, or ``n`` when no path of
+    at most ``tau`` edges reaches ``v``.  ``edges`` is the
+    :func:`ball_edges` mask: the out-edges the search scans, those of the
+    nodes within ``tau - 1`` steps.
+    """
+    n = model.num_nodes
+    parts = [(model, 0)]
+    if model.kind == MIXTURE:
+        parts = zip(model.components, model.component_offsets.tolist())
+    best = {}
+    relevant = np.zeros(model.graph.num_edges, dtype=bool)
+    for part, offset in parts:
+        starts, edges, heads = part.graph._possible_out
+        near = dict.fromkeys(seeds, 0)
+        frontier = list(near)
+        scanned = []
+        steps = 0
+        while frontier and steps < tau:
+            steps += 1
+            reached = []
+            for v in frontier:
+                scanned.extend(edges[starts[v]:starts[v + 1]])
+                for h in heads[starts[v]:starts[v + 1]]:
+                    if h not in near:
+                        near[h] = steps
+                        reached.append(h)
+            frontier = reached
+        relevant[offset:offset + part.graph.num_edges][scanned] = True
+        for v, d in near.items():
+            if d < best.get(v, n):
+                best[v] = d
+    distance = np.full(n, n, dtype=np.int64)
+    distance[list(best)] = list(best.values())
+    return distance, relevant
+
+
 def ball_edges(model: DiffusionModel, tau: int, seeds) -> np.ndarray:
     """Boolean mask over the model's edges that can fire within ``tau``
     steps of ``seeds``: those with ``p > 0`` whose tail is within ``tau - 1``
     steps of ``seeds`` when every ``p > 0`` edge is live, in the graph of the
-    edge's own mixture component.  Reach within ``tau`` steps depends on no
-    other edge."""
-    parts = [(model, 0)]
-    if model.kind == MIXTURE:
-        parts = zip(model.components, model.component_offsets.tolist())
-    relevant = np.zeros(model.graph.num_edges, dtype=bool)
-    if tau > 0:
-        for part, offset in parts:
-            g = part.graph
-            possible = g.probs > 0.0
-            near = np.zeros(g.num_nodes, dtype=bool)
-            near[_bfs(g, possible, seeds, tau - 1)] = True
-            relevant[offset:offset + g.num_edges] = possible & near[g.tails]
-    return relevant
+    edge's own mixture component (:func:`ball`).  Reach within ``tau`` steps
+    depends on no other edge."""
+    return ball(model, tau, seeds)[1]
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -613,10 +643,12 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     return packed.view("<u8").T
 
 
-def unpack_columns(words: np.ndarray, count: int) -> np.ndarray:
+def unpack_columns(words: np.ndarray, count: int, columns=None) -> np.ndarray:
     """The first ``count`` rows of packed ``words`` column by column: a
-    ``(k, count)`` ``uint8`` 0/1 matrix, the transpose of :func:`unpack_rows`."""
-    by_column = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+    ``(k, count)`` ``uint8`` 0/1 matrix, the transpose of :func:`unpack_rows`,
+    of every column or of the column ids ``columns`` in their order."""
+    by_column = words.T if columns is None else words.T.take(columns, axis=0)
+    by_column = np.ascontiguousarray(by_column, dtype="<u8").view(np.uint8)
     return np.unpackbits(by_column, axis=1, count=int(count), bitorder="little")
 
 
@@ -672,14 +704,12 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
     yield frontier, active
     if graph.num_edges == 0:
         return
-    order, starts = graph._in_order, graph._in_start
-    tails_by_head = graph.tails[order]
-    live_by_head = live[:, order]
-    has_in = np.flatnonzero(starts[1:] > starts[:-1])
+    tails_by_head, has_in, first_in = graph._in_heads
+    live_by_head = live[:, graph._in_order]
     for _ in range(tau):
         hit = frontier[:, tails_by_head] & live_by_head
-        nxt = np.zeros_like(active)
-        nxt[:, has_in] = np.bitwise_or.reduceat(hit, starts[has_in], axis=1)
+        nxt = np.zeros(active.shape, dtype=np.uint64)
+        nxt[:, has_in] = np.bitwise_or.reduceat(hit, first_in, axis=1)
         nxt &= ~active
         if not nxt.any():
             return
@@ -775,13 +805,16 @@ def node_weighted_sums(node_weights: np.ndarray, columns: np.ndarray) -> np.ndar
     return np.einsum("v,v...->...", node_weights, columns)
 
 
-def row_values(graph: Graph, mask: np.ndarray, rows: int) -> np.ndarray:
+def row_values(graph: Graph, mask: np.ndarray, rows: int, nodes=None) -> np.ndarray:
     """Reach value of each of the first ``rows`` rows of a packed
     ``(words, n)`` node mask, the :func:`node_weighted_sums` of its
     ``(n, rows)`` columns: a row's value adds the weights of its active
     nodes in node order, whatever the other rows hold, and no ``(rows, n)``
-    float matrix is formed."""
-    return node_weighted_sums(graph.node_weights, unpack_columns(mask, rows))
+    float matrix is formed.  ``nodes``, ascending ids, limits the sum to
+    their columns; a node outside them that is active in no row adds an
+    exact zero, so leaving it out keeps every bit."""
+    weights = graph.node_weights if nodes is None else graph.node_weights[nodes]
+    return node_weighted_sums(weights, unpack_columns(mask, rows, nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -17,3 +17,21 @@ def reach_ids(graph, live, seeds, tau):
                     if int(graph.tails[e]) in frontier} - reached
         reached = reached | frontier
     return np.array(sorted(reached), dtype=np.int64)
+
+
+def ball_edges_by_sets(model, tau, seeds):
+    """The ``tau``-ball's edge mask, one set search per model part: the
+    part's ``p > 0`` edges whose tail some path of at most ``tau - 1`` such
+    edges reaches from ``seeds``, in the part's own graph."""
+    parts = [(model, 0)]
+    if model.kind == "mixture":
+        parts = zip(model.components, model.component_offsets.tolist())
+    relevant = np.zeros(model.graph.num_edges, dtype=bool)
+    if tau > 0:
+        for part, offset in parts:
+            g = part.graph
+            possible = g.probs > 0.0
+            near = np.zeros(g.num_nodes, dtype=bool)
+            near[reach_ids(g, possible, seeds, tau - 1)] = True
+            relevant[offset:offset + g.num_edges] = possible & near[g.tails]
+    return relevant

@@ -254,6 +254,17 @@ def test_exit_codes(tmp_path, monkeypatch):
         assert not report.exists()
 
 
+def test_huge_step_limit_is_a_usage_error(tmp_path, capsys):
+    model_path = tmp_path / "tree3.model"
+    run_cli(["gen", "--family", "tree", "--tau", "3", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    for command in ("exact", "audit-variance"):
+        for tau in ("30000000", "1000000000000"):
+            assert run_cli([command, "--model", str(model_path), "--seeds", "0",
+                            "--tau", tau]) == 2
+            assert "byte step profile" in capsys.readouterr().err
+
+
 def test_rrs_compare_rejects_no_searches(tmp_path, monkeypatch):
     # A search count below 1 is a usage error (2) before anything else runs:
     # not the budget error (3) of a model too large to enumerate, and not

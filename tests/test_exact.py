@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import infmax as im
 from infmax import exact, models
+from scalar_reference import ball_edges_by_sets, reach_ids
 
 
 def test_dependent_star_influence_and_variance():
@@ -119,6 +122,28 @@ def test_audit_dependent_star_reports_actual_pair():
     assert audit.lhs == pytest.approx(10000.0)
     assert audit.rhs == pytest.approx(10201.0)
     assert audit.holds
+
+
+def test_huge_step_limits_fail_before_allocating():
+    # A (tau + 1) x n step profile over the budget is refused before any
+    # enumeration, and nothing near its size is allocated.
+    model = im.families.gen_tree(3)
+    calls = [lambda tau: im.exact_report(model, (0,), tau),
+             lambda tau: im.audit_variance_bound(model, (0,), tau, 1.0),
+             lambda tau: im.depth_profile(model, (0,), tau)]
+    for call in calls:
+        for tau in (30_000_000, 10**12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"{(tau + 1) * 15 * 8}-byte step profile"):
+                    call(tau)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+    # The largest admitted profile still runs.
+    budget = exact._STEP_PROFILE_BYTES // (15 * 8) - 1
+    assert im.exact_report(model, (0,), budget).step_probs.shape == (budget + 1, 15)
 
 
 def test_depth_profile_examples():
@@ -377,6 +402,63 @@ def test_outcome_chunks_match_reference_loops(kind, chunk, monkeypatch):
         seen += rows
 
 
+def sequential_part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width,
+                           chunk):
+    """Outcome by outcome: ``(live, probs)`` per chunk of ``chunk`` outcomes,
+    each probability the product of its choices in unit order starting from
+    1.0, times ``weight``; ``live`` is the bool ``(rows, width)`` matrix."""
+    total = math.prod(radices)
+    choices = sum(radices)
+    for lo in range(0, total, chunk):
+        rows = min(chunk, total - lo)
+        live = np.zeros((rows, width), dtype=bool)
+        probs = np.empty(rows, dtype=np.float64)
+        for k in range(rows):
+            rest, first, taken, p = lo + k, 0, {choices + 1}, 1.0
+            for r in radices:
+                rest, digit = divmod(rest, r)
+                taken.add(first + digit)
+                p *= float(choice_probs[first + digit])
+                first += r
+            probs[k] = weight * p
+            live[k, offset:offset + m] = [c in taken for c in edge_choice.tolist()]
+        yield live, probs
+
+
+@settings(max_examples=150, deadline=None)
+@given(radices=st.lists(st.integers(2, 5), max_size=8).filter(lambda r: math.prod(r) <= 4000),
+       chunk=st.sampled_from([64, 96, 100, 1000]), seed=st.integers(0, 2**32 - 1))
+@example(radices=[5, 5, 5, 5, 5, 2], chunk=1000, seed=1)  # the last stride, 3125, exceeds it
+@example(radices=[5, 5, 3, 2], chunk=64, seed=2)
+@example(radices=[3, 3, 3, 3, 3, 3, 3], chunk=96, seed=3)
+@example(radices=[2] * 11, chunk=100, seed=4)
+def test_part_chunks_match_the_sequential_product(radices, chunk, seed):
+    rng = np.random.default_rng(seed)
+    choices = sum(radices)
+    choice_probs = rng.random(choices)
+    # Edges on every choice, on the never-live and always-live slots, and
+    # some choices with no edge.
+    m = int(rng.integers(1, choices + 4))
+    edge_choice = rng.integers(0, choices + 2, size=m)
+    offset = int(rng.integers(0, 3))
+    width = offset + m + int(rng.integers(0, 3))
+    weight = float(rng.choice([1.0, rng.random()]))
+    old_chunk = exact._CHUNK
+    exact._CHUNK = chunk
+    try:
+        got = list(exact._part_chunks(np.array(radices, dtype=np.int64), choice_probs,
+                                      edge_choice, weight, offset, m, width))
+    finally:
+        exact._CHUNK = old_chunk
+    expect = list(sequential_part_chunks(radices, choice_probs, edge_choice, weight,
+                                         offset, m, width, chunk))
+    assert len(got) == len(expect)
+    for (words, rows, probs), (live, expect_probs) in zip(got, expect):
+        assert rows == live.shape[0]
+        assert words.dtype == np.uint64 and words.tobytes() == im.pack_rows(live).tobytes()
+        assert probs.tobytes() == expect_probs.tobytes()
+
+
 # -- one enumeration pass for every exact set value ---------------------------
 
 # Mixed sizes, unsorted members and duplicates; every id is below 5, the
@@ -454,6 +536,45 @@ def test_ball_reports_match_the_whole_outcome_space(kind):
             np.testing.assert_allclose(report.step_probs, step_probs, rtol=1e-12, atol=0.0)
             assert report.enumeration_size == im.outcome_count(model)
             assert 1 <= report.outcomes_enumerated <= report.enumeration_size
+
+
+def reference_distances(model, seeds, depth):
+    """Each node's fewest ``p > 0`` edges from ``seeds``, the least over a
+    mixture's components, from set searches of growing depth; ``None`` past
+    ``depth``."""
+    parts = model.components if model.kind == im.MIXTURE else (model,)
+    distance = [None] * model.num_nodes
+    for k in range(depth, -1, -1):
+        for part in parts:
+            for v in reach_ids(part.graph, part.graph.probs > 0.0, seeds, k).tolist():
+                distance[v] = k
+    return distance
+
+
+TAU_BALL_MODELS = dict(BALL_MODELS, tree=lambda: im.families.gen_tree(3),
+                       star=lambda: im.families.gen_star(5, dependent=True))
+
+
+@pytest.mark.parametrize("kind", sorted(TAU_BALL_MODELS))
+def test_ball_matches_the_set_search_and_bounds_the_step_profile(kind):
+    model = TAU_BALL_MODELS[kind]()
+    n = model.num_nodes
+    for tau in range(5):
+        for seeds in VALUE_SETS + [tuple(range(n))]:
+            seeds = tuple(v for v in seeds if v < n) or (0,)
+            distance, relevant = models.ball(model, tau, seeds)
+            assert np.array_equal(relevant, ball_edges_by_sets(model, tau, seeds))
+            assert np.array_equal(models.ball_edges(model, tau, seeds), relevant)
+            expect = reference_distances(model, seeds, tau)
+            assert distance.tolist() == [n if d is None else d for d in expect]
+            # Step d first activates no node farther than d: those entries
+            # are exact zeros, and so is every step past the seeds' own.
+            step_probs = im.exact_report(model, seeds, tau).step_probs
+            for d in range(tau + 1):
+                far = [v for v in range(n) if expect[v] is None or expect[v] > d]
+                assert (step_probs[d, far] == 0.0).all()
+                if d:
+                    assert (step_probs[d, list(set(seeds))] == 0.0).all()
 
 
 def test_lt_choices_outside_the_ball_merge_into_none():
