@@ -16,6 +16,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -30,8 +31,9 @@ from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _units, ball, ball_e
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
 _HOLDS_SLACK = 1e-9
-# Largest (tau + 1) x n float64 step profile an exact report allocates.
-_STEP_PROFILE_BYTES = 1 << 27
+# Largest (tau + 1) x n float64 step profile an exact report allocates: 1 GiB,
+# so depth_profile's default tau = n - 1 runs up to 11,585 nodes.
+_STEP_PROFILE_BYTES = 1 << 30
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -186,8 +188,7 @@ def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
     head = np.ones(1)
     for j in range(fit):
         head = np.multiply.outer(choice_probs[firsts[j]:firsts[j + 1]], head).ravel()
-    choice_words = _ChoiceWords(radices, strides, firsts, total,
-                                aligned=_CHUNK % 64 == 0 or total <= _CHUNK)
+    choice_words = _ChoiceWords(radices, strides, firsts)
     for lo in range(0, total, _CHUNK):
         rows = min(_CHUNK, total - lo)
         probs = head
@@ -203,38 +204,25 @@ def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
 
 
 _ONES = ~np.uint64(0)
-# Largest boolean block of choice rows x outcomes packed in one call.
-_BOOL_BLOCK = 1 << 16
 
 
-@functools.lru_cache(maxsize=None)
-def _word_patterns(radices: tuple[int, ...]) -> np.ndarray:
-    """``(sum(radices), 1)`` words of units whose radices multiply to a
-    divisor of 64, so that every word repeats their whole period: bit ``b``
-    of unit ``j``'s choice ``c`` is set when ``b // stride % radix == c``.
-    At most 64 radix tuples qualify."""
-    rows, stride = [], 1
-    for r in radices:
-        rows.append(np.arange(64) // stride % r == np.arange(r)[:, None])
-        stride *= r
-    bits = np.concatenate(rows) if rows else np.zeros((0, 64), dtype=bool)
-    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+def _choice_terms(strides, radices) -> np.ndarray:
+    """``(stride, radix, choice)`` columns, one row per choice of each unit,
+    shaped to broadcast against outcome or word indices."""
+    return np.array([(s, r, c) for s, r in zip(strides, radices) for c in range(r)],
+                    dtype=np.int64).reshape(-1, 3).T[:, :, None]
+
+
+@functools.lru_cache(maxsize=256)
+def _low_period(radices: tuple[int, ...], phase: int, count: int) -> np.ndarray:
+    """``(sum(radices), count)`` packed choice rows of units with these
+    radices, unit 0 least significant, from outcome ``phase`` on."""
+    strides = itertools.accumulate(radices[:-1], operator.mul, initial=1)
+    stride, radix, choice = _choice_terms(strides, radices)
+    at = np.arange(phase, phase + 64 * count, dtype=np.int64)
+    words = np.packbits(at // stride % radix == choice, axis=1, bitorder="little").view("<u8")
     words.setflags(write=False)
     return words
-
-
-def _periodic_words(stride: int, radix: int, lo: int, count: int) -> np.ndarray:
-    """``(radix, count)`` words of one unit from outcome ``lo`` on: bit ``b``
-    of word ``w`` in row ``c`` is set when outcome ``lo + 64 w + b`` gives it
-    choice ``c``.  The pattern repeats every ``lcm(stride * radix, 64)``
-    outcomes, a whole number of words, so one period is packed and tiled."""
-    span = min(math.lcm(stride * radix, 64), 64 * count)
-    digits = np.arange(lo, lo + span, dtype=np.int64) // stride % radix
-    period = np.packbits(np.arange(radix)[:, None] == digits, axis=1,
-                         bitorder="little").view("<u8")
-    if period.shape[1] < count:
-        period = np.tile(period, (1, -(-count // period.shape[1])))[:, :count]
-    return period
 
 
 class _ChoiceWords:
@@ -242,63 +230,54 @@ class _ChoiceWords:
 
     Called with a chunk's first outcome ``lo`` and its ``rows``, it returns
     ``(choices + 2, ceil(rows / 64))`` words: bit ``b`` of word ``w`` in
-    row ``k`` is set when outcome ``lo + 64 w + b`` takes flat choice ``k``;
-    the last two rows are the never-live and always-live edges, and the
-    padding bits past ``rows`` are zero.  Strides grow with the unit, so
-    when every chunk starts on a word (``aligned``) the units whose period
-    divides 64 come first and repeat one word per choice
-    (:func:`_word_patterns`), and the units whose stride is whole words come
-    last and set whole words, all of them at once.  The units between
-    broadcast their periods into one boolean block when the chunk is the
-    whole outcome space and the block is small; otherwise each packs its own
-    period (:func:`_periodic_words`).
+    row ``k`` is set when outcome ``lo + 64 w + b`` takes flat choice ``k``,
+    choice ``c`` of a unit with stride ``s`` and radix ``r`` when
+    ``o // s % r == c``; the last two rows are the never-live and
+    always-live edges, and the padding bits past ``rows`` are zero.
+
+    Strides grow with the unit.  The units with stride below 64 repeat
+    their choices together every ``period`` outcomes, the least common
+    multiple of their radices' product and 64, so one period of them
+    (:func:`_low_period`, cached) is tiled.  A unit with a larger stride
+    changes its digit at most once per word, so each of its words is the
+    word's first digit up to one boundary and the next digit after it.
     """
 
-    def __init__(self, radices, strides, firsts, total: int, aligned: bool):
-        self.total = total
-        units = len(radices)
-        narrow = wide = 0
-        if aligned:
-            narrow = sum(64 % (s * r) == 0 for s, r in zip(strides, radices))
-            wide = sum(s % 64 == 0 for s in strides)
-        self.narrow_words = _word_patterns(tuple(radices[:narrow]))
-        self.middle = [(firsts[j], strides[j], radices[j]) for j in range(narrow, units - wide)]
-        self.wide = firsts[units - wide]
+    def __init__(self, radices, strides, firsts):
+        low = sum(s < 64 for s in strides)
+        self.low_radices = tuple(radices[:low])
+        self.period = math.lcm(math.prod(self.low_radices), 64)
+        self.split = firsts[low]
         self.size = firsts[-1] + 2
-        if wide:
-            # Each wide choice's words per digit step, radix and choice number.
-            self.wide_terms = np.array([(strides[j] // 64, radices[j], c)
-                                        for j in range(units - wide, units)
-                                        for c in range(radices[j])]).T[:, :, None]
+        self.high_terms = _choice_terms(strides[low:], radices[low:])
+        self.whole_words = not any(s % 64 for s in strides[low:])
 
     def __call__(self, lo: int, rows: int) -> np.ndarray:
         count = -(-rows // 64)
-        bits = np.empty((self.size, count), dtype=np.uint64)
-        bits[:len(self.narrow_words)] = self.narrow_words
-        if self.middle:
-            top, end = self.middle[0][0], self.wide
-            if rows == self.total and (end - top) * rows <= _BOOL_BLOCK:
-                # Every period divides the chunk: row (c, a, d, b) of a unit's
-                # (r, rows // (s * r), r, s) view is set when d == c.
-                block = np.empty((end - top, rows), dtype=bool)
-                for first, s, r in self.middle:
-                    view = block[first - top:first - top + r].reshape(r, -1, r, s)
-                    view[...] = np.eye(r, dtype=bool)[:, None, :, None]
-                packed = np.zeros((end - top, count * 8), dtype=np.uint8)
-                packed[:, :(rows + 7) // 8] = np.packbits(block, axis=1, bitorder="little")
-                bits[top:end] = packed.view("<u8")
-            else:
-                for first, s, r in self.middle:
-                    bits[first:first + r] = _periodic_words(s, r, lo, count)
-        if self.wide < self.size - 2:
-            steps, radix, choice = self.wide_terms
-            at = np.arange(lo // 64, lo // 64 + count, dtype=np.int64)
-            bits[self.wide:-2] = np.where(at // steps % radix == choice, _ONES, np.uint64(0))
+        span = min(self.period // 64, count)
+        # Room for whole periods; the words past count are dropped.
+        bits = np.empty((self.size, -(-count // span) * span), dtype=np.uint64)
+        if self.split:
+            period = _low_period(self.low_radices, lo % self.period, span)
+            bits[:self.split].reshape(self.split, -1, span)[...] = period[:, None]
+        if self.split < self.size - 2:
+            stride, radix, choice = self.high_terms
+            starts = np.arange(lo, lo + 64 * count, 64, dtype=np.int64)
+            digit = starts // stride
+            high = np.where(digit % radix == choice, _ONES, np.uint64(0))
+            if lo % 64 or not self.whole_words:
+                # A digit boundary may fall inside a word.  These are the
+                # bits before each word's next digit; a shift by 64 or more
+                # gives 0, so a word with no boundary keeps every bit.
+                first = ~(_ONES << ((digit + 1) * stride - starts).astype(np.uint64))
+                high &= first
+                high |= np.where((digit + 1) % radix == choice, ~first, np.uint64(0))
+            bits[self.split:-2, :count] = high
         bits[-2] = 0
         bits[-1] = _ONES
         if rows % 64:
-            bits[:, -1] &= np.uint64((1 << (rows % 64)) - 1)
-        return bits
+            bits[:, count - 1] &= np.uint64((1 << (rows % 64)) - 1)
+        return bits[:, :count]
 
 
 def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
@@ -438,7 +417,8 @@ def audit_variance_bound(model: DiffusionModel, seeds, tau: int, c: float) -> Va
 def depth_profile(model: DiffusionModel, seeds, tau_max: int | None = None) -> DepthProfile:
     """Mean activation depth and the step-limited influence curve.
 
-    ``tau_max`` defaults to ``n - 1`` (unrestricted diffusion).
+    ``tau_max`` defaults to ``n - 1`` (unrestricted diffusion), which the
+    step-profile budget of :func:`exact_report` admits up to 11,585 nodes.
     """
     if tau_max is None:
         tau_max = model.num_nodes - 1

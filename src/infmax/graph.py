@@ -90,18 +90,6 @@ class Graph:
         return self.tails[self._in_order], has_in, starts[has_in]
 
     @cached_property
-    def _possible_out(self) -> tuple[list[int], list[int], list[int]]:
-        """The out-edges with ``p > 0`` as Python lists for the ``tau``-ball
-        search: node ``v``'s are ``edges[starts[v]:starts[v + 1]]``, in
-        edge-id order, and ``heads`` holds their heads in the same order."""
-        possible = np.flatnonzero(self.probs > 0.0)
-        tails = self.tails[possible]
-        edges = possible[np.argsort(tails, kind="stable")]
-        starts = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=self.num_nodes), out=starts[1:])
-        return starts.tolist(), edges.tolist(), self.heads[edges].tolist()
-
-    @cached_property
     def reversed(self) -> "Graph":
         """Every edge turned around, with the same ids, probabilities and node
         weights and no groups: a group's turned edges would share no tail."""

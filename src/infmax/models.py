@@ -33,8 +33,8 @@ and one step of the batched kernel (:func:`propagation_steps`) advances
 all of them at once.  The kernel starts from one seed set shared by every
 row or from a packed start mask with its own start nodes per row
 (:func:`start_mask`); reverse searches run it over :attr:`Graph.reversed`.
-:func:`reverse_reach_set` is the scalar BFS of one simulation's reverse
-reach, kept as a reference.
+:func:`reverse_reach_set` searches one simulation's reverse reach, kept
+as a reference.
 """
 
 from __future__ import annotations
@@ -560,21 +560,27 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
 # ---------------------------------------------------------------------------
 # Reachability
 
-def _bfs(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
-    frontier = set(seeds)
-    reached = set(frontier)
-    for _ in range(tau):
-        frontier = {int(graph.heads[e]) for v in frontier for e in graph.out_edges(v)
-                    if live[e]} - reached
-        if not frontier:
+def _distances(tails: np.ndarray, heads: np.ndarray, n: int, seeds, tau: int) -> np.ndarray:
+    """Fewest of the edges ``tails -> heads`` on a path from ``seeds`` to
+    each of the ``n`` nodes, or ``n`` when no path of at most ``tau`` of
+    them reaches it: a breadth-first search whose every level is one scan
+    of the edges."""
+    distance = np.full(n, n, dtype=np.int64)
+    distance[list(seeds)] = 0
+    for step in range(tau):
+        hit = heads[distance[tails] == step]
+        if not hit.size:
             break
-        reached |= frontier
-    return np.array(sorted(reached), dtype=np.int64)
+        distance[hit] = np.minimum(distance[hit], step + 1)
+    return distance
 
 
 def reverse_reach_set(graph: Graph, live: np.ndarray, target: int, tau: int) -> np.ndarray:
     """Nodes that reach ``target`` by live paths of length <= ``tau``."""
-    return _bfs(graph.reversed, live, (int(target),), int(tau))
+    live = np.asarray(live, dtype=bool)
+    n = graph.num_nodes
+    return np.flatnonzero(_distances(graph.heads[live], graph.tails[live], n,
+                                     (int(target),), int(tau)) < n)
 
 
 def ball(model: DiffusionModel, tau: int, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -584,37 +590,21 @@ def ball(model: DiffusionModel, tau: int, seeds) -> tuple[np.ndarray, np.ndarray
     ``distance[v]`` is the fewest such edges on a path from ``seeds`` to
     ``v``, the least over a mixture's components, or ``n`` when no path of
     at most ``tau`` edges reaches ``v``.  ``edges`` is the
-    :func:`ball_edges` mask: the out-edges the search scans, those of the
-    nodes within ``tau - 1`` steps.
+    :func:`ball_edges` mask: the ``p > 0`` edges whose tail is within
+    ``tau - 1`` steps.
     """
     n = model.num_nodes
     parts = [(model, 0)]
     if model.kind == MIXTURE:
         parts = zip(model.components, model.component_offsets.tolist())
-    best = {}
+    distance = np.full(n, n, dtype=np.int64)
     relevant = np.zeros(model.graph.num_edges, dtype=bool)
     for part, offset in parts:
-        starts, edges, heads = part.graph._possible_out
-        near = dict.fromkeys(seeds, 0)
-        frontier = list(near)
-        scanned = []
-        steps = 0
-        while frontier and steps < tau:
-            steps += 1
-            reached = []
-            for v in frontier:
-                scanned.extend(edges[starts[v]:starts[v + 1]])
-                for h in heads[starts[v]:starts[v + 1]]:
-                    if h not in near:
-                        near[h] = steps
-                        reached.append(h)
-            frontier = reached
-        relevant[offset:offset + part.graph.num_edges][scanned] = True
-        for v, d in near.items():
-            if d < best.get(v, n):
-                best[v] = d
-    distance = np.full(n, n, dtype=np.int64)
-    distance[list(best)] = list(best.values())
+        g = part.graph
+        possible = g.probs > 0.0
+        near = _distances(g.tails[possible], g.heads[possible], n, seeds, tau)
+        relevant[offset:offset + g.num_edges] = possible & (near[g.tails] < min(tau, n))
+        np.minimum(distance, near, out=distance)
     return distance, relevant
 
 

@@ -146,6 +146,32 @@ def test_huge_step_limits_fail_before_allocating():
     assert im.exact_report(model, (0,), budget).step_probs.shape == (budget + 1, 15)
 
 
+def test_default_depth_profile_meets_the_step_budget_at_n_squared(monkeypatch):
+    # depth_profile's default tau = n - 1 needs an n x n step profile.
+    def path(n):
+        return im.ic_model(im.Graph.from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)]))
+
+    with monkeypatch.context() as patched:
+        patched.setattr(exact, "_STEP_PROFILE_BYTES", 40 * 40 * 8)
+        assert im.depth_profile(path(40), (0,)).influence_by_tau.tolist() == list(range(1, 41))
+        with pytest.raises(ValueError, match=f"{41 * 41 * 8}-byte step profile"):
+            im.depth_profile(path(41), (0,))
+    # The real budget admits the default on a 4,097-node path (134 MB) and
+    # refuses it, before allocating, from 11,586 nodes on.
+    assert 4097 * 4097 * 8 <= exact._STEP_PROFILE_BYTES
+    n = math.isqrt(exact._STEP_PROFILE_BYTES // 8) + 1
+    assert n == 11586
+    model = path(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{n * n * 8}-byte step profile"):
+            im.depth_profile(model, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_depth_profile_examples():
     path = im.ic_model(im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     profile = im.depth_profile(path, (0,))
@@ -551,8 +577,12 @@ def reference_distances(model, seeds, depth):
     return distance
 
 
+# "fork" has fewer nodes than the largest tau, so a search runs out of
+# nodes before it runs out of steps.
 TAU_BALL_MODELS = dict(BALL_MODELS, tree=lambda: im.families.gen_tree(3),
-                       star=lambda: im.families.gen_star(5, dependent=True))
+                       star=lambda: im.families.gen_star(5, dependent=True),
+                       fork=lambda: im.ic_model(im.Graph.from_edges(
+                           3, [(0, 1, 0.5), (0, 2, 0.5), (2, 1, 0.3)])))
 
 
 @pytest.mark.parametrize("kind", sorted(TAU_BALL_MODELS))
