@@ -370,6 +370,7 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     if num_searches < 1:
         raise ValueError("need at least one search")
     num_searches = int(num_searches)
+    rng.check_range(0, num_searches)
     g = model.graph
     n = g.num_nodes
     w = g.node_weights
@@ -381,13 +382,13 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     else:
         draw, _ = _word_sampler(marginal_edge_model(model), np.arange(g.num_edges),
                                 rng.STREAM_RRS_EDGES)
-    # Chunks of whole tiles where they hold more than one.
+    # Chunks of whole words where they hold more than one.
     chunk = max(1, _RRS_CELLS // max(n, 1))
-    if chunk > rng.TILE_ROWS:
-        chunk -= chunk % rng.TILE_ROWS
+    if chunk > 64:
+        chunk -= chunk % 64
     for lo in range(0, num_searches, chunk):
         count = min(chunk, num_searches - lo)
-        u = rng.block_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count, 1)[:, 0]
+        u = rng.sim_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count)
         targets = np.minimum((u * n).astype(np.int64), n - 1)
         words, _ = draw(master_seed, lo, count)
         mask = reach_mask_batch(g.reversed, words, start_mask(n, targets), tau)

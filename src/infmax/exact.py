@@ -34,6 +34,8 @@ _HOLDS_SLACK = 1e-9
 # Largest (tau + 1) x n float64 step profile an exact report allocates: 1 GiB,
 # so depth_profile's default tau = n - 1 runs up to 11,585 nodes.
 _STEP_PROFILE_BYTES = 1 << 30
+# Cells of the step profile per block of its final column permutation.
+_PERMUTE_CELLS = 1 << 16
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -362,11 +364,13 @@ def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
     parts, size = _parts(model)
     distance, relevant = ball(model, tau, seeds)
     # Nodes by distance: ends[d] of them lie within d steps, for every step
-    # 0 .. n - 1, and by_step holds the step profile in their order.  No
-    # node first activates after step n - 1.
+    # 0 .. n - 1.  Each step adds its sums into a run of the step profile's
+    # columns taken in that order, and the columns move to node order at the
+    # end, _PERMUTE_CELLS cells at a time.  No node first activates after
+    # step n - 1.
     by_distance = np.argsort(distance, kind="stable")
     ends = np.cumsum(np.bincount(distance, minlength=n)).tolist()
-    by_step = np.zeros((min(tau, n - 1) + 1, ends[n - 1]), dtype=np.float64)
+    step_probs = np.zeros((tau + 1, n), dtype=np.float64)
     near = np.flatnonzero(distance < n)
     walked = 0
     influence = 0.0
@@ -375,13 +379,15 @@ def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
         walked += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
             lo = ends[0] if d else 0
-            by_step[d, lo:ends[d]] += np.einsum(
+            step_probs[d, lo:ends[d]] += np.einsum(
                 "vr,r->v", unpack_columns(newly, rows, by_distance[lo:ends[d]]), probs)
         values = row_values(g, active, rows, near)
         influence += float(np.einsum("r,r->", probs, values))
         second += float(np.einsum("r,r->", probs, values * values))
-    step_probs = np.zeros((tau + 1, n), dtype=np.float64)
-    step_probs[:len(by_step), by_distance[:ends[n - 1]]] = by_step
+    column = np.argsort(by_distance)
+    per = max(1, _PERMUTE_CELLS // n)
+    for lo in range(0, min(tau, n - 1) + 1, per):
+        step_probs[lo:lo + per] = step_probs[lo:lo + per, column]
     variance = max(second - influence * influence, 0.0)
     step_probs.setflags(write=False)
     return ExactReport(influence, variance, step_probs, size, walked, tau,

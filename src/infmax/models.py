@@ -13,20 +13,20 @@ Four model kinds share one live-edge representation:
 
 A simulation is one i.i.d. draw: a boolean live mask over the model's edge
 list, fixed by the ``(master_seed, sim_index)`` that produced it.
-Sampling follows stream layout 3 (see :mod:`infmax.rng`): simulation
+Sampling follows stream layout 4 (see :mod:`infmax.rng`): simulation
 ``sim_index`` reads one uniform per random unit of the model's
-:func:`_units` table, the same table exact enumeration walks, from a PCG64
-block stream whose tiles of 1,024 simulations are unit-major.  Edges at
-p = 0 or 1 read no draw, and a mixture draws its component plus the units
-of one stream as wide as its widest component.  So any one simulation is
-regenerated in isolation.  :func:`sample_pool` fills a pool in blocks of
-whole tiles whose uniforms its workers compare and pack straight into
-``uint64`` words, so no boolean live matrix is built.  It packs every edge
-or only those of an edge mask, such as a seed set's ``tau``-ball
-(:func:`ball_edges`), the only edges its reach within ``tau`` steps depends
-on, and draws only the units those edges read; every draw sits at its own
-stream position, so a column's bits do not depend on which others are
-chosen.
+:func:`_units` table, the same table exact enumeration walks, from a
+counter-hash stream whose bits are the uniforms' binary digits.  The
+uniforms are never formed: :func:`sample_pool` decides each live bit by
+comparing digits, 64 simulations per ``uint64`` word, so no boolean live
+matrix is built.  Edges at p = 0 or 1 hash nothing, and a mixture hashes
+its component choice plus its components' units from one shared stream.
+So any one simulation is regenerated in isolation.  :func:`sample_pool`
+packs every edge or only those of an edge mask, such as a seed set's
+``tau``-ball (:func:`ball_edges`), the only edges its reach within ``tau``
+steps depends on, and hashes only the units those edges read; every bit
+depends on its own unit and simulation alone, so a column's bits do not
+depend on which others are chosen.
 Reachability within ``tau`` steps propagates bit-parallel over stacks of
 simulations: they are packed 64 to a ``uint64`` word (:func:`pack_rows`),
 and one step of the batched kernel (:func:`propagation_steps`) advances
@@ -54,8 +54,8 @@ from . import rng
 
 
 def _pin_heap_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds at 4 MB; a no-op where the C
-    library has no ``mallopt``.
+    """Fix glibc's mmap and trim thresholds at 4 MB and its malloc arenas
+    at one; a no-op where the C library has no ``mallopt``.
 
     The sampler, the kernel and the pool reduction allocate and free
     temporaries of up to a few MB per block.  glibc's own thresholds start
@@ -65,6 +65,11 @@ def _pin_heap_thresholds() -> None:
     then depended on what the process had allocated before it: on a 2-core
     Xeon VM perfbench ``maximize`` ran at about 95 or 127 ops/s on the same
     code, and brute force took 3,400 page faults per call in the slow state.
+
+    Worker threads allocate numpy buffers while they hold the GIL, so
+    per-thread arenas save no lock waits; each one only keeps up to the trim
+    threshold of freed memory of its own.  perfbench ``estimate`` (two
+    threads) held about 2.5 MB more after 400 cycles with them.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -72,9 +77,10 @@ def _pin_heap_thresholds() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8
     mallopt(m_mmap_threshold, 4 << 20)
     mallopt(m_trim_threshold, 4 << 20)
+    mallopt(m_arena_max, 1)
 
 
 _pin_heap_thresholds()
@@ -290,52 +296,40 @@ def _units(model: DiffusionModel):
 
 
 # ---------------------------------------------------------------------------
-# Sampling, stream layout 3
+# Sampling, stream layout 4
 #
-# A non-mixture model draws one uniform per unit of its :func:`_units`
-# table and simulation, from its kind's block stream (rng.BlockReader), whose
-# width is the table's unit count.  Edge e is live iff lo[e] <= u < hi[e]
-# for its unit's uniform u, where a unit's edge-bearing choices take
-# consecutive slices of [0, 1) in choice order.  So a binary unit's live
-# edges take [0, q), the single compare u < q, and an LT node's in-edges
-# take consecutive slices in in_edges order, the leftover mass choosing
-# none.  Edges whose slice is empty or covers [0, 1) are constant columns
-# and read no draw.
+# A non-mixture model draws one uniform per unit of its :func:`_units` table
+# and simulation, from its kind's counter-hash stream (see :mod:`infmax.rng`).
+# Edge e is live iff lo[e] <= u < hi[e] for its unit's uniform u, where a
+# unit's edge-bearing choices take consecutive slices of [0, 1) in choice
+# order: a binary unit's live edges take [0, q), and an LT node's in-edges
+# take consecutive slices in in_edges order, the leftover mass choosing none.
+# So an edge's words are [u < hi] & ~[u < lo], two bit-sliced tests of
+# rng.less_words on the same digits of u; a slice end at 0 or below is never
+# passed and one at 1 or above always is.
 # A mixture draws its component from STREAM_MIXTURE and its units from one
-# STREAM_UNITS stream as wide as its widest component; each component reads
-# the leading units of its own rows.  The word sampler compares a
-# component's units over every row and keeps the words of its own rows.
-# Tiles are unit-major, so a sampler draws only the units its edges read.
+# STREAM_UNITS stream; each component decides its units in its own rows only.
 
 _KIND_STREAM = {IC: rng.STREAM_EDGES, LT: rng.STREAM_NODES, BDEP: rng.STREAM_UNITS}
 
-# Uniforms drawn and compared per chunk of a tile's units, so a worker's
-# float temporaries stay near 512 kB however wide the model is.
-_DRAW_CELLS = 1 << 16
-# Draws per sample_pool block, at least a tile: a pool that needs fewer, such
-# as a seed set's ball, is one block and fills on the calling thread.
-_BLOCK_DRAWS = 1 << 20
+# Test x word cells per rng.less_words call and per sample_pool block, so
+# that however wide the selection is, its per-cell arrays stay near 64 kB
+# and its two rounds x cells hash arrays near 512 kB each.  A pool that
+# needs fewer cells, such as a seed set's ball, is one block and fills on
+# the calling thread.
+_HASH_CELLS = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
-class _DrawPlan:
-    """How a non-mixture model turns a unit's uniforms into live edges: edge
-    ``e`` is live iff ``lo[e] <= u[unit[e]] < hi[e]``.  ``random`` marks the
-    edges whose slice is neither empty nor all of ``[0, 1)``; of the
-    others, those in ``always`` are live in every row.  In a ``binary`` plan
-    every random slice starts at 0, so the random edges of one unit share
-    its slice ``[0, unit_hi)``."""
-    width: int
-    unit: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    random: np.ndarray
-    always: np.ndarray
-    binary: bool
-    unit_hi: np.ndarray
+def _build_draw_plan(model: DiffusionModel) -> tuple:
+    """``(choice_unit, ends, hi_id, lo_id)`` of a non-mixture model.
 
-
-def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
+    Choice ``b`` of the flat choices of :func:`_units` belongs to unit
+    ``choice_unit[b]`` and its slice of ``[0, 1)`` ends at ``ends[b]``; two
+    more entries end at 0 and 1.  Edge ``e`` is live iff ``ends[lo_id[e]]
+    <= u < ends[hi_id[e]]`` for the uniform ``u`` of its unit.  A slice
+    starts where the choice before it in its unit ends, so the ends of a
+    unit's slices are shared by the edges on both sides.
+    """
     radices, choice_probs, edge_choice = _units(model)
     # Per unit, the choices that make edges live take consecutive slices
     # [lo, hi) of [0, 1) in choice order, summed exactly as np.cumsum would;
@@ -350,58 +344,12 @@ def _build_draw_plan(model: DiffusionModel) -> _DrawPlan:
         at = (ends - radices)[radices == d][:, None] + np.arange(d)
         cum = np.cumsum(mass[at], axis=1)
         hi[at], lo[at[:, 1:]] = cum, cum[:, :-1]
-    lo, hi = lo[edge_choice], hi[edge_choice]
-    always = (lo <= 0.0) & (hi >= 1.0)
-    random = ~always & (lo < hi)
-    unit = np.searchsorted(ends, edge_choice, side="right")
-    unit_hi = np.zeros(radices.size)
-    unit_hi[unit[random]] = hi[random]
-    return _DrawPlan(int(radices.size), unit, lo, hi, random, always,
-                     not lo[random].any(), unit_hi)
-
-
-@dataclass(frozen=True, eq=False)
-class _Pick:
-    """The selected edges of one :class:`_DrawPlan`, as tests of the
-    sampler's drawn units: test ``i`` compares the uniforms of drawn unit
-    ``row[i]`` against ``[lo[i], hi[i])``, and ``row`` is nondecreasing.  A
-    binary plan tests each unit read once against ``[0, hi)`` and has ``lo``
-    ``None``; any other tests each random edge.  ``col`` is each selected
-    random edge's test; ``random_at`` and ``always_at`` are the output
-    columns of the selected random and always-live edges."""
-    row: np.ndarray
-    lo: np.ndarray | None
-    hi: np.ndarray
-    col: slice | np.ndarray
-    random_at: slice | np.ndarray
-    always_at: slice | np.ndarray
-
-
-def _as_slice(ids: np.ndarray) -> slice | np.ndarray:
-    """``ids`` as a slice when they are consecutive, so that indexing with
-    them takes a view or a plain copy instead of a gather or a scatter."""
-    start = int(ids[0]) if ids.size else 0
-    if np.array_equal(ids, np.arange(start, start + ids.size)):
-        return slice(start, start + ids.size)
-    return ids
-
-
-def _pick(plan: _DrawPlan, edges: np.ndarray, at: np.ndarray, drawn: np.ndarray) -> _Pick:
-    """The :class:`_Pick` of ``plan``'s edge ids ``edges``, output at columns
-    ``at``, over the sorted unit ids ``drawn``."""
-    random = edges[plan.random[edges]]
-    units = plan.unit[random]
-    if plan.binary:
-        tested = np.unique(units)
-        lo, hi, col = None, plan.unit_hi[tested][:, None], np.searchsorted(tested, units)
-    else:
-        order = np.argsort(units, kind="stable")
-        tested, random = units[order], random[order]
-        lo, hi = plan.lo[random][:, None], plan.hi[random][:, None]
-        col = np.empty_like(order)
-        col[order] = np.arange(order.size)
-    return _Pick(np.searchsorted(drawn, tested), lo, hi, _as_slice(col),
-                 _as_slice(at[plan.random[edges]]), _as_slice(at[plan.always[edges]]))
+    zero = choice_probs.size
+    lo_id = np.where(lo[edge_choice] > 0.0, edge_choice - 1, zero)
+    hi_id = np.where(lo[edge_choice] < hi[edge_choice], edge_choice, zero)
+    lo_id[hi_id == zero] = zero
+    choice_unit = np.append(np.repeat(np.arange(radices.size), radices), [0, 0])
+    return choice_unit, hi, hi_id, lo_id
 
 
 def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | None = None):
@@ -409,95 +357,82 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
     ``draw(master_seed, start, count)`` returns the packed ``(ceil(count /
     64), len(edges))`` live words of simulations ``start .. start+count-1``
     and their mixture components (``None`` for other kinds), and ``block``
-    is the rows of a :func:`sample_pool` block, whole tiles of about
-    ``_BLOCK_DRAWS`` draws.  A non-mixture model draws from its kind's
-    stream unless ``stream_id`` names another.
+    is the rows of a :func:`sample_pool` block.  A non-mixture model draws
+    from its kind's stream unless ``stream_id`` names another.
 
-    Only the units that ``edges`` read are drawn, a tile part and a chunk
-    of them at a time, and each draw is at its own stream position, so a
-    column's bits do not depend on the other columns chosen.  A part's
-    tests are compared, packed 64 rows to a word and placed by absolute
-    row, so a tile's words are whole words whatever ``start`` is; the
-    result is shifted into place once.  Each random edge takes its test's
-    words, ANDed in a mixture with the words of the rows its part owns,
-    which are also the words of its always-live edges.
+    The tests are the distinct slice ends of the selected edges inside
+    ``(0, 1)``, so only the units those edges read are hashed, and a
+    column's bits do not depend on the other columns chosen.  Each part's
+    tests decide the rows it owns (in a mixture, its component's) within
+    the range.  Edge words are ``[u < hi] & ~[u < lo]`` over the test
+    columns, a zero column and each part's own rows, which stand for ends at
+    0 and at 1.  Words are decided at their position in the stream,
+    ``_HASH_CELLS`` cells at a time, and shifted into place once.
     """
     if model.kind == MIXTURE:
         cum = np.cumsum(model.component_weights)
         cum[-1] = 1.0
         stream_id = rng.STREAM_UNITS
-        parts = [(comp, int(off)) for comp, off in zip(model.components,
-                                                      model.component_offsets)]
+        parts = list(zip(model.components, model.component_offsets.tolist()))
     else:
         cum = None
         stream_id = _KIND_STREAM[model.kind] if stream_id is None else stream_id
         parts = [(model, 0)]
-    width = max(comp._draw_plan.width for comp, _ in parts)
-    chosen = []
-    for comp, off in parts:
-        inside = np.flatnonzero((edges >= off) & (edges < off + comp.graph.num_edges))
-        chosen.append((comp._draw_plan, edges[inside] - off, inside))
-    drawn = np.unique(np.concatenate([plan.unit[ids[plan.random[ids]]]
-                                      for plan, ids, _ in chosen]))
-    picks = [_pick(plan, ids, at, drawn) for plan, ids, at in chosen]
-    tile = rng.TILE_ROWS
-    chunk = max(1, _DRAW_CELLS // tile)
-    # Per chunk of drawn units: its runs of consecutive unit ids, and each
-    # pick's tests of it with their rows in the chunk.
-    reads = []
-    for lo in range(0, drawn.size, chunk):
-        units = drawn[lo:lo + chunk]
-        cuts = [0, *(np.flatnonzero(np.diff(units) != 1) + 1).tolist(), units.size]
-        runs = [(int(units[a]), b - a, a) for a, b in zip(cuts, cuts[1:])]
-        tests = []
-        for pick in picks:
-            t0, t1 = np.searchsorted(pick.row, [lo, lo + chunk]).tolist()
-            tests.append((t0, t1, _as_slice(pick.row[t0:t1] - lo)))
-        reads.append((runs, tests))
-    block = tile * max(1, _BLOCK_DRAWS // max(1, drawn.size * tile))
+    rng.check_range(max(_units(comp)[0].size for comp, _ in parts), 0)
+    # Per part, its tests and the column code of each selected edge's slice
+    # ends: a test's index among all tests, -1 for the zero column and
+    # -2 - c for part c's own rows.
+    units, ends, owner, codes = [], [], [], []
+    tests = 0
+    for c, (comp, off) in enumerate(parts):
+        choice_unit, choice_end, hi_id, lo_id = comp._draw_plan
+        ids = edges[(edges >= off) & (edges < off + comp.graph.num_edges)] - off
+        ids = np.concatenate([hi_id[ids], lo_id[ids]])
+        end = choice_end[ids]
+        inner = (end > 0.0) & (end < 1.0)
+        tested = np.unique(ids[inner])
+        code = np.where(end >= 1.0, -2 - c, -1)
+        code[inner] = tests + np.searchsorted(tested, ids[inner])
+        units.append(choice_unit[tested])
+        ends.append(choice_end[tested])
+        owner.append(np.full(tested.size, c))
+        codes.append(code.reshape(2, -1))
+        tests += tested.size
+    units, ends, owner = np.concatenate(units), np.concatenate(ends), np.concatenate(owner)
+    codes = np.hstack(codes)
+    hi_col, lo_col = np.where(codes >= 0, codes, tests - 1 - codes)
+    # Edges whose slice starts past 0, and their start columns.
+    starts = np.flatnonzero(lo_col != tests)
+    lo_col = lo_col[starts]
+    step = max(1, _HASH_CELLS // max(tests, 1))
 
     def draw(master_seed: int, start: int, count: int):
+        lead, first = start % 64, start // 64
+        words = -(-(lead + count) // 64)
+        # The rows each part owns within the range, packed like the words.
+        owned = np.zeros((64 * words, len(parts)), dtype=bool)
         comps = None
-        part_of = np.zeros(count, dtype=np.int64)
-        if cum is not None:
-            choice = rng.block_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)
-            comps = part_of = np.searchsorted(cum, choice[:, 0], side="right")
-        # Each pick's test words by absolute row: bit b of word w is row
-        # start - shift + 64 w + b, so every tile part fills whole words.
-        shift = start % 64
-        test_words = [np.zeros((p.hi.shape[0], -(-(shift + count) // 64) + 1), dtype=np.uint64)
-                      for p in picks]
-        if drawn.size:
-            reader = rng.BlockReader(master_seed, stream_id, width)
-            u = np.empty((chunk, tile))
-            hits = [np.empty((p.hi.shape[0], tile), dtype=bool) for p in picks]
-            for lo, rows in rng.tile_parts(start, count):
-                lead = (start + lo) % 64
-                cols = slice(lead, lead + rows)
-                for runs, chunk_tests in reads:
-                    reader.read_units(start + lo, rows, runs, u, lead)
-                    for pick, hit, (t0, t1, at) in zip(picks, hits, chunk_tests):
-                        x = u[at, cols]
-                        np.less(x, pick.hi[t0:t1], out=hit[t0:t1, cols])
-                        if pick.lo is not None:
-                            hit[t0:t1, cols] &= x >= pick.lo[t0:t1]
-                end = -(-(lead + rows) // 64) * 64
-                first = (shift + lo - lead) // 64
-                for hit, bits in zip(hits, test_words):
-                    hit[:, :lead] = False
-                    hit[:, lead + rows:end] = False
-                    bits[:, first:first + end // 64] = np.packbits(
-                        hit[:, :end], axis=1, bitorder="little").view("<u8")
-        words = np.zeros((-(-count // 64), edges.size), dtype=np.uint64)
-        for c, (pick, bits) in enumerate(zip(picks, test_words)):
-            if shift:
-                bits = (bits[:, :-1] >> np.uint64(shift)) | (bits[:, 1:] << np.uint64(64 - shift))
-            own = pack_rows((part_of == c)[:, None])
-            words[:, pick.random_at] = bits[pick.col, :words.shape[0]].T & own
-            words[:, pick.always_at] = own
-        return words, comps
+        if cum is None:
+            owned[lead:lead + count] = True
+        else:
+            choice = rng.sim_uniforms(master_seed, rng.STREAM_MIXTURE, start, count)
+            comps = np.searchsorted(cum, choice, side="right")
+            owned[lead + np.arange(count), comps] = True
+        own = pack_rows(owned)
+        out = np.zeros((words + 1, hi_col.size), dtype=np.uint64)
+        for lo in range(0, words, step):
+            mine = own[lo:lo + step]
+            decided = (rng.less_words(master_seed, stream_id, units, ends, first + lo,
+                                      mine[:, owner]) if tests else mine[:, :0])
+            cols = np.hstack([decided, np.zeros((mine.shape[0], 1), dtype=np.uint64), mine])
+            chunk = out[lo:lo + mine.shape[0]]
+            np.take(cols, hi_col, axis=1, out=chunk, mode="clip")
+            chunk[:, starts] &= ~cols.take(lo_col, axis=1)
+        if lead:
+            out = (out[:-1] >> np.uint64(lead)) | (out[1:] << np.uint64(64 - lead))
+        return out[:-(-count // 64)], comps
 
-    return draw, block
+    return draw, 64 * step
 
 
 def sample_pool(model: DiffusionModel, master_seed: int, count: int,
@@ -510,17 +445,18 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
     words of :func:`pack_rows`, over the ``k`` edges of the boolean mask
     ``edges`` in id order (every edge when ``None``); ``components`` is an
     int array for mixtures and ``None`` otherwise.  A column does not depend
-    on which other edges are chosen.  Rows are drawn and packed in blocks of
-    whole tiles (see :func:`_word_sampler`), cut at the tiles of the stream
-    when ``start`` is a multiple of 64, dealt round-robin to ``threads``
+    on which other edges are chosen.  Rows are drawn in blocks of whole
+    words (see :func:`_word_sampler`) dealt round-robin to ``threads``
     workers that each write their own word range, so beyond the result only
-    one chunk's uniforms per worker are held.  The result is independent of
-    ``threads``.
+    one block's scratch per worker is held.  The result is independent of
+    ``threads``.  A range past the stream layout's counter fields raises
+    ``ValueError`` before anything is allocated.
     """
     rng.check_master_seed(master_seed)
-    count = int(count)
-    if count < 0:
-        raise ValueError("simulation count must be nonnegative")
+    count, start = int(count), int(start)
+    if min(count, start) < 0:
+        raise ValueError("simulation count and start must be nonnegative")
+    rng.check_range(0, start + count)
     m = model.graph.num_edges
     if edges is None:
         draw, block = model._edge_sampler
@@ -533,12 +469,7 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
         k = int(edges.sum())
     words = np.empty((-(-count // 64), k), dtype=np.uint64)
     comps = np.empty(count, dtype=np.int64) if model.kind == MIXTURE else None
-    # Blocks start at pool rows that are whole words: the first at 0, the
-    # others at the stream's tile boundaries, rounded up to a word.
-    first = -int(start) % rng.TILE_ROWS
-    first += -first % 64
-    cuts = sorted({0, *range(first, count, block)}) if count else []
-    blocks = list(zip(cuts, cuts[1:] + [count]))
+    blocks = [(lo, min(lo + block, count)) for lo in range(0, count, block)]
 
     def fill(worker):
         for lo, hi in blocks[worker::threads]:

@@ -1,23 +1,26 @@
-"""Keyed random streams, stream layout 3.
+"""Keyed random streams, stream layout 4.
 
 Every stochastic draw in this package is a pure function of
 ``(master_seed, stream_id, position)``.  There are two kinds of stream.
 
 * Simulation draws (edge, node and unit draws, the mixture choice,
-  reverse-search targets and marginal edge flips) come from PCG64 block
-  streams (:class:`BlockReader`, :func:`block_uniforms`).  The stream of
-  ``(master_seed, stream_id)`` is a ``PCG64`` seeded by a
-  ``SeedSequence`` keyed on both ids under a spawn-key prefix that no
-  :func:`derive_seed` child can take.  A stream of ``width`` units per
-  simulation is cut into tiles of ``TILE_ROWS`` simulations, and a tile
-  is unit-major: unit ``j`` of simulation ``t * TILE_ROWS + r`` is draw
-  ``(t * width + j) * TILE_ROWS + r`` (:func:`draw_index`), reached in
-  O(1) by ``PCG64.advance``.  So a reader draws only the units it needs,
-  one call per run of consecutive units and tile; one simulation is
-  regenerated in isolation; and a pool splits across workers in any
-  order with the same bits.  A width-1 stream reads draw ``i`` for
-  simulation ``i``, as in layout 2.  PCG64 draws a float64 about twice as
-  fast as Philox.
+  reverse-search targets and marginal edge flips) come from keyed counter
+  hashes.  The stream of ``(master_seed, stream_id)`` has a key and an odd
+  gamma (:func:`stream_key`) from a ``SeedSequence`` keyed on both ids
+  under a spawn-key prefix that no :func:`derive_seed` child can take.
+  Its word at counter ``c`` is SplitMix64's finalizer of ``key + c *
+  gamma`` (Steele, Lea and Flood, OOPSLA 2014).  A counter packs a
+  ``(unit, word, round)`` triple into fields of 26, 27 and 11 bits.  Bit
+  ``b`` of the word at ``(unit, w, k)`` is binary digit ``k`` of the
+  uniform of that unit in simulation ``64 w + b``, so the uniforms of 64
+  simulations are compared against a threshold one digit at a time, and
+  about 8 words decide all 64 (:func:`less_words`).  A simulation's
+  single float (the mixture choice, a reverse-search target) is the top
+  53 bits of the word at ``(0, sim // 64, sim % 64)``
+  (:func:`sim_uniforms`).  Every bit depends only on its own unit and
+  simulation, so a reader hashes only the units it needs, one simulation
+  is regenerated in isolation, and a pool splits across workers in any
+  order with the same bits.
 * Everything else (benchmark instances, generated graphs, sketch ranks)
   comes from Philox counter streams (:func:`stream`, :func:`uniforms`)
   whose 128-bit key packs ``(master_seed, stream_id, index)``.  They are
@@ -26,33 +29,39 @@ Every stochastic draw in this package is a pure function of
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Stream ids partition the key space by purpose.
 STREAM_EDGES = 1        # per-edge live draws (independent-edge models)
 STREAM_NODES = 2        # per-node incoming-edge choice (threshold models)
-STREAM_UNITS = 3        # per-unit draws of grouped models; a mixture's shared block
+STREAM_UNITS = 3        # per-unit draws of grouped models; a mixture's shared units
 STREAM_MIXTURE = 4      # mixture component choice
 STREAM_RRS_TARGET = 5   # reverse-search target node choice
 STREAM_RRS_EDGES = 6    # reverse-search marginal edge flips
 STREAM_RANKS = 7        # sketch rank assignment
 STREAM_FAMILY = 8       # benchmark instance generation
 
-# Streams 1-6 are block streams; 7 and 8 are Philox streams.
-STREAM_LAYOUT = 3
-# Simulations per tile of a block stream.
-TILE_ROWS = 1024
-# A run of units is read as one span, through the skipped rows of its tile,
-# when it reads at least this many rows of the tile; fewer rows are read unit
-# by unit.  A call costs about as much as 500 draws (2.5 us against 4.5 ns a
-# draw on a 2-core Xeon VM).
-_SPAN_ROWS = TILE_ROWS // 2
+# Streams 1-6 are counter-hash streams; 7 and 8 are Philox streams.
+STREAM_LAYOUT = 4
+# Counter fields: unit ids, 64-simulation words and digit rounds.  A
+# threshold's binary expansion ends by digit 1,073 (at 2**-1074).
+UNIT_BITS, WORD_BITS, ROUND_BITS = 26, 27, 11
+MAX_UNITS = 1 << UNIT_BITS
+MAX_SIMULATIONS = 64 << WORD_BITS
 
 MAX_MASTER_SEED = 2**64 - 1
 _MAX_INDEX = 2**48
 _MAX_STREAM = 2**16
-# Spawn-key prefix of the block streams: derive_seed keys stay below it.
-_BLOCK_KEY = 2**64
+# Spawn-key prefix of the counter-hash streams: derive_seed keys stay below it.
+_HASH_KEY = 2**64
+_WORD = 2**64 - 1
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# Digit rounds per batch of less_words.  After 8 rounds about 22% of
+# 64-simulation words still hold an undecided simulation, after 16 about 0.1%.
+_ROUNDS = 8
 
 
 def check_master_seed(master_seed) -> int:
@@ -67,6 +76,16 @@ def _check_stream_id(stream_id: int) -> int:
     if not 0 <= stream_id < _MAX_STREAM:
         raise ValueError("stream id out of range")
     return int(stream_id)
+
+
+def check_range(units: int, simulations: int) -> None:
+    """Raise ``ValueError`` unless ``units`` unit ids and simulation indices
+    below ``simulations`` fit the fields of a counter."""
+    if units > MAX_UNITS:
+        raise ValueError(f"{units} random units exceed the stream layout's {MAX_UNITS}")
+    if simulations > MAX_SIMULATIONS:
+        raise ValueError(f"simulation index {simulations - 1} exceeds the stream "
+                         f"layout's {MAX_SIMULATIONS - 1}")
 
 
 def stream(master_seed: int, stream_id: int, index: int = 0) -> np.random.Generator:
@@ -86,80 +105,123 @@ def uniforms(master_seed: int, stream_id: int, index: int, count: int) -> np.nda
     return stream(master_seed, stream_id, index).random(count)
 
 
-def draw_index(width: int, sim: int, unit: int) -> int:
-    """Position of unit ``unit`` of simulation ``sim`` in a block stream of
-    ``width`` units per simulation."""
-    tile, row = divmod(int(sim), TILE_ROWS)
-    return (tile * int(width) + int(unit)) * TILE_ROWS + row
+def stream_key(master_seed: int, stream_id: int) -> tuple[int, int]:
+    """``(key, gamma)`` of the counter-hash stream ``(master_seed,
+    stream_id)``; ``gamma`` is odd."""
+    return _stream_key(check_master_seed(master_seed), _check_stream_id(stream_id))
 
 
-def tile_parts(start: int, count: int):
-    """``(offset, rows)`` of the parts of simulations ``start ..
-    start+count-1`` that each lie in one tile, in order."""
-    lo = 0
-    while lo < count:
-        rows = min(count - lo, TILE_ROWS - (start + lo) % TILE_ROWS)
-        yield lo, rows
-        lo += rows
+@functools.lru_cache(maxsize=256)
+def _stream_key(master_seed: int, stream_id: int) -> tuple[int, int]:
+    ss = np.random.SeedSequence(master_seed, spawn_key=(_HASH_KEY, stream_id))
+    key, gamma = ss.generate_state(2, np.uint64).tolist()
+    return key, gamma | 1
 
 
-class BlockReader:
-    """Reads the block stream ``(master_seed, stream_id)`` of ``width``
-    units per simulation, at increasing positions."""
-
-    def __init__(self, master_seed: int, stream_id: int, width: int):
-        master_seed = check_master_seed(master_seed)
-        stream_id = _check_stream_id(stream_id)
-        if int(width) < 0:
-            raise ValueError("block width must be nonnegative")
-        self.width = int(width)
-        self._bits = np.random.PCG64(np.random.SeedSequence(
-            master_seed, spawn_key=(_BLOCK_KEY, stream_id)))
-        self._random = np.random.Generator(self._bits).random
-        self._at = 0
-
-    def _read(self, position: int, out: np.ndarray) -> None:
-        if position != self._at:
-            self._bits.advance(position - self._at)
-        self._random(out=out)
-        self._at = position + out.size
-
-    def read_units(self, sim: int, rows: int, runs, out: np.ndarray, lead: int = 0) -> None:
-        """Uniforms of simulations ``sim .. sim+rows-1``, which lie in one
-        tile, into the C-contiguous ``(units, TILE_ROWS)`` array ``out``:
-        each run ``(first, count, at)`` puts units ``first .. first+count-1``
-        in ``out[at:at + count, lead:lead + rows]``, with ``lead + rows <=
-        TILE_ROWS``.  Runs come in increasing unit order.  Other cells of
-        those rows may be overwritten."""
-        flat = out.reshape(-1)
-        for first, count, at in runs:
-            position = draw_index(self.width, sim, first)
-            at = at * TILE_ROWS + lead
-            if count == 1 or rows >= _SPAN_ROWS:
-                self._read(position, flat[at:at + (count - 1) * TILE_ROWS + rows])
-                continue
-            for _ in range(count):
-                self._read(position, flat[at:at + rows])
-                position += TILE_ROWS
-                at += TILE_ROWS
+def _mix(z: np.ndarray, scratch: np.ndarray) -> None:
+    """SplitMix64's finalizer of the ``uint64`` array ``z``, in place."""
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
 
 
-def block_uniforms(master_seed: int, stream_id: int, start: int, count: int,
-                   width: int) -> np.ndarray:
-    """Simulations ``start .. start+count-1`` of the block stream
-    ``(master_seed, stream_id)`` of ``width`` units as a ``(count, width)``
-    array.  Row ``i`` is the same for any ``start`` and ``count`` that
-    cover it."""
-    start, count, width = int(start), int(count), int(width)
-    if min(start, count) < 0:
-        raise ValueError("block start and count must be nonnegative")
-    reader = BlockReader(master_seed, stream_id, width)
-    out = np.empty((width, count))
-    tile = np.empty((width, TILE_ROWS))
-    for lo, rows in tile_parts(start, count):
-        reader.read_units(start + lo, rows, [(0, width, 0)] if width else [], tile)
-        out[:, lo:lo + rows] = tile[:, :rows]
-    return out.T
+def sim_uniforms(master_seed: int, stream_id: int, start: int, count: int) -> np.ndarray:
+    """One uniform in [0, 1) per simulation ``start .. start+count-1``: the
+    top 53 bits of the word at ``(unit 0, sim // 64, sim % 64)``."""
+    key, gamma = stream_key(master_seed, stream_id)
+    sims = np.arange(start, start + count, dtype=np.uint64)
+    z = ((sims >> np.uint64(6)) << np.uint64(ROUND_BITS)) | (sims & np.uint64(63))
+    z *= np.uint64(gamma)
+    z += np.uint64(key)
+    _mix(z, sims)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
+def _expansion(x: np.ndarray):
+    """``(mant, top, rounds)`` of thresholds ``x`` in (0, 1): binary digit
+    ``k`` of ``x`` (weight ``2**-(k + 1)``) is bit ``top - k`` of the
+    integer ``mant``, and digit ``rounds - 1`` is its last 1."""
+    frac, exp = np.frexp(x)
+    mant = np.ldexp(frac, 53).astype(np.uint64)
+    top = 52 - exp.astype(np.int64)
+    low = np.bitwise_count((mant & (~mant + np.uint64(1))) - np.uint64(1))
+    return mant, top, top - low.astype(np.int64) + 1
+
+
+def _digits(mant: np.ndarray, top: np.ndarray, k) -> np.ndarray:
+    """All ones where digit ``k`` of a threshold is 1, else zero; ``k`` may
+    be an array that broadcasts against the thresholds."""
+    shift = top - k
+    bit = (mant >> np.minimum(np.maximum(shift, 0), 63).astype(np.uint64)) & np.uint64(1)
+    return np.uint64(0) - np.where(shift < 0, np.uint64(0), bit)
+
+
+def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarray,
+               word: int, undecided: np.ndarray) -> np.ndarray:
+    """Bit-sliced tests ``u < x`` of the stream's uniforms.
+
+    Test ``i`` compares unit ``units[i]``'s uniform ``u`` against ``x[i]``
+    in ``(0, 1)``.  ``undecided`` is the ``(W, T)`` ``uint64`` array of the
+    simulations to decide, of words ``word .. word+W-1``.  Returns ``(W,
+    T)`` words whose bit ``b`` of word ``j``, column ``i``, is ``u < x[i]``
+    in simulation ``64 (word + j) + b`` where that bit of ``undecided`` is
+    set, and 0 elsewhere.
+
+    A simulation is decided at the first round ``k`` where digit ``k`` of
+    its ``u`` differs from digit ``k`` of ``x``, with ``u < x`` when that
+    digit of ``x`` is 1; those still undecided after the last 1 of ``x``
+    have ``u >= x``.  So ``P(u < x) = x`` exactly, and tests of one unit
+    against ``lo < hi`` read the same digits: ``u < lo`` implies ``u < hi``.
+    Rounds run in batches of ``_ROUNDS`` over the cells still undecided: a
+    running OR over a batch's differing digits marks each simulation's first
+    difference.  A decided cell carried along adds no bit: its
+    ``undecided`` bits are clear, or its threshold has no 1 digit left.
+    """
+    key, gamma = stream_key(master_seed, stream_id)
+    width, tests = np.shape(undecided)
+    mant, top, rounds = _expansion(np.asarray(x, dtype=np.float64))
+    words = np.arange(word, word + width, dtype=np.uint64)
+    at_unit = (np.asarray(units).astype(np.uint64)
+               * np.uint64((gamma << (WORD_BITS + ROUND_BITS)) & _WORD))
+    base = ((words * np.uint64((gamma << ROUND_BITS) & _WORD))[:, None]
+            + (at_unit + np.uint64(key))).reshape(-1)
+    u = np.array(undecided, dtype=np.uint64).reshape(-1)
+    live = np.zeros_like(u)
+    test = np.tile(np.arange(tests, dtype=np.int32), width)
+    cells = np.arange(u.size, dtype=np.int32)
+    ks = np.arange(_ROUNDS)
+    while True:
+        h, digit = np.empty((2, _ROUNDS, u.size), dtype=np.uint64)
+        np.add(base, (ks.astype(np.uint64) * np.uint64(gamma))[:, None], out=h)
+        _mix(h, digit)
+        np.take(_digits(mant, top, ks[:, None]), test, axis=1, out=digit, mode="clip")
+        # h becomes the running OR of the differing digits, then the bits
+        # where each simulation first differs, which digit keeps where the
+        # threshold's digit is 1.
+        h ^= digit
+        for r in range(1, _ROUNDS):
+            h[r] |= h[r - 1]
+        same = ~h[-1]
+        for r in range(_ROUNDS - 1, 0, -1):
+            h[r] ^= h[r - 1]
+        digit &= h
+        live[cells] |= np.bitwise_or.reduce(digit, axis=0) & u
+        u &= same
+        ks += _ROUNDS
+        held = (u != 0) & (rounds > ks[0]).take(test)
+        left = np.count_nonzero(held)
+        if not left:
+            return live.reshape(width, tests)
+        # Cut to a multiple of 64 cells, padding with decided ones, so that
+        # numpy's cache of small buffers sees few distinct sizes.
+        held[np.flatnonzero(~held)[:-left % 64]] = True
+        kept = np.flatnonzero(held)
+        cells, base, u, test = (a.take(kept) for a in (cells, base, u, test))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -167,11 +229,11 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
     Children with distinct ``key`` tuples are statistically independent
     of each other and of the parent's own streams.  Keys lie in
-    ``[0, 2**64)``, below the block streams' spawn-key prefix.
+    ``[0, 2**64)``, below the counter-hash streams' spawn-key prefix.
     """
     master_seed = check_master_seed(master_seed)
     key = tuple(int(k) for k in key)
-    if not all(0 <= k < _BLOCK_KEY for k in key):
+    if not all(0 <= k < _HASH_KEY for k in key):
         raise ValueError("derived seed keys must be in [0, 2**64)")
     ss = np.random.SeedSequence(master_seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])

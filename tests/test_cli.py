@@ -41,7 +41,7 @@ def test_reports_carry_stream_layout(tmp_path):
     out = tmp_path / "gen.json"
     assert run_cli(["gen", "--family", "tree", "--tau", "2",
                     "--model-out", str(tmp_path / "t.model"), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["versions"]["stream_layout"] == 3
+    assert json.loads(out.read_text())["versions"]["stream_layout"] == 4
 
 
 def test_estimate_report_schema(tmp_path):
@@ -263,6 +263,22 @@ def test_huge_step_limit_is_a_usage_error(tmp_path, capsys):
             assert run_cli([command, "--model", str(model_path), "--seeds", "0",
                             "--tau", tau]) == 2
             assert "byte step profile" in capsys.readouterr().err
+
+
+def test_simulations_past_the_stream_layout_are_a_usage_error(tmp_path, capsys):
+    # Rejected on the count alone, before a pool is allocated.
+    model_path = tmp_path / "tree3.model"
+    run_cli(["gen", "--family", "tree", "--tau", "3", "--model-out", str(model_path),
+             "--out", str(tmp_path / "g.json")])
+    huge = str(2**33 + 1)
+    for argv in (["simulate", "--num", huge],
+                 ["estimate", "--pools", "1", "--pool-size", huge],
+                 ["rrs-compare", "--num-searches", huge]):
+        common = ["--model", str(model_path), "--tau", "2"]
+        if argv[0] != "rrs-compare":
+            common += ["--seeds", "0"]
+        assert run_cli(argv + common) == 2
+        assert "simulation index" in capsys.readouterr().err
 
 
 def test_rrs_compare_rejects_no_searches(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import infmax as im
 from infmax import estimators, rng
-from stream_reference import reference_uniforms
+import stream_reference
 
 
 def deterministic_path():
@@ -270,16 +270,16 @@ BALL_MODELS = {
 
 @pytest.mark.parametrize("kind", sorted(BALL_MODELS))
 def test_seed_set_pool_averages_equal_the_oracle_bit_for_bit(kind, monkeypatch):
-    # One tile per block and one unit per chunk: several threads each fill some
-    # blocks of every pool above 1024 rows.
-    monkeypatch.setattr(im.models, "_BLOCK_DRAWS", 1)
-    monkeypatch.setattr(im.models, "_DRAW_CELLS", 1)
+    # One word of one test per chunk and block: several threads each fill
+    # some blocks of every pool above 64 rows.
+    monkeypatch.setattr(im.models, "_HASH_CELLS", 1)
     model = with_sink_and_isolated_node(BALL_MODELS[kind]())
     n = model.num_nodes
     sink, isolated = n - 2, n - 1
     seed_sets = [(0,), (sink,), (isolated,), (0, sink, isolated), (1, n // 2)]
     for tau in (0, 1, 2, 3, n - 1):
-        # 11 pools of 93 and 192 end a simulation short of a tile and two.
+        # 11 pools of 93 and 192 end 65 simulations past a word boundary
+        # and on one.
         for pool_size in (1, 63, 65, 93, 130, 192):
             config = im.OracleConfig(11, pool_size, tau, master_seed=tau + pool_size)
             oracle = im.build_oracle(model, config)
@@ -409,25 +409,45 @@ def test_rrs_estimate_validation():
         im.rrs_estimate(model, im.FULL_SIMULATION, 10, -1, 0)
 
 
+def test_rrs_estimate_rejects_searches_past_the_counter():
+    with pytest.raises(ValueError, match="simulation index"):
+        im.rrs_estimate(deterministic_path(), im.FULL_SIMULATION, rng.MAX_SIMULATIONS + 1, 1, 0)
+
+
+def marginal_flips(model, master_seed, num_searches):
+    """Live rows of the marginal mode's searches: one flip per edge with
+    0 < p < 1 at its marginal probability, unit j for the j-th such edge in
+    edge-id order, on the marginal-flip stream; edges at p = 0 or 1 flip
+    nothing.  Up to 65 searches are flipped by the Python-int reference;
+    more are read in one call of the marginal model's word sampler, which
+    the reference checks at 65."""
+    g = model.graph
+    p = model.marginal_edge_probs
+    if num_searches > 65:
+        draw, _ = im.models._word_sampler(im.marginal_edge_model(model),
+                                          np.arange(g.num_edges), rng.STREAM_RRS_EDGES)
+        return im.unpack_rows(draw(master_seed, 0, num_searches)[0], num_searches)
+    live = np.zeros((num_searches, g.num_edges), dtype=bool)
+    live[:, p >= 1.0] = True
+    for unit, e in enumerate(np.flatnonzero((p > 0.0) & (p < 1.0)).tolist()):
+        live[:, e] = [stream_reference.less(master_seed, rng.STREAM_RRS_EDGES, unit, t,
+                                            float(p[e])) for t in range(num_searches)]
+    return live
+
+
 def scalar_rrs_estimate(model, mode, num_searches, tau, master_seed):
     """Reference: one scalar reverse search per target, credits added in order."""
     g = model.graph
     n, w = g.num_nodes, g.node_weights
     acc = np.zeros(n, dtype=np.float64)
     # Targets and simulations are read by position, so one block holds them all.
-    u = reference_uniforms(master_seed, rng.STREAM_RRS_TARGET, 0, num_searches, 1)[:, 0]
+    u = np.array([stream_reference.sim_uniform(master_seed, rng.STREAM_RRS_TARGET, t)
+                  for t in range(num_searches)])
     targets = np.minimum((u * n).astype(np.int64), n - 1)
     if mode == im.FULL_SIMULATION:
         live, _ = im.sample_pool(model, master_seed, num_searches)
     else:
-        # One flip per edge with 0 < p < 1, in edge-id order, from stream
-        # layout 3's tiles; edges at p = 0 or 1 draw nothing.
-        p = model.marginal_edge_probs
-        flips = np.flatnonzero((p > 0.0) & (p < 1.0))
-        u = reference_uniforms(master_seed, rng.STREAM_RRS_EDGES, 0, num_searches, flips.size)
-        live = np.zeros((num_searches, g.num_edges), dtype=bool)
-        live[:, p >= 1.0] = True
-        live[:, flips] = u < p[flips]
+        live = marginal_flips(model, master_seed, num_searches)
     for t in range(num_searches):
         reached = im.reverse_reach_set(g, live[t], int(targets[t]), tau)
         acc[reached] += w[targets[t]]

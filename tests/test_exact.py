@@ -172,6 +172,32 @@ def test_default_depth_profile_meets_the_step_budget_at_n_squared(monkeypatch):
     assert peak < 1 << 20
 
 
+def test_step_profile_is_built_once():
+    # A tau = n - 1 report on a 1,500-node path of p = 1 edges holds one
+    # 1,500 x 1,500 float64 step profile (17.2 MiB) and no second copy.
+    n = 1500
+    model = im.ic_model(im.Graph.from_edges(n, [(v, v + 1, 1.0) for v in range(n - 1)]))
+    tracemalloc.start()
+    try:
+        report = im.exact_report(model, (0,), n - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.step_probs.nbytes == n * n * 8
+    assert peak < 1.3 * report.step_probs.nbytes
+    assert np.array_equal(report.step_probs, np.eye(n))
+
+
+def test_step_profile_columns_move_to_node_order_a_block_at_a_time(monkeypatch):
+    # Node order is not distance order here, and one row per block gives
+    # the profile of one block of every row.
+    model = im.families.gen_random_ic(8, 12, seed=5)
+    assert np.any(np.diff(models.ball(model, 7, (3,))[0]) < 0)
+    whole = im.exact_report(model, (3,), 7).step_probs
+    monkeypatch.setattr(exact, "_PERMUTE_CELLS", 1)
+    assert np.array_equal(im.exact_report(model, (3,), 7).step_probs, whole)
+
+
 def test_depth_profile_examples():
     path = im.ic_model(im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     profile = im.depth_profile(path, (0,))

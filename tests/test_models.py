@@ -1,5 +1,7 @@
+import functools
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, strategies as st
 import infmax as im
 from infmax import models, rng
 from scalar_reference import reach_ids
-from stream_reference import TILE, reference_uniforms
+import stream_reference
 
 
 def path_model(p=1.0):
@@ -129,12 +131,13 @@ def test_block_sampling_matches_scalar(maker):
 
 
 def test_pool_sampling_thread_invariant(monkeypatch):
-    # One tile per block.
-    monkeypatch.setattr(models, "_BLOCK_DRAWS", 1)
-    model = im.families.gen_two_world_mixture()
-    rows = 4 * TILE + 500
+    # One word per block: the mixture has 14 tests.
+    monkeypatch.setattr(models, "_HASH_CELLS", 16)
+    model = SAMPLER_MODELS["lt-bdep-mixture"]()
+    rows = 4 * 1024 + 500
+    assert model._edge_sampler[1] == 64
     l1, c1 = im.sample_pool(model, 9, rows, threads=1)
-    # Five blocks dealt to four workers that switch as often as the
+    # 72 blocks dealt to four workers that switch as often as the
     # interpreter allows: a worker writing outside its own words shows.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -159,7 +162,7 @@ REFERENCE_STREAMS = {im.models.IC: rng.STREAM_EDGES, im.models.LT: rng.STREAM_NO
 
 
 def reference_binary_units(model):
-    """``(edge ids, q)`` of each random unit of an IC or BDEP model, in draw
+    """``(edge ids, q)`` of each random unit of an IC or BDEP model, in unit
     order: groups by group id, then loose edges by edge id, skipping units
     at p = 0 or 1."""
     g = model.graph
@@ -168,54 +171,74 @@ def reference_binary_units(model):
     return [(edges, g.probs[edges[0]]) for edges in units if 0.0 < g.probs[edges[0]] < 1.0]
 
 
-def reference_width(model):
-    """Uniforms per row: one per LT node with in-edges, one per random unit."""
+def reference_slices(model):
+    """``(edge, unit, lo, hi)`` per edge that can be live: edge ``e`` is live
+    iff ``lo <= u < hi`` for unit ``unit``'s uniform.  An LT node with
+    in-edges is a unit; its in-edges take consecutive slices of their
+    running weight sums, in ``in_edges`` order."""
     g = model.graph
-    if model.kind == im.models.LT:
-        return int(np.count_nonzero(np.bincount(g.heads, minlength=g.num_nodes)))
-    return len(reference_binary_units(model))
+    if model.kind != im.models.LT:
+        slices = [(int(e), None, 0.0, 1.0) for e in np.flatnonzero(g.probs >= 1.0)]
+        for j, (edges, q) in enumerate(reference_binary_units(model)):
+            slices += [(int(e), j, 0.0, q) for e in edges]
+        return slices
+    slices = []
+    heads = [v for v in range(g.num_nodes) if g.in_edges(v).size]
+    for j, v in enumerate(heads):
+        edges = g.in_edges(v)
+        cum = np.cumsum(g.probs[edges])
+        for slot, e in enumerate(edges.tolist()):
+            lo = float(cum[slot - 1]) if slot else 0.0
+            if lo < cum[slot]:
+                slices.append((e, j, lo, float(cum[slot])))
+    return slices
 
 
-def reference_live_rows(model, u):
-    g = model.graph
-    live = np.zeros((u.shape[0], g.num_edges), dtype=bool)
-    if model.kind == im.models.LT:
-        heads = [v for v in range(g.num_nodes) if g.in_edges(v).size]
-        for j, v in enumerate(heads):
-            edges = g.in_edges(v)
-            picks = np.searchsorted(np.cumsum(g.probs[edges]), u[:, j], side="right")
-            for slot in range(edges.size):
-                live[picks == slot, edges[slot]] = True
-        return live
-    live[:, g.probs >= 1.0] = True
-    for j, (edges, q) in enumerate(reference_binary_units(model)):
-        for e in edges:
-            live[:, e] = u[:, j] < q
+def reference_live_rows(model, stream_id, master_seed, sims):
+    """Live rows of the simulations ``sims`` of a non-mixture model, one
+    Python-int comparison per edge and simulation."""
+    live = np.zeros((len(sims), model.graph.num_edges), dtype=bool)
+    for e, unit, lo, hi in reference_slices(model):
+        for r, sim in enumerate(sims):
+            if unit is None:
+                live[r, e] = True
+            else:
+                live[r, e] = (stream_reference.less(master_seed, stream_id, unit, sim, hi)
+                              and not stream_reference.less(master_seed, stream_id, unit,
+                                                            sim, lo))
     return live
 
 
-def reference_live_block(model, master_seed, start, count):
-    """Live rows of stream layout 3 written out the long way: per-unit loops
-    over one uniform per random unit, each read at its own (tile, unit)
-    position, and mixture components reading their own rows of one shared
-    stream as wide as the widest component."""
+@functools.cache
+def reference_pool(kind, master_seed, stop):
+    """Stream layout 4 written out the long way for simulations ``0 ..
+    stop-1`` of ``SAMPLER_MODELS[kind]``: the live rows and mixture
+    components.  A mixture picks each row's component from one float of
+    STREAM_MIXTURE, and each component reads its own units from the shared
+    STREAM_UNITS stream."""
+    model = SAMPLER_MODELS[kind]()
     if model.kind != im.models.MIXTURE:
-        u = reference_uniforms(master_seed, REFERENCE_STREAMS[model.kind], start, count,
-                               reference_width(model))
-        return reference_live_rows(model, u), None
+        return reference_live_rows(model, REFERENCE_STREAMS[model.kind], master_seed,
+                                   range(stop)), None
     cum = np.cumsum(model.component_weights)
     cum[-1] = 1.0
-    pick = reference_uniforms(master_seed, rng.STREAM_MIXTURE, start, count, 1)[:, 0]
+    pick = [stream_reference.sim_uniform(master_seed, rng.STREAM_MIXTURE, s)
+            for s in range(stop)]
     comps = np.searchsorted(cum, pick, side="right")
-    shared = reference_uniforms(master_seed, rng.STREAM_UNITS, start, count,
-                                max(reference_width(c) for c in model.components))
-    live = np.zeros((count, model.graph.num_edges), dtype=bool)
+    live = np.zeros((stop, model.graph.num_edges), dtype=bool)
     for c, comp in enumerate(model.components):
-        rows = comps == c
+        sims = np.flatnonzero(comps == c).tolist()
         off = int(model.component_offsets[c])
-        live[rows, off:off + comp.graph.num_edges] = reference_live_rows(
-            comp, shared[rows, :reference_width(comp)])
+        live[sims, off:off + comp.graph.num_edges] = reference_live_rows(
+            comp, rng.STREAM_UNITS, master_seed, sims)
     return live, comps
+
+
+def reference_live_block(kind, master_seed, start, count):
+    live, comps = reference_pool(kind, master_seed, REFERENCE_STOP)
+    assert start + count <= REFERENCE_STOP
+    rows = slice(start, start + count)
+    return live[rows], None if comps is None else comps[rows]
 
 
 def lt_edge_cases():
@@ -227,6 +250,14 @@ def lt_edge_cases():
         (3, 4, 0.7), (0, 5, 0.0)]))
 
 
+def lt_extremes():
+    # Slices that end at the smallest double, at 2**-1074 + 0.1 and at
+    # 1 - 2**-53, and one that ends at 1 after a 53-digit start.
+    return im.lt_model(im.Graph.from_edges(5, [
+        (0, 1, 2.0**-1074), (2, 1, 0.1), (3, 1, 0.5), (0, 2, 1.0 - 2.0**-53),
+        (1, 3, 1.0 - 2.0**-53), (2, 3, 2.0**-53)]))
+
+
 def bdep_edge_cases():
     # Group ids out of order and sparse, groups at p 0 and 1, loose edges
     # interleaved with grouped ones.
@@ -236,15 +267,32 @@ def bdep_edge_cases():
         (5, 1, 0.0)]), b=2)
 
 
+def bdep_extremes():
+    # Groups at the smallest double and at 1 - 2**-53, loose edges at 0.1
+    # and 0.5.
+    return im.bdep_model(im.Graph.from_edges(5, [
+        (0, 1, 2.0**-1074, 3), (0, 2, 2.0**-1074, 3), (1, 2, 0.1), (2, 3, 1.0 - 2.0**-53, 0),
+        (2, 4, 1.0 - 2.0**-53, 0), (3, 4, 0.5)]), b=2)
+
+
+def ic_extremes():
+    # Every probability the digit compare treats apart: none, the smallest
+    # double (1,074 digits), one digit, 53 ones, and always.
+    return im.ic_model(im.Graph.from_edges(5, [
+        (0, 1, 0.0), (1, 2, 2.0**-1074), (2, 3, 0.1), (3, 4, 0.5),
+        (4, 0, 1.0 - 2.0**-53), (0, 2, 1.0), (1, 3, 0.1), (2, 4, 0.5)]))
+
+
 def lt_constant():
-    # Every node with in-edges still draws, though no choice is random.
+    # Every node with in-edges is a unit, though no choice is random.
     return im.lt_model(im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
 
 
 SAMPLER_MODELS = {
     "ic": lambda: im.families.gen_random_ic(12, 30, seed=5),
+    "ic-extremes": ic_extremes,
     "lt": lt_edge_cases,
-    # One random edge, whose unit is not the only unit drawn.
+    # One random edge, whose unit is not the only unit.
     "lt-one-random": lambda: im.lt_model(im.Graph.from_edges(
         3, [(0, 1, 0.5), (1, 2, 1.0)])),
     "lt-constant": lt_constant,
@@ -252,22 +300,28 @@ SAMPLER_MODELS = {
     "two-world": im.families.gen_two_world_mixture,
     "lt-bdep-mixture": lambda: im.mixture_model([(lt_edge_cases(), 0.4),
                                                  (bdep_edge_cases(), 0.6)]),
+    "lt-extremes": lt_extremes,
+    "bdep-extremes": bdep_extremes,
+    "extremes-mixture": lambda: im.mixture_model([(ic_extremes(), 0.5), (lt_extremes(), 0.3),
+                                                  (bdep_extremes(), 0.2)]),
     "polysimu": lambda: im.families.gen_polysimu(102),
 }
+# The reference covers simulations 0 .. REFERENCE_STOP - 1.
+REFERENCE_STOP = 1023 + 2113
 
 
-@pytest.mark.parametrize("count", [1, 63, 64, 65, TILE - 1, TILE, TILE + 1, 2 * TILE + 65])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 1023, 1024, 1025, 2113])
 @pytest.mark.parametrize("kind", sorted(SAMPLER_MODELS))
 def test_pool_sampling_matches_reference_loops(kind, count, monkeypatch):
-    # Blocks of four tiles for a selection of one or two units and of one
-    # tile for a wide one, so a selection may block differently from the
-    # full pool.
-    monkeypatch.setattr(models, "_BLOCK_DRAWS", 8 * TILE)
+    # Chunks and blocks of 64 test cells: a wide selection hashes a few
+    # words at a time, and the threads split its longer pools, where a
+    # narrow selection is one block.
+    monkeypatch.setattr(models, "_HASH_CELLS", 64)
     model = SAMPLER_MODELS[kind]()
     m = model.graph.num_edges
     masks = [None, np.arange(m) % 3 == 1, np.arange(m) == m - 1]
     for start in (0, 1, 5, 64, 1000, 1023):
-        expect, expect_comps = reference_live_block(model, 13, start, count)
+        expect, expect_comps = reference_live_block(kind, 13, start, count)
         for threads, mask in itertools.product((1, 2, 3), masks):
             cols = slice(None) if mask is None else mask
             live, comps = im.sample_pool(model, 13, count, start, threads, edges=mask)
@@ -282,80 +336,88 @@ def test_pool_sampling_matches_reference_loops(kind, count, monkeypatch):
                     assert np.array_equal(got, expect_comps)
 
 
-@pytest.mark.parametrize("cells", [1, 40, 3 * TILE])
+@pytest.mark.parametrize("cells", [1, 40, 3072])
 def test_draw_steps_match_reference_loops(cells, monkeypatch):
-    # Chunks of one unit (the first two) or of three units of a tile.
-    monkeypatch.setattr(models, "_DRAW_CELLS", cells)
+    # Chunks of one word of one test, of a word or two of every test, and
+    # of every test of the pool at once.  A block is one chunk, so at one
+    # cell every pool is 18 blocks and three workers each fill six.
+    monkeypatch.setattr(models, "_HASH_CELLS", cells)
     for kind, make in sorted(SAMPLER_MODELS.items()):
         model = make()
-        expect, expect_comps = reference_live_block(model, 13, 5, 1100)
-        live, comps = im.sample_pool(model, 13, 1100, 5)
-        assert np.array_equal(live, expect), kind
-        assert (comps is None) == (expect_comps is None)
-        if comps is not None:
-            assert np.array_equal(comps, expect_comps)
+        assert cells > 1 or model._edge_sampler[1] == 64
+        expect, expect_comps = reference_live_block(kind, 13, 5, 1100)
+        for threads in (1, 3):
+            live, comps = im.sample_pool(model, 13, 1100, 5, threads)
+            assert np.array_equal(live, expect), (kind, threads)
+            assert (comps is None) == (expect_comps is None)
+            if comps is not None:
+                assert np.array_equal(comps, expect_comps)
 
 
-class RecordingReader(rng.BlockReader):
-    """A block reader that logs its stream and width, and every read."""
+@pytest.fixture
+def hash_log(monkeypatch):
+    """Logs each stream read: ``(stream id, tested units)`` of every
+    rng.less_words call and ``(stream id, None)`` of every rng.sim_uniforms
+    call."""
     log = []
+    less_words, sim_uniforms = rng.less_words, rng.sim_uniforms
 
-    def __init__(self, master_seed, stream_id, width):
-        super().__init__(master_seed, stream_id, width)
-        self.log.append(("open", stream_id, width))
+    def logged_less_words(master_seed, stream_id, units, *args):
+        log.append((stream_id, sorted(set(np.asarray(units).tolist()))))
+        return less_words(master_seed, stream_id, units, *args)
 
-    def _read(self, position, out):
-        self.log.append(("read", position, out.size))
-        super()._read(position, out)
+    def logged_sim_uniforms(master_seed, stream_id, *args):
+        log.append((stream_id, None))
+        return sim_uniforms(master_seed, stream_id, *args)
+
+    monkeypatch.setattr(rng, "less_words", logged_less_words)
+    monkeypatch.setattr(rng, "sim_uniforms", logged_sim_uniforms)
+    return log
 
 
-def test_draw_widths_count_random_units_only(monkeypatch):
-    monkeypatch.setattr(rng, "BlockReader", RecordingReader)
+def random_units(model):
+    """Sorted ids of the units whose slices end inside (0, 1)."""
+    return sorted({unit for _, unit, lo, hi in reference_slices(model)
+                   if unit is not None and (lo > 0.0 or hi < 1.0)})
+
+
+def test_draw_widths_count_random_units_only(hash_log):
     constant_ic = im.ic_model(im.Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)]))
     constant_bdep = im.bdep_model(im.Graph.from_edges(
         4, [(0, 1, 1.0, 0), (0, 2, 1.0, 0), (1, 3, 0.0, 1), (2, 3, 0.0)]), b=2)
+    mixture = SAMPLER_MODELS["lt-bdep-mixture"]()
+    lt_units, bdep_units = (random_units(c) for c in mixture.components)
     # Models with no random unit read no stream at all.
     cases = [(constant_ic, []), (constant_bdep, []), (lt_constant(), []),
-             (im.families.gen_polysimu(102), [(rng.STREAM_EDGES, 1)]),
-             # Both LT nodes with in-edges are units; one of them is random.
-             (SAMPLER_MODELS["lt-one-random"](), [(rng.STREAM_NODES, 2)]),
-             # LT component: 5 nodes with in-edges; BDEP component: 4 random
-             # units.  The shared stream is 5 wide, not 9.
-             (SAMPLER_MODELS["lt-bdep-mixture"](),
-              [(rng.STREAM_MIXTURE, 1), (rng.STREAM_UNITS, 5)])]
+             (im.families.gen_polysimu(102), [(rng.STREAM_EDGES, [0])]),
+             # Both LT nodes with in-edges are units; only unit 0 is random.
+             (SAMPLER_MODELS["lt-one-random"](), [(rng.STREAM_NODES, [0])]),
+             # The LT nodes whose one in-edge weighs 1 or 0 are not hashed;
+             # both components read their units from the shared stream.
+             (mixture, [(rng.STREAM_MIXTURE, None),
+                        (rng.STREAM_UNITS, sorted(set(lt_units + bdep_units)))])]
+    assert lt_units == [0, 1, 3]
     for model, expect in cases:
-        RecordingReader.log.clear()
+        hash_log.clear()
         im.sample_pool(model, 3, 100)
-        assert [entry[1:] for entry in RecordingReader.log if entry[0] == "open"] == expect
+        assert hash_log == expect
 
 
-def test_a_selection_draws_only_its_units(monkeypatch):
-    monkeypatch.setattr(rng, "BlockReader", RecordingReader)
+def test_a_selection_draws_only_its_units(hash_log):
     model = SAMPLER_MODELS["ic"]()
-    width = models._units(model)[0].size
-    unit = model._draw_plan.unit
+    # Every edge is its own random unit, so unit j is edge j.
+    assert len(reference_binary_units(model)) == model.graph.num_edges
     mask = np.zeros(model.graph.num_edges, dtype=bool)
     mask[[3, 4, 5, 17]] = True
-    assert np.array_equal(unit, np.arange(model.graph.num_edges))
-    for start, count, calls in ((0, 2 * TILE, 4), (1000, 48, 8), (0, 700, 2), (0, 300, 4)):
-        RecordingReader.log.clear()
+    for start, count in ((0, 2048), (1000, 48), (7, 700)):
+        hash_log.clear()
         im.sample_pool(model, 3, count, start, edges=mask)
-        reads = [entry[1:] for entry in RecordingReader.log if entry[0] == "read"]
-        # Each edge is its own unit.  Units 3-5 are one run, read as one
-        # span per tile part of at least half a tile and unit by unit in a
-        # shorter part; unit 17 is another run.
-        assert len(reads) == calls
-        drawn = set()
-        for position, size in reads:
-            for p in range(position, position + size):
-                tile, rest = divmod(p, TILE * width)
-                if start <= tile * TILE + rest % TILE < start + count:
-                    drawn.add(rest // TILE)
-        assert drawn == {3, 4, 5, 17}
+        assert {entry for stream_id, units in hash_log for entry in units} == {3, 4, 5, 17}
+        assert {stream_id for stream_id, _ in hash_log} == {rng.STREAM_EDGES}
 
 
 @given(kind=st.sampled_from(sorted(SAMPLER_MODELS)), start=st.integers(0, 200),
-       count=st.sampled_from([1, 63, 64, 65, TILE + 1]),
+       count=st.sampled_from([1, 63, 64, 65, 1025]),
        threads=st.sampled_from([1, 2]), data=st.data())
 def test_edge_selection_equals_masked_columns_of_full_pool(kind, start, count, threads,
                                                            data):
@@ -372,6 +434,65 @@ def test_edge_selection_equals_masked_columns_of_full_pool(kind, start, count, t
         assert np.array_equal(comps, picked_comps)
     live, _ = im.sample_pool(model, 13, count, start, threads, edges=mask)
     assert np.array_equal(live, im.unpack_rows(full, count)[:, mask])
+
+
+def test_lt_picks_at_most_one_in_edge_per_node_in_every_simulation():
+    # Nodes with 2 to 5 in-edges whose weights leave no mass, almost none
+    # or half of it for "no edge", over 2**18 simulations.
+    draw = np.random.default_rng(5)
+    edges = []
+    for v, (indegree, total) in enumerate([(2, 1.0), (3, 0.999), (5, 0.5), (4, 1.0),
+                                           (3, 0.25)], start=1):
+        weights = draw.dirichlet(np.ones(indegree)) * total
+        tails = draw.choice([u for u in range(8) if u != v], indegree, replace=False)
+        edges += [(int(t), v, float(w)) for t, w in zip(tails, weights)]
+    model = im.lt_model(im.Graph.from_edges(8, edges))
+    sims = 1 << 18
+    words, _ = im.sample_pool(model, 7, sims, threads=2, packed=True)
+    g = model.graph
+    for v in range(1, 6):
+        ins = g.in_edges(v)
+        for a, b in itertools.combinations(ins.tolist(), 2):
+            assert not (words[:, a] & words[:, b]).any()
+        picked = np.zeros(words.shape[0], dtype=np.uint64)
+        for e in ins.tolist():
+            picked |= words[:, e]
+            p = g.probs[e]
+            z = (int(np.bitwise_count(words[:, e]).sum()) - sims * p) / np.sqrt(sims * p * (1 - p))
+            assert abs(z) <= 5
+        none = 1.0 - g.probs[ins].sum()
+        if none > 0.0:
+            hits = sims - int(np.bitwise_count(picked).sum())
+            assert abs(hits - sims * none) <= 5 * np.sqrt(sims * none * (1 - none))
+
+
+def test_sample_pool_rejects_simulations_past_the_counter():
+    # Checked before anything is allocated.
+    model = random_model(3)
+    tracemalloc.start()
+    try:
+        for start, count in ((0, rng.MAX_SIMULATIONS + 1), (rng.MAX_SIMULATIONS, 1),
+                             (rng.MAX_SIMULATIONS - 1, 2)):
+            with pytest.raises(ValueError, match="simulation index"):
+                im.sample_pool(model, 0, count, start, packed=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # The last two simulations of the layout are drawn like any other.
+    last, _ = im.sample_pool(model, 0, 2, rng.MAX_SIMULATIONS - 2)
+    assert np.array_equal(last[1], one_live_row(model, 0, rng.MAX_SIMULATIONS - 1))
+
+
+def test_sample_pool_rejects_units_past_the_counter(monkeypatch):
+    # Checked on the unit count alone, below a model of 2**26 + 1 units.
+    monkeypatch.setattr(rng, "MAX_UNITS", 13)
+    with pytest.raises(ValueError, match="14 random units"):
+        im.sample_pool(random_model(3), 0, 5)
+    with pytest.raises(ValueError, match="14 random units"):
+        im.sample_pool(random_model(3), 0, 5, edges=np.arange(14) < 2)
+    monkeypatch.setattr(rng, "MAX_UNITS", 14)
+    assert im.sample_pool(random_model(3), 0, 5)[0].shape == (5, 14)
 
 
 def test_edge_selection_must_be_a_mask_over_the_edges():

@@ -263,14 +263,18 @@ def test_block_scan_branches_match_rank_order_searches(scan_cells, monkeypatch):
         for j in range(3):
             assert_matches_rank_order(star, live, 1, k, rng.derive_seed(3, 7, j))
     # 70 simulations cross a word boundary.  With k = 8 the first prefix is
-    # short, so on this pool the rows that are not yet full read further
-    # prefixes.
+    # short, so on some pools the rows that are not yet full read further
+    # prefixes: about one master seed in five gives such a pool.  Pools are
+    # checked in seed order up to the first one that does.
     model = fixed_outdegree_model(30, 4, seed=1)
-    live, _ = im.sample_pool(model, 9, 70)
     prefixes.clear()
-    for tau in (2, model.num_nodes - 1):
-        for rank_seed in range(10):
-            assert_matches_rank_order(model, live, tau, 8, rank_seed)
+    for master_seed in range(40):
+        live, _ = im.sample_pool(model, master_seed, 70)
+        for tau in (2, model.num_nodes - 1):
+            for rank_seed in range(10):
+                assert_matches_rank_order(model, live, tau, 8, rank_seed)
+        if max(prefixes) > 0:
+            break
     assert max(prefixes) > 0
 
 
