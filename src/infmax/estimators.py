@@ -77,9 +77,9 @@ class Oracle:
 
     Pool ``i`` owns simulation indices ``i*pool_size .. (i+1)*pool_size-1``
     of the stream keyed by ``config.master_seed``.  ``live`` is either the
-    ``(total_simulations, m)`` boolean live matrix, packed once here
-    (:func:`pack_rows`), or its ``(ceil(total_simulations / 64), m)``
-    ``uint64`` words, kept as given; only the packed words are held.
+    ``(total_simulations, m)`` boolean live matrix, packed once here, or its
+    ``(m, ceil(total_simulations / 64))`` ``uint64`` edge rows
+    (:func:`pack_rows`), kept as given; only the packed words are held.
     ``components`` (from :func:`sample_pool`) is accepted but not kept.
     """
 
@@ -89,8 +89,8 @@ class Oracle:
         self.config = config
         rows, m = config.total_simulations, model.graph.num_edges
         if isinstance(live, np.ndarray) and live.dtype == np.uint64:
-            if live.shape != (-(-rows // 64), m):
-                raise ValueError(f"packed live words must be {(-(-rows // 64), m)}, "
+            if live.shape != (m, -(-rows // 64)):
+                raise ValueError(f"packed live words must be {(m, -(-rows // 64))}, "
                                  f"got {live.shape}")
             self._live = live.view()
         else:
@@ -127,7 +127,7 @@ class Oracle:
         through one :func:`mask_pool_averages` call, each row reduced on its
         own."""
         g, cfg = self.model.graph, self.config
-        n, words = g.num_nodes, self._live.shape[0]
+        n, words = g.num_nodes, self._live.shape[1]
         block = max(1, _SCORE_BLOCK_BYTES // ((words + cfg.pools + 1) * max(n, 1) * 8))
         seed_sets, values = iter(seed_sets), [np.empty(0)]
         while sets := list(islice(seed_sets, block)):
@@ -180,51 +180,43 @@ def _pool_segments(pools: int, pool_size: int) -> tuple:
     return word, bits, runs
 
 
-def _nodes_first(a: np.ndarray) -> np.ndarray:
-    """``a`` with its last (node) axis moved first, as a view; a few
-    microseconds cheaper than ``np.moveaxis``, which these small per-set
-    reductions would feel."""
-    return a.transpose(a.ndim - 1, *range(a.ndim - 1))
-
-
 def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
-    """Per-pool activation counts of a packed ``(..., words, n)`` node mask.
+    """Per-pool activation counts of a packed ``(..., n, words)`` node mask.
 
-    Row ``r`` is bit ``r % 64`` of word ``r // 64``; rows split into
-    ``pools`` consecutive pools of ``pool_size``.  Returns the
-    ``(..., pools, n)`` int64 count of rows in each pool that activate each
-    node; leading axes are a batch of masks, each counted on its own.  Pool
-    boundaries may fall inside a word, and bits past the last pool
-    (padding) are never counted.
+    Simulation ``r`` is bit ``r % 64`` of word ``r // 64``; simulations
+    split into ``pools`` consecutive pools of ``pool_size``.  Returns the
+    ``(..., pools, n)`` int64 count of simulations in each pool that
+    activate each node; leading axes are a batch of masks, each counted on
+    its own.  Pool boundaries may fall inside a word, and bits past the last
+    pool (padding) are never counted.
 
-    The counts are taken over a node-major ``(n, ..., words)`` copy of the
-    mask, where every pool is a run of ``runs`` units, and returned as a view
-    of their node-major ``(n, ..., pools)`` memory.  When ``g =
-    gcd(pool_size, 64)`` is at least 8, the units are the words read as
-    ``uint{g}``, ``pool_size // g`` per pool; otherwise they are the
-    :func:`_pool_segments` of each pool, gathered and masked.
+    The mask is counted as given, every pool a run of ``runs`` units: when
+    ``g = gcd(pool_size, 64)`` is at least 8, the words read as ``uint{g}``,
+    ``pool_size // g`` per pool, else the :func:`_pool_segments` of each
+    pool, gathered and masked.  The unit counts move node-first as they
+    widen to int64, and the result views that node-major memory.
     """
     pools, pool_size = int(pools), int(pool_size)
-    by_node = np.ascontiguousarray(_nodes_first(mask), dtype="<u8")
     g = math.gcd(pool_size, 64)
     if g >= 8:
         runs = pool_size // g
-        units = by_node.view(f"<u{g // 8}")[..., :pools * runs]
+        units = mask.view(f"<u{g // 8}")[..., :pools * runs]
     else:
         word, bits, runs = _pool_segments(pools, pool_size)
-        units = by_node[..., word]
+        units = mask[..., word]
         units &= bits
     counts = np.bitwise_count(units).reshape(units.shape[:-1] + (pools, runs))
+    counts = np.moveaxis(counts, -3, 0)
     # A sum along each run costs per pool; runs no longer than the pool
     # count are added instead as strided columns of whole pools, one add
     # per unit of a run.
     if runs > pools:
-        totals = counts.sum(axis=-1, dtype=np.int64)
+        totals = counts.sum(axis=-1, dtype=np.int64, out=np.empty(counts.shape[:-1], np.int64))
     else:
-        totals = counts[..., 0].astype(np.int64)
+        totals = counts[..., 0].astype(np.int64, order="C")
         for j in range(1, runs):
             totals += counts[..., j]
-    return totals.transpose(*range(1, totals.ndim), 0)
+    return np.moveaxis(totals, 0, -1)
 
 
 def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
@@ -239,13 +231,13 @@ def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
     pool's terms in node order, the order :func:`row_values` uses, whatever
     the leading axes and the other pools hold.
     """
-    return node_weighted_sums(node_weights, _nodes_first(counts)) / pool_size
+    return node_weighted_sums(node_weights, np.moveaxis(counts, -1, 0)) / pool_size
 
 
 def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,
                        pool_size: int) -> np.ndarray:
     """Per-pool average reach value ``(..., pools)`` of a packed
-    ``(..., words, n)`` node mask."""
+    ``(..., n, words)`` node mask."""
     return count_pool_averages(pool_counts(mask, pools, pool_size), node_weights,
                                pool_size)
 
@@ -281,7 +273,7 @@ def seed_set_pool_averages(model: DiffusionModel, config: OracleConfig, seeds,
                            threads=threads, packed=True, edges=edges)
     if edges is not None:
         g = Graph(g.num_nodes, g.tails[ball], g.heads[ball], g.probs[ball],
-                  np.full(words.shape[1], -1, dtype=np.int64), g.node_weights)
+                  np.full(words.shape[0], -1, dtype=np.int64), g.node_weights)
     mask = reach_mask_batch(g, words, seeds, config.tau)
     return mask_pool_averages(mask, g.node_weights, config.pools, config.pool_size)
 

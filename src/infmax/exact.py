@@ -154,8 +154,8 @@ def _outcome_chunks(parts, relevant: np.ndarray):
     belong to (:func:`_ball_units`); the others sum out.
 
     A chunk holds ``rows`` consecutive outcomes of one part (the model or a
-    mixture component): their packed ``(ceil(rows / 64), m)`` live edges
-    (:func:`pack_rows` layout) and probabilities.  A part's outcome index is
+    mixture component): their packed ``(m, ceil(rows / 64))`` live edges
+    (:func:`pack_rows`) and probabilities.  A part's outcome index is
     mixed-radix over its restricted units, unit 0 least significant; its
     probability is the part's weight times its choice probabilities,
     multiplied in unit order.  With every edge relevant the chunks cover
@@ -200,8 +200,8 @@ def _part_chunks(radices, choice_probs, edge_choice, weight, offset, m, width):
             at = np.arange(lo, lo + rows, dtype=np.int64)
             for j in range(fit, len(radices)):
                 probs *= choice_probs[firsts[j]:firsts[j + 1]][at // strides[j] % radices[j]]
-        words = np.zeros((-(-rows // 64), width), dtype=np.uint64)
-        words[:, offset:offset + m] = choice_words(lo, rows)[edge_choice].T
+        words = np.zeros((width, -(-rows // 64)), dtype=np.uint64)
+        words[offset:offset + m] = choice_words(lo, rows)[edge_choice]
         yield words, rows, weight * probs
 
 
@@ -292,7 +292,7 @@ def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
     table = reach_table(g, words, tau, members)
     if table is not None:
         ids = at.reshape(ids.shape)
-    block = max(1, _SCORE_BLOCK_BYTES // (words.shape[0] * max(g.num_nodes, 1) * 8))
+    block = max(1, _SCORE_BLOCK_BYTES // (words.shape[1] * max(g.num_nodes, 1) * 8))
     return np.array([np.einsum("r,r->", probs, row_values(g, mask, rows))
                      for lo in range(0, len(ids), block)
                      for mask in set_reaches(g, words, tau, ids[lo:lo + block], table)])

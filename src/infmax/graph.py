@@ -175,7 +175,7 @@ def parse_edge_list(text: str) -> Graph:
     the file boundary, not in :class:`Graph`: a mixture's union graph
     concatenates its components' edge lists, which may share pairs.
     """
-    num_nodes = None
+    num_nodes = nodes_line = None
     weights: dict[int, float] = {}
     edges = []
     seen: set[tuple[int, int]] = set()
@@ -186,7 +186,9 @@ def parse_edge_list(text: str) -> Graph:
         if line.startswith("#"):
             parts = line.split()
             if parts[0] == "#nodes" and len(parts) == 2:
-                num_nodes = _int64(parts[1], lineno)
+                num_nodes, nodes_line = _int64(parts[1], lineno), lineno
+                if num_nodes < 0:
+                    raise ValueError(f"line {lineno}: negative node count {num_nodes}")
             elif parts[0] == "#weight" and len(parts) == 3:
                 weights[_int64(parts[1], lineno)] = float(parts[2])
             else:
@@ -207,7 +209,10 @@ def parse_edge_list(text: str) -> Graph:
             edges.append((tail, head, p))
     if num_nodes is None:
         raise ValueError("missing `#nodes N` header")
-    node_weights = np.ones(num_nodes, dtype=np.float64)
+    try:
+        node_weights = np.ones(num_nodes, dtype=np.float64)
+    except MemoryError:
+        raise ValueError(f"line {nodes_line}: no memory for {num_nodes} nodes") from None
     for v, w in weights.items():
         if not 0 <= v < num_nodes:
             raise ValueError(f"#weight node {v} out of range")

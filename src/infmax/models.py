@@ -28,11 +28,13 @@ steps depends on, and hashes only the units those edges read; every bit
 depends on its own unit and simulation alone, so a column's bits do not
 depend on which others are chosen.
 Reachability within ``tau`` steps propagates bit-parallel over stacks of
-simulations: they are packed 64 to a ``uint64`` word (:func:`pack_rows`),
-and one step of the batched kernel (:func:`propagation_steps`) advances
-all of them at once.  The kernel starts from one seed set shared by every
-row or from a packed start mask with its own start nodes per row
-(:func:`start_mask`); reverse searches run it over :attr:`Graph.reversed`.
+simulations in the one packed layout (:func:`pack_rows`), from the sampler
+to the pool reduction: C-contiguous ``(k, words)`` ``uint64``, a row per
+edge or node, simulation ``64 j + r`` at bit ``r`` of word ``j``.  One step
+of the batched kernel (:func:`propagation_steps`) advances all of them at
+once, from one seed set shared by every simulation or from a packed start
+mask with its own start nodes per simulation (:func:`start_mask`); reverse
+searches run it over :attr:`Graph.reversed`.
 :func:`reverse_reach_set` searches one simulation's reverse reach, kept
 as a reference.
 """
@@ -354,8 +356,8 @@ def _build_draw_plan(model: DiffusionModel) -> tuple:
 
 def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | None = None):
     """``(draw, block)`` for the sorted edge ids ``edges`` of ``model``:
-    ``draw(master_seed, start, count)`` returns the packed ``(ceil(count /
-    64), len(edges))`` live words of simulations ``start .. start+count-1``
+    ``draw(master_seed, start, count)`` returns the packed ``(len(edges),
+    ceil(count / 64))`` live words of simulations ``start .. start+count-1``
     and their mixture components (``None`` for other kinds), and ``block``
     is the rows of a :func:`sample_pool` block.  A non-mixture model draws
     from its kind's stream unless ``stream_id`` names another.
@@ -365,7 +367,7 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
     column's bits do not depend on the other columns chosen.  Each part's
     tests decide the rows it owns (in a mixture, its component's) within
     the range.  Edge words are ``[u < hi] & ~[u < lo]`` over the test
-    columns, a zero column and each part's own rows, which stand for ends at
+    rows, a zero row and each part's own simulations, which stand for ends at
     0 and at 1.  Words are decided at their position in the stream,
     ``_HASH_CELLS`` cells at a time, and shifted into place once.
     """
@@ -379,9 +381,9 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
         stream_id = _KIND_STREAM[model.kind] if stream_id is None else stream_id
         parts = [(model, 0)]
     rng.check_range(max(_units(comp)[0].size for comp, _ in parts), 0)
-    # Per part, its tests and the column code of each selected edge's slice
-    # ends: a test's index among all tests, -1 for the zero column and
-    # -2 - c for part c's own rows.
+    # Per part, its tests and the row code of each selected edge's slice
+    # ends: a test's index among all tests, -1 for the zero row and
+    # -2 - c for part c's own simulations.
     units, ends, owner, codes = [], [], [], []
     tests = 0
     for c, (comp, off) in enumerate(parts):
@@ -400,10 +402,10 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
         tests += tested.size
     units, ends, owner = np.concatenate(units), np.concatenate(ends), np.concatenate(owner)
     codes = np.hstack(codes)
-    hi_col, lo_col = np.where(codes >= 0, codes, tests - 1 - codes)
-    # Edges whose slice starts past 0, and their start columns.
-    starts = np.flatnonzero(lo_col != tests)
-    lo_col = lo_col[starts]
+    hi_row, lo_row = np.where(codes >= 0, codes, tests - 1 - codes)
+    # Edges whose slice starts past 0, and their start rows.
+    starts = np.flatnonzero(lo_row != tests)
+    lo_row = lo_row[starts]
     step = max(1, _HASH_CELLS // max(tests, 1))
 
     def draw(master_seed: int, start: int, count: int):
@@ -419,18 +421,20 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
             comps = np.searchsorted(cum, choice, side="right")
             owned[lead + np.arange(count), comps] = True
         own = pack_rows(owned)
-        out = np.zeros((words + 1, hi_col.size), dtype=np.uint64)
+        out = np.zeros((hi_row.size, words), dtype=np.uint64)
         for lo in range(0, words, step):
-            mine = own[lo:lo + step]
+            mine = own[:, lo:lo + step]
             decided = (rng.less_words(master_seed, stream_id, units, ends, first + lo,
-                                      mine[:, owner]) if tests else mine[:, :0])
-            cols = np.hstack([decided, np.zeros((mine.shape[0], 1), dtype=np.uint64), mine])
-            chunk = out[lo:lo + mine.shape[0]]
-            np.take(cols, hi_col, axis=1, out=chunk, mode="clip")
-            chunk[:, starts] &= ~cols.take(lo_col, axis=1)
-        if lead:
-            out = (out[:-1] >> np.uint64(lead)) | (out[1:] << np.uint64(64 - lead))
-        return out[:-(-count // 64)], comps
+                                      mine[owner]) if tests else mine[:0])
+            rows = np.vstack([decided, np.zeros((1, mine.shape[1]), dtype=np.uint64), mine])
+            chunk = out[:, lo:lo + mine.shape[1]]
+            np.take(rows, hi_row, axis=0, out=chunk, mode="clip")
+            chunk[starts] &= ~rows.take(lo_row, axis=0)
+        if not lead:
+            return out, comps
+        shifted = out[:, :-(-count // 64)] >> np.uint64(lead)
+        shifted[:, :words - 1] |= out[:, 1:] << np.uint64(64 - lead)
+        return shifted, comps
 
     return draw, 64 * step
 
@@ -441,7 +445,7 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
     """Live masks for simulation indices ``start .. start+count-1``.
 
     Returns ``(live, components)``.  ``live`` is a ``(count, k)`` boolean
-    matrix, or with ``packed`` the ``(ceil(count / 64), k)`` ``uint64``
+    matrix, or with ``packed`` the ``(k, ceil(count / 64))`` ``uint64``
     words of :func:`pack_rows`, over the ``k`` edges of the boolean mask
     ``edges`` in id order (every edge when ``None``); ``components`` is an
     int array for mixtures and ``None`` otherwise.  A column does not depend
@@ -467,14 +471,14 @@ def sample_pool(model: DiffusionModel, master_seed: int, count: int,
             raise ValueError(f"edge selection must be a boolean mask over the {m} edges")
         draw, block = _word_sampler(model, np.flatnonzero(edges))
         k = int(edges.sum())
-    words = np.empty((-(-count // 64), k), dtype=np.uint64)
+    words = np.empty((k, -(-count // 64)), dtype=np.uint64)
     comps = np.empty(count, dtype=np.int64) if model.kind == MIXTURE else None
     blocks = [(lo, min(lo + block, count)) for lo in range(0, count, block)]
 
     def fill(worker):
         for lo, hi in blocks[worker::threads]:
             block_words, block_comps = draw(master_seed, start + lo, hi - lo)
-            words[lo // 64:-(-hi // 64)] = block_words
+            words[:, lo // 64:-(-hi // 64)] = block_words
             if comps is not None:
                 comps[lo:hi] = block_comps
 
@@ -549,62 +553,60 @@ def ball_edges(model: DiffusionModel, tau: int, seeds) -> np.ndarray:
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack a ``(count, k)`` boolean matrix into ``(words, k)`` ``uint64``.
-
-    Bit ``r`` of word ``j`` holds row ``64 * j + r``; the padding bits of
-    a partial last word are zero.  The rows are packed column by column from
-    the contiguous copy of their transpose, which a transposed view already
-    is, and the words are returned as a transposed view.
+    """Pack a ``(count, k)`` boolean matrix into C-contiguous ``(k, words)``
+    ``uint64``, the one packed layout: row ``i`` of the result is column
+    ``i`` of ``rows``, and bit ``r`` of its word ``j`` holds row ``64 * j +
+    r``; the padding bits of a partial last word are zero.
     """
     rows = np.asarray(rows, dtype=bool)
     count, k = rows.shape
     packed = np.zeros((k, -(-count // 64) * 8), dtype=np.uint8)
     packed[:, :(count + 7) // 8] = np.packbits(np.ascontiguousarray(rows.T), axis=1,
                                                bitorder="little")
-    return packed.view("<u8").T
+    return packed.view("<u8")
 
 
 def unpack_columns(words: np.ndarray, count: int, columns=None) -> np.ndarray:
-    """The first ``count`` rows of packed ``words`` column by column: a
+    """The first ``count`` simulations of packed ``(k, words)`` rows: a
     ``(k, count)`` ``uint8`` 0/1 matrix, the transpose of :func:`unpack_rows`,
-    of every column or of the column ids ``columns`` in their order."""
-    by_column = words.T if columns is None else words.T.take(columns, axis=0)
-    by_column = np.ascontiguousarray(by_column, dtype="<u8").view(np.uint8)
-    return np.unpackbits(by_column, axis=1, count=int(count), bitorder="little")
+    of every row or of the row ids ``columns`` in their order."""
+    rows = words if columns is None else words.take(columns, axis=0)
+    rows = np.ascontiguousarray(rows, dtype="<u8").view(np.uint8)
+    return np.unpackbits(rows, axis=1, count=int(count), bitorder="little")
 
 
 def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` rows of packed ``words`` as a ``(count, k)`` boolean
-    matrix; inverse of :func:`pack_rows`."""
+    """The first ``count`` simulations of packed ``words`` as a ``(count,
+    k)`` boolean matrix; inverse of :func:`pack_rows`."""
     return np.ascontiguousarray(unpack_columns(words, count).T).view(bool)
 
 
 def start_mask(num_nodes: int, targets) -> np.ndarray:
-    """Packed ``(words, n)`` start mask with node ``targets[r]`` set in row
-    ``r`` only, one start node per simulation row."""
+    """Packed ``(n, words)`` start mask with node ``targets[r]`` set in
+    simulation ``r`` only, one start node per simulation."""
     targets = np.asarray(targets, dtype=np.int64)
     if targets.size and (targets.min() < 0 or targets.max() >= num_nodes):
         raise ValueError("target id out of range")
     rows = np.arange(targets.shape[0])
-    mask = np.zeros((-(-rows.shape[0] // 64), int(num_nodes)), dtype=np.uint64)
+    mask = np.zeros((int(num_nodes), -(-rows.shape[0] // 64)), dtype=np.uint64)
     bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
-    np.bitwise_or.at(mask.reshape(-1), (rows >> 6) * int(num_nodes) + targets, bits)
+    np.bitwise_or.at(mask.reshape(-1), targets * mask.shape[1] + (rows >> 6), bits)
     return mask
 
 
 def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
     """Bit-parallel BFS over packed simulations, one step at a time.
 
-    ``live`` is ``(words, m)`` ``uint64`` from :func:`pack_rows`: bit ``r``
-    of word ``j`` is simulation ``64 * j + r``.  ``seeds`` is either a node
-    collection, set in every bit (padding included), or a packed
-    ``(words, n)`` start mask holding one start set per simulation row
-    (:func:`start_mask`).  Yields ``(newly, active)`` for steps
-    ``0 .. tau``, both ``(words, n)`` packed masks: ``newly`` holds the
-    nodes first activated at that step (the start nodes at step 0) and
-    ``active`` the union of all steps so far.  Each step gathers the
-    frontier bits of every edge's tail, keeps the live ones and ORs them
-    into each head with one ``reduceat`` over the edges sorted by head.
+    ``live`` is the ``(m, words)`` ``uint64`` edge rows of :func:`pack_rows`:
+    bit ``r`` of word ``j`` is simulation ``64 * j + r``.  ``seeds`` is
+    either a node collection, set in every bit (padding included), or a
+    packed ``(n, words)`` start mask holding one start set per simulation
+    (:func:`start_mask`).  Yields ``(newly, active)`` for steps ``0 ..
+    tau``, both ``(n, words)`` packed masks: ``newly`` holds the nodes
+    first activated at that step (the start nodes at step 0) and ``active``
+    the union of all steps so far.  Each step gathers the frontier row of
+    every edge's tail, keeps the live bits and ORs the rows of each head's
+    in-edges with one ``reduceat``.
     Over :attr:`Graph.reversed`, ``active`` holds the nodes that reach the
     start nodes.  Stops early after a step that activates nothing.  Padding
     bits never spread, since their live bits are zero.  Both arrays are
@@ -615,22 +617,22 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
         raise ValueError("step limit must be nonnegative")
     if np.ndim(seeds) == 2:
         active = np.array(seeds, dtype=np.uint64)
-        if active.shape != (live.shape[0], graph.num_nodes):
-            raise ValueError("start mask must be (words, nodes)")
+        if active.shape != (graph.num_nodes, live.shape[1]):
+            raise ValueError("start mask must be (nodes, words)")
     else:
         seeds = as_seed_tuple(graph.num_nodes, seeds)
-        active = np.zeros((live.shape[0], graph.num_nodes), dtype=np.uint64)
-        active[:, list(seeds)] = ~np.uint64(0)
+        active = np.zeros((graph.num_nodes, live.shape[1]), dtype=np.uint64)
+        active[list(seeds)] = ~np.uint64(0)
     frontier = active
     yield frontier, active
     if graph.num_edges == 0:
         return
     tails_by_head, has_in, first_in = graph._in_heads
-    live_by_head = live[:, graph._in_order]
+    live_by_head = live[graph._in_order]
     for _ in range(tau):
-        hit = frontier[:, tails_by_head] & live_by_head
+        hit = frontier[tails_by_head] & live_by_head
         nxt = np.zeros(active.shape, dtype=np.uint64)
-        nxt[:, has_in] = np.bitwise_or.reduceat(hit, first_in, axis=1)
+        nxt[has_in] = np.bitwise_or.reduceat(hit, first_in, axis=0)
         nxt &= ~active
         if not nxt.any():
             return
@@ -642,11 +644,11 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
 def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndarray:
     """Packed active-node masks for packed simulations.
 
-    ``live`` is ``(words, m)`` and the result ``(words, n)``, both
+    ``live`` is ``(m, words)`` and the result ``(n, words)``, both
     ``uint64`` as laid out by :func:`pack_rows`; ``seeds`` is as in
     :func:`propagation_steps`.  Over :attr:`Graph.reversed` from a
-    :func:`start_mask`, unpacked row ``r`` matches :func:`reverse_reach_set`
-    of row ``r``'s live edges and start node.
+    :func:`start_mask`, unpacked simulation ``r`` matches
+    :func:`reverse_reach_set` of its live edges and start node.
     """
     for _, active in propagation_steps(graph, live, seeds, tau):
         pass
@@ -660,30 +662,31 @@ _EXPLICIT_CACHE_BYTES = 1 << 27
 
 
 def source_reaches(graph: Graph, live: np.ndarray, tau: int, sources=None):
-    """Yield the ``(b, words, n)`` :func:`reach_mask_batch` masks of the
-    single sources ``sources`` (every node ``0 .. n-1`` by default), ``b``
-    consecutive sources at a time.  A block is one propagation over ``live``
-    tiled ``b`` times, each source set in all of its own rows."""
-    n, width = graph.num_nodes, live.shape[0]
+    """Yield the C-contiguous ``(b, n, words)`` :func:`reach_mask_batch`
+    masks of the single sources ``sources`` (every node ``0 .. n-1`` by
+    default), ``b`` consecutive sources at a time: one propagation over
+    ``live`` tiled ``b`` times along the word axis, cut source by source."""
+    n, width = graph.num_nodes, live.shape[1]
     sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
     block = max(1, _BLOCK_CELLS // (width * max(graph.num_edges, n, 1)))
     for lo in range(0, sources.size, block):
         b = min(block, sources.size - lo)
-        start = np.zeros((b, width, n), dtype=np.uint64)
-        start[np.arange(b), :, sources[lo:lo + b]] = ~np.uint64(0)
-        tiled = live if b == 1 else np.tile(live, (b, 1))
-        yield reach_mask_batch(graph, tiled, start.reshape(-1, n), tau).reshape(b, width, n)
+        start = np.zeros((n, b, width), dtype=np.uint64)
+        start[sources[lo:lo + b], np.arange(b)] = ~np.uint64(0)
+        tiled = live if b == 1 else np.tile(live, (1, b))
+        mask = reach_mask_batch(graph, tiled, start.reshape(n, -1), tau)
+        yield np.ascontiguousarray(mask.reshape(n, b, width).transpose(1, 0, 2))
 
 
 def reach_table(graph: Graph, live: np.ndarray, tau: int, sources=None) -> np.ndarray | None:
-    """``(len(sources), words, n)`` :func:`source_reaches` of ``sources``
-    (every node by default), or ``None`` when they would exceed
+    """Source-first ``(len(sources), n, words)`` :func:`source_reaches` of
+    ``sources`` (every node by default), or ``None`` when they would exceed
     ``_EXPLICIT_CACHE_BYTES``."""
     n = graph.num_nodes
     count = n if sources is None else len(sources)
-    if count * live.shape[0] * n * 8 > _EXPLICIT_CACHE_BYTES:
+    if count * live.shape[1] * n * 8 > _EXPLICIT_CACHE_BYTES:
         return None
-    table = np.empty((count, live.shape[0], n), dtype=np.uint64)
+    table = np.empty((count, n, live.shape[1]), dtype=np.uint64)
     lo = 0
     for reach in source_reaches(graph, live, tau, sources):
         table[lo:lo + len(reach)] = reach
@@ -694,9 +697,9 @@ def reach_table(graph: Graph, live: np.ndarray, tau: int, sources=None) -> np.nd
 def set_reaches(graph: Graph, live: np.ndarray, tau: int, ids: np.ndarray,
                 table: np.ndarray | None) -> np.ndarray:
     """:func:`reach_mask_batch` of each seed set in the rows of the ``(C, k)``
-    node ids, as ``(C, words, n)`` masks.  Reachability is a coverage
-    function, so a set's mask is the OR of its members' ``table`` rows;
-    without a table each set propagates on its own."""
+    node ids, as ``(C, n, words)`` masks.  Reachability is a coverage
+    function, so a set's mask is the OR of its members' whole ``(n, words)``
+    table entries; without a table each set propagates on its own."""
     if table is None:
         return np.stack([reach_mask_batch(graph, live, row, tau) for row in ids])
     masks = table[ids[:, 0]]
@@ -727,13 +730,13 @@ def node_weighted_sums(node_weights: np.ndarray, columns: np.ndarray) -> np.ndar
 
 
 def row_values(graph: Graph, mask: np.ndarray, rows: int, nodes=None) -> np.ndarray:
-    """Reach value of each of the first ``rows`` rows of a packed
-    ``(words, n)`` node mask, the :func:`node_weighted_sums` of its
-    ``(n, rows)`` columns: a row's value adds the weights of its active
-    nodes in node order, whatever the other rows hold, and no ``(rows, n)``
-    float matrix is formed.  ``nodes``, ascending ids, limits the sum to
-    their columns; a node outside them that is active in no row adds an
-    exact zero, so leaving it out keeps every bit."""
+    """Reach value of each of the first ``rows`` simulations of a packed
+    ``(n, words)`` node mask, the :func:`node_weighted_sums` of its unpacked
+    ``(n, rows)`` columns: a simulation's value adds the weights of its
+    active nodes in node order, whatever the others hold, and no ``(rows,
+    n)`` float matrix is formed.  ``nodes``, ascending ids, limits the sum
+    to their rows; a node outside them that is active in no simulation adds
+    an exact zero, so leaving it out keeps every bit."""
     weights = graph.node_weights if nodes is None else graph.node_weights[nodes]
     return node_weighted_sums(weights, unpack_columns(mask, rows, nodes))
 

@@ -166,11 +166,11 @@ def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarra
     """Bit-sliced tests ``u < x`` of the stream's uniforms.
 
     Test ``i`` compares unit ``units[i]``'s uniform ``u`` against ``x[i]``
-    in ``(0, 1)``.  ``undecided`` is the ``(W, T)`` ``uint64`` array of the
-    simulations to decide, of words ``word .. word+W-1``.  Returns ``(W,
-    T)`` words whose bit ``b`` of word ``j``, column ``i``, is ``u < x[i]``
-    in simulation ``64 (word + j) + b`` where that bit of ``undecided`` is
-    set, and 0 elsewhere.
+    in ``(0, 1)``.  ``undecided`` is the ``(T, W)`` ``uint64`` array of the
+    simulations to decide, a row per test over words ``word .. word+W-1``.
+    Returns ``(T, W)`` words whose bit ``b`` of word ``j`` in row ``i`` is
+    ``u < x[i]`` in simulation ``64 (word + j) + b`` where that bit of
+    ``undecided`` is set, and 0 elsewhere.
 
     A simulation is decided at the first round ``k`` where digit ``k`` of
     its ``u`` differs from digit ``k`` of ``x``, with ``u < x`` when that
@@ -183,16 +183,16 @@ def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarra
     ``undecided`` bits are clear, or its threshold has no 1 digit left.
     """
     key, gamma = stream_key(master_seed, stream_id)
-    width, tests = np.shape(undecided)
+    tests, width = np.shape(undecided)
     mant, top, rounds = _expansion(np.asarray(x, dtype=np.float64))
     words = np.arange(word, word + width, dtype=np.uint64)
     at_unit = (np.asarray(units).astype(np.uint64)
                * np.uint64((gamma << (WORD_BITS + ROUND_BITS)) & _WORD))
-    base = ((words * np.uint64((gamma << ROUND_BITS) & _WORD))[:, None]
-            + (at_unit + np.uint64(key))).reshape(-1)
+    base = ((at_unit + np.uint64(key))[:, None]
+            + words * np.uint64((gamma << ROUND_BITS) & _WORD)).reshape(-1)
     u = np.array(undecided, dtype=np.uint64).reshape(-1)
     live = np.zeros_like(u)
-    test = np.tile(np.arange(tests, dtype=np.int32), width)
+    test = np.repeat(np.arange(tests, dtype=np.int32), width)
     cells = np.arange(u.size, dtype=np.int32)
     ks = np.arange(_ROUNDS)
     while True:
@@ -216,7 +216,7 @@ def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarra
         held = (u != 0) & (rounds > ks[0]).take(test)
         left = np.count_nonzero(held)
         if not left:
-            return live.reshape(width, tests)
+            return live.reshape(tests, width)
         # Cut to a multiple of 64 cells, padding with decided ones, so that
         # numpy's cache of small buffers sees few distinct sizes.
         held[np.flatnonzero(~held)[:-left % 64]] = True

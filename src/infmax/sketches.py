@@ -137,7 +137,7 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     if k < MIN_SKETCH_SIZE:
         raise ValueError(f"sketch size must be at least {MIN_SKETCH_SIZE}")
     g = model.graph
-    n, m = g.num_nodes, g.num_edges
+    m = g.num_edges
     live = np.asarray(pool, dtype=bool)
     if live.ndim != 2 or live.shape[1] != m:
         raise ValueError(f"pool must be a (simulations, {m}) live matrix")
@@ -159,9 +159,9 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
         ranks_o = flat[order]
     nodes_o, sims_o = np.divmod(order, ell)
     # Pair f of the rank order is bit bits[f] of cell cells[f] of a source's
-    # (width, n) reach words.  The finite-rank bits leave out the padding of
-    # a partial last word, which a source's own column sets.
-    cells = (sims_o >> 6) * n + nodes_o
+    # (n, width) reach words.  The finite-rank bits leave out the padding of
+    # a partial last word, which a source's own row sets.
+    cells = nodes_o * -(-ell // 64) + (sims_o >> 6)
     bits = np.left_shift(np.uint64(1), (sims_o & 63).astype(np.uint64))
     finite_bits = pack_rows(np.isfinite(ranks))
     k_scan = min(k, order.size)

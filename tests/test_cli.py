@@ -130,6 +130,20 @@ def test_maximize_methods_report_the_maximize_im_names(tmp_path):
     assert direct.method == "moa-brute"
 
 
+@pytest.mark.parametrize("count,message", [
+    # 6.94 EiB of node weights: numpy refuses the allocation at once.
+    ("1000000000000000000", "line 2: no memory for 1000000000000000000 nodes"),
+    ("-3", "line 2: negative node count -3"),
+])
+def test_node_count_header_fails_as_a_usage_error(count, message, tmp_path, capsys):
+    (tmp_path / "g.edges").write_text(f"\n#nodes {count}\n0 1 0.5\n")
+    model = tmp_path / "g.model"
+    model.write_text(json.dumps({"kind": "ic", "graph_path": "g.edges"}))
+    assert run_cli(["estimate", "--model", str(model), "--seeds", "0", "--tau", "1",
+                    "--pools", "1", "--pool-size", "4"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     # unknown subcommand -> usage error
     assert run_cli(["frobnicate"]) == 2

@@ -91,8 +91,8 @@ def test_oracle_takes_bool_rows_or_packed_words_of_its_config_shape():
     # Rows, words or edge columns that do not fit the config fail at
     # construction instead of skewing or breaking later queries.
     for live in (rows[:50], rows[:, :m - 1], np.zeros((101, m), dtype=bool),
-                 im.pack_rows(rows[:64]), words[:, :m - 1],
-                 np.zeros((3, m), dtype=np.uint64)):
+                 im.pack_rows(rows[:64]), words[:m - 1],
+                 np.zeros((m, 3), dtype=np.uint64)):
         with pytest.raises(ValueError, match="must be"):
             im.Oracle(model, config, live, None)
 
@@ -116,7 +116,7 @@ def test_packed_pool_counts_match_bool_sums(pools, pool_size, cols, density, see
     # set the padding bits of the last word: they must never be counted
     tail = (pools * pool_size) % 64
     if tail:
-        packed[-1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
+        packed[:, -1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
     counts = im.pool_counts(packed, pools, pool_size)
     assert counts.shape == (pools, cols)
     assert counts.dtype == np.int64
@@ -134,11 +134,11 @@ def test_batched_pool_reduction_equals_per_mask_calls(pools, pool_size, cols, ba
                                                       density, seed):
     gen = np.random.default_rng(seed)
     masks = im.pack_rows(gen.random((pools * pool_size, batch * cols)) < density)
-    masks = np.ascontiguousarray(masks.reshape(-1, batch, cols).transpose(1, 0, 2))
+    masks = masks.reshape(batch, cols, -1)
     # set the padding bits of every last word: they must never be counted
     tail = (pools * pool_size) % 64
     if tail:
-        masks[:, -1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
+        masks[..., -1] |= ~((np.uint64(1) << np.uint64(tail)) - np.uint64(1))
     counts = im.pool_counts(masks, pools, pool_size)
     assert counts.shape == (batch, pools, cols)
     assert counts.dtype == np.int64

@@ -442,7 +442,7 @@ def test_outcome_chunks_match_reference_loops(kind, chunk, monkeypatch):
         lt_rows = im.outcome_count(model.components[0])
     seen = 0
     for (words, rows, probs), (live, expect_probs) in zip(got, expect):
-        assert words.dtype == np.uint64 and words.shape == (-(-rows // 64), m)
+        assert words.dtype == np.uint64 and words.shape == (m, -(-rows // 64))
         assert rows == live.shape[0]
         assert np.array_equal(im.unpack_rows(words, rows), live)
         # padding bits past the last row stay zero

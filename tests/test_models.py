@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import infmax as im
-from infmax import models, rng
+from infmax import exact, models, rng
 from scalar_reference import reach_ids
 import stream_reference
 
@@ -151,8 +151,8 @@ def test_pool_sampling_thread_invariant(monkeypatch):
 
 def test_pool_sampling_counts():
     model = random_model(3)
-    for packed in (False, True):
-        assert im.sample_pool(model, 9, 0, packed=packed)[0].shape == (0, 14)
+    assert im.sample_pool(model, 9, 0)[0].shape == (0, 14)
+    assert im.sample_pool(model, 9, 0, packed=True)[0].shape == (14, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         im.sample_pool(model, 9, -1)
 
@@ -427,8 +427,8 @@ def test_edge_selection_equals_masked_columns_of_full_pool(kind, start, count, t
     full, comps = im.sample_pool(model, 13, count, start, threads, packed=True)
     words, picked_comps = im.sample_pool(model, 13, count, start, threads, packed=True,
                                          edges=mask)
-    assert words.shape == (full.shape[0], int(mask.sum()))
-    assert np.array_equal(words, full[:, mask])
+    assert words.shape == (int(mask.sum()), full.shape[1])
+    assert np.array_equal(words, full[mask])
     assert (comps is None) == (picked_comps is None)
     if comps is not None:
         assert np.array_equal(comps, picked_comps)
@@ -453,12 +453,12 @@ def test_lt_picks_at_most_one_in_edge_per_node_in_every_simulation():
     for v in range(1, 6):
         ins = g.in_edges(v)
         for a, b in itertools.combinations(ins.tolist(), 2):
-            assert not (words[:, a] & words[:, b]).any()
-        picked = np.zeros(words.shape[0], dtype=np.uint64)
+            assert not (words[a] & words[b]).any()
+        picked = np.zeros(words.shape[1], dtype=np.uint64)
         for e in ins.tolist():
-            picked |= words[:, e]
+            picked |= words[e]
             p = g.probs[e]
-            z = (int(np.bitwise_count(words[:, e]).sum()) - sims * p) / np.sqrt(sims * p * (1 - p))
+            z = (int(np.bitwise_count(words[e]).sum()) - sims * p) / np.sqrt(sims * p * (1 - p))
             assert abs(z) <= 5
         none = 1.0 - g.probs[ins].sum()
         if none > 0.0:
@@ -514,14 +514,15 @@ def test_live_shares_match_marginals(kind):
 
 def row_major_pack(rows):
     """pack_rows as first written: packbits down the rows, then a transpose
-    of the (words, 8, k) bytes."""
+    of the (words, 8, k) bytes, with the words of each column laid out as
+    one row."""
     rows = np.asarray(rows, dtype=bool)
     count, k = rows.shape
     words = -(-count // 64)
     packed = np.zeros((words * 8, k), dtype=np.uint8)
     packed[:(count + 7) // 8] = np.packbits(rows, axis=0, bitorder="little")
-    by_word = np.ascontiguousarray(packed.reshape(words, 8, k).transpose(0, 2, 1))
-    return by_word.view("<u8")[..., 0]
+    by_column = np.ascontiguousarray(packed.reshape(words, 8, k).transpose(2, 0, 1))
+    return by_column.view("<u8")[..., 0]
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 63, 64, 65, 1025])
@@ -626,9 +627,9 @@ def test_batch_reach_matches_scalar(kind, master, tau, picks, rows):
     seeds = tuple(sorted({p % n for p in picks}))
     live, _ = im.sample_pool(model, master, rows)
     packed = im.pack_rows(live)
-    assert packed.shape == (-(-rows // 64), model.graph.num_edges)
+    assert packed.shape == (model.graph.num_edges, -(-rows // 64))
     mask = im.reach_mask_batch(model.graph, packed, seeds, tau)
-    assert mask.shape == (packed.shape[0], n)
+    assert mask.shape == (n, packed.shape[1])
     unpacked = im.unpack_rows(mask, rows)
     for i in range(rows):
         ids = reach_ids(model.graph, live[i], seeds, tau)
@@ -642,10 +643,10 @@ def test_pack_rows_bit_layout(rows, cols, seed):
     assert packed.dtype == np.uint64
     for r in range(rows):
         word, bit = divmod(r, 64)
-        got = (packed[word] >> np.uint64(bit)) & np.uint64(1)
+        got = (packed[:, word] >> np.uint64(bit)) & np.uint64(1)
         assert np.array_equal(got.astype(bool), bits[r])
     if rows % 64:
-        assert not np.any(packed[-1] >> np.uint64(rows % 64))
+        assert not np.any(packed[:, -1] >> np.uint64(rows % 64))
     assert np.array_equal(im.unpack_rows(packed, rows), bits)
     columns = models.unpack_columns(packed, rows)
     assert columns.dtype == np.uint8 and np.array_equal(columns, bits.T)
@@ -663,7 +664,7 @@ def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
     start = im.start_mask(n, targets)
     assert np.array_equal(im.unpack_rows(start, rows), np.eye(n, dtype=bool)[targets])
     if rows % 64:
-        assert not np.any(start[-1] >> np.uint64(rows % 64))
+        assert not np.any(start[:, -1] >> np.uint64(rows % 64))
     mask = im.reach_mask_batch(g.reversed if reverse else g, im.pack_rows(live), start, tau)
     unpacked = im.unpack_rows(mask, rows)
     for i in range(rows):
@@ -695,7 +696,7 @@ def test_source_reaches_and_table_match_single_source_propagation(per_block, mon
         # 63 and 130 rows end in a partial word
         for rows in (1, 63, 64, 130):
             live, _ = im.sample_pool(model, rows, rows, packed=True)
-            width = live.shape[0]
+            width = live.shape[1]
             if per_block is not None:
                 monkeypatch.setattr(models, "_BLOCK_CELLS",
                                     per_block * width * max(g.num_edges, n))
@@ -723,6 +724,42 @@ def test_source_reaches_and_table_match_single_source_propagation(per_block, mon
             assert models.reach_table(g, live, 1) is None
             assert models.reach_table(g, live, 1, np.arange(n - 1)) is not None
             monkeypatch.undo()
+
+
+def test_every_packed_producer_returns_contiguous_rows(monkeypatch):
+    # One layout from the sampler to the reduction: C-contiguous (k,
+    # ceil(count / 64)) uint64, k edges of a live pool or k nodes of a mask.
+    # A transposed view fails here.  At 64 hash cells the pool is several
+    # blocks, so two threads split it.
+    monkeypatch.setattr(models, "_HASH_CELLS", 64)
+    monkeypatch.setattr(exact, "_CHUNK", 100)
+    model = random_model(5, n=9, m=22)
+    g, n, m = model.graph, model.num_nodes, model.graph.num_edges
+    count, edges = 130, np.arange(m) % 3 == 1
+
+    def check(words, k, count=count):
+        assert words.dtype == np.uint64 and words.flags.c_contiguous
+        assert words.shape[-2:] == (k, -(-count // 64))
+
+    rows, _ = im.sample_pool(model, 3, count)
+    live, start = im.pack_rows(rows), im.start_mask(n, np.arange(count) % n)
+    check(live, m)
+    check(start, n)
+    assert model._edge_sampler[1] < count
+    for threads in (1, 2):
+        check(im.sample_pool(model, 3, count, threads=threads, packed=True)[0], m)
+        check(im.sample_pool(model, 3, count, 5, threads, packed=True, edges=edges)[0],
+              int(edges.sum()))
+    check(im.reach_mask_batch(g, live, (0, 4), 2), n)
+    check(im.reach_mask_batch(g.reversed, live, start, 2), n)
+    for block in models.source_reaches(g, live, 2):
+        check(block, n)
+    check(models.reach_table(g, live, 2), n)
+    mixture = im.mixture_model([(random_model(1, n=6, m=8), 0.5),
+                                (random_model(2, n=6, m=8), 0.5)])
+    parts, _ = exact._parts(mixture)
+    for words, rows, _ in exact._outcome_chunks(parts, np.ones(16, dtype=bool)):
+        check(words, 16, rows)
 
 
 def test_negative_step_limit_rejected():

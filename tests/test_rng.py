@@ -52,16 +52,16 @@ def test_threshold_digits_are_the_binary_expansion():
 @pytest.mark.parametrize("word", [0, 3, 2**27 - 2])
 def test_less_words_match_the_reference(word):
     units = np.array([0, 1, 5, 5, 5, rng.MAX_UNITS - 1, 9, 2])
-    undecided = np.random.default_rng(word).integers(0, 2**64, (2, len(units)),
+    undecided = np.random.default_rng(word).integers(0, 2**64, (len(units), 2),
                                                      dtype=np.uint64)
-    undecided[0] = ~np.uint64(0)
+    undecided[:, 0] = ~np.uint64(0)
     got = rng.less_words(11, rng.STREAM_UNITS, units, THRESHOLDS, word, undecided)
     for j in range(2):
         for i, (unit, x) in enumerate(zip(units.tolist(), THRESHOLDS)):
             for b in range(64):
-                expect = ((int(undecided[j, i]) >> b) & 1 and stream_reference.less(
+                expect = ((int(undecided[i, j]) >> b) & 1 and stream_reference.less(
                     11, rng.STREAM_UNITS, unit, 64 * (word + j) + b, x))
-                assert (int(got[j, i]) >> b) & 1 == expect, (j, i, b)
+                assert (int(got[i, j]) >> b) & 1 == expect, (j, i, b)
 
 
 def test_sim_uniforms_match_the_reference():
@@ -77,19 +77,19 @@ def test_words_depend_only_on_their_unit_and_simulation():
     # shifted word range and with fewer simulations to decide.
     units = np.array([4, 0, 4, 7, 2])
     x = np.array([0.3, 0.5, 0.9, 1e-3, 0.7])
-    ones = np.full((8, units.size), ~np.uint64(0))
+    ones = np.full((units.size, 8), ~np.uint64(0))
     full = rng.less_words(3, rng.STREAM_NODES, units, x, 10, ones)
     for i in range(units.size):
-        alone = rng.less_words(3, rng.STREAM_NODES, units[i:i + 1], x[i:i + 1], 10, ones[:, :1])
-        assert np.array_equal(alone[:, 0], full[:, i])
-    assert np.array_equal(rng.less_words(3, rng.STREAM_NODES, units, x, 12, ones[:3]),
-                          full[2:5])
+        alone = rng.less_words(3, rng.STREAM_NODES, units[i:i + 1], x[i:i + 1], 10, ones[:1])
+        assert np.array_equal(alone[0], full[i])
+    assert np.array_equal(rng.less_words(3, rng.STREAM_NODES, units, x, 12, ones[:, :3]),
+                          full[:, 2:5])
     mask = np.random.default_rng(0).integers(0, 2**64, ones.shape, dtype=np.uint64)
     assert np.array_equal(rng.less_words(3, rng.STREAM_NODES, units, x, 10, mask),
                           full & mask)
     # u < lo implies u < hi on the same digits.
-    lo = rng.less_words(3, rng.STREAM_NODES, [4], [0.3], 10, ones[:, :1])
-    assert not (lo[:, 0] & ~full[:, 2]).any()
+    lo = rng.less_words(3, rng.STREAM_NODES, [4], [0.3], 10, ones[:1])
+    assert not (lo[0] & ~full[2]).any()
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -105,9 +105,8 @@ def test_block_uniforms_follow_the_tiles(start, count, width):
     rows[start - 64 * first:start - 64 * first + count] = True
     own = np.packbits(rows, bitorder="little").view("<u8")
     got = rng.less_words(5, rng.STREAM_UNITS, np.arange(width), x, first,
-                         np.repeat(own[:, None], width, axis=1))
-    bits = np.unpackbits(np.ascontiguousarray(got.T).view(np.uint8), axis=1,
-                         bitorder="little").T
+                         np.repeat(own[None, :], width, axis=0))
+    bits = np.unpackbits(got.view(np.uint8), axis=1, bitorder="little").T
     expect = np.zeros_like(bits)
     for sim in range(start, start + count):
         for j in range(width):
@@ -124,7 +123,7 @@ def test_width_one_streams_read_draw_i_for_simulation_i():
 
 
 def test_block_streams_differ_across_ids():
-    ones = np.full((2, 8), ~np.uint64(0))
+    ones = np.full((8, 2), ~np.uint64(0))
     args = (np.arange(8), np.full(8, 0.5), 0, ones)
     base = rng.less_words(7, rng.STREAM_EDGES, *args)
     assert not np.array_equal(base, rng.less_words(8, rng.STREAM_EDGES, *args))
@@ -155,9 +154,9 @@ def z_score(hits, trials, p):
 
 
 def stat_words(stream_id, units, x, master_seed=2024):
-    """``(STAT_WORDS, len(units))`` words of ``u < x`` over 2**22 simulations."""
+    """``(len(units), STAT_WORDS)`` words of ``u < x`` over 2**22 simulations."""
     units = np.asarray(units)
-    ones = np.full((STAT_WORDS, units.size), ~np.uint64(0))
+    ones = np.full((units.size, STAT_WORDS), ~np.uint64(0))
     return rng.less_words(master_seed, stream_id, units, np.full(units.size, x), 0, ones)
 
 
@@ -166,7 +165,7 @@ def test_unit_frequencies(x):
     words = stat_words(rng.STREAM_EDGES, np.arange(8), x)
     trials = 64 * STAT_WORDS
     for j in range(8):
-        assert abs(z_score(popcount(words[:, j]), trials, x)) <= Z_BOUND, j
+        assert abs(z_score(popcount(words[j]), trials, x)) <= Z_BOUND, j
 
 
 @pytest.mark.parametrize("x", [0.5, 0.3])
@@ -177,21 +176,21 @@ def test_adjacent_pairs_are_independent(x):
     trials = 64 * STAT_WORDS
     # Adjacent units, same simulation.
     for j in range(units.size - 1):
-        assert abs(z_score(popcount(words[:, j] & words[:, j + 1]), trials, p)) <= Z_BOUND
+        assert abs(z_score(popcount(words[j] & words[j + 1]), trials, p)) <= Z_BOUND
     # Adjacent words, same unit and bit.
     for j in range(units.size):
         pairs = 64 * (STAT_WORDS - 1)
-        assert abs(z_score(popcount(words[1:, j] & words[:-1, j]), pairs, p)) <= Z_BOUND
+        assert abs(z_score(popcount(words[j, 1:] & words[j, :-1]), pairs, p)) <= Z_BOUND
     # Adjacent simulations within a word.
     pairs = 63 * STAT_WORDS
     for j in range(units.size):
-        both = popcount(words[:, j] & (words[:, j] >> np.uint64(1)))
+        both = popcount(words[j] & (words[j] >> np.uint64(1)))
         assert abs(z_score(both, pairs, p)) <= Z_BOUND
     # Adjacent streams, same unit and simulation.
     by_stream = [stat_words(s, [0, 1], x) for s in range(1, 7)]
     for a, b in zip(by_stream, by_stream[1:]):
         for j in range(2):
-            assert abs(z_score(popcount(a[:, j] & b[:, j]), trials, p)) <= Z_BOUND
+            assert abs(z_score(popcount(a[j] & b[j]), trials, p)) <= Z_BOUND
 
 
 def test_simulation_floats_are_uniform_and_independent():
