@@ -436,7 +436,7 @@ def main(argv=None) -> int:
     except EnumerationBudgetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     return EXIT_OK if code is None else code

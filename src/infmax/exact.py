@@ -25,7 +25,7 @@ import numpy as np
 
 from .estimators import _SCORE_BLOCK_BYTES
 from .graph import Graph, as_seed_tuple
-from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, _units, ball, ball_edges,
+from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, ball, ball_edges,
                      propagation_steps, reach_table, row_values, set_reaches, unpack_columns)
 
 MAX_OUTCOME_BITS = 25
@@ -34,8 +34,6 @@ _HOLDS_SLACK = 1e-9
 # Largest (tau + 1) x n float64 step profile an exact report allocates: 1 GiB,
 # so depth_profile's default tau = n - 1 runs up to 11,585 nodes.
 _STEP_PROFILE_BYTES = 1 << 30
-# Cells of the step profile per block of its final column permutation.
-_PERMUTE_CELLS = 1 << 16
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -88,30 +86,20 @@ class DepthProfile:
 
 def outcome_count(model: DiffusionModel) -> int:
     """Number of weighted outcomes full enumeration would visit."""
-    if model.kind == MIXTURE:
-        return sum(outcome_count(c) for c in model.components)
-    return math.prod(_units(model)[0].tolist())
+    return sum(math.prod(part._units[0].tolist()) for part, _, _ in model.parts)
 
 
-def _parts(model: DiffusionModel):
-    """``(parts, size)``: the ``(part, units, weight, offset)`` of the
-    model, or of each mixture component, with its :func:`_units` table read
-    once per call, and the whole model's :func:`outcome_count`, checked
-    against the budget."""
-    parts = [(model, 1.0, 0)]
-    if model.kind == MIXTURE:
-        parts = zip(model.components, model.component_weights.tolist(),
-                    model.component_offsets.tolist())
-    parts = [(part, _units(part), weight, offset) for part, weight, offset in parts]
-    size = sum(math.prod(units[0].tolist()) for _, units, _, _ in parts)
+def _budgeted_count(model: DiffusionModel) -> int:
+    """The model's :func:`outcome_count`, checked against the budget."""
+    size = outcome_count(model)
     if size > (1 << MAX_OUTCOME_BITS):
         raise EnumerationBudgetError("instance too large for exact enumeration")
-    return parts, size
+    return size
 
 
 def _ball_units(units, relevant: np.ndarray):
-    """The :func:`_units` table ``units`` restricted to its units with a
-    ``relevant`` edge, in the same layout.
+    """The unit table ``units`` (:attr:`DiffusionModel._units`) restricted
+    to its units with a ``relevant`` edge, in the same layout.
 
     A kept unit keeps, in order, each choice that makes a relevant edge
     live; its other choices (IC and BDEP "dead", LT "none" and in-edges
@@ -148,10 +136,10 @@ def _ball_units(units, relevant: np.ndarray):
             np.where(relevant, np.array(index)[edge_choice], count))
 
 
-def _outcome_chunks(parts, relevant: np.ndarray):
+def _outcome_chunks(model: DiffusionModel, relevant: np.ndarray):
     """Iterator of ``(words, rows, probs)`` chunks covering the outcome space
-    of the units of ``parts`` (from :func:`_parts`) that ``relevant`` edges
-    belong to (:func:`_ball_units`); the others sum out.
+    of the units of ``model``'s parts (:attr:`DiffusionModel.parts`) that
+    ``relevant`` edges belong to (:func:`_ball_units`); the others sum out.
 
     A chunk holds ``rows`` consecutive outcomes of one part (the model or a
     mixture component): their packed ``(m, ceil(rows / 64))`` live edges
@@ -159,11 +147,11 @@ def _outcome_chunks(parts, relevant: np.ndarray):
     mixed-radix over its restricted units, unit 0 least significant; its
     probability is the part's weight times its choice probabilities,
     multiplied in unit order.  With every edge relevant the chunks cover
-    the whole outcome space of :func:`_units`.
+    the whole outcome space of the parts' unit tables.
     """
-    for part, units, weight, offset in parts:
+    for part, weight, offset in model.parts:
         m = part.graph.num_edges
-        yield from _part_chunks(*_ball_units(units, relevant[offset:offset + m]),
+        yield from _part_chunks(*_ball_units(part._units, relevant[offset:offset + m]),
                                 weight, offset, m, relevant.size)
 
 
@@ -310,7 +298,7 @@ def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
     tau = int(tau)
     if tau < 0:
         raise ValueError("step limit must be nonnegative")
-    parts, _ = _parts(model)
+    _budgeted_count(model)
     sets = [as_seed_tuple(g.num_nodes, seeds) for seeds in seed_sets]
     balls: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for i, s in enumerate(sets):
@@ -323,7 +311,7 @@ def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
         k = max(len(sets[i]) for i in members)
         ids = np.array([sets[i] + sets[i][:1] * (k - len(sets[i])) for i in members],
                        dtype=np.int64)
-        for words, rows, probs in _outcome_chunks(parts, relevant):
+        for words, rows, probs in _outcome_chunks(model, relevant):
             totals[members] += _chunk_set_values(g, words, rows, probs, tau, ids)
     return totals
 
@@ -361,13 +349,12 @@ def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
     if (tau + 1) * n * 8 > _STEP_PROFILE_BYTES:
         raise ValueError(f"step limit {tau} needs a {(tau + 1) * n * 8}-byte step profile, "
                          f"over the {_STEP_PROFILE_BYTES}-byte budget")
-    parts, size = _parts(model)
+    size = _budgeted_count(model)
     distance, relevant = ball(model, tau, seeds)
     # Nodes by distance: ends[d] of them lie within d steps, for every step
-    # 0 .. n - 1.  Each step adds its sums into a run of the step profile's
-    # columns taken in that order, and the columns move to node order at the
-    # end, _PERMUTE_CELLS cells at a time.  No node first activates after
-    # step n - 1.
+    # 0 .. n - 1.  Step d adds its sums into the step profile's columns of
+    # the nodes at distance 1 .. d (step 0: the seeds).  No node first
+    # activates after step n - 1.
     by_distance = np.argsort(distance, kind="stable")
     ends = np.cumsum(np.bincount(distance, minlength=n)).tolist()
     step_probs = np.zeros((tau + 1, n), dtype=np.float64)
@@ -375,19 +362,15 @@ def exact_report(model: DiffusionModel, seeds, tau: int) -> ExactReport:
     walked = 0
     influence = 0.0
     second = 0.0
-    for words, rows, probs in _outcome_chunks(parts, relevant):
+    for words, rows, probs in _outcome_chunks(model, relevant):
         walked += rows
         for d, (newly, active) in enumerate(propagation_steps(g, words, seeds, tau)):
-            lo = ends[0] if d else 0
-            step_probs[d, lo:ends[d]] += np.einsum(
-                "vr,r->v", unpack_columns(newly, rows, by_distance[lo:ends[d]]), probs)
+            columns = by_distance[ends[0] if d else 0:ends[d]]
+            step_probs[d, columns] += np.einsum(
+                "vr,r->v", unpack_columns(newly, rows, columns), probs)
         values = row_values(g, active, rows, near)
         influence += float(np.einsum("r,r->", probs, values))
         second += float(np.einsum("r,r->", probs, values * values))
-    column = np.argsort(by_distance)
-    per = max(1, _PERMUTE_CELLS // n)
-    for lo in range(0, min(tau, n - 1) + 1, per):
-        step_probs[lo:lo + per] = step_probs[lo:lo + per, column]
     variance = max(second - influence * influence, 0.0)
     step_probs.setflags(write=False)
     return ExactReport(influence, variance, step_probs, size, walked, tau,

@@ -15,11 +15,11 @@ A simulation is one i.i.d. draw: a boolean live mask over the model's edge
 list, fixed by the ``(master_seed, sim_index)`` that produced it.
 Sampling follows stream layout 4 (see :mod:`infmax.rng`): simulation
 ``sim_index`` reads one uniform per random unit of the model's
-:func:`_units` table, the same table exact enumeration walks, from a
-counter-hash stream whose bits are the uniforms' binary digits.  The
-uniforms are never formed: :func:`sample_pool` decides each live bit by
-comparing digits, 64 simulations per ``uint64`` word, so no boolean live
-matrix is built.  Edges at p = 0 or 1 hash nothing, and a mixture hashes
+:attr:`DiffusionModel._units` table, the same table exact enumeration
+walks, from a counter-hash stream whose bits are the uniforms' binary
+digits.  The uniforms are never formed: :func:`sample_pool` decides each
+live bit by comparing digits, 64 simulations per ``uint64`` word, so no
+boolean live matrix is built.  Edges at p = 0 or 1 hash nothing, and a mixture hashes
 its component choice plus its components' units from one shared stream.
 So any one simulation is regenerated in isolation.  :func:`sample_pool`
 packs every edge or only those of an edge mask, such as a seed set's
@@ -42,6 +42,7 @@ as a reference.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -103,7 +104,6 @@ class DiffusionModel:
     b: int | None = None
     components: tuple["DiffusionModel", ...] = ()
     component_weights: np.ndarray | None = None
-    component_offsets: np.ndarray | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -114,6 +114,27 @@ class DiffusionModel:
         if self.kind != MIXTURE:
             raise ValueError("min_component_weight is defined for mixtures only")
         return float(self.component_weights.min())
+
+    @property
+    def parts(self) -> tuple:
+        """``(part, weight, offset)`` of each non-mixture model this one
+        draws from: a mixture's components, each with its weight and the id
+        of its first edge in the union graph, or the model itself as one
+        part of weight 1 at offset 0."""
+        # A model that cached a tuple holding itself would be freed only by
+        # the cycle collector, not when its last reference goes.
+        return ((self, 1.0, 0),) if self.kind != MIXTURE else self._mixture_parts
+
+    @cached_property
+    def _mixture_parts(self) -> tuple:
+        offsets = itertools.accumulate((c.graph.num_edges for c in self.components),
+                                       initial=0)
+        return tuple(zip(self.components, self.component_weights.tolist(), offsets))
+
+    @cached_property
+    def _units(self):
+        """:func:`_build_units` of a non-mixture model, built on first use."""
+        return _build_units(self)
 
     @cached_property
     def _draw_plan(self):
@@ -134,13 +155,10 @@ class DiffusionModel:
     @cached_property
     def marginal_edge_probs(self) -> np.ndarray:
         """Per-edge marginal live probability, dependence ignored."""
-        if self.kind == MIXTURE:
-            probs = np.array(self.graph.probs, dtype=np.float64)
-            for c, (off, comp) in enumerate(zip(self.component_offsets, self.components)):
-                m = comp.graph.num_edges
-                probs[off:off + m] *= self.component_weights[c]
-            return probs
-        return np.array(self.graph.probs, dtype=np.float64)
+        probs = np.array(self.graph.probs, dtype=np.float64)
+        for part, weight, offset in self.parts:
+            probs[offset:offset + part.graph.num_edges] *= weight
+        return probs
 
 
 def ic_model(graph: Graph) -> DiffusionModel:
@@ -178,11 +196,7 @@ def mixture_model(components) -> DiffusionModel:
         weight = float(weight)
         if not weight > 0.0:
             raise ValueError("component weights must be positive")
-        if model.kind == MIXTURE:
-            for sub, w in zip(model.components, model.component_weights):
-                flat.append((sub, weight * float(w)))
-        else:
-            flat.append((model, weight))
+        flat.extend((part, weight * w) for part, w, _ in model.parts)
     if not flat:
         raise ValueError("mixture needs at least one component")
     total = sum(w for _, w in flat)
@@ -196,11 +210,9 @@ def mixture_model(components) -> DiffusionModel:
             raise ValueError("mixture components must share node weights")
     # Union graph: concatenated component edges, groups remapped to stay disjoint.
     tails, heads, probs, groups = [], [], [], []
-    offsets = np.zeros(len(flat), dtype=np.int64)
     group_base = 0
-    for c, (model, _) in enumerate(flat):
+    for model, _ in flat:
         g = model.graph
-        offsets[c] = sum(len(t) for t in tails)
         tails.append(g.tails)
         heads.append(g.heads)
         probs.append(g.probs)
@@ -217,8 +229,7 @@ def mixture_model(components) -> DiffusionModel:
     return DiffusionModel(
         MIXTURE, union,
         components=tuple(m for m, _ in flat),
-        component_weights=np.array([w for _, w in flat], dtype=np.float64),
-        component_offsets=offsets)
+        component_weights=np.array([w for _, w in flat], dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +239,10 @@ def mixture_model(components) -> DiffusionModel:
 # every choice of every unit, and sampling, which draws one uniform per
 # unit and simulation.
 
-def _units(model: DiffusionModel):
+def _build_units(model: DiffusionModel):
     """Random-unit table of a non-mixture model: its random units, the
     probability of each unit's choices, and the choice that makes each edge
-    live.  Built on first use and cached on the model.
+    live.
 
     Returns ``(radices, choice_probs, edge_choice)``.  Unit ``j`` takes one
     of ``radices[j]`` choices; its choice probabilities are the next
@@ -247,11 +258,6 @@ def _units(model: DiffusionModel):
       ``in_edges`` order) or none with the leftover mass
       ``max(0, 1 - p_in.sum())``.  Zero-weight in-edges are choices too.
     """
-    # The model is a frozen dataclass, so the table is cached straight in
-    # its __dict__, as functools.cached_property does.
-    table = model.__dict__.get("_units")
-    if table is not None:
-        return table
     g = model.graph
     p = g.probs
     if model.kind == LT:
@@ -293,14 +299,13 @@ def _units(model: DiffusionModel):
     table = (radices, choice_probs, edge_choice)
     for a in table:
         a.setflags(write=False)
-    model.__dict__["_units"] = table
     return table
 
 
 # ---------------------------------------------------------------------------
 # Sampling, stream layout 4
 #
-# A non-mixture model draws one uniform per unit of its :func:`_units` table
+# A non-mixture model draws one uniform per unit of its _units table
 # and simulation, from its kind's counter-hash stream (see :mod:`infmax.rng`).
 # Edge e is live iff lo[e] <= u < hi[e] for its unit's uniform u, where a
 # unit's edge-bearing choices take consecutive slices of [0, 1) in choice
@@ -325,14 +330,14 @@ _HASH_CELLS = 1 << 13
 def _build_draw_plan(model: DiffusionModel) -> tuple:
     """``(choice_unit, ends, hi_id, lo_id)`` of a non-mixture model.
 
-    Choice ``b`` of the flat choices of :func:`_units` belongs to unit
-    ``choice_unit[b]`` and its slice of ``[0, 1)`` ends at ``ends[b]``; two
-    more entries end at 0 and 1.  Edge ``e`` is live iff ``ends[lo_id[e]]
-    <= u < ends[hi_id[e]]`` for the uniform ``u`` of its unit.  A slice
-    starts where the choice before it in its unit ends, so the ends of a
-    unit's slices are shared by the edges on both sides.
+    Choice ``b`` of the flat choices of :attr:`DiffusionModel._units`
+    belongs to unit ``choice_unit[b]`` and its slice of ``[0, 1)`` ends at
+    ``ends[b]``; two more entries end at 0 and 1.  Edge ``e`` is live iff
+    ``ends[lo_id[e]] <= u < ends[hi_id[e]]`` for the uniform ``u`` of its
+    unit.  A slice starts where the choice before it in its unit ends, so
+    the ends of a unit's slices are shared by the edges on both sides.
     """
-    radices, choice_probs, edge_choice = _units(model)
+    radices, choice_probs, edge_choice = model._units
     # Per unit, the choices that make edges live take consecutive slices
     # [lo, hi) of [0, 1) in choice order, summed exactly as np.cumsum would;
     # the never- and always-live indices take [0, 0) and [0, 1).
@@ -375,18 +380,17 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
         cum = np.cumsum(model.component_weights)
         cum[-1] = 1.0
         stream_id = rng.STREAM_UNITS
-        parts = list(zip(model.components, model.component_offsets.tolist()))
     else:
         cum = None
         stream_id = _KIND_STREAM[model.kind] if stream_id is None else stream_id
-        parts = [(model, 0)]
-    rng.check_range(max(_units(comp)[0].size for comp, _ in parts), 0)
+    parts = model.parts
+    rng.check_range(max(part._units[0].size for part, _, _ in parts), 0)
     # Per part, its tests and the row code of each selected edge's slice
     # ends: a test's index among all tests, -1 for the zero row and
     # -2 - c for part c's own simulations.
     units, ends, owner, codes = [], [], [], []
-    tests = 0
-    for c, (comp, off) in enumerate(parts):
+    tests, num_parts = 0, len(parts)
+    for c, (comp, _, off) in enumerate(parts):
         choice_unit, choice_end, hi_id, lo_id = comp._draw_plan
         ids = edges[(edges >= off) & (edges < off + comp.graph.num_edges)] - off
         ids = np.concatenate([hi_id[ids], lo_id[ids]])
@@ -412,7 +416,7 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
         lead, first = start % 64, start // 64
         words = -(-(lead + count) // 64)
         # The rows each part owns within the range, packed like the words.
-        owned = np.zeros((64 * words, len(parts)), dtype=bool)
+        owned = np.zeros((64 * words, num_parts), dtype=bool)
         comps = None
         if cum is None:
             owned[lead:lead + count] = True
@@ -529,12 +533,9 @@ def ball(model: DiffusionModel, tau: int, seeds) -> tuple[np.ndarray, np.ndarray
     ``tau - 1`` steps.
     """
     n = model.num_nodes
-    parts = [(model, 0)]
-    if model.kind == MIXTURE:
-        parts = zip(model.components, model.component_offsets.tolist())
     distance = np.full(n, n, dtype=np.int64)
     relevant = np.zeros(model.graph.num_edges, dtype=bool)
-    for part, offset in parts:
+    for part, _, offset in model.parts:
         g = part.graph
         possible = g.probs > 0.0
         near = _distances(g.tails[possible], g.heads[possible], n, seeds, tau)

@@ -23,12 +23,9 @@ def ball_edges_by_sets(model, tau, seeds):
     """The ``tau``-ball's edge mask, one set search per model part: the
     part's ``p > 0`` edges whose tail some path of at most ``tau - 1`` such
     edges reaches from ``seeds``, in the part's own graph."""
-    parts = [(model, 0)]
-    if model.kind == "mixture":
-        parts = zip(model.components, model.component_offsets.tolist())
     relevant = np.zeros(model.graph.num_edges, dtype=bool)
     if tau > 0:
-        for part, offset in parts:
+        for part, _, offset in model.parts:
             g = part.graph
             possible = g.probs > 0.0
             near = np.zeros(g.num_nodes, dtype=bool)

@@ -373,6 +373,33 @@ def test_sketch_build_and_query_round_trip(tmp_path):
     assert estimate == json.loads(est_out.read_text())["result"]["estimate"]
 
 
+def test_paths_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys):
+    # A directory stands for any path that cannot be opened: permission
+    # bits do not stop a process that runs as root.
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    model, sketches = tmp_path / "t.model", tmp_path / "sk.json"
+    assert run_cli(["gen", "--family", "tree", "--tau", "2", "--model-out", str(model),
+                    "--out", str(tmp_path / "g.json")]) == 0
+    assert run_cli(["sketch-build", "--model", str(model), "--tau", "2", "--pool-size", "5",
+                    "--k", "8", "--sketch-out", str(sketches),
+                    "--out", str(tmp_path / "b.json")]) == 0
+    capsys.readouterr()
+    cases = [["gen", "--family", "tree", "--tau", "2", "--model-out", str(folder),
+              "--out", str(tmp_path / "g.json")],
+             ["gen", "--family", "tree", "--tau", "2", "--out", str(folder)],
+             ["exact", "--model", str(folder), "--seeds", "0", "--tau", "1"],
+             ["sketch-build", "--model", str(model), "--tau", "2", "--pool-size", "5",
+              "--k", "8", "--sketch-out", str(folder)],
+             ["sketch-query", "--sketches", str(folder), "--seeds", "0"],
+             ["sketch-query", "--sketches", str(sketches), "--seeds", "0",
+              "--out", str(folder)]]
+    for argv in cases:
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "infmax", "--help"],
                           capture_output=True, text=True)

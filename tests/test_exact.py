@@ -188,16 +188,6 @@ def test_step_profile_is_built_once():
     assert np.array_equal(report.step_probs, np.eye(n))
 
 
-def test_step_profile_columns_move_to_node_order_a_block_at_a_time(monkeypatch):
-    # Node order is not distance order here, and one row per block gives
-    # the profile of one block of every row.
-    model = im.families.gen_random_ic(8, 12, seed=5)
-    assert np.any(np.diff(models.ball(model, 7, (3,))[0]) < 0)
-    whole = im.exact_report(model, (3,), 7).step_probs
-    monkeypatch.setattr(exact, "_PERMUTE_CELLS", 1)
-    assert np.array_equal(im.exact_report(model, (3,), 7).step_probs, whole)
-
-
 def test_depth_profile_examples():
     path = im.ic_model(im.Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     profile = im.depth_profile(path, (0,))
@@ -309,10 +299,9 @@ def reference_outcome_chunks(model, chunk, weight=1.0, offset=0, width=None):
     if width is None:
         width = m
     if model.kind == im.MIXTURE:
-        for c, comp in enumerate(model.components):
-            yield from reference_outcome_chunks(
-                comp, chunk, weight * float(model.component_weights[c]),
-                offset + int(model.component_offsets[c]), width)
+        for part, part_weight, part_offset in model.parts:
+            yield from reference_outcome_chunks(part, chunk, weight * part_weight,
+                                                offset + part_offset, width)
         return
 
     def index_chunks(total):
@@ -430,8 +419,7 @@ def test_outcome_chunks_match_reference_loops(kind, chunk, monkeypatch):
     model = CHUNK_MODELS[kind]()
     expect = list(reference_outcome_chunks(model, chunk))
     # With every edge relevant the chunks cover the whole outcome space.
-    parts, _ = exact._parts(model)
-    got = list(exact._outcome_chunks(parts, np.ones(model.graph.num_edges, dtype=bool)))
+    got = list(exact._outcome_chunks(model, np.ones(model.graph.num_edges, dtype=bool)))
     assert len(got) == len(expect)
     assert sum(rows for _, rows, _ in got) == im.outcome_count(model)
     m = model.graph.num_edges
@@ -594,10 +582,9 @@ def reference_distances(model, seeds, depth):
     """Each node's fewest ``p > 0`` edges from ``seeds``, the least over a
     mixture's components, from set searches of growing depth; ``None`` past
     ``depth``."""
-    parts = model.components if model.kind == im.MIXTURE else (model,)
     distance = [None] * model.num_nodes
     for k in range(depth, -1, -1):
-        for part in parts:
+        for part, _, _ in model.parts:
             for v in reach_ids(part.graph, part.graph.probs > 0.0, seeds, k).tolist():
                 distance[v] = k
     return distance
@@ -635,10 +622,9 @@ def test_ball_matches_the_set_search_and_bounds_the_step_profile(kind):
 
 def test_lt_choices_outside_the_ball_merge_into_none():
     model = lt_merge_case()
-    parts, _ = exact._parts(model)
     relevant = im.ball_edges(model, 2, (0,))
     assert relevant.tolist() == [True, False, True, False, False]
-    radices, choice_probs, edge_choice = exact._ball_units(parts[0][1], relevant)
+    radices, choice_probs, edge_choice = exact._ball_units(model._units, relevant)
     # Node 1 keeps [edge 0, none]; node 2 keeps [edge 2, edge 1 + none].
     assert radices.tolist() == [2, 2]
     assert choice_probs.tolist() == [0.5, 0.5, 0.3, 0.4 + max(0.0, 1.0 - (0.4 + 0.3))]
@@ -815,16 +801,18 @@ def test_every_exact_entry_point_checks_the_budget():
 
 def test_unit_tables_built_once_per_component(monkeypatch):
     model = CHUNK_MODELS["lt-bdep-mixture"]()
-    calls = []
-    units = exact._units
+    built = []
+    build = models._build_units
 
-    def counting_units(part):
-        calls.append(part)
-        return units(part)
+    def counting_build(part):
+        built.append(part)
+        return build(part)
 
-    monkeypatch.setattr(exact, "_units", counting_units)
-    im.exact_report(model, (0,), 2)
-    assert [id(part) for part in calls] == [id(part) for part in model.components]
+    monkeypatch.setattr(models, "_build_units", counting_build)
+    for _ in range(2):
+        im.exact_report(model, (0,), 2)
+        im.exact_values(model, 2, [(0,), (1, 2)])
+    assert [id(part) for part in built] == [id(part) for part in model.components]
 
 
 def test_exact_values_without_reach_table_are_unchanged(monkeypatch):

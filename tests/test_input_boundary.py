@@ -16,7 +16,7 @@ import infmax as im
 from infmax import cli
 from infmax.graph import parse_edge_list
 
-INPUT_ERRORS = (ValueError, KeyError, FileNotFoundError)
+INPUT_ERRORS = (ValueError, KeyError, OSError)
 
 ints = st.one_of(st.integers(-3, 12), st.integers(), st.integers(2**62, 2**70))
 floats = st.one_of(st.sampled_from(["0.5", "1", "0", "-0.1", "1.5", "nan", "inf", "1e999"]),

@@ -1,7 +1,9 @@
 import functools
+import gc
 import itertools
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -101,6 +103,46 @@ def test_nested_mixture_flattens():
     assert len(outer.components) == 3
     assert np.allclose(outer.component_weights, [0.3, 0.3, 0.4])
     assert outer.min_component_weight == pytest.approx(0.3)
+
+
+def test_parts_are_weighted_slices_of_the_union_graph():
+    ic, lt, bdep = random_model(1, n=6, m=8), lt_edge_cases(), bdep_edge_cases()
+    for model in (ic, lt, bdep):
+        assert model.parts == ((model, 1.0, 0),)
+    inner = im.mixture_model([(lt, 0.25), (ic, 0.75)])
+    nested = im.mixture_model([(inner, 0.4), (bdep, 0.6)])
+    # Nesting flattens to the leaf models, with the weights multiplied.
+    assert [(part, weight) for part, weight, _ in nested.parts] == [
+        (lt, 0.4 * 0.25), (ic, 0.4 * 0.75), (bdep, 0.6)]
+    for mixture in (inner, nested):
+        assert mixture.parts is mixture.parts
+        union = mixture.graph
+        end = 0
+        for part, weight, offset in mixture.parts:
+            assert type(weight) is float and offset == end
+            end = offset + part.graph.num_edges
+            for name in ("tails", "heads", "probs"):
+                assert np.array_equal(getattr(union, name)[offset:end],
+                                      getattr(part.graph, name))
+        assert end == union.num_edges
+
+
+def test_a_sampled_model_goes_with_its_last_reference():
+    # Nothing a model caches refers back to it, so it is freed at once and
+    # not left to the cycle collector.
+    for make in (lambda: random_model(1, n=6, m=8), lt_edge_cases,
+                 lambda: im.mixture_model([(lt_edge_cases(), 0.4), (bdep_edge_cases(), 0.6)])):
+        model = make()
+        im.sample_pool(model, 3, 100)
+        im.sample_pool(model, 3, 100, edges=im.ball_edges(model, 2, (0,)))
+        im.exact_report(model, (0,), 2)
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 # -- determinism ------------------------------------------------------------
@@ -226,9 +268,8 @@ def reference_pool(kind, master_seed, stop):
             for s in range(stop)]
     comps = np.searchsorted(cum, pick, side="right")
     live = np.zeros((stop, model.graph.num_edges), dtype=bool)
-    for c, comp in enumerate(model.components):
+    for c, (comp, _, off) in enumerate(model.parts):
         sims = np.flatnonzero(comps == c).tolist()
-        off = int(model.component_offsets[c])
         live[sims, off:off + comp.graph.num_edges] = reference_live_rows(
             comp, rng.STREAM_UNITS, master_seed, sims)
     return live, comps
@@ -757,8 +798,7 @@ def test_every_packed_producer_returns_contiguous_rows(monkeypatch):
     check(models.reach_table(g, live, 2), n)
     mixture = im.mixture_model([(random_model(1, n=6, m=8), 0.5),
                                 (random_model(2, n=6, m=8), 0.5)])
-    parts, _ = exact._parts(mixture)
-    for words, rows, _ in exact._outcome_chunks(parts, np.ones(16, dtype=bool)):
+    for words, rows, _ in exact._outcome_chunks(mixture, np.ones(16, dtype=bool)):
         check(words, 16, rows)
 
 
