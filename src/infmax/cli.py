@@ -45,7 +45,21 @@ def _versions() -> dict:
             "python": platform.python_version(), "stream_layout": rng.STREAM_LAYOUT}
 
 
+_PLAIN = frozenset((int, str, bool, type(None)))
+
+
 def _jsonify(obj):
+    """``obj`` as plain JSON values: dataclasses and dicts as dicts, tuples
+    and arrays as lists, numpy scalars as Python scalars, and ``inf`` and
+    ``nan`` as their ``repr``.  Values already plain, and lists of finite
+    floats, come back as they are."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind in _PLAIN:
+        return obj
+    if kind is list and all(type(v) is float for v in obj) and math.isfinite(sum(obj)):
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonify(asdict(obj))
     if isinstance(obj, dict):

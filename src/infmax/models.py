@@ -595,6 +595,14 @@ def start_mask(num_nodes: int, targets) -> np.ndarray:
     return mask
 
 
+# Per step, one numpy call costs about as much work as 1024 words, and one
+# padding slot of a row of w words about w + 8: the kernel pads every head
+# to the largest in-degree, in one bucket, when the padding costs less than
+# the calls it saves.
+_CALL_WORDS = 1024
+_SLOT_WORDS = 8
+
+
 def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
     """Bit-parallel BFS over packed simulations, one step at a time.
 
@@ -607,7 +615,10 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
     first activated at that step (the start nodes at step 0) and ``active``
     the union of all steps so far.  Each step gathers the frontier row of
     every edge's tail, keeps the live bits and ORs the rows of each head's
-    in-edges with one ``reduceat``.
+    in-edges, one reduction per in-degree bucket (:attr:`Graph._in_buckets`)
+    or, when padding every head to the largest in-degree costs less than
+    the calls it saves, one (:attr:`Graph._in_grid`), then scatters them to
+    their heads.
     Over :attr:`Graph.reversed`, ``active`` holds the nodes that reach the
     start nodes.  Stops early after a step that activates nothing.  Padding
     bits never spread, since their live bits are zero.  Both arrays are
@@ -628,12 +639,25 @@ def propagation_steps(graph: Graph, live: np.ndarray, seeds, tau: int):
     yield frontier, active
     if graph.num_edges == 0:
         return
-    tails_by_head, has_in, first_in = graph._in_heads
-    live_by_head = live[graph._in_order]
+    words = live.shape[1]
+    edges, tails, heads, buckets, pads = graph._in_buckets
+    padding = heads.size * buckets[-1][0] - edges.size
+    if padding * (words + _SLOT_WORDS) < (len(buckets) - 1) * _CALL_WORDS:
+        edges, tails, heads, buckets, pads = graph._in_grid
+    live_by_head = live[edges]
+    live_by_head[pads] = 0
+    hit = np.empty_like(live_by_head)
+    ored = np.empty((heads.size, words), dtype=np.uint64)
+    blocks = [(hit[first:first + d * (hi - lo)].reshape(d, hi - lo, words), ored[lo:hi])
+              for d, lo, hi, first in buckets]
+    nxt = np.zeros(active.shape, dtype=np.uint64)
     for _ in range(tau):
-        hit = frontier[tails_by_head] & live_by_head
-        nxt = np.zeros(active.shape, dtype=np.uint64)
-        nxt[has_in] = np.bitwise_or.reduceat(hit, first_in, axis=0)
+        # Every index is in range; "clip" lets take write to hit unbuffered.
+        np.take(frontier, tails, axis=0, out=hit, mode="clip")
+        hit &= live_by_head
+        for block, out in blocks:
+            np.bitwise_or.reduce(block, axis=0, out=out)
+        nxt[heads] = ored
         nxt &= ~active
         if not nxt.any():
             return
@@ -746,24 +770,28 @@ def row_values(graph: Graph, mask: np.ndarray, rows: int, nodes=None) -> np.ndar
 # Model files: a JSON document referencing edge-list graph files.
 
 def save_model(model: DiffusionModel, path) -> None:
-    """Write ``path`` (JSON) plus edge-list companions next to it."""
+    """Write ``path`` (JSON) plus edge-list companions next to it.  The
+    document goes first, so a path that cannot be written fails before any
+    companion is written."""
     path = Path(path)
     stem = path.name.rsplit(".", 1)[0]
     if model.kind == MIXTURE:
-        entries = []
-        for c, comp in enumerate(model.components):
-            comp_path = path.with_name(f"{stem}.comp{c}.model")
-            save_model(comp, comp_path)
-            entries.append({"path": comp_path.name,
-                            "weight": float(model.component_weights[c])})
-        doc = {"kind": MIXTURE, "components": entries}
+        comp_paths = [path.with_name(f"{stem}.comp{c}.model")
+                      for c in range(len(model.components))]
+        doc = {"kind": MIXTURE,
+               "components": [{"path": comp_path.name, "weight": float(weight)}
+                              for comp_path, weight in zip(comp_paths, model.component_weights)]}
     else:
         graph_path = path.with_name(stem + ".edges")
-        write_edge_list(model.graph, graph_path)
         doc = {"kind": model.kind, "graph_path": graph_path.name}
         if model.kind == BDEP:
             doc["b"] = int(model.b)
     path.write_text(json.dumps(doc, indent=2) + "\n")
+    if model.kind == MIXTURE:
+        for comp, comp_path in zip(model.components, comp_paths):
+            save_model(comp, comp_path)
+    else:
+        write_edge_list(model.graph, graph_path)
 
 
 def _existing_file(path: Path) -> Path:
@@ -834,13 +862,18 @@ def _load_model(path: Path, parents: tuple) -> DiffusionModel:
                 raise ValueError("model file: lt_weights must be a list of "
                                  "[tail, head, weight] triples")
             probs = np.array(graph.probs)
-            index = {(int(graph.tails[e]), int(graph.heads[e])): e
-                     for e in range(graph.num_edges)}
+            # Each edge's key tail * n + head, unique in a parsed edge list.
+            n = graph.num_nodes
+            keys = graph.tails * n + graph.heads
+            order = np.argsort(keys)
+            keys = keys[order]
             for t, h, w in overrides:
                 t, h = _json_int(t, "lt_weights tail"), _json_int(h, "lt_weights head")
-                if (t, h) not in index:
+                key = t * n + h
+                at = int(np.searchsorted(keys, key)) if 0 <= t < n and 0 <= h < n else keys.size
+                if at == keys.size or keys[at] != key:
                     raise ValueError(f"lt_weights names missing edge ({t}, {h})")
-                probs[index[(t, h)]] = _json_number(w, "lt_weights weight")
+                probs[order[at]] = _json_number(w, "lt_weights weight")
             graph = Graph(graph.num_nodes, graph.tails, graph.heads, probs,
                           graph.groups, graph.node_weights)
         return lt_model(graph)

@@ -1,8 +1,12 @@
-"""Reach within ``tau`` steps of one simulation, searched the long way.
+"""Reference versions, the long way, for the tests to check against.
 
 A breadth-first search over one boolean live row that scans every live
-edge at each step, for the tests to check the packed kernel against.
+edge at each step, against the packed kernel, and the report writer's
+element-by-element conversion to JSON values.
 """
+
+import math
+from dataclasses import asdict, is_dataclass
 
 import numpy as np
 
@@ -32,3 +36,21 @@ def ball_edges_by_sets(model, tau, seeds):
             near[reach_ids(g, possible, seeds, tau - 1)] = True
             relevant[offset:offset + g.num_edges] = possible & near[g.tails]
     return relevant
+
+
+def jsonify(obj):
+    """``cli._jsonify`` one element at a time: every value goes through
+    the dataclass, container, array and numpy scalar tests."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return jsonify(asdict(obj))
+    if isinstance(obj, dict):
+        return {str(k): jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return jsonify(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, float) and (math.isinf(obj) or math.isnan(obj)):
+        return repr(obj)
+    return obj

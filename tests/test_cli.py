@@ -1,12 +1,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import cli
 from infmax.cli import build_parser, main
+import scalar_reference
 
 
 def run_cli(args):
@@ -398,6 +402,51 @@ def test_paths_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys)
         assert run_cli(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+def test_a_mixture_that_cannot_be_saved_leaves_no_companion(tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert run_cli(["gen", "--family", "mixture", "--model-out", str(folder),
+                    "--out", str(tmp_path / "g.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder"]
+
+
+@dataclass
+class Leaf:
+    value: object
+    values: object
+
+
+@dataclass
+class Node:
+    leaf: Leaf
+    items: object
+
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.floats(),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308]),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
+arrays = st.one_of(st.lists(st.floats(), max_size=4).map(np.array),
+                   st.lists(st.integers(-9, 9), max_size=4).map(np.array),
+                   st.lists(st.booleans(), max_size=3).map(np.array))
+json_inputs = st.recursive(
+    st.one_of(scalars, arrays, st.lists(st.floats(), max_size=5)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(0, 9)), inner, max_size=3),
+        st.builds(Leaf, inner, inner), st.builds(Node, st.builds(Leaf, inner, inner), inner)),
+    max_leaves=10)
+
+
+@given(obj=json_inputs)
+def test_jsonify_matches_the_element_by_element_reference(obj):
+    got, want = cli._jsonify(obj), scalar_reference.jsonify(obj)
+    assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+    assert json.dumps([got]) == json.dumps([want])
 
 
 def test_module_entrypoint_runs():

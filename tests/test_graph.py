@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,17 @@ def test_edge_list_round_trip():
     assert back.edge_tuples() == g.edge_tuples()
     assert np.array_equal(back.node_weights, g.node_weights)
     assert format_edge_list(back) == text
+
+
+def test_readme_edge_list_example_parses():
+    # The first fenced block after README's "File formats" heading, verbatim.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## File formats", 1)[1]
+    block = section.split("```\n", 2)[1]
+    g = parse_edge_list(block)
+    assert g.num_nodes == 5
+    assert g.edge_tuples() == [(0, 1, 0.5), (0, 2, 0.5, 7), (0, 3, 0.5, 7)]
+    assert g.node_weights.tolist() == [1.0, 1.0, 1.0, 2.5, 1.0]
 
 
 def test_edge_list_parse_errors():

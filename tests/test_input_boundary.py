@@ -1,5 +1,6 @@
 """Fuzz tests of the file boundary: edge-list text and model documents,
-and malformed sketch files.
+and malformed sketch files.  The vectorized edge-list reader is checked
+against the line loop it falls back on.
 
 Every input either loads or raises one of the exceptions that ``cli.main``
 maps to exit code 2.
@@ -7,6 +8,7 @@ maps to exit code 2.
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import infmax as im
 from infmax import cli
-from infmax.graph import parse_edge_list
+from infmax import graph as graph_module
+from infmax.graph import format_edge_list, parse_edge_list
 
 INPUT_ERRORS = (ValueError, KeyError, OSError)
 
@@ -48,6 +51,105 @@ def test_edge_list_loads_or_raises_input_error(text):
     except INPUT_ERRORS:
         return
     assert isinstance(graph, im.Graph)
+
+
+def fields(g):
+    """The node count and every array's bytes."""
+    arrays = (g.tails, g.heads, g.probs, g.groups, g.node_weights)
+    return g.num_nodes, *(arr.tobytes() for arr in arrays)
+
+
+def parsed(parse, text):
+    """:func:`fields` of ``parse(text)``, or the error's type and message."""
+    try:
+        return fields(parse(text))
+    except INPUT_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+# A header and edge lines of one width, which the vectorized reader takes
+# unless a check fails.
+small = st.one_of(st.integers(-1, 13).map(str), st.sampled_from(["+5", "007", "-0", "1_0", "5.0"]))
+uniform = st.tuples(
+    st.integers(0, 14),
+    st.one_of(st.lists(st.tuples(small, small, floats).map(_join), min_size=1, max_size=8),
+              st.lists(st.tuples(small, small, floats, small).map(_join), min_size=1,
+                       max_size=8))).map(lambda nr: "\n".join([f"#nodes {nr[0]}", *nr[1]]))
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(st.lists(lines, max_size=10).map("\n".join), uniform))
+def test_edge_list_parse_matches_the_line_loop(text):
+    assert parsed(parse_edge_list, text) == parsed(graph_module._parse_lines, text)
+
+
+# Probabilities that a writer's repr must carry exactly: subnormals, the
+# largest double below 1, and arbitrary floats in [0, 1].
+probabilities = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2.2250738585072014e-308,
+                                           1 - 2**-53, 0.1]),
+                          st.floats(0.0, 1.0))
+
+
+@st.composite
+def graphs(draw):
+    """Simple digraphs with grouped and ungrouped edges, some of one width
+    only, and node weights other than 1."""
+    n = draw(st.integers(2, 9))
+    pairs = [(t, h) for t in range(n) for h in range(n) if t != h]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    width = draw(st.sampled_from(["3", "4", "mixed"]))
+    group_p = {}
+    edges = []
+    for t, h in chosen:
+        grouped = width == "4" or (width == "mixed" and draw(st.booleans()))
+        if grouped:
+            # One group per tail, so a group's edges share tail and p.
+            p = group_p.setdefault(t, draw(probabilities))
+            edges.append((t, h, p, t))
+        else:
+            edges.append((t, h, draw(probabilities)))
+    weights = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1e300)),
+                            min_size=n, max_size=n))
+    return im.Graph.from_edges(n, edges, node_weights=weights)
+
+
+@given(g=graphs())
+def test_edge_lists_round_trip_bit_for_bit(g):
+    text = format_edge_list(g)
+    back = parse_edge_list(text)
+    assert fields(back) == fields(graph_module._parse_lines(text)) == fields(g)
+    assert format_edge_list(back) == text
+    widths = {3 + (gid >= 0) for gid in g.groups.tolist()}
+    # Every edge list of one width is read by the vectorized reader.
+    assert (graph_module._read_columns(text) is not None) == (len(widths) == 1)
+
+
+@pytest.mark.parametrize("text", [
+    "#nodes 6\n+5 1 0.5\n",
+    "#nodes 11\n1_0 1 0.5\n0 1 1_0e-1\n",
+    "#nodes 3\r\n0 1 0.5\r\n1 2 0.25\r\n",
+    "#nodes 3\n0 1 0.5\x0c1 2 0.25\n",
+    "#nodes 3\n0 1 0.5 # note\n",
+    "#nodes 3\n0 1 0.5\n1 2 0.25 #\n",
+    "#nodes 3\n0 1 0.5\n  #weight 1 2.5\n\t\n1 2 0.25",
+    "#nodes 3\n",
+    "#nodes 3\n#weight 2 0.5\n\n",
+    "#nodes 3\n0 1 5.0\n",
+    "#nodes 3\n0 1.0 0.5\n",
+    "#nodes 3\n0 1 0.5\n0 2 0.5 1\n",
+    "#nodes 3\n0 1 0.5 1\n0 2 0.25 1\n",
+    "#nodes 3\n0 1 0.5\n#nodes 2\n",
+    "#nodes 4\n0 1 0.5\n2 3 0.5\n0 1 0.5\n",
+    "#nodes 4\n0 1 0.5\n3 3 0.5\n",
+    "#nodes 4\n0 9 0.5\n",
+    "#nodes 4\n9223372036854775808 1 0.5\n",
+    "#nodes 4\n0 1 0.5\n#weight 7 2\n",
+    "#nodes 4\n0 1 \u00bd\n",
+])
+def test_edge_list_edge_cases_match_the_line_loop(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parsed(parse_edge_list, text) == parsed(graph_module._parse_lines, text)
 
 
 json_values = st.recursive(

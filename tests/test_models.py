@@ -716,6 +716,64 @@ def test_start_mask_reach_matches_scalar(kind, master, tau, reverse, rows):
         assert np.array_equal(np.flatnonzero(unpacked[i]), ids)
 
 
+def all_forward_pairs(n):
+    """Node ``v`` hears from every lower id and node 0 from the last: every
+    in-degree from 1 to ``n - 1`` occurs, forward and reversed."""
+    return im.Graph.from_edges(n, [(n - 1, 0, 0.5)]
+                               + [(u, v, 0.5) for v in range(1, n) for u in range(v)])
+
+
+BUCKET_GRAPHS = {
+    "star": lambda: im.families.gen_star(20, dependent=False).graph,
+    "polysimu": lambda: im.families.gen_polysimu(102).graph,
+    "all-forward-pairs": lambda: all_forward_pairs(9),
+    "random": lambda: random_model(7, n=25, m=90).graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUCKET_GRAPHS))
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("call_words", [0, 1 << 40])
+def test_bucketed_kernel_matches_scalar_reach(name, reverse, call_words, monkeypatch):
+    # In-degrees 0 and 1 only (star, polysimu forward) and many distinct
+    # in-degrees, one reduction per in-degree (a free call never pays for
+    # padding) or one padded reduction (a costly call always does).
+    monkeypatch.setattr(models, "_CALL_WORDS", call_words)
+    g = BUCKET_GRAPHS[name]()
+    g = g.reversed if reverse else g
+    n, rows = g.num_nodes, 70
+    live = np.random.default_rng(len(name)).random((rows, g.num_edges)) < 0.6
+    seeds = (0, n // 2)
+    for tau in sorted({0, 1, 2, n - 1}):
+        mask = im.unpack_rows(im.reach_mask_batch(g, im.pack_rows(live), seeds, tau), rows)
+        for i in range(rows):
+            assert np.array_equal(np.flatnonzero(mask[i]), reach_ids(g, live[i], seeds, tau))
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_in_layouts_hold_each_heads_in_edges_slot_by_slot(padded):
+    g = all_forward_pairs(6).reversed
+    edges, tails, heads, buckets, pads = g._in_layout(padded)
+    degree = np.diff(g._in_start)
+    assert heads.tolist() == [4, 5, 3, 2, 1, 0]
+    expect = [(5, 0, 6, 0)] if padded else [(1, 0, 2, 0), (2, 2, 3, 2), (3, 3, 4, 4),
+                                           (4, 4, 5, 7), (5, 5, 6, 11)]
+    assert list(buckets) == expect
+    assert np.array_equal(tails, g.tails[edges])
+    padding = []
+    for d, lo, hi, first in buckets:
+        for j in range(d):
+            for r in range(lo, hi):
+                at = first + j * (hi - lo) + r - lo
+                own = g.in_edges(heads[r])
+                if j < degree[heads[r]]:
+                    assert edges[at] == own[j]
+                else:
+                    padding.append(at)
+    assert pads.tolist() == padding
+    assert len(edges) == (30 if padded else 16)
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
 def test_reverse_reach_set_is_reach_set_over_reversed_graph(kind):
     model = KERNEL_MODELS[kind]
@@ -864,7 +922,15 @@ def test_lt_weight_override(tmp_path):
     (tmp_path / "lt.model").write_text(json.dumps(parsed))
     back = im.load_model(tmp_path / "lt.model")
     assert back.graph.probs[0] == 0.25
-    parsed["lt_weights"] = [[2, 0, 0.25]]
+    for missing in ([2, 0], [0, 1], [-1, 2], [0, 3], [3, 0], [2, 2]):
+        parsed["lt_weights"] = [[0, 2, 0.25], [*missing, 0.25]]
+        (tmp_path / "lt.model").write_text(json.dumps(parsed))
+        with pytest.raises(ValueError, match=f"missing edge \\({missing[0]}, {missing[1]}\\)"):
+            im.load_model(tmp_path / "lt.model")
+    # Edges written out of key order; the last override of an edge wins.
+    g = im.Graph.from_edges(4, [(2, 3, 0.1), (0, 3, 0.2), (1, 0, 0.3), (0, 1, 0.4)])
+    im.save_model(im.lt_model(g), tmp_path / "lt.model")
+    parsed = json.loads((tmp_path / "lt.model").read_text())
+    parsed["lt_weights"] = [[0, 1, 0.5], [2, 3, 0.25], [0, 1, 0.125], [1, 0, 0.0]]
     (tmp_path / "lt.model").write_text(json.dumps(parsed))
-    with pytest.raises(ValueError, match="missing edge"):
-        im.load_model(tmp_path / "lt.model")
+    assert im.load_model(tmp_path / "lt.model").graph.probs.tolist() == [0.25, 0.2, 0.0, 0.125]
