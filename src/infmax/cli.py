@@ -294,6 +294,20 @@ def _cmd_sketch_build(args):
            "stored_entries": int(sum(sk.size for sk in sketch_set.sketches))})
 
 
+def _sketch_array(values, dtype, what: str) -> np.ndarray:
+    """A sketch file's list ``values`` as a ``dtype`` array: JSON integers
+    for ``np.int64``, JSON numbers for ``np.float64``; a bool, a string or
+    a fraction where an integer belongs is refused, not cast."""
+    kinds = (int,) if dtype == np.int64 else (int, float)
+    try:
+        if isinstance(values, list) and all(type(v) in kinds for v in values):
+            return np.array(values, dtype=dtype)
+    except OverflowError:
+        pass
+    raise ValueError(f"sketch file: {what} must be a list of JSON "
+                     f"{'integers' if dtype == np.int64 else 'numbers'} in range")
+
+
 def _cmd_sketch_query(args):
     doc = json.loads(Path(args.sketches).read_text())
     if not isinstance(doc, dict):
@@ -302,7 +316,7 @@ def _cmd_sketch_query(args):
         if not (type(doc[key]) is int and doc[key] >= low):
             raise ValueError(f"sketch file: {key} must be an integer of at least {low}, "
                              f"got {doc[key]!r}")
-    weights = np.asarray(doc["node_weights"], dtype=np.float64)
+    weights = _sketch_array(doc["node_weights"], np.float64, "node_weights")
     entries = doc["sketches"]
     if not (isinstance(entries, list) and weights.shape == (len(entries),)
             and all(isinstance(entry, dict) for entry in entries)):
@@ -310,13 +324,13 @@ def _cmd_sketch_query(args):
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise ValueError("sketch file: node weights must be finite and nonnegative")
     sketches = tuple(
-        NodeSketch(doc["k"], np.asarray(entry["ranks"], dtype=np.float64),
-                   np.asarray(entry["pair_nodes"], dtype=np.int64),
-                   np.asarray(entry["pair_sims"], dtype=np.int64),
+        NodeSketch(doc["k"], _sketch_array(entry["ranks"], np.float64, "ranks"),
+                   _sketch_array(entry["pair_nodes"], np.int64, "pair_nodes"),
+                   _sketch_array(entry["pair_sims"], np.int64, "pair_sims"),
                    node=entry["node"])
         for entry in entries)
     for sk in sketches:
-        if not (sk.ranks.ndim == 1 and sk.pair_nodes.shape == sk.pair_sims.shape == (sk.size,)
+        if not (sk.pair_nodes.shape == sk.pair_sims.shape == (sk.size,)
                 and np.all((sk.pair_nodes >= 0) & (sk.pair_nodes < len(entries))
                            & (sk.pair_sims >= 0) & (sk.pair_sims < doc["ell"]))
                 and np.unique(sk.pair_sims * len(entries) + sk.pair_nodes).size == sk.size

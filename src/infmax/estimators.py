@@ -122,19 +122,27 @@ class Oracle:
 
     def query_many(self, seed_sets) -> np.ndarray:
         """:meth:`query` of each of ``seed_sets`` (equal-size tuples of ids),
-        bit for bit, read a block at a time.  A block's masks come from
-        :func:`set_reaches` over the cached single-source reaches and go
-        through one :func:`mask_pool_averages` call, each row reduced on its
-        own."""
+        bit for bit, read a block at a time.  Reachability is a coverage
+        function, so a set's mask is the OR of its members' rows of the
+        cached :func:`reach_table`; without a table the block's sets
+        propagate together (:func:`set_reaches`).  The masks go through
+        :func:`mask_pool_averages`, each row reduced on its own."""
         g, cfg = self.model.graph, self.config
         n, words = g.num_nodes, self._live.shape[1]
         block = max(1, _SCORE_BLOCK_BYTES // ((words + cfg.pools + 1) * max(n, 1) * 8))
+        table = self._single_reaches
         seed_sets, values = iter(seed_sets), [np.empty(0)]
         while sets := list(islice(seed_sets, block)):
-            masks = set_reaches(g, self._live, cfg.tau, _id_block(sets, n),
-                                self._single_reaches)
-            values.append(pool_median(mask_pool_averages(masks, g.node_weights, cfg.pools,
-                                                         cfg.pool_size)))
+            ids = _id_block(sets, n)
+            if table is None:
+                blocks = set_reaches(g, self._live, cfg.tau, ids)
+            else:
+                blocks = [table[ids[:, 0]]]
+                for column in ids.T[1:]:
+                    blocks[0] |= table[column]
+            values.extend(pool_median(mask_pool_averages(masks, g.node_weights, cfg.pools,
+                                                         cfg.pool_size))
+                          for masks in blocks)
         return np.concatenate(values)
 
 

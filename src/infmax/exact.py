@@ -7,7 +7,10 @@ variance-bound inequality.  Only probabilistic units count toward the
 enumeration budget: edges pinned at probability 0 or 1 contribute no
 outcomes.  A seed set's reach within ``tau`` steps depends only on the
 edges whose tail lies within ``tau - 1`` steps of the set, so each query
-walks only the units of those edges; every other unit sums out.
+walks only the units of those edges; every other unit sums out.  The sets
+that share those edges are valued together: each chunk of their outcomes
+propagates them a block of sets at a time, tiled along the word axis
+(:func:`~infmax.models.set_reaches`).
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .estimators import _SCORE_BLOCK_BYTES
-from .graph import Graph, as_seed_tuple
+from .graph import as_seed_tuple
 from .models import (IC, LT, BDEP, MIXTURE, DiffusionModel, ball, ball_edges,
-                     propagation_steps, reach_table, row_values, set_reaches, unpack_columns)
+                     propagation_steps, row_values, set_reaches, unpack_columns)
 
 MAX_OUTCOME_BITS = 25
 _CHUNK = 1 << 16
@@ -270,26 +272,11 @@ class _ChoiceWords:
         return bits[:, :count]
 
 
-def _chunk_set_values(g: Graph, words: np.ndarray, rows: int, probs: np.ndarray,
-                      tau: int, ids: np.ndarray) -> np.ndarray:
-    """``probs``-weighted reach value over one chunk of each seed set in the
-    rows of ``ids``, from the chunk's :func:`reach_table` of the sets'
-    members, whose unions are formed a ``_SCORE_BLOCK_BYTES`` block of sets
-    at a time."""
-    members, at = np.unique(ids, return_inverse=True)
-    table = reach_table(g, words, tau, members)
-    if table is not None:
-        ids = at.reshape(ids.shape)
-    block = max(1, _SCORE_BLOCK_BYTES // (words.shape[1] * max(g.num_nodes, 1) * 8))
-    return np.array([np.einsum("r,r->", probs, row_values(g, mask, rows))
-                     for lo in range(0, len(ids), block)
-                     for mask in set_reaches(g, words, tau, ids[lo:lo + block], table)])
-
-
 def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
     """Exact influence of each of ``seed_sets``.  Sets are grouped by the
     edges their ``tau``-ball can fire (:func:`ball_edges`), and each group
-    is valued in one pass over its restricted outcome space.  A set's total
+    is valued in one pass over its restricted outcome space, each chunk's
+    masks from one :func:`set_reaches` over the group's ids.  A set's total
     is summed chunk by chunk in chunk order, the same arithmetic as
     :func:`exact_report`'s ``influence``, so it depends only on the model,
     ``tau`` and the set.  The budget is checked before ``seed_sets`` is
@@ -307,12 +294,13 @@ def exact_values(model: DiffusionModel, tau: int, seed_sets) -> np.ndarray:
     totals = np.zeros(len(sets), dtype=np.float64)
     for relevant, members in balls.values():
         # Pad each set to the group's largest size by repeating its first
-        # member; OR is idempotent, so the padding leaves every reach unchanged.
+        # member, which starts no new bit, so every reach is unchanged.
         k = max(len(sets[i]) for i in members)
         ids = np.array([sets[i] + sets[i][:1] * (k - len(sets[i])) for i in members],
                        dtype=np.int64)
         for words, rows, probs in _outcome_chunks(model, relevant):
-            totals[members] += _chunk_set_values(g, words, rows, probs, tau, ids)
+            totals[members] += [np.einsum("r,r->", probs, row_values(g, mask, rows))
+                                for masks in set_reaches(g, words, tau, ids) for mask in masks]
     return totals
 
 

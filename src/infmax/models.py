@@ -34,7 +34,8 @@ edge or node, simulation ``64 j + r`` at bit ``r`` of word ``j``.  One step
 of the batched kernel (:func:`propagation_steps`) advances all of them at
 once, from one seed set shared by every simulation or from a packed start
 mask with its own start nodes per simulation (:func:`start_mask`); reverse
-searches run it over :attr:`Graph.reversed`.
+searches run it over :attr:`Graph.reversed`, and :func:`set_reaches` runs
+it for many seed sets at once, each over its own copy of the words.
 :func:`reverse_reach_set` searches one simulation's reverse reach, kept
 as a reference.
 """
@@ -680,57 +681,44 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
     return active
 
 
-# One block of tiled sources holds at most this many words x max(edges, nodes).
+# One block of tiled seed sets holds at most this many words x max(edges, nodes).
 _BLOCK_CELLS = 1 << 14
 # reach_table keeps every node's single-source reach while it fits here.
 _EXPLICIT_CACHE_BYTES = 1 << 27
 
 
-def source_reaches(graph: Graph, live: np.ndarray, tau: int, sources=None):
+def set_reaches(graph: Graph, live: np.ndarray, tau: int, ids: np.ndarray):
     """Yield the C-contiguous ``(b, n, words)`` :func:`reach_mask_batch`
-    masks of the single sources ``sources`` (every node ``0 .. n-1`` by
-    default), ``b`` consecutive sources at a time: one propagation over
-    ``live`` tiled ``b`` times along the word axis, cut source by source."""
+    masks of the seed sets in the rows of the ``(C, k)`` node ids, ``b``
+    consecutive sets at a time: one propagation over ``live`` tiled ``b``
+    times along the word axis, each set started in its own tile, cut set by
+    set.  A single source is a set of one; a repeated member changes
+    nothing."""
     n, width = graph.num_nodes, live.shape[1]
-    sources = np.arange(n) if sources is None else np.asarray(sources, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
     block = max(1, _BLOCK_CELLS // (width * max(graph.num_edges, n, 1)))
-    for lo in range(0, sources.size, block):
-        b = min(block, sources.size - lo)
+    for lo in range(0, len(ids), block):
+        rows = ids[lo:lo + block]
+        b = len(rows)
         start = np.zeros((n, b, width), dtype=np.uint64)
-        start[sources[lo:lo + b], np.arange(b)] = ~np.uint64(0)
+        start[rows, np.arange(b)[:, None]] = ~np.uint64(0)
         tiled = live if b == 1 else np.tile(live, (1, b))
         mask = reach_mask_batch(graph, tiled, start.reshape(n, -1), tau)
         yield np.ascontiguousarray(mask.reshape(n, b, width).transpose(1, 0, 2))
 
 
-def reach_table(graph: Graph, live: np.ndarray, tau: int, sources=None) -> np.ndarray | None:
-    """Source-first ``(len(sources), n, words)`` :func:`source_reaches` of
-    ``sources`` (every node by default), or ``None`` when they would exceed
-    ``_EXPLICIT_CACHE_BYTES``."""
+def reach_table(graph: Graph, live: np.ndarray, tau: int) -> np.ndarray | None:
+    """Source-first ``(n, n, words)`` :func:`set_reaches` of every single
+    node, or ``None`` when they would exceed ``_EXPLICIT_CACHE_BYTES``."""
     n = graph.num_nodes
-    count = n if sources is None else len(sources)
-    if count * live.shape[1] * n * 8 > _EXPLICIT_CACHE_BYTES:
+    if n * live.shape[1] * n * 8 > _EXPLICIT_CACHE_BYTES:
         return None
-    table = np.empty((count, n, live.shape[1]), dtype=np.uint64)
+    table = np.empty((n, n, live.shape[1]), dtype=np.uint64)
     lo = 0
-    for reach in source_reaches(graph, live, tau, sources):
+    for reach in set_reaches(graph, live, tau, np.arange(n)[:, None]):
         table[lo:lo + len(reach)] = reach
         lo += len(reach)
     return table
-
-
-def set_reaches(graph: Graph, live: np.ndarray, tau: int, ids: np.ndarray,
-                table: np.ndarray | None) -> np.ndarray:
-    """:func:`reach_mask_batch` of each seed set in the rows of the ``(C, k)``
-    node ids, as ``(C, n, words)`` masks.  Reachability is a coverage
-    function, so a set's mask is the OR of its members' whole ``(n, words)``
-    table entries; without a table each set propagates on its own."""
-    if table is None:
-        return np.stack([reach_mask_batch(graph, live, row, tau) for row in ids])
-    masks = table[ids[:, 0]]
-    for j in range(1, ids.shape[1]):
-        masks |= table[ids[:, j]]
-    return masks
 
 
 def node_weighted_sums(node_weights: np.ndarray, columns: np.ndarray) -> np.ndarray:

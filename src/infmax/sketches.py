@@ -21,7 +21,7 @@ from .graph import as_seed_tuple
 # reverse_reach_set and sample_pool are no longer called here; they stay
 # module attributes because perfbench/layers.py wraps them at this site.
 from .models import (DiffusionModel, pack_rows, reverse_reach_set, sample_pool,
-                     source_reaches)
+                     set_reaches)
 from .estimators import count_pool_averages
 from . import rng
 
@@ -126,7 +126,8 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     order and with finite rank, such that ``u`` is reachable from ``v``
     within ``tau`` steps of simulation ``i``.  The reachable pairs come from
     the pool's single-source reaches, packed once and propagated a block of
-    sources at a time (:func:`source_reaches`).  Each block is scanned for
+    sources at a time, each source a set of one (:func:`set_reaches` over
+    ``np.arange(n)[:, None]``).  Each block is scanned for
     all of its sources together: a popcount of a source's finite-rank reach
     bits counts its pairs, and the sources read doubling prefixes of the
     rank order, the first sized for ``2 k`` pairs of the sparsest source
@@ -166,7 +167,7 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     finite_bits = pack_rows(np.isfinite(ranks))
     k_scan = min(k, order.size)
     counts, picks = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for reach in source_reaches(g, pack_rows(live), tau):
+    for reach in set_reaches(g, pack_rows(live), tau, np.arange(g.num_nodes)[:, None]):
         count = np.bitwise_count(reach & finite_bits).sum(axis=(1, 2), dtype=np.int64)
         picks.append(_first_hits(reach.reshape(reach.shape[0], -1), cells, bits,
                                  count, k_scan))

@@ -377,6 +377,41 @@ def test_sketch_build_and_query_round_trip(tmp_path):
     assert estimate == json.loads(est_out.read_text())["result"]["estimate"]
 
 
+def test_sketch_query_refuses_numbers_of_the_wrong_json_type(tmp_path, capsys):
+    # Pair ids must be JSON integers and ranks and weights JSON numbers: a
+    # fraction is not truncated, and a bool or a string is not cast.
+    model, built = tmp_path / "tw.model", tmp_path / "tw.sketches"
+    assert run_cli(["gen", "--family", "mixture", "--model-out", str(model),
+                    "--out", str(tmp_path / "g.json")]) == 0
+    assert run_cli(["sketch-build", "--model", str(model), "--tau", "2", "--pool-size", "20",
+                    "--k", "8", "--sketch-out", str(built),
+                    "--out", str(tmp_path / "b.json")]) == 0
+    doc = json.loads(built.read_text())
+    first = doc["sketches"][0]
+    assert first["pair_nodes"] and first["pair_sims"]
+    edits = {
+        "pair_nodes": [0.7, True, "0", 1e20 * 1e20, [0]],
+        "pair_sims": [0.7, False, "0", 2 ** 70],
+        "ranks": ["0.5", True, None],
+    }
+    cases = [(key, index, value) for key, values in edits.items()
+             for index in (0, -1) for value in values]
+    cases += [(None, index, value)
+              for index in (0, -1) for value in ("1", True, None, [1.0], 2 ** 1100)]
+    query = ["sketch-query", "--sketches", str(built), "--seeds", "0,5",
+             "--out", str(tmp_path / "q.json")]
+    assert run_cli(query) == 0
+    capsys.readouterr()
+    for key, index, value in cases:
+        edited = json.loads(json.dumps(doc))
+        target = edited["sketches"][0][key] if key else edited["node_weights"]
+        target[index] = value
+        built.write_text(json.dumps(edited))
+        assert run_cli(query) == 2, (key, index, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: sketch file: ") and "Traceback" not in err, err
+
+
 def test_paths_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys):
     # A directory stands for any path that cannot be opened: permission
     # bits do not stop a process that runs as root.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import infmax as im
-from infmax import estimators, rng
+from infmax import estimators, models, rng
 import stream_reference
 
 
@@ -175,6 +175,30 @@ def test_weighted_pool_values_add_in_node_order(pools, pool_size):
         assert averages.tobytes() == (expect / pool_size).tobytes()
         estimates = np.array([im.sketch_query(ss, seeds, pool_size) for ss in lossless])
         assert estimates.tobytes() == averages.tobytes()
+
+
+def test_query_many_does_not_depend_on_the_reach_table(monkeypatch):
+    # 3 pools of 50: 150 simulations in three words, the last one partial.
+    # With the table a set's mask ORs its members' rows; without it the sets
+    # of a block propagate together, as many to a propagation as the default
+    # allows, one, or three.
+    model = im.families.gen_random_ic(9, 20, weight_range=(0.5, 3.0), seed=6)
+    n, m = model.num_nodes, model.graph.num_edges
+    sets = [[(v,) for v in range(n)], [(0, 7), (3, 3), (8, 1), (5, 2)],
+            [(2, 2, 0), (4, 6, 8), (1, 1, 1)], [(0, 1, 2, 3), (8, 8, 7, 8)]]
+    for tau in (0, 1, 2, n - 1):
+        config = im.OracleConfig(3, 50, tau, master_seed=5)
+        cached = im.build_oracle(model, config)
+        assert cached._single_reaches is not None
+        expect = [np.array([cached.query(s) for s in size]).tobytes() for size in sets]
+        assert [cached.query_many(size).tobytes() for size in sets] == expect
+        for cells in (models._BLOCK_CELLS, 3 * m, 3 * 3 * m):
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
+                patch.setattr(models, "_BLOCK_CELLS", cells)
+                uncached = im.build_oracle(model, config)
+                assert [uncached.query_many(size).tobytes() for size in sets] == expect
+                assert uncached._single_reaches is None
 
 
 @given(seed=st.integers(0, 1000), pools=st.sampled_from([1, 3, 5]),

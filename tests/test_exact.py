@@ -815,8 +815,9 @@ def test_unit_tables_built_once_per_component(monkeypatch):
     assert [id(part) for part in built] == [id(part) for part in model.components]
 
 
-def test_exact_values_without_reach_table_are_unchanged(monkeypatch):
-    # With no room for the reach table, every set propagates on its own.
+def test_exact_values_do_not_depend_on_block_cells(monkeypatch):
+    # One-word chunks, their sets propagated as many to a block as the
+    # default allows, one to a block, and three to a block.
     monkeypatch.setattr(exact, "_CHUNK", 64)
 
     def values(model, tau, sets):
@@ -828,13 +829,15 @@ def test_exact_values_without_reach_table_are_unchanged(monkeypatch):
     for kind, make in sorted(CHUNK_MODELS.items()):
         model = make()
         sets = VALUE_SETS + [(v,) for v in range(model.num_nodes)]
+        cells = max(model.graph.num_edges, model.num_nodes)
         for tau in range(4):
-            with_table = values(model, tau, sets)
-            with monkeypatch.context() as m:
-                m.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
-                # A fresh model, so its opt1 is not read from the first
-                # model's memo but computed without the table.
-                assert values(make(), tau, sets) == with_table, (kind, tau)
+            default = values(model, tau, sets)
+            for per_block in (1, 3):
+                with monkeypatch.context() as m:
+                    m.setattr(models, "_BLOCK_CELLS", per_block * cells)
+                    # A fresh model, so its opt1 is not read from the first
+                    # model's memo but computed under these blocks.
+                    assert values(make(), tau, sets) == default, (kind, tau, per_block)
 
 
 # -- opt1, memoized per model and step limit ----------------------------------

@@ -787,42 +787,45 @@ def test_reverse_reach_set_is_reach_set_over_reversed_graph(kind):
 
 
 @pytest.mark.parametrize("per_block", [None, 1, 4])
-def test_source_reaches_and_table_match_single_source_propagation(per_block, monkeypatch):
+def test_set_reaches_match_per_set_propagation(per_block, monkeypatch):
     # None keeps the default block rule; 1 and 4 size _BLOCK_CELLS to that
-    # many sources per block, 4 leaving a short last block.
+    # many sets per block, 4 leaving a short last block.
     for model in (random_model(5, n=9, m=22), im.ic_model(im.Graph.from_edges(5, []))):
-        g, n = model.graph, model.num_nodes
-        # 63 and 130 rows end in a partial word
-        for rows in (1, 63, 64, 130):
-            live, _ = im.sample_pool(model, rows, rows, packed=True)
-            width = live.shape[1]
-            if per_block is not None:
-                monkeypatch.setattr(models, "_BLOCK_CELLS",
-                                    per_block * width * max(g.num_edges, n))
-            for tau in (0, 2, n - 1):
-                expect = np.stack([im.reach_mask_batch(g, live, (u,), tau) for u in range(n)])
-                blocks = list(models.source_reaches(g, live, tau))
+        n = model.num_nodes
+        draw = np.random.default_rng(n)
+        # Sets of 1 to 4 members, each size with a set of one member repeated
+        # and sets that repeat members by chance.
+        sets = [draw.integers(0, n, size=(6, k)) for k in (1, 2, 3, 4)]
+        for ids in sets:
+            ids[0] = ids[0, 0]
+        for g in (model.graph, model.graph.reversed):
+            # 63 and 130 rows end in a partial word
+            for rows in (1, 63, 64, 130):
+                live, _ = im.sample_pool(model, rows, rows, packed=True)
+                width = live.shape[1]
                 if per_block is not None:
-                    assert [len(b) for b in blocks[:-1]] == [per_block] * (len(blocks) - 1)
-                assert np.concatenate(blocks).tobytes() == expect.tobytes()
-                table = models.reach_table(g, live, tau)
-                assert table.tobytes() == expect.tobytes()
-                # A table of chosen sources holds their rows, in the given order.
-                chosen = np.array([4, 0, 4, 2])
-                assert models.reach_table(g, live, tau, chosen).tobytes() == \
-                    expect[chosen].tobytes()
-                ids = np.array([[0, 3], [4, 1], [2, 2]])
-                unions = [im.reach_mask_batch(g, live, row, tau) for row in ids]
-                for got in (models.set_reaches(g, live, tau, ids, table),
-                            models.set_reaches(g, live, tau, ids, None)):
-                    assert got.tobytes() == np.stack(unions).tobytes()
-            # the table is kept up to exactly _EXPLICIT_CACHE_BYTES
-            monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8)
-            assert models.reach_table(g, live, 1) is not None
-            monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8 - 1)
-            assert models.reach_table(g, live, 1) is None
-            assert models.reach_table(g, live, 1, np.arange(n - 1)) is not None
-            monkeypatch.undo()
+                    monkeypatch.setattr(models, "_BLOCK_CELLS",
+                                        per_block * width * max(g.num_edges, n))
+                for tau in (0, 1, 2, n - 1):
+                    for ids in sets + [np.arange(n)[:, None]]:
+                        blocks = list(models.set_reaches(g, live, tau, ids))
+                        if per_block is not None:
+                            assert [len(b) for b in blocks[:-1]] == \
+                                [per_block] * (len(blocks) - 1)
+                        for block in blocks:
+                            assert block.dtype == np.uint64 and block.flags.c_contiguous
+                            assert block.shape[1:] == (n, width)
+                        expect = np.stack([im.reach_mask_batch(g, live, tuple(row), tau)
+                                           for row in ids])
+                        assert np.concatenate(blocks).tobytes() == expect.tobytes()
+                    # The table's rows are the singles, the last ids above.
+                    assert models.reach_table(g, live, tau).tobytes() == expect.tobytes()
+                # the table is kept up to exactly _EXPLICIT_CACHE_BYTES
+                monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8)
+                assert models.reach_table(g, live, 1) is not None
+                monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8 - 1)
+                assert models.reach_table(g, live, 1) is None
+                monkeypatch.undo()
 
 
 def test_every_packed_producer_returns_contiguous_rows(monkeypatch):
@@ -851,8 +854,9 @@ def test_every_packed_producer_returns_contiguous_rows(monkeypatch):
               int(edges.sum()))
     check(im.reach_mask_batch(g, live, (0, 4), 2), n)
     check(im.reach_mask_batch(g.reversed, live, start, 2), n)
-    for block in models.source_reaches(g, live, 2):
-        check(block, n)
+    for ids in (np.arange(n)[:, None], [[0, 4], [3, 3], [8, 1]]):
+        for block in models.set_reaches(g, live, 2, ids):
+            check(block, n)
     check(models.reach_table(g, live, 2), n)
     mixture = im.mixture_model([(random_model(1, n=6, m=8), 0.5),
                                 (random_model(2, n=6, m=8), 0.5)])
