@@ -312,15 +312,22 @@ def _cmd_sketch_query(args):
     doc = json.loads(Path(args.sketches).read_text())
     if not isinstance(doc, dict):
         raise ValueError("sketch file must hold a JSON object")
-    for key, low in (("k", MIN_SKETCH_SIZE), ("ell", 1)):
+    for key, low in (("k", MIN_SKETCH_SIZE), ("ell", 1), ("tau", 0)):
         if not (type(doc[key]) is int and doc[key] >= low):
             raise ValueError(f"sketch file: {key} must be an integer of at least {low}, "
                              f"got {doc[key]!r}")
+    if not (type(doc["rank_seed"]) is int and 0 <= doc["rank_seed"] < 1 << 64):
+        raise ValueError("sketch file: rank_seed must be an integer in [0, 2**64), "
+                         f"got {doc['rank_seed']!r}")
     weights = _sketch_array(doc["node_weights"], np.float64, "node_weights")
     entries = doc["sketches"]
     if not (isinstance(entries, list) and weights.shape == (len(entries),)
             and all(isinstance(entry, dict) for entry in entries)):
         raise ValueError("sketch file: sketches must hold one object per node weight")
+    for v, entry in enumerate(entries):
+        if not (type(entry["node"]) is int and entry["node"] == v):
+            raise ValueError(f"sketch file: sketch {v} must have node {v}, "
+                             f"got {entry['node']!r}")
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise ValueError("sketch file: node weights must be finite and nonnegative")
     sketches = tuple(

@@ -29,9 +29,9 @@ import numpy as np
 from .graph import Graph, as_seed_tuple
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, _word_sampler, ball_edges, node_weighted_sums,
-                     pack_rows, reach_mask_batch, reach_table, reverse_reach_set,
-                     sample_pool, set_reaches, start_mask, unpack_rows)
+from .models import (DiffusionModel, _total_dtype, _unit_weights, _word_sampler, ball_edges,
+                     node_weighted_sums, pack_rows, reach_mask_batch, reach_table,
+                     reverse_reach_set, sample_pool, set_reaches, start_mask, unpack_rows)
 from . import rng
 
 POOL_SIZE_FACTOR = 4
@@ -188,6 +188,27 @@ def _pool_segments(pools: int, pool_size: int) -> tuple:
     return word, bits, runs
 
 
+def _unit_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
+    """``uint8`` popcounts ``(..., n, pools, runs)`` of a packed ``(..., n,
+    words)`` node mask, read as given, every pool a run of ``runs`` units:
+    when ``g = gcd(pool_size, 64)`` is at least 8, the words read as
+    ``uint{g}``, ``pool_size // g`` per pool, else the
+    :func:`_pool_segments` of each pool, gathered and masked.  Bits past
+    the last pool (padding) are counted in no pool."""
+    g = math.gcd(pool_size, 64)
+    if g >= 8:
+        runs = pool_size // g
+        # Whole rows count faster than a strided slice of them; the units
+        # past the last pool are cut off after the count.
+        counts = np.bitwise_count(mask.view(f"<u{g // 8}"))[..., :pools * runs]
+    else:
+        word, bits, runs = _pool_segments(pools, pool_size)
+        units = mask[..., word]
+        units &= bits
+        counts = np.bitwise_count(units)
+    return counts.reshape(counts.shape[:-1] + (pools, runs))
+
+
 def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
     """Per-pool activation counts of a packed ``(..., n, words)`` node mask.
 
@@ -198,23 +219,13 @@ def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
     its own.  Pool boundaries may fall inside a word, and bits past the last
     pool (padding) are never counted.
 
-    The mask is counted as given, every pool a run of ``runs`` units: when
-    ``g = gcd(pool_size, 64)`` is at least 8, the words read as ``uint{g}``,
-    ``pool_size // g`` per pool, else the :func:`_pool_segments` of each
-    pool, gathered and masked.  The unit counts move node-first as they
-    widen to int64, and the result views that node-major memory.
+    The units of each pool (:func:`_unit_counts`) move node-first as their
+    counts widen to int64, and the result views that node-major memory,
+    which the weighted sum of :func:`count_pool_averages` reads in place.
     """
     pools, pool_size = int(pools), int(pool_size)
-    g = math.gcd(pool_size, 64)
-    if g >= 8:
-        runs = pool_size // g
-        units = mask.view(f"<u{g // 8}")[..., :pools * runs]
-    else:
-        word, bits, runs = _pool_segments(pools, pool_size)
-        units = mask[..., word]
-        units &= bits
-    counts = np.bitwise_count(units).reshape(units.shape[:-1] + (pools, runs))
-    counts = np.moveaxis(counts, -3, 0)
+    counts = np.moveaxis(_unit_counts(mask, pools, pool_size), -3, 0)
+    runs = counts.shape[-1]
     # A sum along each run costs per pool; runs no longer than the pool
     # count are added instead as strided columns of whole pools, one add
     # per unit of a run.
@@ -237,7 +248,8 @@ def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
     give values equal bit for bit, for any node weights.  The weighted sum is
     :func:`node_weighted_sums` over the node-major counts, which adds each
     pool's terms in node order, the order :func:`row_values` uses, whatever
-    the leading axes and the other pools hold.
+    the leading axes and the other pools hold; with unit weights it is the
+    integer total of each pool's counts.
     """
     return node_weighted_sums(node_weights, np.moveaxis(counts, -1, 0)) / pool_size
 
@@ -245,7 +257,22 @@ def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,
 def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,
                        pool_size: int) -> np.ndarray:
     """Per-pool average reach value ``(..., pools)`` of a packed
-    ``(..., n, words)`` node mask."""
+    ``(..., n, words)`` node mask: :func:`count_pool_averages` of its
+    :func:`pool_counts`, bit for bit.
+
+    With unit weights a pool's value is its activation total over
+    ``pool_size``: the popcounts of its units (:func:`_unit_counts`) are
+    summed over nodes and runs in an integer accumulator
+    (:func:`_total_dtype` of ``n * pool_size``), with no node-major count
+    table and no float sum.  That total is exactly the node-order float sum
+    of the counts, so no bit moves; other weights take the weighted sum.
+    """
+    pools, pool_size = int(pools), int(pool_size)
+    dtype = _total_dtype(mask.shape[-2] * pool_size)
+    if dtype is not None and _unit_weights(node_weights):
+        # Nodes first: a sum over two axes at once is slow when runs > 1.
+        totals = _unit_counts(mask, pools, pool_size).sum(axis=-3, dtype=dtype)
+        return totals.sum(axis=-1, dtype=dtype) / pool_size
     return count_pool_averages(pool_counts(mask, pools, pool_size), node_weights,
                                pool_size)
 
@@ -347,7 +374,7 @@ def marginal_edge_model(model: DiffusionModel) -> DiffusionModel:
     return model._marginal_edge_model
 
 
-_RRS_CELLS = 1 << 20  # searches x nodes of float64 credits per chunk (8 MB)
+_RRS_CELLS = 1 << 20  # searches x nodes per chunk: 8 MB of weighted float64 credits
 
 
 def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
@@ -363,7 +390,11 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     every node that reaches it within ``tau`` live steps.  Each chunk of
     searches runs as one propagation over ``Graph.reversed``, one search
     per row with its target set in that row only; the credits are added
-    search by search, in order, like a loop over scalar searches.
+    search by search, in order, like a loop over scalar searches.  With
+    unit weights a node's credit is the number of searches it reaches, the
+    popcount of its row of the chunk's mask, added as an integer: every
+    partial sum of the scalar loop is that integer count, exact below the
+    ``2**33`` searches the counter allows.
     """
     if mode not in (FULL_SIMULATION, MARGINAL):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -374,7 +405,8 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     g = model.graph
     n = g.num_nodes
     w = g.node_weights
-    acc = np.zeros(n, dtype=np.float64)
+    unit = _unit_weights(w)
+    acc = np.zeros(n, dtype=np.int64 if unit else np.float64)
     # A full search reads a simulation of the model; a marginal one, of its
     # marginal_edge_model on the marginal-flip stream.
     if mode == FULL_SIMULATION:
@@ -392,9 +424,13 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
         targets = np.minimum((u * n).astype(np.int64), n - 1)
         words, _ = draw(master_seed, lo, count)
         mask = reach_mask_batch(g.reversed, words, start_mask(n, targets), tau)
+        if unit:
+            # Padding bits never spread from the start mask's zero padding.
+            acc += np.bitwise_count(mask).sum(axis=1, dtype=np.int64)
+            continue
         # An axis-0 reduce over C-contiguous rows adds them in row order,
         # so the sums equal the scalar loop's ``acc[reached] += w[t]``.
         contrib = unpack_rows(mask, count) * w[targets][:, None]
         contrib[0] += acc
         acc = np.add.reduce(contrib, axis=0)
-    return n * acc / float(num_searches)
+    return n * acc.astype(np.float64) / float(num_searches)

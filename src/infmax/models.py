@@ -721,6 +721,21 @@ def reach_table(graph: Graph, live: np.ndarray, tau: int) -> np.ndarray | None:
     return table
 
 
+def _unit_weights(node_weights: np.ndarray) -> bool:
+    """Whether every node weight is exactly 1.0, so that a weighted sum of
+    integer terms is their integer total."""
+    return np.count_nonzero(node_weights != 1.0) == 0
+
+
+def _total_dtype(bound: int):
+    """Integer accumulator for nonnegative totals of at most ``bound``:
+    ``uint16`` when they fit, else ``int64``, or ``None`` from ``2**53``
+    on, where a float64 sum may round and the totals would not match it."""
+    if bound < 1 << 16:
+        return np.uint16
+    return np.int64 if bound < 1 << 53 else None
+
+
 def node_weighted_sums(node_weights: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """``sum_v node_weights[v] * columns[v]``, the weighted sum over the
     leading node axis of ``columns``, shaped ``columns.shape[1:]``.
@@ -732,8 +747,20 @@ def node_weighted_sums(node_weights: np.ndarray, columns: np.ndarray) -> np.ndar
     transposed view or a lone output is summed in another order.  So the
     columns are made contiguous, and a lone output is padded with a zero
     (in float64, which einsum would cast the columns to anyway).
+
+    With unit weights (:func:`_unit_weights`), nonnegative integer columns
+    are summed as integers (:func:`_total_dtype` of ``n`` times a bound on
+    their entries: 255 for one-byte columns, else their largest) and
+    converted to float64 once: every product is exact and every partial
+    sum an integer below ``2**53``, so the node-order float sum is that
+    same integer, bit for bit.
     """
     columns = np.ascontiguousarray(columns)
+    if columns.dtype.kind in "biu" and columns.size and _unit_weights(node_weights):
+        top = 255 if columns.itemsize == 1 else int(columns.max())
+        dtype = _total_dtype(columns.shape[0] * top)
+        if dtype is not None and (columns.dtype.kind != "i" or columns.min() >= 0):
+            return np.asarray(columns.sum(axis=0, dtype=dtype), dtype=np.float64)
     outputs = columns.shape[1:]
     if math.prod(outputs) == 1:
         padded = np.zeros((columns.shape[0], 2))
@@ -747,8 +774,9 @@ def row_values(graph: Graph, mask: np.ndarray, rows: int, nodes=None) -> np.ndar
     ``(n, words)`` node mask, the :func:`node_weighted_sums` of its unpacked
     ``(n, rows)`` columns: a simulation's value adds the weights of its
     active nodes in node order, whatever the others hold, and no ``(rows,
-    n)`` float matrix is formed.  ``nodes``, ascending ids, limits the sum
-    to their rows; a node outside them that is active in no simulation adds
+    n)`` float matrix is formed; with unit weights a value is the integer
+    count of active nodes.  ``nodes``, ascending ids, limits the sum to
+    their rows; a node outside them that is active in no simulation adds
     an exact zero, so leaving it out keeps every bit."""
     weights = graph.node_weights if nodes is None else graph.node_weights[nodes]
     return node_weighted_sums(weights, unpack_columns(mask, rows, nodes))

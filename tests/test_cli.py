@@ -377,16 +377,26 @@ def test_sketch_build_and_query_round_trip(tmp_path):
     assert estimate == json.loads(est_out.read_text())["result"]["estimate"]
 
 
-def test_sketch_query_refuses_numbers_of_the_wrong_json_type(tmp_path, capsys):
-    # Pair ids must be JSON integers and ranks and weights JSON numbers: a
-    # fraction is not truncated, and a bool or a string is not cast.
+def two_world_sketches(tmp_path, capsys):
+    """The two-world mixture's sketch file, its document and a query of it
+    that succeeds; captured output is cleared."""
     model, built = tmp_path / "tw.model", tmp_path / "tw.sketches"
     assert run_cli(["gen", "--family", "mixture", "--model-out", str(model),
                     "--out", str(tmp_path / "g.json")]) == 0
     assert run_cli(["sketch-build", "--model", str(model), "--tau", "2", "--pool-size", "20",
                     "--k", "8", "--sketch-out", str(built),
                     "--out", str(tmp_path / "b.json")]) == 0
-    doc = json.loads(built.read_text())
+    query = ["sketch-query", "--sketches", str(built), "--seeds", "0,5",
+             "--out", str(tmp_path / "q.json")]
+    assert run_cli(query) == 0
+    capsys.readouterr()
+    return built, json.loads(built.read_text()), query
+
+
+def test_sketch_query_refuses_numbers_of_the_wrong_json_type(tmp_path, capsys):
+    # Pair ids must be JSON integers and ranks and weights JSON numbers: a
+    # fraction is not truncated, and a bool or a string is not cast.
+    built, doc, query = two_world_sketches(tmp_path, capsys)
     first = doc["sketches"][0]
     assert first["pair_nodes"] and first["pair_sims"]
     edits = {
@@ -398,10 +408,6 @@ def test_sketch_query_refuses_numbers_of_the_wrong_json_type(tmp_path, capsys):
              for index in (0, -1) for value in values]
     cases += [(None, index, value)
               for index in (0, -1) for value in ("1", True, None, [1.0], 2 ** 1100)]
-    query = ["sketch-query", "--sketches", str(built), "--seeds", "0,5",
-             "--out", str(tmp_path / "q.json")]
-    assert run_cli(query) == 0
-    capsys.readouterr()
     for key, index, value in cases:
         edited = json.loads(json.dumps(doc))
         target = edited["sketches"][0][key] if key else edited["node_weights"]
@@ -410,6 +416,27 @@ def test_sketch_query_refuses_numbers_of_the_wrong_json_type(tmp_path, capsys):
         assert run_cli(query) == 2, (key, index, value)
         err = capsys.readouterr().err
         assert err.startswith("error: sketch file: ") and "Traceback" not in err, err
+
+
+def test_sketch_query_checks_tau_rank_seed_and_node_ids(tmp_path, capsys):
+    # tau is a JSON integer of at least 0, rank_seed one in [0, 2**64), and
+    # sketch v names node v by the JSON integer v.
+    built, doc, query = two_world_sketches(tmp_path, capsys)
+    last = len(doc["sketches"]) - 1
+    cases = [(None, "tau", value) for value in ("x", -5, 2.0, True, None)]
+    cases += [(None, "rank_seed", value) for value in ([1], -1, 2 ** 64, 1.0, False, "1")]
+    cases += [(v, "node", value) for v, value in
+              [(0, "abc"), (0, 7), (0, 0.0), (0, False), (last, 0), (last, None)]]
+    for v, key, value in cases:
+        edited = json.loads(json.dumps(doc))
+        (edited if v is None else edited["sketches"][v])[key] = value
+        built.write_text(json.dumps(edited))
+        assert run_cli(query) == 2, (v, key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: sketch file: ") and "Traceback" not in err, err
+    # The largest rank seed is kept.
+    built.write_text(json.dumps(dict(doc, rank_seed=2 ** 64 - 1)))
+    assert run_cli(query) == 0
 
 
 def test_paths_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys):

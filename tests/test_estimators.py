@@ -150,12 +150,26 @@ def test_batched_pool_reduction_equals_per_mask_calls(pools, pool_size, cols, ba
         batched = im.mask_pool_averages(masks, w, pools, pool_size)
         single = np.stack([im.mask_pool_averages(m, w, pools, pool_size) for m in masks])
         assert batched.tobytes() == single.tobytes()  # bit-exact
+        # Unit weights take integer totals, which equal the node-order sum.
+        expect = np.zeros(counts.shape[:-1])
+        for v in range(cols):
+            expect = expect + w[v] * counts[..., v]
+        assert batched.tobytes() == (expect / pool_size).tobytes()
 
 
 @pytest.mark.parametrize("pools,pool_size", [(1, 300), (1, 320), (7, 32), (5, 128), (3, 23)])
 def test_weighted_pool_values_add_in_node_order(pools, pool_size):
-    # 40 nodes with non-unit weights: a sum in any other order shows.
-    model = im.families.gen_random_ic(40, 120, weight_range=(0.5, 3.0), seed=pool_size)
+    # Unit weights take integer totals.  Random weights on 40 nodes show a
+    # sum in any other order.  Unit weights but for node 0, which the set
+    # (0,) reaches in every simulation, at 2.0 or 0.0, take the weighted sum.
+    unit = im.families.gen_random_ic(40, 120, seed=pool_size)
+    weighted = im.families.gen_random_ic(40, 120, weight_range=(0.5, 3.0), seed=pool_size)
+    for model in (unit, weighted, reweighted(unit, np.r_[2.0, np.ones(39)]),
+                  reweighted(unit, np.r_[0.0, np.ones(39)])):
+        _check_pool_values_add_in_node_order(model, pools, pool_size)
+
+
+def _check_pool_values_add_in_node_order(model, pools, pool_size):
     g, config = model.graph, im.OracleConfig(pools, pool_size, 2, master_seed=5)
     oracle = im.build_oracle(model, config)
     for sets in ([(v,) for v in range(40)], [(0, 7), (3, 39), (12, 20), (5, 31)]):
@@ -548,15 +562,17 @@ def test_rrs_estimate_bytes_do_not_depend_on_chunk_size(kind, per_chunk, monkeyp
 
 
 def test_rrs_estimate_credit_memory_is_bounded():
-    # One chunk of all 4,096 searches would hold a 65.5 MB float64 credit matrix.
-    model = RRS_CHUNKED["ic-2000"][0]
-    tracemalloc.start()
-    try:
-        im.rrs_estimate(model, im.FULL_SIMULATION, 4096, 1, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 40 * 2**20
+    # One chunk of all 4,096 searches would hold a 65.5 MB float64 credit
+    # matrix; unit weights count the reached searches instead.
+    unit = RRS_CHUNKED["ic-2000"][0]
+    for model in (unit, reweighted(unit, np.random.default_rng(3).uniform(0.5, 3.0, 2000))):
+        tracemalloc.start()
+        try:
+            im.rrs_estimate(model, im.FULL_SIMULATION, 4096, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 def test_marginal_edge_model_of_mixture():

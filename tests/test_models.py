@@ -582,22 +582,27 @@ def test_pack_rows_equals_row_major_formula(count):
 @pytest.mark.parametrize("n", [1, 7, 8, 20, 130, 300])
 def test_node_weighted_sums_add_in_node_order(n, dtype):
     gen = np.random.default_rng(n)
-    w = gen.uniform(0.5, 3.0, n)
-    w[gen.random(n) < 0.2] = 0.0
+    weights = gen.uniform(0.5, 3.0, n)
+    weights[gen.random(n) < 0.2] = 0.0
     high = 2 if dtype is np.uint8 else 400
     # Output axes after the node axis: one output or many, in a batch of
     # one or of several.
-    for outputs in [(1,), (2,), (65,), (1, 1), (1, 5), (3, 1), (4, 7)]:
-        x = gen.integers(0, high, (n,) + outputs).astype(dtype)
-        expect = np.zeros(outputs)
-        for v in range(n):
-            expect = expect + w[v] * x[v]
-        got = models.node_weighted_sums(w, x)
-        assert got.shape == outputs
-        assert got.tobytes() == expect.tobytes()
-        # The same columns as a transposed, non-contiguous view.
-        flipped = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
-        assert models.node_weighted_sums(w, flipped).tobytes() == expect.tobytes()
+    for w in (weights, np.ones(n)):
+        for outputs in [(1,), (2,), (65,), (1, 1), (1, 5), (3, 1), (4, 7)]:
+            x = gen.integers(0, high, (n,) + outputs).astype(dtype)
+            # Unit weights take an integer total: uint16 up to 65,535, int64
+            # above, which 300 nodes of counts up to 399 reach.
+            if n == 300 and dtype is np.int64:
+                assert models._total_dtype(n * int(x.max())) is np.int64
+            expect = np.zeros(outputs)
+            for v in range(n):
+                expect = expect + w[v] * x[v]
+            got = models.node_weighted_sums(w, x)
+            assert got.shape == outputs and got.dtype == np.float64
+            assert got.tobytes() == expect.tobytes()
+            # The same columns as a transposed, non-contiguous view.
+            flipped = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0)
+            assert models.node_weighted_sums(w, flipped).tobytes() == expect.tobytes()
 
 
 # -- reachability -----------------------------------------------------------
