@@ -29,16 +29,18 @@ import numpy as np
 from .graph import Graph, as_seed_tuple
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, _total_dtype, _unit_weights, _word_sampler, ball_edges,
-                     node_weighted_sums, pack_rows, reach_mask_batch, reach_table,
-                     reverse_reach_set, sample_pool, set_reaches, start_mask, unpack_rows)
-from . import rng
+from .models import (DiffusionModel, _total_dtype, _unit_weights, _word_sampler,
+                     ball_edges, node_weighted_sums, pack_rows, reach_mask_batch, reach_rows,
+                     reach_table, reverse_reach_set, sample_pool, set_reaches, start_mask,
+                     unpack_rows)
+from . import models, rng
 
 POOL_SIZE_FACTOR = 4
 POOL_COUNT_FACTOR = 28
 TOTAL_SAMPLE_FACTOR = POOL_SIZE_FACTOR * POOL_COUNT_FACTOR  # 112
 
-# query_many reduces as many sets per call as fit their masks and counts here.
+# query_many reduces as many sets per call as fit their masks and counts here,
+# and extension_values as many candidates as fit their reach rows and counts.
 _SCORE_BLOCK_BYTES = 1 << 20
 
 AVERAGING = "averaging"
@@ -81,6 +83,11 @@ class Oracle:
     ``(m, ceil(total_simulations / 64))`` ``uint64`` edge rows
     (:func:`pack_rows`), kept as given; only the packed words are held.
     ``components`` (from :func:`sample_pool`) is accepted but not kept.
+
+    On first use the oracle caches what its batched queries read: for
+    :meth:`extension_values` the sparse :func:`reach_rows` of every node,
+    and for :meth:`query_many` their dense :func:`reach_table`, each only
+    while it fits ``models._EXPLICIT_CACHE_BYTES``.
     """
 
     def __init__(self, model: DiffusionModel, config: OracleConfig,
@@ -120,12 +127,64 @@ class Oracle:
         """The :func:`reach_table` of this oracle's simulations."""
         return reach_table(self.model.graph, self._live, self.config.tau)
 
+    @cached_property
+    def _rows(self) -> tuple | None:
+        """Every node's :func:`reach_rows`, ``(start, nodes, rows)`` with the
+        rows of node ``u`` at ``start[u]:start[u + 1]``, computed a block of
+        sources at a time (:meth:`_computed_blocks`).  ``None``, with no
+        block kept, as soon as the rows so far, at their mean bytes per
+        source, would pass ``models._EXPLICIT_CACHE_BYTES`` for all ``n``
+        sources: a cache too large to keep is not built first."""
+        n, done, size = self.num_nodes, 0, 0
+        lengths, nodes, rows = [], [], []
+        for start, cols, block in self._computed_blocks(np.arange(n)):
+            done += start.size - 1
+            size += cols.nbytes + block.nbytes
+            if size * n > models._EXPLICIT_CACHE_BYTES * done:
+                return None
+            lengths.append(np.diff(start))
+            nodes.append(cols)
+            rows.append(block)
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(lengths), out=start[1:])
+        return start, np.concatenate(nodes), np.concatenate(rows)
+
+    def _computed_blocks(self, sources: np.ndarray, per_source: int = 0):
+        """Yield the :func:`reach_rows` ``(start, nodes, rows)`` of
+        consecutive blocks of ``sources``.  A block holds as many sources as
+        fit ``_SCORE_BLOCK_BYTES`` at ``per_source`` bytes each plus their
+        rows, counted at the mean row count of the blocks so far (``n`` per
+        source before the first)."""
+        g, live = self.model.graph, self._live
+        row_bytes, lo, seen = live.shape[1] * 8, 0, 0
+        while lo < len(sources):
+            mean = seen / lo if lo else g.num_nodes
+            hi = lo + max(1, int(_SCORE_BLOCK_BYTES // (mean * row_bytes + per_source)))
+            block = reach_rows(g, live, self.config.tau, sources[lo:hi])
+            yield block
+            lo, seen = min(hi, len(sources)), seen + block[1].size
+
+    def _cached_blocks(self, per_source: int = 0):
+        """Yield ``(start, nodes, rows)`` as :meth:`_computed_blocks` does
+        for every node in id order, as views of the cached :attr:`_rows`."""
+        start, nodes, rows = self._rows
+        n = start.size - 1
+        cost = start * (rows.shape[1] * 8) + np.arange(n + 1) * per_source
+        lo = 0
+        while lo < n:
+            hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _SCORE_BLOCK_BYTES,
+                                                 side="right")) - 1)
+            at = start[lo:hi + 1]
+            yield at - at[0], nodes[at[0]:at[-1]], rows[at[0]:at[-1]]
+            lo = hi
+
     def query_many(self, seed_sets) -> np.ndarray:
         """:meth:`query` of each of ``seed_sets`` (equal-size tuples of ids),
         bit for bit, read a block at a time.  Reachability is a coverage
         function, so a set's mask is the OR of its members' rows of the
-        cached :func:`reach_table`; without a table the block's sets
-        propagate together (:func:`set_reaches`).  The masks go through
+        cached :func:`reach_table`, itself scattered from :func:`reach_rows`;
+        without a table the block's sets propagate together
+        (:func:`set_reaches`).  The masks go through
         :func:`mask_pool_averages`, each row reduced on its own."""
         g, cfg = self.model.graph, self.config
         n, words = g.num_nodes, self._live.shape[1]
@@ -144,6 +203,77 @@ class Oracle:
                                                          cfg.pool_size))
                           for masks in blocks)
         return np.concatenate(values)
+
+    def extension_values(self, base, candidates) -> np.ndarray:
+        """:meth:`query_many` of ``base`` plus each node of ``candidates``,
+        in order, bit for bit; ``base`` may be empty.
+
+        The mask ``M`` of ``base`` is the scatter of its members'
+        :func:`reach_rows`, and a candidate changes only the columns of its
+        own rows, so only those are recounted, a block of candidates at a
+        time.  The rows are read from the cache (:attr:`_rows`), which
+        scores every node and reads out the candidates, or else computed
+        for the candidates alone (:meth:`_computed_blocks`).  With unit
+        weights a candidate's pool totals are ``M``'s plus the popcounts of
+        its rows' bits outside ``M`` (:func:`_unit_counts`), summed per
+        candidate.  Otherwise its ``(pools, n)`` count table is ``M``'s with
+        its columns replaced by the counts of ``M[col] | row``, reduced by
+        :func:`count_pool_averages` over all ``n`` nodes in node order.
+        Either way its pool averages equal :func:`mask_pool_averages` of the
+        grown set's mask bit for bit.
+        """
+        g, cfg, live = self.model.graph, self.config, self._live
+        n, pools, pool_size = g.num_nodes, cfg.pools, cfg.pool_size
+        base, candidates = _node_ids(base, n), _node_ids(candidates, n)
+        cache = self._rows
+        if cache is None:
+            start, nodes, rows = reach_rows(g, live, cfg.tau, base)
+            members = range(base.size)
+        else:
+            (start, nodes, rows), members = cache, base.tolist()
+        mask = np.zeros((n, live.shape[1]), dtype=np.uint64)
+        for u in members:
+            mask[nodes[start[u]:start[u + 1]]] |= rows[start[u]:start[u + 1]]
+        dtype = _total_dtype(n * pool_size)
+        unit = dtype is not None and _unit_weights(g.node_weights)
+        if unit:
+            totals = _unit_totals(mask, pools, pool_size, dtype)
+            per_source = 0
+        else:
+            counts = pool_counts(mask, pools, pool_size)
+            per_source = pools * n * 8
+        blocks = (self._computed_blocks(candidates, per_source) if cache is None
+                  else self._cached_blocks(per_source))
+        values = [np.empty(0)]
+        for start, nodes, rows in blocks:
+            columns = mask.take(nodes, axis=0)
+            if unit:
+                np.invert(columns, out=columns)
+                columns &= rows
+                gains = np.add.reduceat(_unit_counts(columns, pools, pool_size), start[:-1],
+                                        axis=0, dtype=dtype)
+                averages = (totals + gains.sum(axis=-1, dtype=dtype)) / pool_size
+            else:
+                columns |= rows
+                table = np.repeat(counts[None], start.size - 1, axis=0)
+                owner = np.repeat(np.arange(start.size - 1), np.diff(start))
+                table[owner, :, nodes] = pool_counts(columns, pools, pool_size).T
+                averages = count_pool_averages(table, g.node_weights, pool_size)
+            values.append(pool_median(averages))
+        values = np.concatenate(values)
+        return values if cache is None else values[candidates]
+
+
+def _node_ids(ids, n: int) -> np.ndarray:
+    """A collection of node ids as an int64 array, each in ``[0, n)``."""
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise ValueError("node ids must be a flat collection of integers")
+    if ids.min() < 0 or ids.max() >= n:
+        raise ValueError("seed id out of range")
+    return ids.astype(np.int64)
 
 
 def _id_block(seed_sets: list, n: int) -> np.ndarray:
@@ -270,11 +400,17 @@ def mask_pool_averages(mask: np.ndarray, node_weights: np.ndarray, pools: int,
     pools, pool_size = int(pools), int(pool_size)
     dtype = _total_dtype(mask.shape[-2] * pool_size)
     if dtype is not None and _unit_weights(node_weights):
-        # Nodes first: a sum over two axes at once is slow when runs > 1.
-        totals = _unit_counts(mask, pools, pool_size).sum(axis=-3, dtype=dtype)
-        return totals.sum(axis=-1, dtype=dtype) / pool_size
+        return _unit_totals(mask, pools, pool_size, dtype) / pool_size
     return count_pool_averages(pool_counts(mask, pools, pool_size), node_weights,
                                pool_size)
+
+
+def _unit_totals(mask: np.ndarray, pools: int, pool_size: int, dtype) -> np.ndarray:
+    """Per-pool activation totals ``(..., pools)`` of a packed ``(..., n,
+    words)`` node mask, summed in ``dtype`` from its :func:`_unit_counts`."""
+    # Nodes first: a sum over two axes at once is slow when runs > 1.
+    totals = _unit_counts(mask, pools, pool_size).sum(axis=-3, dtype=dtype)
+    return totals.sum(axis=-1, dtype=dtype)
 
 
 def pool_median(averages: np.ndarray) -> np.ndarray:

@@ -71,8 +71,14 @@ class Graph:
                 if bad_tail[gids == gid].any():
                     raise ValueError(f"group {gid}: edges must share one tail node")
                 raise ValueError(f"group {gid}: per-edge probabilities must agree")
-        # In-edge CSR, sorted by head then edge id for deterministic traversal.
-        in_order = np.argsort(self.heads, kind="stable").astype(np.int64)
+        # In-edge CSR, sorted by head then edge id for deterministic traversal:
+        # one sort of the keys head * 2**32 + id, which fit int64 while every
+        # head is below 2**31 and every id below 2**32, is several times
+        # faster than a stable argsort of the heads.
+        if n <= 1 << 31 and m < 1 << 32:
+            in_order = np.sort((self.heads << 32) | np.arange(m)) & 0xFFFFFFFF
+        else:
+            in_order = np.argsort(self.heads, kind="stable").astype(np.int64)
         in_start = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.heads, minlength=n), out=in_start[1:])
         for name, arr in (("_in_order", in_order), ("_in_start", in_start)):

@@ -9,10 +9,12 @@ that validates candidates on small independent oracles and stops early
 when the data allows it.
 
 Brute force and greedy accept any object with ``num_nodes`` and
-``query``.  Each subset size, or greedy step, is scored by one
-``query_many`` call where the oracle has it (``Oracle`` and
-``ExactInfluence`` do), else by one ``query`` per set; the first maximum
-wins ties.
+``query``.  Each subset size is scored by one ``query_many`` call where
+the oracle has it (``Oracle`` and ``ExactInfluence`` do), else by one
+``query`` per set.  Each greedy step is scored by one
+``extension_values`` call where the oracle has it (``Oracle`` does: it
+recounts only the columns each candidate reaches), else in the same way
+as a subset size.  The first maximum wins ties.
 """
 
 from __future__ import annotations
@@ -101,17 +103,23 @@ def greedy_max(oracle, s: int) -> MaximizerResult:
     """Greedy maximization: repeatedly add the node of largest oracle value.
 
     Each step scores the chosen set plus each unchosen node, in id order,
-    in one batch, so ties go to the lowest id and the trace matches
-    from-scratch queries bit for bit.
+    in one batch: the oracle's ``extension_values`` of the chosen set where
+    it has one, else the values of the grown sets (:func:`_values`).  So
+    ties go to the lowest id and the trace matches from-scratch queries bit
+    for bit.
     """
     if int(s) < 1:
         raise ValueError("seed budget must be at least 1")
     n = oracle.num_nodes
+    extension_values = getattr(oracle, "extension_values", None)
     chosen: list[int] = []
     current, trace = 0.0, []
     for _ in range(min(int(s), n)):
         candidates = [u for u in range(n) if u not in chosen]
-        values = _values(oracle, (tuple(sorted(chosen + [u])) for u in candidates))
+        if extension_values is not None:
+            values = extension_values(chosen, candidates)
+        else:
+            values = _values(oracle, (tuple(sorted(chosen + [u])) for u in candidates))
         k = int(np.argmax(values))
         node, value = candidates[k], float(values[k])
         chosen.append(node)

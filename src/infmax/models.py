@@ -36,6 +36,10 @@ once, from one seed set shared by every simulation or from a packed start
 mask with its own start nodes per simulation (:func:`start_mask`); reverse
 searches run it over :attr:`Graph.reversed`, and :func:`set_reaches` runs
 it for many seed sets at once, each over its own copy of the words.
+Single sources also have a sparse routine, :func:`reach_rows`: one push
+over the out-edges of many sources' frontiers at once, which keeps only
+each source's nonzero node rows, so its cost follows the nodes a source
+reaches, not ``n``; :func:`reach_table` scatters them into a dense table.
 :func:`reverse_reach_set` searches one simulation's reverse reach, kept
 as a reference.
 """
@@ -683,7 +687,7 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
 
 # One block of tiled seed sets holds at most this many words x max(edges, nodes).
 _BLOCK_CELLS = 1 << 14
-# reach_table keeps every node's single-source reach while it fits here.
+# reach_table, and an oracle's cache of reach_rows, are kept while they fit here.
 _EXPLICIT_CACHE_BYTES = 1 << 27
 
 
@@ -707,17 +711,105 @@ def set_reaches(graph: Graph, live: np.ndarray, tau: int, ids: np.ndarray):
         yield np.ascontiguousarray(mask.reshape(n, b, width).transpose(1, 0, 2))
 
 
+def reach_rows(graph: Graph, live: np.ndarray, tau: int, sources):
+    """Single-source reach within ``tau`` steps of each of ``sources``, as
+    sparse rows: ``(start, nodes, rows)``, where ``rows[start[i]:start[i +
+    1]]`` are the nonzero ``(words,)`` rows of the :func:`reach_mask_batch`
+    of the lone source ``sources[i]``, at the ascending node ids
+    ``nodes[start[i]:start[i + 1]]``.  A node that the source reaches in no
+    simulation has no row; the source's own row has every bit set, padding
+    included, so every source has at least one row.
+
+    All sources push together, keyed ``owner * 2**k + node`` with ``2**k
+    >= n``, with a dense map from each key to its active row (8 bytes per
+    key, at most ``16 * n`` per source).  Each step expands the frontier
+    rows along their out-edges, read from :attr:`Graph.reversed`'s in-edge
+    CSR, and ANDs in each edge's live words.  A stable sort brings equal
+    keys together, and the few repeated ones are ORed into the first.  The
+    bits already active are cleared, the rest ORed into their key's active
+    row or appended as a new one.  It stops after a step that adds
+    nothing.  Only the frontier's out-edges are read, so a source that
+    reaches few nodes costs few rows, whatever ``n`` and ``m``.
+    """
+    tau = int(tau)
+    if tau < 0:
+        raise ValueError("step limit must be nonnegative")
+    n, words = graph.num_nodes, live.shape[1]
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        raise ValueError("source id out of range")
+    shift = max(n - 1, 1).bit_length()
+    low = (1 << shift) - 1
+    frontier = (np.arange(sources.size, dtype=np.int64) << shift) | sources
+    newly = np.full((sources.size, words), ~np.uint64(0))
+    # Row 0 is all zero: the active row of every key not yet reached.
+    rows = np.concatenate([np.zeros((1, words), dtype=np.uint64), newly])
+    slot = np.zeros(sources.size << shift, dtype=np.int64)
+    slot[frontier] = np.arange(1, sources.size + 1)
+    keys = [frontier]
+    start, out_edges = graph.reversed._in_start, graph.reversed._in_order
+    for _ in range(tau):
+        node = frontier & low
+        offset = start[node]
+        degree = start[node + 1] - offset
+        # Frontier row at[i] pushes along out-edge edges[i].
+        at = np.repeat(np.arange(node.size), degree)
+        if not at.size:
+            break
+        offset -= np.cumsum(degree) - degree
+        edges = out_edges[np.repeat(offset, degree) + np.arange(at.size)]
+        hit = (frontier - node)[at] | graph.heads[edges]
+        order = np.argsort(hit, kind="stable")
+        hit = hit[order]
+        reached = live.take(edges[order], axis=0)
+        reached &= newly.take(at[order], axis=0)
+        first = np.empty(hit.size, dtype=bool)
+        first[0] = True
+        np.not_equal(hit[1:], hit[:-1], out=first[1:])
+        if not first.all():
+            cuts, repeats = np.flatnonzero(first), np.flatnonzero(~first)
+            merged = reached.take(cuts, axis=0)
+            np.bitwise_or.at(merged, np.cumsum(first)[repeats] - 1,
+                             reached.take(repeats, axis=0))
+            hit, reached = hit[cuts], merged
+        place = slot[hit]
+        active = rows.take(place, axis=0)
+        reached &= np.invert(active, out=active)
+        fresh = reached.any(axis=1)
+        if not fresh.all():
+            if not fresh.any():
+                break
+            hit, reached, place = hit[fresh], reached[fresh], place[fresh]
+        frontier, newly = hit, reached
+        known = place > 0
+        if known.any():
+            rows[place[known]] |= newly[known]
+            new = ~known
+            hit, reached = hit[new], reached[new]
+        slot[hit] = np.arange(len(rows), len(rows) + hit.size)
+        keys.append(hit)
+        rows = np.concatenate([rows, reached])
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    keys = keys[order]
+    start = np.searchsorted(keys >> shift, np.arange(sources.size + 1))
+    return start, keys & low, rows.take(order + 1, axis=0)
+
+
 def reach_table(graph: Graph, live: np.ndarray, tau: int) -> np.ndarray | None:
-    """Source-first ``(n, n, words)`` :func:`set_reaches` of every single
-    node, or ``None`` when they would exceed ``_EXPLICIT_CACHE_BYTES``."""
-    n = graph.num_nodes
-    if n * live.shape[1] * n * 8 > _EXPLICIT_CACHE_BYTES:
+    """Source-first ``(n, n, words)`` :func:`reach_mask_batch` of every
+    single node, or ``None`` when it would exceed ``_EXPLICIT_CACHE_BYTES``:
+    the :func:`reach_rows` of every node scattered into their columns, a
+    block of sources at a time, so that no step of a block's push reads
+    more edge rows than that budget holds."""
+    n, m, words = graph.num_nodes, graph.num_edges, live.shape[1]
+    if n * words * n * 8 > _EXPLICIT_CACHE_BYTES:
         return None
-    table = np.empty((n, n, live.shape[1]), dtype=np.uint64)
-    lo = 0
-    for reach in set_reaches(graph, live, tau, np.arange(n)[:, None]):
-        table[lo:lo + len(reach)] = reach
-        lo += len(reach)
+    table = np.zeros((n, n, words), dtype=np.uint64)
+    block = max(1, _EXPLICIT_CACHE_BYTES // (max(m, 1) * words * 8))
+    for lo in range(0, n, block):
+        start, nodes, rows = reach_rows(graph, live, tau, np.arange(lo, min(lo + block, n)))
+        table[np.repeat(np.arange(lo, lo + start.size - 1), np.diff(start)), nodes] = rows
     return table
 
 

@@ -195,24 +195,57 @@ def test_query_many_does_not_depend_on_the_reach_table(monkeypatch):
     # 3 pools of 50: 150 simulations in three words, the last one partial.
     # With the table a set's mask ORs its members' rows; without it the sets
     # of a block propagate together, as many to a propagation as the default
-    # allows, one, or three.
+    # allows, one, or three.  extension_values reads the cached reach rows,
+    # or computes them without a cache, and gives the grown sets' values.
     model = im.families.gen_random_ic(9, 20, weight_range=(0.5, 3.0), seed=6)
     n, m = model.num_nodes, model.graph.num_edges
     sets = [[(v,) for v in range(n)], [(0, 7), (3, 3), (8, 1), (5, 2)],
             [(2, 2, 0), (4, 6, 8), (1, 1, 1)], [(0, 1, 2, 3), (8, 8, 7, 8)]]
+    bases = [(), (4,), (8, 1), (2, 2, 0)]
     for tau in (0, 1, 2, n - 1):
         config = im.OracleConfig(3, 50, tau, master_seed=5)
         cached = im.build_oracle(model, config)
         assert cached._single_reaches is not None
         expect = [np.array([cached.query(s) for s in size]).tobytes() for size in sets]
         assert [cached.query_many(size).tobytes() for size in sets] == expect
+        grown = [np.array([cached.query(base + (v,)) for v in range(n)]).tobytes()
+                 for base in bases]
+        assert [cached.extension_values(base, range(n)).tobytes()
+                for base in bases] == grown
+        assert cached._rows is not None
         for cells in (models._BLOCK_CELLS, 3 * m, 3 * 3 * m):
             with monkeypatch.context() as patch:
                 patch.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
                 patch.setattr(models, "_BLOCK_CELLS", cells)
                 uncached = im.build_oracle(model, config)
                 assert [uncached.query_many(size).tobytes() for size in sets] == expect
+                assert [uncached.extension_values(base, range(n)).tobytes()
+                        for base in bases] == grown
                 assert uncached._single_reaches is None
+                assert uncached._rows is None
+
+
+def test_reach_row_cache_is_every_source_within_its_budget(monkeypatch):
+    # The cached rows are every node's reach_rows, whether built in one
+    # block or a source at a time, and kept up to exactly the budget when
+    # one block holds every source.
+    model = im.families.gen_random_ic(9, 20, seed=6)
+    config = im.OracleConfig(3, 50, 2, master_seed=5)
+    start, nodes, rows = im.build_oracle(model, config)._rows
+    oracle = im.build_oracle(model, config)
+    for u in range(9):
+        at = slice(start[u], start[u + 1])
+        one = models.reach_rows(model.graph, oracle._live, 2, [u])
+        assert np.array_equal(nodes[at], one[1]) and np.array_equal(rows[at], one[2])
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_SCORE_BLOCK_BYTES", 1)
+        blocked = im.build_oracle(model, config)._rows
+        assert all(np.array_equal(a, b) for a, b in zip(blocked, (start, nodes, rows)))
+    size = nodes.nbytes + rows.nbytes
+    monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", size)
+    assert im.build_oracle(model, config)._rows is not None
+    monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", size - 1)
+    assert im.build_oracle(model, config)._rows is None
 
 
 @given(seed=st.integers(0, 1000), pools=st.sampled_from([1, 3, 5]),

@@ -16,6 +16,22 @@ def test_basic_construction_and_csr():
     assert list(g.in_edges(0)) == []
 
 
+def test_in_edge_order_is_the_stable_argsort_of_heads():
+    # The packed-key sort orders in-edges by head, then edge id: no edges,
+    # one head repeated, and random graphs with repeated heads.
+    draw = np.random.default_rng(4)
+    cases = [(3, np.zeros(0, dtype=np.int64)), (5, np.full(9, 2)), (1, np.zeros(4, dtype=int))]
+    cases += [(n, draw.integers(0, n, size=m)) for n, m in ((2, 50), (40, 7), (300, 2000))]
+    for n, heads in cases:
+        tails = (heads + 1) % max(n, 1)
+        g = Graph(n, tails, heads, np.full(heads.size, 0.5), np.full(heads.size, -1),
+                  np.ones(n))
+        expect = np.argsort(heads, kind="stable")
+        assert g._in_order.dtype == np.int64
+        assert np.array_equal(g._in_order, expect)
+        assert np.array_equal(g.reversed._in_order, np.argsort(tails, kind="stable"))
+
+
 def test_reversed_turns_edges_around_and_drops_groups():
     g = Graph.from_edges(4, [(0, 1, 0.5, 7), (0, 2, 0.5, 7), (2, 3, 1.0), (3, 0, 0.25)],
                          node_weights=[1.0, 2.5, 1.0, 0.0])

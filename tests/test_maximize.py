@@ -285,6 +285,8 @@ def _assert_same_maximizers(a, b):
 
 
 def test_uncached_scoring_matches_cached(monkeypatch):
+    # Cached, brute force reads the reach table and greedy the reach rows;
+    # uncached, brute force propagates its sets and greedy computes rows.
     for weights in [(1.0, 1.0), (0.5, 3.0)]:
         for pools in (1, 5):
             model = im.families.gen_random_ic(9, 16, weight_range=weights, seed=pools)
@@ -292,12 +294,60 @@ def test_uncached_scoring_matches_cached(monkeypatch):
             cached = im.build_oracle(model, config)
             _assert_same_maximizers(cached, GenericView(cached))
             assert cached._single_reaches is not None
+            assert cached._rows is not None
             with monkeypatch.context() as m:
                 m.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
                 uncached = im.build_oracle(model, config)
                 _assert_same_maximizers(uncached, cached)
                 _assert_same_maximizers(uncached, GenericView(uncached))
                 assert uncached._single_reaches is None
+                assert uncached._rows is None
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("block", [1, 300, None])
+def test_greedy_extension_scoring_matches_per_set_queries(monkeypatch, cache, block):
+    # Greedy scores through extension_values, from the cached rows or from
+    # rows computed per block of candidates; block sizes _SCORE_BLOCK_BYTES
+    # so that a block holds one source, a few, or (None) every one.
+    if not cache:
+        monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
+    if block is not None:
+        monkeypatch.setattr(estimators, "_SCORE_BLOCK_BYTES", block)
+    for weights in [(1.0, 1.0), (0.5, 3.0)]:
+        for pools in (1, 5):
+            for seed in (0, 1):
+                model = im.families.gen_random_ic(12, 30, weight_range=weights, seed=seed)
+                # 23-simulation pools put pool boundaries inside words
+                oracle = im.build_oracle(model, im.OracleConfig(pools, 23, 2, seed))
+                greedy = im.greedy_max(oracle, 6)
+                assert greedy.trace == im.greedy_max(GenericView(oracle), 6).trace
+                assert (oracle._rows is not None) == cache
+                chosen = list(greedy.seeds[:2])
+                others = [v for v in range(12) if v not in chosen][::-1]
+                expect = [oracle.query(chosen + [v]) for v in others]
+                assert oracle.extension_values(chosen, others).tolist() == expect
+    with pytest.raises(ValueError, match="out of range"):
+        oracle.extension_values([], [12])
+    with pytest.raises(ValueError, match="integers"):
+        oracle.extension_values([0.5], [1])
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_greedy_extension_ties_go_to_the_lowest_id(monkeypatch, cache):
+    # Two equal stars, 0 -> {1, 2} and 3 -> {4, 5}, and a pair 6 -> 7, all
+    # edges live: greedy takes 0 and 3, whose gains tie, in id order, then 6.
+    if not cache:
+        monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (6, 7, 1.0)]
+    for weights in ([1.0] * 8, [0.5, 2.0, 0.25, 0.5, 2.0, 0.25, 1.0, 1.5]):
+        model = im.ic_model(im.Graph.from_edges(8, edges, node_weights=weights))
+        for pools in (1, 5):
+            oracle = im.build_oracle(model, im.OracleConfig(pools, 23, 2, 0))
+            trace = im.greedy_max(oracle, 4).trace
+            assert [step.node for step in trace] == [0, 3, 6, 1]
+            assert trace == im.greedy_max(GenericView(oracle), 4).trace
+            assert trace[0].gain == trace[1].gain
 
 
 def test_query_many_matches_query():

@@ -825,12 +825,54 @@ def test_set_reaches_match_per_set_propagation(per_block, monkeypatch):
                         assert np.concatenate(blocks).tobytes() == expect.tobytes()
                     # The table's rows are the singles, the last ids above.
                     assert models.reach_table(g, live, tau).tobytes() == expect.tobytes()
-                # the table is kept up to exactly _EXPLICIT_CACHE_BYTES
+                # the table is kept up to exactly _EXPLICIT_CACHE_BYTES, and
+                # then scatters blocks of n * n // m sources
                 monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8)
-                assert models.reach_table(g, live, 1) is not None
+                assert models.reach_table(g, live, n - 1).tobytes() == expect.tobytes()
                 monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8 - 1)
                 assert models.reach_table(g, live, 1) is None
                 monkeypatch.undo()
+
+
+ROW_MODELS = dict(KERNEL_MODELS, edgeless=im.ic_model(im.Graph.from_edges(4, [])),
+                  # nodes 2, 5 and 6 have no edges at all
+                  isolated=im.ic_model(im.Graph.from_edges(
+                      7, [(0, 1, 0.5), (1, 3, 0.7), (3, 0, 0.9), (4, 3, 0.4), (1, 4, 1.0)])))
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_MODELS))
+def test_reach_rows_scatter_to_single_source_masks(kind):
+    # Every source's rows, scattered into an (n, words) mask, are its
+    # reach_mask_batch bit for bit: all sources and an unsorted subset with a
+    # repeat, over one word and over several with a partial last one.
+    model = ROW_MODELS[kind]
+    n = model.num_nodes
+    subset = [n - 1, 0, n // 2, 0]
+    for g in (model.graph, model.graph.reversed):
+        for count in (40, 64, 130):
+            live, _ = im.sample_pool(model, 5, count, packed=True)
+            for tau in (0, 1, 2, n - 1):
+                for sources in (np.arange(n), subset):
+                    start, nodes, rows = models.reach_rows(g, live, tau, sources)
+                    assert start.shape == (len(sources) + 1,) and start[0] == 0
+                    assert rows.shape == (nodes.size, live.shape[1])
+                    assert rows.dtype == np.uint64 and rows.flags.c_contiguous
+                    assert rows.any(axis=1).all()
+                    for i, source in enumerate(sources):
+                        at = slice(start[i], start[i + 1])
+                        assert (np.diff(nodes[at]) > 0).all()
+                        mask = np.zeros((n, live.shape[1]), dtype=np.uint64)
+                        mask[nodes[at]] = rows[at]
+                        expect = im.reach_mask_batch(g, live, (int(source),), tau)
+                        assert mask.tobytes() == expect.tobytes()
+    live, _ = im.sample_pool(model, 5, 40, packed=True)
+    start, nodes, rows = models.reach_rows(model.graph, live, 2, [])
+    assert start.tolist() == [0] and nodes.size == 0 and rows.shape == (0, 1)
+    for bad in ([-1], [n]):
+        with pytest.raises(ValueError, match="out of range"):
+            models.reach_rows(model.graph, live, 2, bad)
+    with pytest.raises(ValueError, match="step limit"):
+        models.reach_rows(model.graph, live, -1, [0])
 
 
 def test_every_packed_producer_returns_contiguous_rows(monkeypatch):
