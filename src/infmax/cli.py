@@ -33,7 +33,7 @@ from .graph import as_seed_tuple
 from .maximize import (adaptive_maximize, brute_force_fits, brute_force_max, greedy_max,
                        im_oracle_config, maximize_im)  # noqa: F401
 from .models import load_model, reach_mask_batch, row_values, sample_pool, save_model
-from .sketches import MIN_SKETCH_SIZE, NodeSketch, SketchSet, build_sketches, sketch_query
+from .sketches import MIN_SKETCH_SIZE, SketchSet, build_sketches, sketch_query
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -291,7 +291,7 @@ def _cmd_sketch_build(args):
           {"model": args.model, "tau": args.tau, "pool_size": args.pool_size,
            "k": args.k, "rank_seed": args.rank_seed},
           {"sketch_path": args.sketch_out,
-           "stored_entries": int(sum(sk.size for sk in sketch_set.sketches))})
+           "stored_entries": int(sketch_set.start[-1])})
 
 
 def _sketch_array(values, dtype, what: str) -> np.ndarray:
@@ -330,26 +330,28 @@ def _cmd_sketch_query(args):
                              f"got {entry['node']!r}")
     if not np.all(np.isfinite(weights) & (weights >= 0)):
         raise ValueError("sketch file: node weights must be finite and nonnegative")
-    sketches = tuple(
-        NodeSketch(doc["k"], _sketch_array(entry["ranks"], np.float64, "ranks"),
-                   _sketch_array(entry["pair_nodes"], np.int64, "pair_nodes"),
-                   _sketch_array(entry["pair_sims"], np.int64, "pair_sims"),
-                   node=entry["node"])
-        for entry in entries)
-    for sk in sketches:
-        if not (sk.pair_nodes.shape == sk.pair_sims.shape == (sk.size,)
-                and np.all((sk.pair_nodes >= 0) & (sk.pair_nodes < len(entries))
-                           & (sk.pair_sims >= 0) & (sk.pair_sims < doc["ell"]))
-                and np.unique(sk.pair_sims * len(entries) + sk.pair_nodes).size == sk.size
+    columns = [(_sketch_array(entry["ranks"], np.float64, "ranks"),
+                _sketch_array(entry["pair_nodes"], np.int64, "pair_nodes"),
+                _sketch_array(entry["pair_sims"], np.int64, "pair_sims"))
+               for entry in entries]
+    for ranks, nodes, sims in columns:
+        if not (nodes.shape == sims.shape == ranks.shape
+                and np.all((nodes >= 0) & (nodes < len(entries))
+                           & (sims >= 0) & (sims < doc["ell"]))
+                and np.unique(sims * len(entries) + nodes).size == ranks.size
                 # build_sketches writes ranks in increasing order, and a
                 # truncated query reads the k-th as the k-th smallest.
-                and np.all(np.isfinite(sk.ranks) & (sk.ranks >= 0))
-                and np.all(np.diff(sk.ranks) >= 0)):
+                and np.all(np.isfinite(ranks) & (ranks >= 0))
+                and np.all(np.diff(ranks) >= 0)):
             raise ValueError("sketch file: a sketch's pairs are misshapen, out of range "
                              "or repeated, or its ranks are not finite, nonnegative "
                              "and nondecreasing")
+    # The entries, node after node, are the set's flat arrays.
+    start = np.cumsum([0] + [ranks.size for ranks, _, _ in columns])
+    flat = [np.concatenate([np.empty(0, dtype)] + [column[j] for column in columns])
+            for j, dtype in enumerate((np.float64, np.int64, np.int64))]
     sketch_set = SketchSet(doc["k"], doc["tau"], doc["ell"], doc["rank_seed"],
-                           weights, sketches)
+                           weights, start, *flat)
     seeds = as_seed_tuple(weights.shape[0], _parse_seeds(args.seeds))
     estimate = sketch_query(sketch_set, seeds, sketch_set.ell)
     _emit(args, "sketch-query", {"sketches": args.sketches, "seeds": list(seeds)},

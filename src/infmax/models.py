@@ -686,7 +686,24 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
 
 
 # One block of tiled seed sets holds at most this many words x max(edges, nodes).
-_BLOCK_CELLS = 1 << 14
+# Its callers are build_sketches, exact_values and Oracle.query_many without a
+# reach table.  A bigger block makes fewer kernel calls per set, and its
+# copies (np.tile here, then live_by_head in the kernel) raise peak memory.
+# Measured on a 2-core Xeon VM (numpy 2.4.6): perfbench reverse at seed 52,
+# medians of 4 interleaved 10 s runs; criterion 7's time per sketch build;
+# query_many of all 1,770 pairs of gen_random_ic(60, 200) at 300 simulations
+# with no table.  exact_influence_map on perfbench maximize's instances read
+# 92-96 ms at every size.
+#
+#   cells   ops_per_s   op_p90_ms   peak_rss_mb   criterion 7   query_many
+#   2^14      314.1       5.43        44.57        0.69-0.73 ms    17.3 ms
+#   2^15      353.2       4.40        44.86        0.68 ms         13.3 ms
+#   2^16      359.1       4.22        45.57        0.59 ms         13.2 ms
+#   2^17      373.0       3.94        46.19        0.59 ms         21.8 ms
+#
+# 2^17 puts peak memory 3.6% above 2^14, too near the benchmark's 5% bound,
+# and query_many runs slower there than at 2^14.
+_BLOCK_CELLS = 1 << 16
 # reach_table, and an oracle's cache of reach_rows, are kept while they fit here.
 _EXPLICIT_CACHE_BYTES = 1 << 27
 

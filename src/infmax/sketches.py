@@ -13,6 +13,8 @@ whose coefficient of variation is about ``1 / sqrt(k - 2)``.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,8 @@ _SCAN_CELLS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class NodeSketch:
-    """Up to ``k`` smallest ranks among one node's reachable pairs."""
+    """Up to ``k`` smallest ranks among one node's reachable pairs.  Two
+    sketches are equal when every field is, the arrays element by element."""
     k: int
     ranks: np.ndarray
     pair_nodes: np.ndarray
@@ -43,16 +46,62 @@ class NodeSketch:
     def size(self) -> int:
         return int(self.ranks.shape[0])
 
+    def __eq__(self, other):
+        if not isinstance(other, NodeSketch):
+            return NotImplemented
+        return (self.k == other.k and self.node == other.node
+                and np.array_equal(self.ranks, other.ranks)
+                and np.array_equal(self.pair_nodes, other.pair_nodes)
+                and np.array_equal(self.pair_sims, other.pair_sims))
+
 
 @dataclass(frozen=True, eq=False)
 class SketchSet:
-    """Per-node sketches built from one pool of simulations."""
+    """Per-node sketches built from one pool of simulations, stored flat:
+    node ``v``'s entries, in increasing ``(rank, node, sim)`` order, are
+    ``ranks``, ``pair_nodes`` and ``pair_sims`` at ``[start[v], start[v +
+    1])``, with ``start`` the ``n + 1`` offsets.  :attr:`sketches` reads
+    them as one :class:`NodeSketch` per node."""
     k: int
     tau: int
     ell: int
     rank_seed: int
     node_weights: np.ndarray
-    sketches: tuple[NodeSketch, ...]
+    start: np.ndarray
+    ranks: np.ndarray
+    pair_nodes: np.ndarray
+    pair_sims: np.ndarray
+
+    @property
+    def sketches(self) -> NodeSketches:
+        return NodeSketches(self)
+
+
+class NodeSketches(Sequence):
+    """Read-only sequence view of a :class:`SketchSet`: item ``v`` (negative
+    indices count from the end) is node ``v``'s :class:`NodeSketch` over
+    slices of the set's flat arrays.  It equals the tuple of its items."""
+    __slots__ = ("_set",)
+
+    def __init__(self, sketch_set: SketchSet):
+        self._set = sketch_set
+
+    def __len__(self) -> int:
+        return self._set.start.shape[0] - 1
+
+    def __getitem__(self, v) -> NodeSketch:
+        n, v = len(self), operator.index(v)
+        if not -n <= v < n:
+            raise IndexError("node sketch index out of range")
+        v %= n
+        s = self._set
+        a, z = s.start[v], s.start[v + 1]
+        return NodeSketch(s.k, s.ranks[a:z], s.pair_nodes[a:z], s.pair_sims[a:z], node=v)
+
+    def __eq__(self, other):
+        if isinstance(other, NodeSketches):
+            other = tuple(other)
+        return tuple(self) == other
 
 
 def pair_ranks(rank_seed: int, ell: int, node_weights: np.ndarray) -> np.ndarray:
@@ -133,7 +182,9 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
     rank order, the first sized for ``2 k`` pairs of the sparsest source
     with more than ``k``, until each holds ``min(k, pairs)``.  No gather
     exceeds ``_SCAN_CELLS`` words (512 kB), and each prefix copies the
-    block's unfilled sources once.
+    block's unfilled sources once.  The picks of all blocks, in node order,
+    are the set's flat arrays, and each node's pair count gives its offsets
+    in :attr:`SketchSet.start`; no per-node object is built.
     """
     if k < MIN_SKETCH_SIZE:
         raise ValueError(f"sketch size must be at least {MIN_SKETCH_SIZE}")
@@ -173,18 +224,15 @@ def build_sketches(model: DiffusionModel, pool, tau: int, k: int,
                                  count, k_scan))
         counts.append(count)
     picks = np.concatenate(picks)
-    ranks_p, nodes_p, sims_p = ranks_o[picks], nodes_o[picks], sims_o[picks]
-    ends = np.cumsum(np.minimum(np.concatenate(counts), k_scan)).tolist()
-    sketches = tuple(NodeSketch(k, ranks_p[a:z], nodes_p[a:z], sims_p[a:z], node=v)
-                     for v, (a, z) in enumerate(zip([0] + ends, ends)))
-    return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, sketches)
+    start = np.zeros(g.num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.minimum(np.concatenate(counts), k_scan), out=start[1:])
+    return SketchSet(k, int(tau), ell, int(rank_seed), g.node_weights, start,
+                     ranks_o[picks], nodes_o[picks], sims_o[picks])
 
 
-def _bottom_k(k: int, parts) -> NodeSketch:
-    """Bottom-k of the union of size-``k`` sketches, sorted once."""
-    ranks = np.concatenate([s.ranks for s in parts])
-    nodes = np.concatenate([s.pair_nodes for s in parts])
-    sims = np.concatenate([s.pair_sims for s in parts])
+def _bottom_k(k: int, ranks: np.ndarray, nodes: np.ndarray, sims: np.ndarray) -> NodeSketch:
+    """Bottom-k of the union of size-``k`` sketches' concatenated entries,
+    sorted once."""
     order = np.lexsort((sims, nodes, ranks))
     ranks, nodes, sims = ranks[order], nodes[order], sims[order]
     # Duplicate pairs are adjacent in this order and collapse to one entry.
@@ -198,7 +246,9 @@ def merge_sketches(a: NodeSketch, b: NodeSketch) -> NodeSketch:
     """Bottom-k of the union; duplicate pairs collapse to one entry."""
     if a.k != b.k:
         raise ValueError("cannot merge sketches of different sizes")
-    return _bottom_k(a.k, (a, b))
+    return _bottom_k(a.k, np.concatenate((a.ranks, b.ranks)),
+                     np.concatenate((a.pair_nodes, b.pair_nodes)),
+                     np.concatenate((a.pair_sims, b.pair_sims)))
 
 
 def merged_seed_sketch(sketches: SketchSet, seeds) -> NodeSketch:
@@ -206,7 +256,10 @@ def merged_seed_sketch(sketches: SketchSet, seeds) -> NodeSketch:
     seeds = as_seed_tuple(len(sketches.sketches), seeds)
     if len(seeds) == 1:
         return sketches.sketches[seeds[0]]
-    return _bottom_k(sketches.k, [sketches.sketches[v] for v in seeds])
+    cuts = [slice(sketches.start[v], sketches.start[v + 1]) for v in seeds]
+    return _bottom_k(sketches.k, *(np.concatenate([flat[c] for c in cuts])
+                                   for flat in (sketches.ranks, sketches.pair_nodes,
+                                                sketches.pair_sims)))
 
 
 def sketch_query(sketches: SketchSet, seeds, ell: int) -> float:

@@ -377,6 +377,30 @@ def test_sketch_build_and_query_round_trip(tmp_path):
     assert estimate == json.loads(est_out.read_text())["result"]["estimate"]
 
 
+def test_sketch_file_answers_queries_as_the_built_set(tmp_path):
+    # The file's entries, read back into flat arrays, answer each query as
+    # the set built in memory from the same pool does, truncated (k = 8) or
+    # lossless (k above the pool's 20 x 40 pairs).
+    model = im.families.gen_random_ic(40, 120, weight_range=(0.5, 3.0), seed=1)
+    model_path = tmp_path / "w.model"
+    im.save_model(model, model_path)
+    loaded = im.load_model(model_path)
+    live, _ = im.sample_pool(loaded, 3, 20)
+    for k in (8, 1000):
+        built = tmp_path / f"w{k}.sketches"
+        assert run_cli(["--seed", "3", "sketch-build", "--model", str(model_path),
+                        "--tau", "2", "--pool-size", "20", "--k", str(k),
+                        "--rank-seed", "5", "--sketch-out", str(built),
+                        "--out", str(tmp_path / "b.json")]) == 0
+        in_memory = im.build_sketches(loaded, live, 2, k, rank_seed=5)
+        out = tmp_path / "q.json"
+        for seeds in [(0,), (39,), (0, 5), (3, 17, 22), tuple(range(0, 40, 3))]:
+            assert run_cli(["sketch-query", "--sketches", str(built), "--seeds",
+                            ",".join(map(str, seeds)), "--out", str(out)]) == 0
+            estimate = json.loads(out.read_text())["result"]["estimate"]
+            assert estimate == im.sketch_query(in_memory, seeds, 20), (k, seeds)
+
+
 def two_world_sketches(tmp_path, capsys):
     """The two-world mixture's sketch file, its document and a query of it
     that succeeds; captured output is cleared."""

@@ -197,9 +197,10 @@ def rank_order_sketches(model, live_rows, tau, k, rank_seed):
              np.asarray(buf_sims[v], dtype=np.int64)) for v in range(n)]
 
 
-@pytest.mark.parametrize("block_cells", [models._BLOCK_CELLS, 64])
+@pytest.mark.parametrize("block_cells", [models._BLOCK_CELLS, 64, 1 << 30])
 def test_build_sketches_matches_rank_order_searches_bit_for_bit(block_cells, monkeypatch):
-    # 64 cells split the sources into blocks of one or two
+    # 64 cells split the sources into blocks of one or two; 2^30 puts every
+    # source of every case in one block.
     monkeypatch.setattr(models, "_BLOCK_CELLS", block_cells)
     unit = im.families.gen_random_ic(9, 22, seed=5)
     g = unit.graph
@@ -222,6 +223,40 @@ def test_build_sketches_matches_rank_order_searches_bit_for_bit(block_cells, mon
                         assert np.array_equal(sk.pair_nodes, nodes)
                         assert np.array_equal(sk.pair_sims, sims)
                         assert sk.pair_nodes.dtype == sk.pair_sims.dtype == np.int64
+
+
+def test_sketch_set_is_a_flat_sequence_view():
+    # Node v's entries sit at [start[v], start[v + 1]) of the flat arrays,
+    # and the view reads them as one NodeSketch per node.
+    model = im.families.gen_random_ic(30, 90, weight_range=(0.5, 3.0), seed=6)
+    n = model.num_nodes
+    live, _ = im.sample_pool(model, 3, 70)
+    built = im.build_sketches(model, live, 1, 100, rank_seed=2)
+    view = built.sketches
+    assert len(view) == n and built.start.shape == (n + 1,) and built.start[0] == 0
+    assert built.start[-1] == built.ranks.size == built.pair_nodes.size == built.pair_sims.size
+    items = list(view)
+    assert [sk.node for sk in items] == list(range(n))
+    # Some sketches are full and some not.
+    assert min(sk.size for sk in items) < 100 == max(sk.size for sk in items)
+    for v, sk in enumerate(items):
+        a, z = built.start[v], built.start[v + 1]
+        assert sk.k == 100 and sk.size == z - a
+        assert sk.ranks.tobytes() == built.ranks[a:z].tobytes()
+        assert np.array_equal(sk.pair_nodes, built.pair_nodes[a:z])
+        assert np.array_equal(sk.pair_sims, built.pair_sims[a:z])
+        assert view[v] == sk and view[v - n] == sk and view[np.int64(v)] == sk
+        assert type(view[v - n].node) is int and view[v - n].node == v
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    assert view == tuple(items) == view and view == built.sketches
+    assert view != tuple(items[:-1]) and view != tuple(items[::-1])
+    # Items compare by value: another rank or another node id is another sketch.
+    first = items[0]
+    assert first != NodeSketch(100, first.ranks + 1, first.pair_nodes, first.pair_sims, node=0)
+    assert first != NodeSketch(100, first.ranks, first.pair_nodes, first.pair_sims, node=1)
+    assert im.merged_seed_sketch(built, (n - 1,)) == items[-1]
 
 
 def fixed_outdegree_model(n, outdegree, seed):
