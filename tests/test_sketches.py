@@ -197,10 +197,11 @@ def rank_order_sketches(model, live_rows, tau, k, rank_seed):
              np.asarray(buf_sims[v], dtype=np.int64)) for v in range(n)]
 
 
-@pytest.mark.parametrize("block_cells", [models._BLOCK_CELLS, 64, 1 << 30])
+@pytest.mark.parametrize("block_cells", [1 << 14, models._BLOCK_CELLS, 64, 1 << 30])
 def test_build_sketches_matches_rank_order_searches_bit_for_bit(block_cells, monkeypatch):
-    # 64 cells split the sources into blocks of one or two; 2^30 puts every
-    # source of every case in one block.
+    # 2^14 cells is the earlier default block size, kept beside the current
+    # one; 64 cells split the sources into blocks of one or two; 2^30 puts
+    # every source of every case in one block.
     monkeypatch.setattr(models, "_BLOCK_CELLS", block_cells)
     unit = im.families.gen_random_ic(9, 22, seed=5)
     g = unit.graph
