@@ -134,20 +134,25 @@ class Oracle:
         sources at a time (:meth:`_computed_blocks`).  ``None``, with no
         block kept, as soon as the rows so far, at their mean bytes per
         source, would pass ``models._EXPLICIT_CACHE_BYTES`` for all ``n``
-        sources: a cache too large to keep is not built first."""
-        n, done, size = self.num_nodes, 0, 0
-        lengths, nodes, rows = [], [], []
-        for start, cols, block in self._computed_blocks(np.arange(n)):
-            done += start.size - 1
-            size += cols.nbytes + block.nbytes
-            if size * n > models._EXPLICIT_CACHE_BYTES * done:
-                return None
-            lengths.append(np.diff(start))
-            nodes.append(cols)
-            rows.append(block)
+        sources: a cache too large to keep is not built first.  Each block
+        is copied into the end of one pair of buffers, which
+        ``ndarray.resize`` grows in place, so no block is kept past its
+        copy."""
+        n, words = self.num_nodes, self._live.shape[1]
         start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(lengths), out=start[1:])
-        return start, np.concatenate(nodes), np.concatenate(rows)
+        nodes, rows = np.empty(0, dtype=np.int64), np.empty((0, words), dtype=np.uint64)
+        done = 0
+        for at, cols, block in self._computed_blocks(np.arange(n)):
+            fill = start[done]
+            start[done + 1:done + at.size] = fill + at[1:]
+            done += at.size - 1
+            if start[done] * (8 + 8 * words) * n > models._EXPLICIT_CACHE_BYTES * done:
+                return None
+            nodes.resize(start[done], refcheck=False)
+            rows.resize((start[done], words), refcheck=False)
+            nodes[fill:start[done]] = cols
+            rows[fill:start[done]] = block
+        return start, nodes, rows
 
     def _computed_blocks(self, sources: np.ndarray, per_source: int = 0):
         """Yield the :func:`reach_rows` ``(start, nodes, rows)`` of

@@ -324,12 +324,23 @@ def _build_units(model: DiffusionModel):
 
 _KIND_STREAM = {IC: rng.STREAM_EDGES, LT: rng.STREAM_NODES, BDEP: rng.STREAM_UNITS}
 
-# Test x word cells per rng.less_words call and per sample_pool block, so
-# that however wide the selection is, its per-cell arrays stay near 64 kB
-# and its two rounds x cells hash arrays near 512 kB each.  A pool that
-# needs fewer cells, such as a seed set's ball, is one block and fills on
-# the calling thread.
+# Test x word cells per rng.less_words call, so that its per-cell arrays
+# stay near 64 kB and its two rounds x cells hash arrays near 512 kB each,
+# whatever the width of the selection.  A sample_pool block spans one
+# call's words of every test: about _HASH_CELLS cells up to _CALL_TESTS
+# tests, and more past them.  A pool that needs fewer cells, such as a seed
+# set's ball, is one block and fills on the calling thread.
 _HASH_CELLS = 1 << 13
+# Most tests per rng.less_words call while the range is wide enough: a call
+# covers at least _HASH_CELLS // _CALL_TESTS words (16), and a wider
+# selection is split into blocks of tests.  A call's fixed cost is about
+# 100 numpy calls whatever its size, so calls one word wide pay more per
+# cell.  On gen_random_ic(2000, 8000)'s 8,000 tests, 128 words per test
+# cost 118 ns per cell in 8,000 x 1 calls against 70 in 512 x 16, 66 in
+# 256 x 32 and 62 in 64 x 128; at gen_random_ic(20000, 80000), 16 words
+# cost 229 ns per cell in 80,000 x 1 calls against 68 in 512 x 16 (one
+# core of a 2-core Xeon, numpy 2.4).
+_CALL_TESTS = 512
 
 
 def _build_draw_plan(model: DiffusionModel) -> tuple:
@@ -378,8 +389,12 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
     tests decide the rows it owns (in a mixture, its component's) within
     the range.  Edge words are ``[u < hi] & ~[u < lo]`` over the test
     rows, a zero row and each part's own simulations, which stand for ends at
-    0 and at 1.  Words are decided at their position in the stream,
-    ``_HASH_CELLS`` cells at a time, and shifted into place once.
+    0 and at 1.  Words are decided at their position in the stream, and
+    shifted into place once.  Each :func:`rng.less_words` call decides at
+    most ``_HASH_CELLS`` test x word cells: ``w`` words, ``_HASH_CELLS //
+    tests`` but at least ``_HASH_CELLS // _CALL_TESTS`` unless the range is
+    narrower, of ``_HASH_CELLS // w`` tests at a time; ``block`` is ``64 w``
+    simulations at the widest.
     """
     if model.kind == MIXTURE:
         cum = np.cumsum(model.component_weights)
@@ -415,7 +430,8 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
     # Edges whose slice starts past 0, and their start rows.
     starts = np.flatnonzero(lo_row != tests)
     lo_row = lo_row[starts]
-    step = max(1, _HASH_CELLS // max(tests, 1))
+    cells = _HASH_CELLS
+    wide = max(1, cells // _CALL_TESTS, cells // max(tests, 1))
 
     def draw(master_seed: int, start: int, count: int):
         lead, first = start % 64, start // 64
@@ -431,11 +447,16 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
             owned[lead + np.arange(count), comps] = True
         own = pack_rows(owned)
         out = np.zeros((hi_row.size, words), dtype=np.uint64)
+        step = min(words, wide)
+        per = max(1, cells // step)
         for lo in range(0, words, step):
             mine = own[:, lo:lo + step]
-            decided = (rng.less_words(master_seed, stream_id, units, ends, first + lo,
-                                      mine[owner]) if tests else mine[:0])
-            rows = np.vstack([decided, np.zeros((1, mine.shape[1]), dtype=np.uint64), mine])
+            rows = np.empty((tests + 1 + num_parts, mine.shape[1]), dtype=np.uint64)
+            rows[tests], rows[tests + 1:] = 0, mine
+            for t in range(0, tests, per):
+                stop = min(t + per, tests)
+                rows[t:stop] = rng.less_words(master_seed, stream_id, units[t:stop],
+                                              ends[t:stop], first + lo, mine[owner[t:stop]])
             chunk = out[:, lo:lo + mine.shape[1]]
             np.take(rows, hi_row, axis=0, out=chunk, mode="clip")
             chunk[starts] &= ~rows.take(lo_row, axis=0)
@@ -445,7 +466,7 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
         shifted[:, :words - 1] |= out[:, 1:] << np.uint64(64 - lead)
         return shifted, comps
 
-    return draw, 64 * step
+    return draw, 64 * wide
 
 
 def sample_pool(model: DiffusionModel, master_seed: int, count: int,

@@ -142,23 +142,63 @@ def sim_uniforms(master_seed: int, stream_id: int, start: int, count: int) -> np
     return (z >> np.uint64(11)) * 2.0**-53
 
 
-def _expansion(x: np.ndarray):
-    """``(mant, top, rounds)`` of thresholds ``x`` in (0, 1): binary digit
-    ``k`` of ``x`` (weight ``2**-(k + 1)``) is bit ``top - k`` of the
-    integer ``mant``, and digit ``rounds - 1`` is its last 1."""
+def _rounds(x: np.ndarray) -> np.ndarray:
+    """The digit rounds of thresholds ``x`` in (0, 1): one past the index of
+    the last 1 of each binary expansion, whose digit ``k`` weighs ``2**-(k +
+    1)``."""
     frac, exp = np.frexp(x)
     mant = np.ldexp(frac, 53).astype(np.uint64)
-    top = 52 - exp.astype(np.int64)
     low = np.bitwise_count((mant & (~mant + np.uint64(1))) - np.uint64(1))
-    return mant, top, top - low.astype(np.int64) + 1
+    return 53 - exp.astype(np.int64) - low.astype(np.int64)
 
 
-def _digits(mant: np.ndarray, top: np.ndarray, k) -> np.ndarray:
-    """All ones where digit ``k`` of a threshold is 1, else zero; ``k`` may
-    be an array that broadcasts against the thresholds."""
-    shift = top - k
-    bit = (mant >> np.minimum(np.maximum(shift, 0), 63).astype(np.uint64)) & np.uint64(1)
-    return np.uint64(0) - np.where(shift < 0, np.uint64(0), bit)
+def _digits(x: np.ndarray, start: int, count: int) -> np.ndarray:
+    """``(count, T)`` rows, all ones in column ``i`` where binary digit
+    ``start + r`` of ``x[i]`` in (0, 1) is 1 and zero elsewhere."""
+    rows = np.empty((count, x.size), dtype=np.uint64)
+    for lo in range(0, count, 64):
+        # Digits start + lo .. start + lo + 63 as bits 63 down to 0: the
+        # fraction of x * 2**(start + lo), exact, scaled by 2**64.  Where
+        # that product passes the largest double, those digits are past the
+        # last 1 and the fraction of inf is 0.
+        with np.errstate(over="ignore"):
+            frac = np.modf(np.ldexp(x, start + lo))[0]
+        block = rows[lo:lo + 64]
+        np.left_shift((frac * 2.0**64).astype(np.uint64),
+                      np.arange(len(block), dtype=np.uint64)[:, None], out=block)
+        np.right_shift(block.view(np.int64), 63, out=block.view(np.int64))
+    return rows
+
+
+def _hashed(base: np.ndarray, k: int, gamma: int):
+    """``(h, scratch)``: the hashed words of rounds ``k .. k + _ROUNDS -
+    1``, a round per row, of the cells whose round-0 counters ``c`` give
+    ``base = key + c * gamma``, and a scratch array of their shape."""
+    h, scratch = np.empty((2, _ROUNDS) + base.shape, dtype=np.uint64)
+    steps = np.arange(k, k + _ROUNDS, dtype=np.uint64) * np.uint64(gamma)
+    np.add(base, steps.reshape((-1,) + (1,) * base.ndim), out=h)
+    _mix(h, scratch)
+    return h, scratch
+
+
+def _first_less(h: np.ndarray, digit: np.ndarray):
+    """``(less, same)`` of one batch.  ``h`` holds the hashed words of the
+    batch's rounds and ``digit`` the threshold's digits (all ones or zero),
+    both ``(rounds, ...)``; ``less`` has the bits that first differ in a
+    round where the threshold's digit is 1, and ``same`` those that differ
+    in no round.  Both inputs are overwritten."""
+    # h becomes the running OR of the differing digits, then the bits where
+    # each simulation first differs, which digit keeps where the threshold's
+    # digit is 1.
+    h ^= digit
+    rows = list(h)
+    for r in range(1, len(rows)):
+        rows[r] |= rows[r - 1]
+    same = ~rows[-1]
+    for r in range(len(rows) - 1, 0, -1):
+        rows[r] ^= rows[r - 1]
+    digit &= h
+    return np.bitwise_or.reduce(digit, axis=0), same
 
 
 def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarray,
@@ -177,48 +217,57 @@ def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarra
     digit of ``x`` is 1; those still undecided after the last 1 of ``x``
     have ``u >= x``.  So ``P(u < x) = x`` exactly, and tests of one unit
     against ``lo < hi`` read the same digits: ``u < lo`` implies ``u < hi``.
-    Rounds run in batches of ``_ROUNDS`` over the cells still undecided: a
-    running OR over a batch's differing digits marks each simulation's first
-    difference.  A decided cell carried along adds no bit: its
-    ``undecided`` bits are clear, or its threshold has no 1 digit left.
+    Rounds run in batches of ``_ROUNDS``; a running OR over a batch's
+    differing digits marks each simulation's first difference.  Each
+    test's digits for the first three batches are built once per call.  The
+    first batch runs over the whole ``(T, W)`` grid, each test's digits
+    copied along its row; later ones run over the cells still undecided,
+    gathering their tests' digits.  A decided cell carried along adds no
+    bit: its ``undecided`` bits are clear, or its threshold has no 1 digit
+    left.
     """
     key, gamma = stream_key(master_seed, stream_id)
-    tests, width = np.shape(undecided)
-    mant, top, rounds = _expansion(np.asarray(x, dtype=np.float64))
+    undecided = np.asarray(undecided, dtype=np.uint64)
+    tests, width = undecided.shape
+    x = np.asarray(x, dtype=np.float64)
+    rounds = _rounds(x)
     words = np.arange(word, word + width, dtype=np.uint64)
     at_unit = (np.asarray(units).astype(np.uint64)
                * np.uint64((gamma << (WORD_BITS + ROUND_BITS)) & _WORD))
     base = ((at_unit + np.uint64(key))[:, None]
-            + words * np.uint64((gamma << ROUND_BITS) & _WORD)).reshape(-1)
-    u = np.array(undecided, dtype=np.uint64).reshape(-1)
-    live = np.zeros_like(u)
-    test = np.repeat(np.arange(tests, dtype=np.int32), width)
-    cells = np.arange(u.size, dtype=np.int32)
-    ks = np.arange(_ROUNDS)
+            + words * np.uint64((gamma << ROUND_BITS) & _WORD))
+    # The digits of the first three batches, a row per round.
+    digits = _digits(x, 0, 3 * _ROUNDS)
+    h, digit = _hashed(base, 0, gamma)
+    np.copyto(digit, digits[:_ROUNDS, :, None])
+    live, u = _first_less(h, digit)
+    live &= undecided
+    u &= undecided
+    held = (u != 0) & (rounds > _ROUNDS)[:, None]
+    left = np.count_nonzero(held)
+    if not left:
+        return live
+    # Cut to a multiple of 64 cells, padding with decided ones, so that
+    # numpy's cache of small buffers sees few distinct sizes.
+    held = held.reshape(-1)
+    held[np.flatnonzero(~held)[:-left % 64]] = True
+    cells = np.flatnonzero(held)
+    base, u, test = base.reshape(-1).take(cells), u.reshape(-1).take(cells), cells // width
+    flat = live.reshape(-1)
+    k = _ROUNDS
     while True:
-        h, digit = np.empty((2, _ROUNDS, u.size), dtype=np.uint64)
-        np.add(base, (ks.astype(np.uint64) * np.uint64(gamma))[:, None], out=h)
-        _mix(h, digit)
-        np.take(_digits(mant, top, ks[:, None]), test, axis=1, out=digit, mode="clip")
-        # h becomes the running OR of the differing digits, then the bits
-        # where each simulation first differs, which digit keeps where the
-        # threshold's digit is 1.
-        h ^= digit
-        for r in range(1, _ROUNDS):
-            h[r] |= h[r - 1]
-        same = ~h[-1]
-        for r in range(_ROUNDS - 1, 0, -1):
-            h[r] ^= h[r - 1]
-        digit &= h
-        live[cells] |= np.bitwise_or.reduce(digit, axis=0) & u
+        h, digit = _hashed(base, k, gamma)
+        table = (digits[k:k + _ROUNDS] if k < 3 * _ROUNDS
+                 else _digits(x, k, _ROUNDS))
+        np.take(table, test, axis=1, out=digit, mode="clip")
+        less, same = _first_less(h, digit)
+        flat[cells] |= less & u
         u &= same
-        ks += _ROUNDS
-        held = (u != 0) & (rounds > ks[0]).take(test)
+        k += _ROUNDS
+        held = (u != 0) & (rounds > k).take(test)
         left = np.count_nonzero(held)
         if not left:
-            return live.reshape(tests, width)
-        # Cut to a multiple of 64 cells, padding with decided ones, so that
-        # numpy's cache of small buffers sees few distinct sizes.
+            return live
         held[np.flatnonzero(~held)[:-left % 64]] = True
         kept = np.flatnonzero(held)
         cells, base, u, test = (a.take(kept) for a in (cells, base, u, test))

@@ -395,6 +395,39 @@ def test_draw_steps_match_reference_loops(cells, monkeypatch):
                 assert np.array_equal(comps, expect_comps)
 
 
+def test_wide_selections_split_calls_within_the_budget(monkeypatch):
+    # Selections of 150 and about 300 tests against a budget of 64 cells:
+    # each rng.less_words call takes one word of at most 64 tests, and the
+    # words equal the default budget's at threads 1 and 3.
+    def wide_models():
+        g = random_model(7, n=50, m=150).graph
+        sums = np.bincount(g.heads, weights=g.probs, minlength=50)
+        lt = im.lt_model(im.Graph(50, g.tails, g.heads, g.probs * 0.9 / np.maximum(
+            sums, 1.0)[g.heads], g.groups, g.node_weights))
+        return [random_model(6, n=50, m=150),
+                im.mixture_model([(lt, 0.5), (random_model(8, n=50, m=150), 0.5)])]
+
+    expect = [im.sample_pool(model, 4, 700, 9, packed=True) for model in wide_models()]
+    shapes = []
+    less_words = rng.less_words
+
+    def logged_less_words(*args):
+        shapes.append(np.shape(args[-1]))
+        return less_words(*args)
+
+    monkeypatch.setattr(rng, "less_words", logged_less_words)
+    monkeypatch.setattr(models, "_HASH_CELLS", 64)
+    for model, (words, comps) in zip(wide_models(), expect):
+        for threads in (1, 3):
+            shapes.clear()
+            got, got_comps = im.sample_pool(model, 4, 700, 9, threads, packed=True)
+            assert np.array_equal(got, words)
+            assert (comps is None) == (got_comps is None)
+            assert comps is None or np.array_equal(got_comps, comps)
+            assert {width for _, width in shapes} == {1}
+            assert max(tests for tests, _ in shapes) == 64
+
+
 @pytest.fixture
 def hash_log(monkeypatch):
     """Logs each stream read: ``(stream id, tested units)`` of every

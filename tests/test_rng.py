@@ -40,12 +40,20 @@ THRESHOLDS = [2.0**-1074, 0.1, 0.5, 1.0 - 2.0**-53, 0.3, 2.0**-53, 0.75, 2.0**-1
 
 
 def test_threshold_digits_are_the_binary_expansion():
-    mant, top, rounds = rng._expansion(np.array(THRESHOLDS))
-    for i, x in enumerate(THRESHOLDS):
-        digits = stream_reference.expansion(x)
+    x = np.array(THRESHOLDS)
+    rounds = rng._rounds(x)
+    for i, threshold in enumerate(THRESHOLDS):
+        digits = stream_reference.expansion(threshold)
         assert rounds[i] == len(digits)
-        got = rng._digits(mant[i:i + 1], top[i:i + 1], np.arange(len(digits) + 8)[:, None])
+        got = rng._digits(x[i:i + 1], 0, len(digits) + 8)
+        assert set(got[:, 0].tolist()) <= {0, 2**64 - 1}
         assert np.array_equal(got[:, 0] != 0, digits + [0] * 8)
+        # A table from any start, past the largest double's exponent too,
+        # holds the same rows.
+        padded = digits + [0] * 1100
+        for start in (1, 63, 100, 1030):
+            part = rng._digits(x[i:i + 1], start, 70)
+            assert np.array_equal(part[:, 0] != 0, padded[start:start + 70])
     assert max(rounds) < 2**rng.ROUND_BITS
 
 
@@ -62,6 +70,34 @@ def test_less_words_match_the_reference(word):
                 expect = ((int(undecided[i, j]) >> b) & 1 and stream_reference.less(
                     11, rng.STREAM_UNITS, unit, 64 * (word + j) + b, x))
                 assert (int(got[i, j]) >> b) & 1 == expect, (j, i, b)
+
+
+BATCH_THRESHOLDS = [0.5, 0.25, 0.75, 0.125, 2.0**-1074, 1.0 - 2.0**-53, 0.1]
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 8])
+def test_less_words_batches_match_the_reference(rounds, monkeypatch):
+    # With one, two or eight rounds a batch, the whole-grid first batch, the
+    # later batches over the cells left, and the digits past the first three
+    # batches' rows all run.  Thresholds end before round 8 or run long.
+    monkeypatch.setattr(rng, "_ROUNDS", rounds)
+    units = np.array([0, 3, 3, 7, 1, 9, rng.MAX_UNITS - 1])
+    for word in (0, 2**27 - 4):
+        undecided = np.random.default_rng(word).integers(0, 2**64, (units.size, 4),
+                                                         dtype=np.uint64)
+        undecided[:, 0], undecided[:, 2], undecided[2] = ~np.uint64(0), 0, 0
+        got = rng.less_words(11, rng.STREAM_UNITS, units, BATCH_THRESHOLDS, word, undecided)
+        assert got.dtype == np.uint64 and got.shape == undecided.shape
+        for (i, j), bits in np.ndenumerate(undecided):
+            expect = sum(1 << b for b in range(64) if (int(bits) >> b) & 1
+                         and stream_reference.less(11, rng.STREAM_UNITS, int(units[i]),
+                                                   64 * (word + j) + b,
+                                                   BATCH_THRESHOLDS[i]))
+            assert int(got[i, j]) == expect, (word, i, j)
+    for shape in ((0, 3), (2, 0), (0, 0)):
+        got = rng.less_words(11, rng.STREAM_UNITS, units[:shape[0]],
+                             BATCH_THRESHOLDS[:shape[0]], 5, np.zeros(shape, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == shape
 
 
 def test_sim_uniforms_match_the_reference():
