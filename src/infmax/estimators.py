@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .graph import Graph, as_seed_tuple
 # because perfbench/layers.py wraps it at this site.
 from .models import (DiffusionModel, _total_dtype, _unit_weights, _word_sampler,
                      ball_edges, node_weighted_sums, pack_rows, reach_mask_batch, reach_rows,
-                     reach_table, reverse_reach_set, sample_pool, set_reaches, start_mask,
-                     unpack_rows)
+                     reverse_reach_set, sample_pool, set_reaches, start_mask, unpack_rows)
 from . import models, rng
 
 POOL_SIZE_FACTOR = 4
@@ -40,7 +39,8 @@ POOL_COUNT_FACTOR = 28
 TOTAL_SAMPLE_FACTOR = POOL_SIZE_FACTOR * POOL_COUNT_FACTOR  # 112
 
 # query_many reduces as many sets per call as fit their masks and counts here,
-# and extension_values as many candidates as fit their reach rows and counts.
+# and subset_values and extension_values as many extensions as fit their reach
+# rows and counts.
 _SCORE_BLOCK_BYTES = 1 << 20
 
 AVERAGING = "averaging"
@@ -84,10 +84,10 @@ class Oracle:
     (:func:`pack_rows`), kept as given; only the packed words are held.
     ``components`` (from :func:`sample_pool`) is accepted but not kept.
 
-    On first use the oracle caches what its batched queries read: for
-    :meth:`extension_values` the sparse :func:`reach_rows` of every node,
-    and for :meth:`query_many` their dense :func:`reach_table`, each only
-    while it fits ``models._EXPLICIT_CACHE_BYTES``.
+    On first use the oracle caches the sparse :func:`reach_rows` of every
+    node, while they fit ``models._EXPLICIT_CACHE_BYTES``: brute force
+    (:meth:`subset_values`) and greedy (:meth:`extension_values`) score
+    from them, and :meth:`query_many` propagates arbitrary sets.
     """
 
     def __init__(self, model: DiffusionModel, config: OracleConfig,
@@ -123,21 +123,18 @@ class Oracle:
         return float(pool_median(self.pool_averages(seeds)))
 
     @cached_property
-    def _single_reaches(self) -> np.ndarray | None:
-        """The :func:`reach_table` of this oracle's simulations."""
-        return reach_table(self.model.graph, self._live, self.config.tau)
-
-    @cached_property
     def _rows(self) -> tuple | None:
         """Every node's :func:`reach_rows`, ``(start, nodes, rows)`` with the
         rows of node ``u`` at ``start[u]:start[u + 1]``, computed a block of
         sources at a time (:meth:`_computed_blocks`).  ``None``, with no
         block kept, as soon as the rows so far, at their mean bytes per
         source, would pass ``models._EXPLICIT_CACHE_BYTES`` for all ``n``
-        sources: a cache too large to keep is not built first.  Each block
-        is copied into the end of one pair of buffers, which
-        ``ndarray.resize`` grows in place, so no block is kept past its
-        copy."""
+        sources: a cache too large to keep is not built first.  The bytes
+        count each row's words, node id and key (:attr:`_row_keys`) and
+        each source's totals (:attr:`_source_totals`, 8 bytes a pool at
+        most).  Each block is copied into the end of one pair of buffers,
+        which ``ndarray.resize`` grows in place, so no block is kept past
+        its copy."""
         n, words = self.num_nodes, self._live.shape[1]
         start = np.zeros(n + 1, dtype=np.int64)
         nodes, rows = np.empty(0, dtype=np.int64), np.empty((0, words), dtype=np.uint64)
@@ -146,7 +143,8 @@ class Oracle:
             fill = start[done]
             start[done + 1:done + at.size] = fill + at[1:]
             done += at.size - 1
-            if start[done] * (8 + 8 * words) * n > models._EXPLICIT_CACHE_BYTES * done:
+            held = start[done] * (16 + 8 * words) + done * 8 * self.config.pools
+            if held * n > models._EXPLICIT_CACHE_BYTES * done:
                 return None
             nodes.resize(start[done], refcheck=False)
             rows.resize((start[done], words), refcheck=False)
@@ -154,14 +152,54 @@ class Oracle:
             rows[fill:start[done]] = block
         return start, nodes, rows
 
-    def _computed_blocks(self, sources: np.ndarray, per_source: int = 0):
+    @cached_property
+    def _row_keys(self) -> np.ndarray:
+        """``u * n + v`` of each cached row, of source ``u`` at node ``v``:
+        ascending, the keys of :func:`_union_rows` with every node a set of
+        its own."""
+        start, nodes, _ = self._rows
+        n = start.size - 1
+        return np.repeat(np.arange(n) * n, np.diff(start)) + nodes
+
+    @cached_property
+    def _source_totals(self) -> np.ndarray:
+        """Per-pool activation totals ``(n, pools)`` of every node's cached
+        rows, in the unit-weight accumulator (:attr:`_unit_dtype`), counted
+        a block of nodes at a time."""
+        start, _, rows = self._rows
+        lengths = np.diff(start)
+        return np.concatenate([np.zeros((0, self.config.pools), dtype=self._unit_dtype)] + [
+            self._totals(np.repeat(np.arange(hi - lo), lengths[lo:hi]),
+                         rows[start[lo]:start[hi]], hi - lo)
+            for lo, hi in _budget_slices(lengths * self._extension_bytes()[1],
+                                         _SCORE_BLOCK_BYTES)])
+
+    @cached_property
+    def _unit_dtype(self):
+        """The integer accumulator of this oracle's pool totals when every
+        node weight is 1.0 (:func:`_total_dtype` of ``n * pool_size``), or
+        ``None``, when values take the weighted sum of count tables."""
+        g = self.model.graph
+        dtype = _total_dtype(g.num_nodes * self.config.pool_size)
+        return dtype if dtype is not None and _unit_weights(g.node_weights) else None
+
+    def _totals(self, segment: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+        """Per-pool activation totals ``(count, pools)`` of packed ``rows``
+        grouped by ``segment`` (:func:`_segment_sums`), in
+        :attr:`_unit_dtype`."""
+        cfg = self.config
+        return _segment_sums(_unit_counts(rows, cfg.pools, cfg.pool_size), segment, count,
+                             self._unit_dtype)
+
+    def _computed_blocks(self, sources: np.ndarray, per_source: int = 0, per_row: int = 0):
         """Yield the :func:`reach_rows` ``(start, nodes, rows)`` of
         consecutive blocks of ``sources``.  A block holds as many sources as
         fit ``_SCORE_BLOCK_BYTES`` at ``per_source`` bytes each plus their
-        rows, counted at the mean row count of the blocks so far (``n`` per
-        source before the first)."""
+        rows at ``per_row`` bytes each beyond their words, counted at the
+        mean row count of the blocks so far (``n`` per source before the
+        first)."""
         g, live = self.model.graph, self._live
-        row_bytes, lo, seen = live.shape[1] * 8, 0, 0
+        row_bytes, lo, seen = live.shape[1] * 8 + per_row, 0, 0
         while lo < len(sources):
             mean = seen / lo if lo else g.num_nodes
             hi = lo + max(1, int(_SCORE_BLOCK_BYTES // (mean * row_bytes + per_source)))
@@ -169,104 +207,336 @@ class Oracle:
             yield block
             lo, seen = min(hi, len(sources)), seen + block[1].size
 
-    def _cached_blocks(self, per_source: int = 0):
-        """Yield ``(start, nodes, rows)`` as :meth:`_computed_blocks` does
-        for every node in id order, as views of the cached :attr:`_rows`."""
-        start, nodes, rows = self._rows
-        n = start.size - 1
-        cost = start * (rows.shape[1] * 8) + np.arange(n + 1) * per_source
-        lo = 0
-        while lo < n:
-            hi = max(lo + 1, int(np.searchsorted(cost, cost[lo] + _SCORE_BLOCK_BYTES,
-                                                 side="right")) - 1)
-            at = start[lo:hi + 1]
-            yield at - at[0], nodes[at[0]:at[-1]], rows[at[0]:at[-1]]
-            lo = hi
-
     def query_many(self, seed_sets) -> np.ndarray:
         """:meth:`query` of each of ``seed_sets`` (equal-size tuples of ids),
-        bit for bit, read a block at a time.  Reachability is a coverage
-        function, so a set's mask is the OR of its members' rows of the
-        cached :func:`reach_table`, itself scattered from :func:`reach_rows`;
-        without a table the block's sets propagate together
-        (:func:`set_reaches`).  The masks go through
+        bit for bit, read a block at a time: the block's sets propagate
+        together (:func:`set_reaches`) and their masks go through
         :func:`mask_pool_averages`, each row reduced on its own."""
         g, cfg = self.model.graph, self.config
         n, words = g.num_nodes, self._live.shape[1]
         block = max(1, _SCORE_BLOCK_BYTES // ((words + cfg.pools + 1) * max(n, 1) * 8))
-        table = self._single_reaches
         seed_sets, values = iter(seed_sets), [np.empty(0)]
         while sets := list(islice(seed_sets, block)):
-            ids = _id_block(sets, n)
-            if table is None:
-                blocks = set_reaches(g, self._live, cfg.tau, ids)
-            else:
-                blocks = [table[ids[:, 0]]]
-                for column in ids.T[1:]:
-                    blocks[0] |= table[column]
-            values.extend(pool_median(mask_pool_averages(masks, g.node_weights, cfg.pools,
-                                                         cfg.pool_size))
-                          for masks in blocks)
+            for masks in set_reaches(g, self._live, cfg.tau, _id_block(sets, n)):
+                values.append(pool_median(mask_pool_averages(masks, g.node_weights, cfg.pools,
+                                                             cfg.pool_size)))
         return np.concatenate(values)
+
+    def subset_values(self, size: int) -> np.ndarray:
+        """:meth:`query_many` of every ``size``-subset of the nodes, in
+        lexicographic order, bit for bit.
+
+        From the cached rows (:attr:`_rows`) the subsets are walked as
+        ``(size - 1)``-prefixes in lexicographic order, each grown by every
+        node above its largest member (:meth:`_grown_values`), a block at a
+        time (:meth:`_prefix_blocks`).  The nodes from ``v`` on own the
+        cached rows from ``start[v]`` on, so a prefix's extensions read one
+        run of them.  With unit weights a prefix of one node is that node's
+        cached rows and totals, and the subsets of one node are its totals
+        alone.  Without the cache the subsets go through :meth:`query_many`.
+        """
+        n, size = self.num_nodes, int(size)
+        if not 1 <= size <= n:
+            raise ValueError("subset size must be in [1, n]")
+        cache, dtype = self._rows, self._unit_dtype
+        if cache is None:
+            return self.query_many(combinations(range(n), size))
+        if size == 1 and dtype is not None:
+            return pool_median(self._source_totals) / self.config.pool_size
+        start, nodes, rows = cache
+        keys, totals = self._row_keys, None if dtype is None else self._source_totals
+        # A prefix's base is its totals, or its (n, pools) float64 count table.
+        single = size == 2 and dtype is not None
+        base_bytes = 8 * self.config.pools * (1 if dtype is not None else n)
+        values = [np.empty(0)]
+        for prefixes, first, last in self._prefix_blocks(size - 1, 0 if single else 3,
+                                                         base_bytes):
+            count, span = last - first, start[last] - start[first]
+            at = _ranges(start[first], span)
+            # Prefix i's extensions are numbered from offset[i] on, by node.
+            offset = np.cumsum(count) - count
+            segment = keys[at] // n + np.repeat(offset - first, span)
+            if single:
+                union_keys, union, base = keys, rows, totals
+                owner = np.repeat(prefixes[:, 0], count)
+            else:
+                union_keys, union = _union_rows(cache, prefixes, n)
+                base = self._prefix_base(union_keys, union, len(prefixes))
+                owner = np.repeat(np.arange(len(prefixes)), count)
+            grown = None if totals is None else totals[_ranges(first, count)]
+            values.append(self._grown_values(union_keys, union, base, owner, segment,
+                                             nodes[at], rows, at, grown))
+        return np.concatenate(values)
+
+    def _prefix_blocks(self, width: int, member: int, prefix: int):
+        """Yield ``(prefixes, first, last)``: the ``width``-subsets of the
+        nodes that have a node above them, in lexicographic order, each
+        grown by the nodes above it, cut into consecutive blocks of grown
+        sets.  Block prefix ``i`` is grown by the nodes ``first[i] ..
+        last[i] - 1``: only a block's first and last prefix may be cut.  A
+        block holds as many grown sets as fit ``_SCORE_BLOCK_BYTES``
+        (:meth:`_extension_bytes`), and at least one; each prefix adds
+        ``prefix`` bytes and ``member`` rows' bytes per cached row of its
+        members, counted once."""
+        n = self.num_nodes
+        lengths = np.diff(self._rows[0])
+        entry, _, pair = self._extension_bytes()
+        # Bytes to grow a prefix by the nodes from m on, descending in m.
+        suffix = np.zeros(n + 1, dtype=np.int64)
+        suffix[:-1] = np.cumsum((lengths * entry + pair)[::-1])[::-1]
+        rising, member = -suffix, member * 8 * self._live.shape[1]
+        budget, sets = _SCORE_BLOCK_BYTES, combinations(range(n), width)
+        while prefixes := list(islice(sets, max(1, budget // (8 * max(width, 1))))):
+            prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), width)
+            low = prefixes[:, -1] + 1 if width else np.zeros(1, dtype=np.int64)
+            prefixes, low = prefixes[low < n], low[low < n]
+            # Bytes through each prefix's last grown set; through prefix j
+            # grown by the nodes up to m - 1 they are ends[j] - suffix[m].
+            ends = np.cumsum(lengths[prefixes].sum(axis=1) * member + prefix + suffix[low])
+            i, v = 0, int(low[0]) if low.size else n
+            while i < low.size:
+                limit = ends[i] - suffix[v] + budget
+                j = int(np.searchsorted(ends, limit, side="right"))
+                # Prefix j, the first past the limit, is grown up to node e - 1.
+                if j == low.size:
+                    j, e = j - 1, n
+                else:
+                    e = int(np.searchsorted(rising, limit - ends[j], side="right")) - 1
+                    if j == i:
+                        e = max(e, v + 1)
+                    elif e <= low[j]:
+                        j, e = j - 1, n
+                block = slice(i, j + 1)
+                first, last = low[block].copy(), np.full(j + 1 - i, n)
+                first[0], last[-1] = v, e
+                yield prefixes[block], first, last
+                i, v = (j, e) if e < n else (j + 1, int(low[j + 1]) if j + 1 < low.size else n)
 
     def extension_values(self, base, candidates) -> np.ndarray:
         """:meth:`query_many` of ``base`` plus each node of ``candidates``,
         in order, bit for bit; ``base`` may be empty.
 
-        The mask ``M`` of ``base`` is the scatter of its members'
-        :func:`reach_rows`, and a candidate changes only the columns of its
-        own rows, so only those are recounted, a block of candidates at a
-        time.  The rows are read from the cache (:attr:`_rows`), which
-        scores every node and reads out the candidates, or else computed
-        for the candidates alone (:meth:`_computed_blocks`).  With unit
-        weights a candidate's pool totals are ``M``'s plus the popcounts of
-        its rows' bits outside ``M`` (:func:`_unit_counts`), summed per
-        candidate.  Otherwise its ``(pools, n)`` count table is ``M``'s with
-        its columns replaced by the counts of ``M[col] | row``, reduced by
-        :func:`count_pool_averages` over all ``n`` nodes in node order.
-        Either way its pool averages equal :func:`mask_pool_averages` of the
-        grown set's mask bit for bit.
+        ``base`` is one prefix of :meth:`_grown_values`.  From the cache
+        (:attr:`_rows`) its mask is the dense ``(n, words)`` scatter of its
+        members' rows, which every node's rows read without a search; every
+        node is scored, a block of nodes at a time, and the candidates are
+        read out.  Without the cache the rows are computed for ``base``,
+        whose mask is their sparse union, and for each block of candidates
+        alone (:meth:`_computed_blocks`).
         """
         g, cfg, live = self.model.graph, self.config, self._live
-        n, pools, pool_size = g.num_nodes, cfg.pools, cfg.pool_size
+        n = g.num_nodes
         base, candidates = _node_ids(base, n), _node_ids(candidates, n)
-        cache = self._rows
+        unit = self._unit_dtype is not None
+        cache, values = self._rows, [np.empty(0)]
         if cache is None:
-            start, nodes, rows = reach_rows(g, live, cfg.tau, base)
-            members = range(base.size)
-        else:
-            (start, nodes, rows), members = cache, base.tolist()
-        mask = np.zeros((n, live.shape[1]), dtype=np.uint64)
-        for u in members:
+            entry, _, pair = self._extension_bytes()
+            keys, union = _union_rows(reach_rows(g, live, cfg.tau, base),
+                                      np.arange(base.size)[None], n)
+            prefix = self._prefix_base(keys, union, 1)
+            for start, nodes, rows in self._computed_blocks(candidates, pair, entry):
+                count = start.size - 1
+                segment = np.repeat(np.arange(count), np.diff(start))
+                totals = self._totals(segment, rows, count) if unit else None
+                values.append(self._grown_values(keys, union, prefix,
+                                                 np.zeros(count, dtype=np.int64), segment,
+                                                 nodes, rows, None, totals))
+            return np.concatenate(values)
+        # Every node has a cached row, so the dense mask is no larger than
+        # the cache.
+        start, nodes, rows = cache
+        mask = np.zeros((n, rows.shape[1]), dtype=np.uint64)
+        for u in base.tolist():
             mask[nodes[start[u]:start[u + 1]]] |= rows[start[u]:start[u + 1]]
-        dtype = _total_dtype(n * pool_size)
-        unit = dtype is not None and _unit_weights(g.node_weights)
-        if unit:
-            totals = _unit_totals(mask, pools, pool_size, dtype)
-            per_source = 0
+        prefix = self._prefix_base(None, mask, 1)
+        for at, segment in self._cache_blocks:
+            values.append(self._grown_values(None, mask, prefix,
+                                             np.zeros(segment[-1] + 1, dtype=np.int64), segment,
+                                             nodes[at], rows[at], None, None))
+        return np.concatenate(values)[candidates]
+
+    @cached_property
+    def _cache_blocks(self) -> list:
+        """``(rows, segment)`` of the blocks of consecutive nodes whose
+        cached rows :meth:`extension_values` grows its base by at a time
+        (:func:`_budget_slices` of :meth:`_extension_bytes`, every row
+        meeting the base's dense mask): the slice of the block's rows, and
+        the block's node of each, counted from its first."""
+        lengths = np.diff(self._rows[0])
+        entry, meet, pair = self._extension_bytes()
+        return [(slice(self._rows[0][lo], self._rows[0][hi]),
+                 np.repeat(np.arange(hi - lo), lengths[lo:hi]))
+                for lo, hi in _budget_slices(lengths * (entry + meet) + pair, _SCORE_BLOCK_BYTES)]
+
+    def _extension_bytes(self) -> tuple[int, int, int]:
+        """Bytes that :meth:`_grown_values` holds per row of a node grown
+        into a prefix, per such row that meets a row of the prefix (with
+        unit weights, where the met rows are taken a chunk at a time), and
+        per grown set."""
+        cfg, row = self.config, 8 * self._live.shape[1]
+        g = math.gcd(cfg.pool_size, 64)
+        # The pool units of a row, and the bytes _unit_counts gathers for them.
+        if g >= 8:
+            units = cfg.pools * (cfg.pool_size // g)
+            gathered = units
         else:
-            counts = pool_counts(mask, pools, pool_size)
-            per_source = pools * n * 8
-        blocks = (self._computed_blocks(candidates, per_source) if cache is None
-                  else self._cached_blocks(per_source))
-        values = [np.empty(0)]
-        for start, nodes, rows in blocks:
-            columns = mask.take(nodes, axis=0)
-            if unit:
-                np.invert(columns, out=columns)
-                columns &= rows
-                gains = np.add.reduceat(_unit_counts(columns, pools, pool_size), start[:-1],
-                                        axis=0, dtype=dtype)
-                averages = (totals + gains.sum(axis=-1, dtype=dtype)) / pool_size
+            units = cfg.pools * _pool_segments(cfg.pools, cfg.pool_size)[2]
+            gathered = 9 * units
+        dtype = self._unit_dtype
+        if dtype is not None:
+            return 64, 2 * row + gathered + 16, (2 * units + 3 * cfg.pools) * dtype().itemsize + 64
+        return 2 * row + gathered + 8 * cfg.pools + 64, 0, 8 * cfg.pools * (self.num_nodes + 1)
+
+    def _prefix_base(self, keys, union: np.ndarray, count: int) -> np.ndarray:
+        """What :meth:`_grown_values` grows each set from, for ``count``
+        prefixes whose masks are the rows ``keys, union`` (``keys`` ``None``
+        for one prefix's dense mask): with unit weights their per-pool
+        totals ``(count, pools)``, else their count tables, node-major
+        ``(n, count, pools)`` float64, the layout that
+        :func:`node_weighted_sums` reads in place."""
+        cfg, n = self.config, self.num_nodes
+        keys = np.arange(len(union)) if keys is None else keys
+        owner = keys // n
+        if self._unit_dtype is not None:
+            return self._totals(owner, union, count)
+        table = np.zeros((n, count, cfg.pools))
+        table[keys - owner * n, owner] = _node_counts(union, cfg.pools, cfg.pool_size)
+        return table
+
+    def _grown_values(self, keys, union, base, owner, segment, nodes, rows, at,
+                      totals) -> np.ndarray:
+        """Pool medians of prefixes grown by one node each: the one scorer
+        of :meth:`subset_values` and :meth:`extension_values`.
+
+        Prefix ``i``'s mask ``M`` is the sparse rows ``union`` at the
+        ascending ``keys``, ``i * n + v`` at node ``v`` (:func:`_union_rows`),
+        or, with ``keys`` ``None``, the one prefix's dense ``(n, words)``
+        mask; ``base`` is its :meth:`_prefix_base`.  Grown set ``j`` adds to
+        prefix ``owner[j]`` a node whose reach rows ``R`` are the entries
+        ``e`` with ``segment[e] == j``, non-decreasing: each at node
+        ``nodes[e]``, with words ``rows[at[e]]`` (``rows[e]`` when ``at`` is
+        ``None``).  Only the columns of ``R`` can change, so each is looked
+        up among ``keys`` by ``np.searchsorted`` (in a dense mask, read
+        directly).
+
+        With unit weights and sparse rows the grown set's pool totals are
+        ``tot(M) + tot(R) - |M & R|``, where ``totals[j]`` is ``tot(R)``:
+        only the columns that both reach are popcounted (:func:`_unit_counts`),
+        a chunk of them at a time, and summed per grown set
+        (:func:`_segment_sums`); ``|M & R| <= tot(R)``, so no total wraps.
+        From a dense mask they are ``tot(M) + |R & ~M|``, every column of
+        ``R`` popcounted and ``totals`` not read.  The median is taken on
+        the integer totals and then divided, which is the median of the
+        averages.  Otherwise the grown set's count table is its prefix's
+        with the columns of ``R`` replaced by the counts of ``M[col] |
+        row``, reduced over all ``n`` nodes in node order by
+        :func:`node_weighted_sums`, as :func:`count_pool_averages` does.
+        Either way the values equal :func:`mask_pool_averages` of the grown
+        set's mask bit for bit."""
+        cfg, n, dtype = self.config, self.num_nodes, self._unit_dtype
+        if keys is not None:
+            query = owner[segment] * n + nodes
+            found = np.searchsorted(keys, query)
+            hit = np.flatnonzero(np.append(keys, -1)[found] == query)
+        if dtype is None:
+            columns = rows.copy() if at is None else rows.take(at, axis=0)
+            if keys is None:
+                columns |= union.take(nodes, axis=0)
             else:
-                columns |= rows
-                table = np.repeat(counts[None], start.size - 1, axis=0)
-                owner = np.repeat(np.arange(start.size - 1), np.diff(start))
-                table[owner, :, nodes] = pool_counts(columns, pools, pool_size).T
-                averages = count_pool_averages(table, g.node_weights, pool_size)
-            values.append(pool_median(averages))
-        values = np.concatenate(values)
-        return values if cache is None else values[candidates]
+                columns[hit] |= union.take(found[hit], axis=0)
+            table = base.take(owner, axis=1)
+            table[nodes, segment] = _node_counts(columns, cfg.pools, cfg.pool_size)
+            return pool_median(node_weighted_sums(self.model.graph.node_weights, table)
+                               / cfg.pool_size)
+        if keys is None:
+            # Every entry reads its column of the dense mask, so each grown
+            # set's entries are one run, never empty, that np.add.reduceat sums.
+            added = union.take(nodes, axis=0)
+            np.invert(added, out=added)
+            added &= rows if at is None else rows.take(at, axis=0)
+            runs = np.searchsorted(segment, np.arange(owner.size))
+            grown = _run_sums(np.add.reduceat(_unit_counts(added, cfg.pools, cfg.pool_size),
+                                              runs, axis=0, dtype=dtype), dtype)
+        else:
+            grown = totals.copy()
+            step = max(1, _SCORE_BLOCK_BYTES // self._extension_bytes()[1])
+            for lo in range(0, hit.size, step):
+                met = hit[lo:lo + step]
+                shared = union.take(found[met], axis=0)
+                shared &= rows.take(met if at is None else at[met], axis=0)
+                first, last = segment[met[0]], segment[met[-1]] + 1
+                grown[first:last] -= _segment_sums(
+                    _unit_counts(shared, cfg.pools, cfg.pool_size), segment[met] - first,
+                    last - first, dtype)
+        grown += base[owner]
+        return pool_median(grown) / cfg.pool_size
+
+
+def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ``arange(first[i], first[i] + lengths[i])``."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first + lengths - ends, lengths)
+
+
+def _budget_slices(cost: np.ndarray, budget: int):
+    """Yield ``(lo, hi)`` cuts of consecutive items of the given costs, each
+    as long as its items' total stays within ``budget``, and at least one
+    item long."""
+    total = np.concatenate([[0], np.cumsum(cost)])
+    lo = 0
+    while lo < cost.size:
+        hi = cost.size
+        if total[-1] - total[lo] > budget:
+            hi = max(lo + 1, int(np.searchsorted(total, total[lo] + budget, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def _union_rows(sources: tuple, sets: np.ndarray, n: int) -> tuple:
+    """The packed masks of the ``(B, k)`` sets of source indices, as sparse
+    rows ``(keys, rows)``: key ``i * n + v`` for each node ``v`` that set
+    ``i`` reaches, ascending, and the OR of its members' rows of
+    ``sources``, ``(start, nodes, rows)``, at ``v``."""
+    start, nodes, rows = sources
+    members = sets.reshape(-1)
+    lengths = start[members + 1] - start[members]
+    at = _ranges(start[members], lengths)
+    keys = nodes[at]
+    if len(sets) > 1:
+        keys += np.repeat(np.repeat(np.arange(len(sets)) * n, sets.shape[1]), lengths)
+    if sets.shape[1] < 2:
+        return keys, rows.take(at, axis=0)
+    order = np.argsort(keys, kind="stable")
+    keys, at = keys[order], at[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    union = rows.take(at[first], axis=0)
+    np.bitwise_or.at(union, np.cumsum(first)[~first] - 1, rows.take(at[~first], axis=0))
+    return keys[first], union
+
+
+def _segment_sums(counts: np.ndarray, segment: np.ndarray, count: int, dtype) -> np.ndarray:
+    """Per-pool sums ``(count, pools)`` of the ``(h, pools, runs)`` unit
+    counts grouped by ``segment``, non-decreasing, empty segments summing
+    to zero.  The counts are gathered into an ``(L, count)`` padding of the
+    longest segment, whose empty slots read a zero row, and summed along
+    ``L``, as many slots at a time as fit ``_SCORE_BLOCK_BYTES``.  That
+    runs several times faster than ``np.add.reduceat`` along the rows,
+    which loops over every segment and unit."""
+    h = segment.size
+    if count == 1:
+        return _run_sums(counts.sum(axis=0, dtype=dtype), dtype)[None]
+    flat = counts.reshape(h, math.prod(counts.shape[1:]))
+    slot = np.arange(h) - np.searchsorted(segment, segment)
+    index = np.full((int(slot.max(initial=-1)) + 1, count), h)
+    index[slot, segment] = np.arange(h)
+    padded = np.concatenate([flat, np.zeros((1, flat.shape[1]), flat.dtype)])
+    sums = np.zeros((count, flat.shape[1]), dtype=dtype)
+    step = max(1, _SCORE_BLOCK_BYTES // max(padded[:1].nbytes * count, 1))
+    for lo in range(0, len(index), step):
+        sums += padded.take(index[lo:lo + step], axis=0).sum(axis=0, dtype=dtype)
+    return _run_sums(sums.reshape((count,) + counts.shape[1:]), dtype)
 
 
 def _node_ids(ids, n: int) -> np.ndarray:
@@ -358,19 +628,32 @@ def pool_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
     counts widen to int64, and the result views that node-major memory,
     which the weighted sum of :func:`count_pool_averages` reads in place.
     """
-    pools, pool_size = int(pools), int(pool_size)
-    counts = np.moveaxis(_unit_counts(mask, pools, pool_size), -3, 0)
+    totals = _node_counts(mask, int(pools), int(pool_size))
+    return totals.transpose(*range(1, totals.ndim), 0)
+
+
+def _node_counts(mask: np.ndarray, pools: int, pool_size: int) -> np.ndarray:
+    """The counts of :func:`pool_counts` in the node-major memory it views,
+    C-contiguous ``(n, ..., pools)`` int64."""
+    units = _unit_counts(mask, pools, pool_size)
+    # The same node-first view as np.moveaxis(units, -3, 0), without its
+    # call cost.
+    d = units.ndim
+    return _run_sums(units.transpose(d - 3, *range(d - 3), d - 2, d - 1), np.int64)
+
+
+def _run_sums(counts: np.ndarray, dtype) -> np.ndarray:
+    """``counts.sum(axis=-1)`` of ``(..., pools, runs)`` unit counts in
+    ``dtype``, C-contiguous.  A sum along each run costs per pool; runs no
+    longer than the pool count are added instead as strided columns of
+    whole pools, one add per unit of a run."""
     runs = counts.shape[-1]
-    # A sum along each run costs per pool; runs no longer than the pool
-    # count are added instead as strided columns of whole pools, one add
-    # per unit of a run.
-    if runs > pools:
-        totals = counts.sum(axis=-1, dtype=np.int64, out=np.empty(counts.shape[:-1], np.int64))
-    else:
-        totals = counts[..., 0].astype(np.int64, order="C")
-        for j in range(1, runs):
-            totals += counts[..., j]
-    return np.moveaxis(totals, 0, -1)
+    if runs > counts.shape[-2]:
+        return counts.sum(axis=-1, dtype=dtype, out=np.empty(counts.shape[:-1], dtype))
+    totals = counts[..., 0].astype(dtype, order="C")
+    for j in range(1, runs):
+        totals += counts[..., j]
+    return totals
 
 
 def count_pool_averages(counts: np.ndarray, node_weights: np.ndarray,

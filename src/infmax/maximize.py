@@ -9,12 +9,13 @@ that validates candidates on small independent oracles and stops early
 when the data allows it.
 
 Brute force and greedy accept any object with ``num_nodes`` and
-``query``.  Each subset size is scored by one ``query_many`` call where
-the oracle has it (``Oracle`` and ``ExactInfluence`` do), else by one
-``query`` per set.  Each greedy step is scored by one
-``extension_values`` call where the oracle has it (``Oracle`` does: it
-recounts only the columns each candidate reaches), else in the same way
-as a subset size.  The first maximum wins ties.
+``query``.  Each subset size is scored by one ``subset_values`` call
+where the oracle has it (``Oracle`` does: it grows each prefix by the
+nodes above it), else by one ``query_many`` call where it has that
+(``ExactInfluence`` does), else by one ``query`` per set.  Each greedy
+step is scored by one ``extension_values`` call where the oracle has it
+(``Oracle`` does: it looks up only the columns each candidate reaches),
+else in the same way as a subset size.  The first maximum wins ties.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def brute_force_fits(num_nodes: int, s: int) -> bool:
 def brute_force_max(oracle, s: int) -> MaximizerResult:
     """Exact argmax of the oracle over subsets of size <= s, lexicographic ties.
 
-    Each size's subsets are scored in one batch, in lexicographic order;
+    Each size's subsets are scored in one batch, in lexicographic order
+    (the oracle's ``subset_values`` where it has one, else :func:`_values`);
     a size's first maximum replaces the best only when strictly larger.
     """
     n = oracle.num_nodes
@@ -89,9 +91,13 @@ def brute_force_max(oracle, s: int) -> MaximizerResult:
         raise ValueError("seed budget must be at least 1")
     if not brute_force_fits(n, s):
         raise ValueError("subset count exceeds the brute-force budget")
+    subset_values = getattr(oracle, "subset_values", None)
     best_seeds, best_value = None, -math.inf
     for size in range(1, s + 1):
-        values = _values(oracle, combinations(range(n), size))
+        if subset_values is not None:
+            values = subset_values(size)
+        else:
+            values = _values(oracle, combinations(range(n), size))
         k = int(np.argmax(values))
         if values[k] > best_value:
             best_seeds = next(islice(combinations(range(n), size), k, None))

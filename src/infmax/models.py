@@ -39,7 +39,7 @@ it for many seed sets at once, each over its own copy of the words.
 Single sources also have a sparse routine, :func:`reach_rows`: one push
 over the out-edges of many sources' frontiers at once, which keeps only
 each source's nonzero node rows, so its cost follows the nodes a source
-reaches, not ``n``; :func:`reach_table` scatters them into a dense table.
+reaches, not ``n``; an oracle caches them for brute force and greedy.
 :func:`reverse_reach_set` searches one simulation's reverse reach, kept
 as a reference.
 """
@@ -436,16 +436,24 @@ def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | Non
     def draw(master_seed: int, start: int, count: int):
         lead, first = start % 64, start // 64
         words = -(-(lead + count) // 64)
-        # The rows each part owns within the range, packed like the words.
-        owned = np.zeros((64 * words, num_parts), dtype=bool)
+        # The rows each part owns within the range, packed like the words: a
+        # non-mixture owns the one run of the range's bits.
+        run = np.full(words, ~np.uint64(0))
+        run[0] &= ~np.uint64((1 << lead) - 1)
+        run[-1] &= np.uint64((1 << (lead + count - 64 * (words - 1))) - 1)
         comps = None
         if cum is None:
-            owned[lead:lead + count] = True
+            own = run[None]
         else:
+            # Row c of below holds the simulations whose choice is below
+            # cum[c], which pick a component of 0 .. c; the last is the run.
             choice = rng.sim_uniforms(master_seed, rng.STREAM_MIXTURE, start, count)
-            comps = np.searchsorted(cum, choice, side="right")
-            owned[lead + np.arange(count), comps] = True
-        own = pack_rows(owned)
+            below = np.zeros((num_parts - 1, 64 * words), dtype=bool)
+            np.less(choice, cum[:-1, None], out=below[:, lead:lead + count])
+            comps = num_parts - 1 - below[:, lead:lead + count].sum(axis=0)
+            own = np.vstack([np.packbits(below, axis=1, bitorder="little").view("<u8"),
+                             run[None]])
+            own[1:] &= ~own[:-1]
         out = np.zeros((hi_row.size, words), dtype=np.uint64)
         step = min(words, wide)
         per = max(1, cells // step)
@@ -707,9 +715,9 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
 
 
 # One block of tiled seed sets holds at most this many words x max(edges, nodes).
-# Its callers are build_sketches, exact_values and Oracle.query_many without a
-# reach table.  A bigger block makes fewer kernel calls per set, and its
-# copies (np.tile here, then live_by_head in the kernel) raise peak memory.
+# Its callers are build_sketches, exact_values and Oracle.query_many.  A bigger
+# block makes fewer kernel calls per set, and its copies (np.tile here, then
+# live_by_head in the kernel) raise peak memory.
 # Measured on a 2-core Xeon VM (numpy 2.4.6): perfbench reverse at seed 52,
 # medians of 4 interleaved 10 s runs; criterion 7's time per sketch build;
 # query_many of all 1,770 pairs of gen_random_ic(60, 200) at 300 simulations
@@ -725,7 +733,8 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
 # 2^17 puts peak memory 3.6% above 2^14, too near the benchmark's 5% bound,
 # and query_many runs slower there than at 2^14.
 _BLOCK_CELLS = 1 << 16
-# reach_table, and an oracle's cache of reach_rows, are kept while they fit here.
+# An oracle's cache of every node's reach_rows, with each row's key and each
+# node's pool totals, is kept while it fits here (Oracle._rows).
 _EXPLICIT_CACHE_BYTES = 1 << 27
 
 
@@ -832,23 +841,6 @@ def reach_rows(graph: Graph, live: np.ndarray, tau: int, sources):
     keys = keys[order]
     start = np.searchsorted(keys >> shift, np.arange(sources.size + 1))
     return start, keys & low, rows.take(order + 1, axis=0)
-
-
-def reach_table(graph: Graph, live: np.ndarray, tau: int) -> np.ndarray | None:
-    """Source-first ``(n, n, words)`` :func:`reach_mask_batch` of every
-    single node, or ``None`` when it would exceed ``_EXPLICIT_CACHE_BYTES``:
-    the :func:`reach_rows` of every node scattered into their columns, a
-    block of sources at a time, so that no step of a block's push reads
-    more edge rows than that budget holds."""
-    n, m, words = graph.num_nodes, graph.num_edges, live.shape[1]
-    if n * words * n * 8 > _EXPLICIT_CACHE_BYTES:
-        return None
-    table = np.zeros((n, n, words), dtype=np.uint64)
-    block = max(1, _EXPLICIT_CACHE_BYTES // (max(m, 1) * words * 8))
-    for lo in range(0, n, block):
-        start, nodes, rows = reach_rows(graph, live, tau, np.arange(lo, min(lo + block, n)))
-        table[np.repeat(np.arange(lo, lo + start.size - 1), np.diff(start)), nodes] = rows
-    return table
 
 
 def _unit_weights(node_weights: np.ndarray) -> bool:

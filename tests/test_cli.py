@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -488,6 +490,42 @@ def test_paths_that_cannot_be_read_or_written_are_usage_errors(tmp_path, capsys)
         assert run_cli(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+def test_a_report_over_a_longer_file_leaves_exactly_its_bytes(tmp_path):
+    # Reports and sketch files are written over the old bytes and then cut
+    # to their length, never emptied first.
+    model, fresh, sketches = tmp_path / "t.model", tmp_path / "fresh", tmp_path / "sk.json"
+    gen = ["gen", "--family", "tree", "--tau", "2", "--model-out", str(model), "--out"]
+    build = ["sketch-build", "--model", str(model), "--tau", "2", "--pool-size", "5",
+             "--k", "8", "--out", str(tmp_path / "b.json"), "--sketch-out"]
+    assert run_cli(gen + [str(fresh)]) == 0
+    assert run_cli(build + [str(sketches)]) == 0
+    for argv, old in ((gen, fresh), (build, sketches)):
+        stale = tmp_path / ("stale-" + old.name)
+        stale.write_bytes(b"x" * (3 * len(old.read_bytes())))
+        assert run_cli(argv + [str(stale)]) == 0
+        assert stale.read_bytes() == old.read_bytes()
+        json.loads(stale.read_text())
+
+
+def test_a_report_written_to_a_pipe_reaches_its_reader(tmp_path):
+    # A pipe is no regular file: the report is written and never cut.
+    argv = ["gen", "--family", "tree", "--tau", "2", "--model-out", str(tmp_path / "t.model")]
+    expect = tmp_path / "r.json"
+    assert run_cli(argv + ["--out", str(expect)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "infmax"] + argv + ["--out", "/dev/stdout"],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == expect.read_bytes()
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run_cli(argv + ["--out", str(fifo)]) == 0
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive() and got == [expect.read_bytes()]
 
 
 def test_a_mixture_that_cannot_be_saved_leaves_no_companion(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import combinations
 import tracemalloc
 
 import numpy as np
@@ -191,12 +192,12 @@ def _check_pool_values_add_in_node_order(model, pools, pool_size):
         assert estimates.tobytes() == averages.tobytes()
 
 
-def test_query_many_does_not_depend_on_the_reach_table(monkeypatch):
+def test_batched_values_do_not_depend_on_the_row_cache(monkeypatch):
     # 3 pools of 50: 150 simulations in three words, the last one partial.
-    # With the table a set's mask ORs its members' rows; without it the sets
-    # of a block propagate together, as many to a propagation as the default
-    # allows, one, or three.  extension_values reads the cached reach rows,
-    # or computes them without a cache, and gives the grown sets' values.
+    # query_many propagates the sets of a block together, as many to a
+    # propagation as the default allows, one, or three.  extension_values
+    # and subset_values read the cached reach rows, or without a cache
+    # compute them or go through query_many, and give the same values.
     model = im.families.gen_random_ic(9, 20, weight_range=(0.5, 3.0), seed=6)
     n, m = model.num_nodes, model.graph.num_edges
     sets = [[(v,) for v in range(n)], [(0, 7), (3, 3), (8, 1), (5, 2)],
@@ -205,13 +206,15 @@ def test_query_many_does_not_depend_on_the_reach_table(monkeypatch):
     for tau in (0, 1, 2, n - 1):
         config = im.OracleConfig(3, 50, tau, master_seed=5)
         cached = im.build_oracle(model, config)
-        assert cached._single_reaches is not None
         expect = [np.array([cached.query(s) for s in size]).tobytes() for size in sets]
         assert [cached.query_many(size).tobytes() for size in sets] == expect
         grown = [np.array([cached.query(base + (v,)) for v in range(n)]).tobytes()
                  for base in bases]
         assert [cached.extension_values(base, range(n)).tobytes()
                 for base in bases] == grown
+        subsets = [np.array([cached.query(s) for s in combinations(range(n), size)]).tobytes()
+                   for size in (1, 2, 3)]
+        assert [cached.subset_values(size).tobytes() for size in (1, 2, 3)] == subsets
         assert cached._rows is not None
         for cells in (models._BLOCK_CELLS, 3 * m, 3 * 3 * m):
             with monkeypatch.context() as patch:
@@ -221,7 +224,7 @@ def test_query_many_does_not_depend_on_the_reach_table(monkeypatch):
                 assert [uncached.query_many(size).tobytes() for size in sets] == expect
                 assert [uncached.extension_values(base, range(n)).tobytes()
                         for base in bases] == grown
-                assert uncached._single_reaches is None
+                assert [uncached.subset_values(size).tobytes() for size in (1, 2, 3)] == subsets
                 assert uncached._rows is None
 
 
@@ -241,7 +244,9 @@ def test_reach_row_cache_is_every_source_within_its_budget(monkeypatch):
         patch.setattr(estimators, "_SCORE_BLOCK_BYTES", 1)
         blocked = im.build_oracle(model, config)._rows
         assert all(np.array_equal(a, b) for a, b in zip(blocked, (start, nodes, rows)))
-    size = nodes.nbytes + rows.nbytes
+    # Each row's key is counted beside its node id, and 8 bytes per pool
+    # of each source's totals.
+    size = 2 * nodes.nbytes + rows.nbytes + 9 * config.pools * 8
     monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", size)
     assert im.build_oracle(model, config)._rows is not None
     monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", size - 1)

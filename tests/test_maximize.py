@@ -285,22 +285,20 @@ def _assert_same_maximizers(a, b):
 
 
 def test_uncached_scoring_matches_cached(monkeypatch):
-    # Cached, brute force reads the reach table and greedy the reach rows;
-    # uncached, brute force propagates its sets and greedy computes rows.
+    # Cached, brute force and greedy read the reach rows; uncached, brute
+    # force propagates its sets and greedy computes rows.
     for weights in [(1.0, 1.0), (0.5, 3.0)]:
         for pools in (1, 5):
             model = im.families.gen_random_ic(9, 16, weight_range=weights, seed=pools)
             config = im.OracleConfig(pools, 23, 2, 4)
             cached = im.build_oracle(model, config)
             _assert_same_maximizers(cached, GenericView(cached))
-            assert cached._single_reaches is not None
             assert cached._rows is not None
             with monkeypatch.context() as m:
                 m.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
                 uncached = im.build_oracle(model, config)
                 _assert_same_maximizers(uncached, cached)
                 _assert_same_maximizers(uncached, GenericView(uncached))
-                assert uncached._single_reaches is None
                 assert uncached._rows is None
 
 
@@ -348,6 +346,74 @@ def test_greedy_extension_ties_go_to_the_lowest_id(monkeypatch, cache):
             assert [step.node for step in trace] == [0, 3, 6, 1]
             assert trace == im.greedy_max(GenericView(oracle), 4).trace
             assert trace[0].gain == trace[1].gain
+
+
+@pytest.mark.parametrize("cache", [True, False])
+@pytest.mark.parametrize("block", [1, 4000, None])
+def test_brute_force_over_rows_matches_per_set_queries(monkeypatch, cache, block):
+    # subset_values extends each (s - 1)-prefix in lexicographic order by the
+    # nodes above it, from the cached rows, or without a cache through
+    # query_many.  Pools of 23 (gcd with 64 is 1) count padded word
+    # segments, pools of 24 and 32 whole 8- and 32-bit units.  A 1-byte
+    # block grows one set per block and takes one shared column per chunk;
+    # 4,000 bytes hold some prefixes whole and split others.
+    if not cache:
+        monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
+    if block is not None:
+        monkeypatch.setattr(estimators, "_SCORE_BLOCK_BYTES", block)
+    scorer, calls = estimators.Oracle._grown_values, []
+
+    def recording(self, keys, union, base, owner, *args):
+        calls.append(len(owner))
+        return scorer(self, keys, union, base, owner, *args)
+
+    monkeypatch.setattr(estimators.Oracle, "_grown_values", recording)
+    n = 10
+    for weights in [(1.0, 1.0), (0.5, 3.0)]:
+        for pools in (1, 5):
+            model = im.families.gen_random_ic(n, 24, weight_range=weights, seed=pools)
+            for pool_size in (23, 24, 32):
+                oracle = im.build_oracle(model, im.OracleConfig(pools, pool_size, 2, 7))
+                for s in (1, 2, 3):
+                    sets = list(combinations(range(n), s))
+                    expect = np.array([oracle.query(seeds) for seeds in sets])
+                    calls.clear()
+                    assert oracle.subset_values(s).tobytes() == expect.tobytes()
+                    if cache:
+                        assert sum(calls) == len(sets) - (s == 1 and weights[1] == 1.0) * n
+                        if block == 1 and s > 1:
+                            assert calls == [1] * len(sets)
+                    else:
+                        assert calls == []
+                    fast = im.brute_force_max(oracle, s)
+                    slow = im.brute_force_max(GenericView(oracle), s)
+                    assert (fast.seeds, fast.oracle_value) == (slow.seeds, slow.oracle_value)
+                assert (oracle._rows is not None) == cache
+    with pytest.raises(ValueError, match="subset size"):
+        oracle.subset_values(0)
+    with pytest.raises(ValueError, match="subset size"):
+        oracle.subset_values(n + 1)
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_brute_force_ties_go_to_the_lowest_set(monkeypatch, cache):
+    # Four equal stars, centres 1, 4, 7 and 10, all edges live: every set of
+    # s centres ties, and brute force takes the first in lexicographic order.
+    if not cache:
+        monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", 0)
+    monkeypatch.setattr(estimators, "_SCORE_BLOCK_BYTES", 1)
+    edges = [(c, c + d, 1.0) for c in (1, 4, 7, 10) for d in (-1, 1)]
+    for weights in ([1.0] * 12, [0.5, 2.0, 0.25] * 4):
+        model = im.ic_model(im.Graph.from_edges(12, edges, node_weights=weights))
+        for pools in (1, 5):
+            oracle = im.build_oracle(model, im.OracleConfig(pools, 23, 2, 0))
+            for s, seeds in ((1, (1,)), (2, (1, 4)), (3, (1, 4, 7))):
+                result = im.brute_force_max(oracle, s)
+                assert result.seeds == seeds
+                assert result.oracle_value == oracle.query(seeds) == sum(weights[:3]) * s
+                values = oracle.subset_values(s)
+                assert values.max() == result.oracle_value
+                assert np.flatnonzero(values == values.max()).size == math.comb(4, s)
 
 
 def test_query_many_matches_query():

@@ -856,14 +856,6 @@ def test_set_reaches_match_per_set_propagation(per_block, monkeypatch):
                         expect = np.stack([im.reach_mask_batch(g, live, tuple(row), tau)
                                            for row in ids])
                         assert np.concatenate(blocks).tobytes() == expect.tobytes()
-                    # The table's rows are the singles, the last ids above.
-                    assert models.reach_table(g, live, tau).tobytes() == expect.tobytes()
-                # the table is kept up to exactly _EXPLICIT_CACHE_BYTES, and
-                # then scatters blocks of n * n // m sources
-                monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8)
-                assert models.reach_table(g, live, n - 1).tobytes() == expect.tobytes()
-                monkeypatch.setattr(models, "_EXPLICIT_CACHE_BYTES", n * width * n * 8 - 1)
-                assert models.reach_table(g, live, 1) is None
                 monkeypatch.undo()
 
 
@@ -937,7 +929,8 @@ def test_every_packed_producer_returns_contiguous_rows(monkeypatch):
     for ids in (np.arange(n)[:, None], [[0, 4], [3, 3], [8, 1]]):
         for block in models.set_reaches(g, live, 2, ids):
             check(block, n)
-    check(models.reach_table(g, live, 2), n)
+    rows = models.reach_rows(g, live, 2, np.arange(n))[2]
+    check(rows, len(rows))
     mixture = im.mixture_model([(random_model(1, n=6, m=8), 0.5),
                                 (random_model(2, n=6, m=8), 0.5)])
     for words, rows, _ in exact._outcome_chunks(mixture, np.ones(16, dtype=bool)):
