@@ -74,8 +74,16 @@ def _values(oracle, seed_sets) -> np.ndarray:
 
 
 def brute_force_fits(num_nodes: int, s: int) -> bool:
-    """Whether the size-``s`` subsets fit in ``BRUTE_FORCE_BUDGET``."""
-    return math.comb(num_nodes, min(int(s), num_nodes)) <= BRUTE_FORCE_BUDGET
+    """Whether the subsets of every size from 1 to ``s``, all of which
+    :func:`brute_force_max` scores, fit in ``BRUTE_FORCE_BUDGET``.  The sum
+    of ``C(n, j)`` stops at the first term past the budget."""
+    total, count = 0, 1
+    for j in range(1, min(int(s), num_nodes) + 1):
+        count = count * (num_nodes - j + 1) // j
+        total += count
+        if total > BRUTE_FORCE_BUDGET:
+            return False
+    return True
 
 
 def brute_force_max(oracle, s: int) -> MaximizerResult:

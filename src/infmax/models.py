@@ -715,11 +715,15 @@ def reach_mask_batch(graph: Graph, live: np.ndarray, seeds, tau: int) -> np.ndar
 
 
 # One block of tiled seed sets holds at most this many words x max(edges, nodes).
-# Its callers are build_sketches, exact_values and Oracle.query_many.  A bigger
-# block makes fewer kernel calls per set, and its copies (np.tile here, then
-# live_by_head in the kernel) raise peak memory.
-# Measured on a 2-core Xeon VM (numpy 2.4.6): perfbench reverse at seed 52,
-# medians of 4 interleaved 10 s runs; criterion 7's time per sketch build;
+# Its callers are exact_values, Oracle.query_many and build_sketches, which
+# propagates forward only the nodes its reverse passes leave short of k, and
+# cuts each reverse pass over rank positions into blocks of the same bound
+# (sketches._reverse_hits).  A bigger block makes fewer kernel calls per set,
+# and its copies (np.tile here, then live_by_head in the kernel) raise peak
+# memory.
+# Measured on a 2-core Xeon VM (numpy 2.4.6) before sketch builds searched
+# in reverse: perfbench reverse at seed 52, medians of 4 interleaved 10 s
+# runs; criterion 7's time per sketch build, then all forward;
 # query_many of all 1,770 pairs of gen_random_ic(60, 200) at 300 simulations
 # with no table.  exact_influence_map on perfbench maximize's instances read
 # 92-96 ms at every size.

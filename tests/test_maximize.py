@@ -171,6 +171,22 @@ def test_adaptive_accepts_deterministic_model_at_first_round():
     assert result.validation_simulations > 0
 
 
+def test_brute_force_budget_counts_every_scored_size():
+    # brute_force_max scores every size from 1 to s, so the budget bounds
+    # the sum of C(n, j) over those sizes, not C(n, s) alone.
+    assert not maximize.brute_force_fits(30, 29)  # C(30, 29) = 30, sum 2^30 - 2
+    assert maximize.brute_force_fits(20, 2)  # 20 + 190 sets
+    # C(21, 10) = 352,716 fits, and sizes 1-10 hold 2^20 - 1 = 1,048,575.
+    assert math.comb(21, 10) <= maximize.BRUTE_FORCE_BUDGET
+    assert sum(math.comb(21, j) for j in range(1, 11)) == 2**20 - 1
+    assert not maximize.brute_force_fits(21, 10)
+    assert maximize.brute_force_fits(21, 9)  # sizes 1-9 hold 695,859 sets
+    assert sum(math.comb(21, j) for j in range(1, 10)) == 695_859
+    # s past n scores sizes up to n; s = 0 scores nothing.
+    assert maximize.brute_force_fits(19, 40) and not maximize.brute_force_fits(20, 40)
+    assert maximize.brute_force_fits(10**9, 0) and not maximize.brute_force_fits(10**9, 1)
+
+
 def test_adaptive_brute_names_its_greedy_fallback(monkeypatch):
     # Over the subset budget, base="brute" runs greedy and says so.
     model = max_cover_model()

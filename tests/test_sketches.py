@@ -284,13 +284,18 @@ def assert_matches_rank_order(model, live, tau, k, rank_seed):
 def test_block_scan_branches_match_rank_order_searches(scan_cells, monkeypatch):
     # 50 cells split every gather by rows and most by rank prefix too.
     monkeypatch.setattr(sketches, "_SCAN_CELLS", scan_cells)
-    prefixes = []
-    gathers = sketches._gathers
+    scans = []  # each forward scan's start, then the start of each gather
+    first_hits, gathers = sketches._first_hits, sketches._gathers
+
+    def record_scan(*args):
+        scans.append([args[-1]])
+        return first_hits(*args)
 
     def record(rows, lo, hi):
-        prefixes.append(lo)
+        scans[-1].append(lo)
         return gathers(rows, lo, hi)
 
+    monkeypatch.setattr(sketches, "_first_hits", record_scan)
     monkeypatch.setattr(sketches, "_gathers", record)
     # Criterion 7's star: the hub fills, and the leaves reach only themselves.
     star = star_model(199)
@@ -298,20 +303,123 @@ def test_block_scan_branches_match_rank_order_searches(scan_cells, monkeypatch):
         live, _ = im.sample_pool(star, 0, ell)
         for j in range(3):
             assert_matches_rank_order(star, live, 1, k, rng.derive_seed(3, 7, j))
-    # 70 simulations cross a word boundary.  With k = 8 the first prefix is
-    # short, so on some pools the rows that are not yet full read further
-    # prefixes: about one master seed in five gives such a pool.  Pools are
-    # checked in seed order up to the first one that does.
+    # 70 simulations cross a word boundary.  At tau = 1 with k = 8 and at
+    # tau = 2 with k = 16 (k = 8 there fills almost every node) the reverse
+    # pass over the first 64 rank positions fills some nodes and not others,
+    # and those scan forward from position 64.  On some pools the rows that
+    # are not yet full read a second prefix past that start.  Pools are
+    # checked in seed order up to the first one that does, at each tau.
     model = fixed_outdegree_model(30, 4, seed=1)
-    prefixes.clear()
-    for master_seed in range(40):
-        live, _ = im.sample_pool(model, master_seed, 70)
-        for tau in (2, model.num_nodes - 1):
+    for tau, k in ((1, 8), (2, 16)):
+        scans.clear()
+        for master_seed in range(40):
+            live, _ = im.sample_pool(model, master_seed, 70)
             for rank_seed in range(10):
-                assert_matches_rank_order(model, live, tau, 8, rank_seed)
-        if max(prefixes) > 0:
-            break
-    assert max(prefixes) > 0
+                assert_matches_rank_order(model, live, tau, k, rank_seed)
+            if any(max(scan) > scan[0] for scan in scans):
+                break
+        assert min(scan[0] for scan in scans) == 64
+        assert any(max(scan) > scan[0] for scan in scans)
+
+
+def spy_reverse_hits(monkeypatch):
+    """Record each build's reverse passes: the hit counts and prefix end
+    that the reverse searches return, and the propagations they run, one
+    per pass at these sizes."""
+    calls = []
+    reverse_hits = sketches._reverse_hits
+    reach_mask_batch = sketches.reach_mask_batch
+
+    def spy(*args):
+        calls.append({"passes": 0})
+        nodes, picks, got, end = reverse_hits(*args)
+        calls[-1].update(got=got.copy(), end=end)
+        return nodes, picks, got, end
+
+    def count(*args):
+        calls[-1]["passes"] += 1
+        return reach_mask_batch(*args)
+
+    monkeypatch.setattr(sketches, "_reverse_hits", spy)
+    monkeypatch.setattr(sketches, "reach_mask_batch", count)
+    return calls
+
+
+def forbid_set_reaches(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("set_reaches called")
+
+    monkeypatch.setattr(sketches, "set_reaches", forbidden)
+
+
+# 70 simulations of 30 nodes: 2,100 pairs.  k = 8 first reverses 64 rank
+# positions; k = 1,050 reverses the whole order.  A later pass runs only
+# while more than (m + n) / 8 nodes are short: 18 on the graph of 4
+# out-edges per node, and more than all 30 on the one of 9.
+# A later pass is as long as the prefix before it, or longer where
+# sketches._PASS_BYTES asks for more; 1 byte leaves it doubling the prefix.
+REVERSE_CASES = {
+    # tau = 1: some nodes fill in the first 64 positions, too few stay short
+    # for a second pass, and those scan forward.
+    "some_filled": (4, 1, 8, None),
+    # tau = 0: a node reaches only its own pairs, about two of the first 64,
+    # so every node is short, and a second pass fills every one.
+    "later_pass": (4, 0, 8, None),
+    # The same with doubling passes: they run until 18 or fewer nodes are
+    # short, and those scan forward.
+    "doubling": (4, 0, 8, 1),
+    # Every node reaches fewer than k pairs and is offered all of them.
+    "whole_order": (4, 2, 1050, None),
+    # No node fills in the first 64 positions, and all scan forward.
+    "none_filled": (9, 0, 8, None),
+    # Whatever the edges per node, the first pass runs: here it covers the
+    # whole order and fills every node.
+    "dense": (9, 2, 1050, None),
+}
+
+
+@pytest.mark.parametrize("case", list(REVERSE_CASES))
+def test_reverse_prefix_and_forward_scan_match_rank_order_searches(case, monkeypatch):
+    outdegree, tau, k, pass_bytes = REVERSE_CASES[case]
+    if pass_bytes is not None:
+        monkeypatch.setattr(sketches, "_PASS_BYTES", pass_bytes)
+    model = fixed_outdegree_model(30, outdegree, seed=1)
+    calls = spy_reverse_hits(monkeypatch)
+    if case in ("later_pass", "whole_order", "dense"):
+        forbid_set_reaches(monkeypatch)
+    for master_seed in range(3):
+        live, _ = im.sample_pool(model, master_seed, 70)
+        for rank_seed in range(3):
+            assert_matches_rank_order(model, live, tau, k, rank_seed)
+    assert len(calls) == 9
+    for call in calls:
+        filled = int(np.count_nonzero(call["got"] == k))
+        passes, end = call["passes"], call["end"]
+        if case == "some_filled":
+            assert 0 < filled < 30 and (passes, end) == (1, 64)
+        elif case == "later_pass":
+            assert filled == 30 and passes == 2 and 128 <= end < 2100
+        elif case == "doubling":
+            assert 0 < filled < 30 and passes > 2 and end == 64 << (passes - 1)
+        elif case == "whole_order":
+            assert filled == 0 and (passes, end) == (1, 2100)
+        elif case == "none_filled":
+            assert filled == 0 and (passes, end) == (1, 64)
+        else:
+            assert filled == 30 and (passes, end) == (1, 2100)
+
+
+def test_deep_sketches_fill_without_a_forward_scan(monkeypatch):
+    # At tau = n - 1 every node reaches most pairs, and the reverse pass over
+    # the first 64 rank positions fills every sketch of k = 8.
+    model = fixed_outdegree_model(30, 4, seed=1)
+    calls = spy_reverse_hits(monkeypatch)
+    forbid_set_reaches(monkeypatch)
+    for master_seed in range(3):
+        live, _ = im.sample_pool(model, master_seed, 70)
+        for rank_seed in range(3):
+            assert_matches_rank_order(model, live, model.num_nodes - 1, 8, rank_seed)
+    assert [(call["passes"], call["end"]) for call in calls] == [(1, 64)] * 9
 
 
 def test_tied_ranks_break_by_node_then_simulation(monkeypatch):
