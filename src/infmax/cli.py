@@ -50,6 +50,11 @@ def _versions() -> dict:
 _PLAIN = frozenset((int, str, bool, type(None)))
 
 
+def _finite_floats(values) -> bool:
+    """Whether every item of ``values`` is a finite Python float."""
+    return all(type(v) is float for v in values) and math.isfinite(sum(values))
+
+
 def _jsonify(obj):
     """``obj`` as plain JSON values: dataclasses and dicts as dicts, tuples
     and arrays as lists, numpy scalars as Python scalars, and ``inf`` and
@@ -60,7 +65,7 @@ def _jsonify(obj):
         return obj if math.isfinite(obj) else repr(obj)
     if kind in _PLAIN:
         return obj
-    if kind is list and all(type(v) is float for v in obj) and math.isfinite(sum(obj)):
+    if kind is list and _finite_floats(obj):
         return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         return _jsonify(asdict(obj))
@@ -95,11 +100,50 @@ def _write_report(path, text: str) -> None:
             f.truncate(len(data))
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of the plain values :func:`_jsonify`
+    returns, without the pure-Python encoder that ``indent`` selects:
+    strings are escaped by the C helper and a list of finite floats is
+    joined in one call.  Dict keys must be strings, as :func:`_jsonify`
+    makes them; they and any other type raise ``TypeError``.  ``indent``
+    is the newline and indentation before ``value``'s closing bracket."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _finite_floats(value):
+            items = map(float.__repr__, value)
+        else:
+            items = (_dumps(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (_ESCAPE(k) + ": " + _dumps(v, inner) for k, v in value.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, command: str, parameters: dict, result) -> None:
     report = {"command": command, "parameters": _jsonify(parameters),
               "master_seed": args.seed, "versions": _versions(),
               "result": _jsonify(result)}
-    text = json.dumps(report, indent=2) + "\n"
+    text = _dumps(report) + "\n"
     if args.out:
         _write_report(args.out, text)
     else:

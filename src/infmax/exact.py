@@ -100,19 +100,20 @@ def _budgeted_count(model: DiffusionModel) -> int:
 
 
 def _ball_units(units, relevant: np.ndarray):
-    """The unit table ``units`` (:attr:`DiffusionModel._units`) restricted
-    to its units with a ``relevant`` edge, in the same layout.
+    """The ``(radices, choice_probs, edge_choice)`` of the unit table
+    ``units`` (:attr:`DiffusionModel._units`) restricted to its units with
+    a ``relevant`` edge, in the same layout.
 
     A kept unit keeps, in order, each choice that makes a relevant edge
     live; its other choices (IC and BDEP "dead", LT "none" and in-edges
     that are not relevant) merge into one, at the place of the last of
     them, with their probabilities summed in choice order.  Every edge that
     is not relevant is pinned never-live.  So a group is kept or dropped
-    whole, and with every edge relevant the table is ``units`` itself.
+    whole, and with every edge relevant the table is ``units``' own.
     """
+    radices, choice_probs, edge_choice = units[:3]
     if relevant.all():
-        return units
-    radices, choice_probs, edge_choice = units
+        return radices, choice_probs, edge_choice
     total = choice_probs.size
     made = set(edge_choice[relevant].tolist())
     firsts = list(itertools.accumulate(radices.tolist(), initial=0))

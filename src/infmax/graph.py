@@ -71,23 +71,34 @@ class Graph:
                 if bad_tail[gids == gid].any():
                     raise ValueError(f"group {gid}: edges must share one tail node")
                 raise ValueError(f"group {gid}: per-edge probabilities must agree")
-        # In-edge CSR, sorted by head then edge id for deterministic traversal:
-        # one sort of the keys head * 2**32 + id, which fit int64 while every
-        # head is below 2**31 and every id below 2**32, is several times
-        # faster than a stable argsort of the heads.
-        if n <= 1 << 31 and m < 1 << 32:
-            in_order = np.sort((self.heads << 32) | np.arange(m)) & 0xFFFFFFFF
-        else:
-            in_order = np.argsort(self.heads, kind="stable").astype(np.int64)
-        in_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.heads, minlength=n), out=in_start[1:])
-        for name, arr in (("_in_order", in_order), ("_in_start", in_start)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def num_edges(self) -> int:
         return int(self.tails.shape[0])
+
+    @cached_property
+    def _in_order(self) -> np.ndarray:
+        """Edge ids sorted by head, then id: the in-edge CSR's columns,
+        built on first use."""
+        # One sort of the keys head * 2**32 + id, which fit int64 while every
+        # head is below 2**31 and every id below 2**32, is several times
+        # faster than a stable argsort of the heads.
+        m = self.num_edges
+        if self.num_nodes <= 1 << 31 and m < 1 << 32:
+            order = np.sort((self.heads << 32) | np.arange(m)) & 0xFFFFFFFF
+        else:
+            order = np.argsort(self.heads, kind="stable").astype(np.int64)
+        order.setflags(write=False)
+        return order
+
+    @cached_property
+    def _in_start(self) -> np.ndarray:
+        """Each node's first slot in :attr:`_in_order`, and the edge count
+        last: the in-edge CSR's row starts."""
+        start = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.heads, minlength=self.num_nodes), out=start[1:])
+        start.setflags(write=False)
+        return start
 
     @cached_property
     def _in_buckets(self) -> tuple:
@@ -117,7 +128,10 @@ class Graph:
         heads = heads[np.argsort(degree[heads], kind="stable")]
         counts = degree[heads]
         widths = np.full(heads.size, counts[-1] if heads.size else 0) if padded else counts
-        cuts = np.flatnonzero(np.diff(widths, prepend=0)).tolist() + [heads.size]
+        # A bucket starts where the ascending widths change.
+        change = np.ones(heads.size, dtype=bool)
+        change[1:] = widths[1:] != widths[:-1]
+        cuts = np.flatnonzero(change).tolist() + [heads.size]
         sizes = np.diff(cuts)
         starts = np.cumsum(widths) - widths
         # Each head's slot 0 and the stride between its slots.

@@ -246,19 +246,25 @@ def mixture_model(components) -> DiffusionModel:
 
 def _build_units(model: DiffusionModel):
     """Random-unit table of a non-mixture model: its random units, the
-    probability of each unit's choices, and the choice that makes each edge
-    live.
+    probability of each unit's choices, the choice that makes each edge
+    live, and where each choice's slice of ``[0, 1)`` ends.
 
-    Returns ``(radices, choice_probs, edge_choice)``.  Unit ``j`` takes one
-    of ``radices[j]`` choices; its choice probabilities are the next
-    ``radices[j]`` entries of ``choice_probs``, after those of units
+    Returns ``(radices, choice_probs, edge_choice, ends)``.  Unit ``j``
+    takes one of ``radices[j]`` choices; its choice probabilities are the
+    next ``radices[j]`` entries of ``choice_probs``, after those of units
     ``0 .. j-1``.  Edge ``e`` is live exactly when its unit takes the choice
     at flat index ``edge_choice[e]``; the two indices past the last choice
     mark edges that are never live (p = 0) and always live (p = 1).
+    Enumeration reads the first three entries.  The sampler reads ``ends``:
+    per unit, the choices that make edges live take consecutive slices of
+    ``[0, 1)`` in choice order, summed by ``np.cumsum``, and a choice that
+    makes no edge live takes an empty slice where the one before it ends.
+    The two indices past the last choice end at 0 and 1.
 
     * IC and BDEP: a unit ``[1 - p, p]`` per random group (group-id
       order), then per loose edge (edge-id order), counting only those with
       ``0 < p < 1``.  An IC model is a BDEP model whose edges are all loose.
+      The live choice's slice is ``[0, p)``.
     * LT: a unit per node with in-edges, choosing one of them by weight (in
       ``in_edges`` order) or none with the leftover mass
       ``max(0, 1 - p_in.sum())``.  Zero-weight in-edges are choices too.
@@ -277,12 +283,17 @@ def _build_units(model: DiffusionModel):
         choice_probs[flat] = p[order]
         edge_choice = np.empty(g.num_edges, dtype=np.int64)
         edge_choice[order] = flat
+        ends = np.zeros(choice_probs.size + 2)
         # Per-row sums over the contiguous last axis add exactly as
         # p_in.sum() does on each node's own slice; np.add.reduceat does not.
         for d in np.unique(indeg[nodes]).tolist():
             at = np.flatnonzero(radices == d + 1)
             p_in = p[order[starts[nodes[at]][:, None] + np.arange(d)]]
-            choice_probs[first[at] + d] = np.maximum(0.0, 1.0 - p_in.sum(axis=1))
+            none = first[at] + d
+            choice_probs[none] = np.maximum(0.0, 1.0 - p_in.sum(axis=1))
+            cum = np.cumsum(p_in, axis=1)
+            ends[first[at][:, None] + np.arange(d)] = cum
+            ends[none] = cum[:, -1]
     else:
         # One unit per group (np.unique order), then one per loose edge (id
         # order); all members of a group share its probability.
@@ -301,7 +312,10 @@ def _build_units(model: DiffusionModel):
                                np.where(p >= 1.0, 2 * q.size + 1, 2 * q.size))
         radices = np.full(q.size, 2, dtype=np.int64)
         choice_probs = np.column_stack([1.0 - q, q]).ravel()
-    table = (radices, choice_probs, edge_choice)
+        ends = np.zeros(choice_probs.size + 2)
+        ends[1:-2:2] = q
+    ends[-1] = 1.0
+    table = (radices, choice_probs, edge_choice, ends)
     for a in table:
         a.setflags(write=False)
     return table
@@ -353,26 +367,21 @@ def _build_draw_plan(model: DiffusionModel) -> tuple:
     unit.  A slice starts where the choice before it in its unit ends, so
     the ends of a unit's slices are shared by the edges on both sides.
     """
-    radices, choice_probs, edge_choice = model._units
-    # Per unit, the choices that make edges live take consecutive slices
-    # [lo, hi) of [0, 1) in choice order, summed exactly as np.cumsum would;
-    # the never- and always-live indices take [0, 0) and [0, 1).
-    bearing = np.zeros(choice_probs.size + 2, dtype=bool)
-    bearing[edge_choice] = True
-    mass = np.where(bearing[:-2], choice_probs, 0.0)
-    lo, hi = np.zeros(bearing.size), np.zeros(bearing.size)
-    hi[-1] = 1.0
-    ends = np.cumsum(radices)
-    for d in np.unique(radices).tolist():
-        at = (ends - radices)[radices == d][:, None] + np.arange(d)
-        cum = np.cumsum(mass[at], axis=1)
-        hi[at], lo[at[:, 1:]] = cum, cum[:, :-1]
+    radices, choice_probs, edge_choice, ends = model._units
     zero = choice_probs.size
-    lo_id = np.where(lo[edge_choice] > 0.0, edge_choice - 1, zero)
-    hi_id = np.where(lo[edge_choice] < hi[edge_choice], edge_choice, zero)
-    lo_id[hi_id == zero] = zero
     choice_unit = np.append(np.repeat(np.arange(radices.size), radices), [0, 0])
-    return choice_unit, hi, hi_id, lo_id
+    if model.kind != LT:
+        # A live choice's slice [0, q) starts at the zero entry, and the
+        # never- and always-live indices take [0, 0) and [0, 1).
+        return choice_unit, ends, edge_choice, np.full(edge_choice.size, zero)
+    # An edge's slice starts where the choice before it ends, or at 0 for
+    # its unit's first choice; an empty slice reads as never live.
+    leading = np.zeros(zero + 2, dtype=bool)
+    leading[np.cumsum(radices) - radices] = True
+    lo = np.where(leading[edge_choice], 0.0, ends[edge_choice - 1])
+    hi_id = np.where(lo < ends[edge_choice], edge_choice, zero)
+    lo_id = np.where((lo > 0.0) & (hi_id != zero), edge_choice - 1, zero)
+    return choice_unit, ends, hi_id, lo_id
 
 
 def _word_sampler(model: DiffusionModel, edges: np.ndarray, stream_id: int | None = None):
@@ -977,14 +986,17 @@ def load_model(path) -> DiffusionModel:
 
 
 def _load_model(path: Path, parents: tuple) -> DiffusionModel:
-    key = path.resolve()
-    if key in parents:
-        raise ValueError(f"model file {str(path)!r} includes itself")
+    """The model at ``path``, a component of the mixture files ``parents``
+    (resolved paths) name.  Only a mixture includes other files, so only a
+    mixture's path is resolved and checked against its parents."""
     doc = json.loads(path.read_text())
     if not isinstance(doc, dict):
         raise ValueError("model file must hold a JSON object")
     kind = doc.get("kind")
     if kind == MIXTURE:
+        key = path.resolve()
+        if key in parents:
+            raise ValueError(f"model file {str(path)!r} includes itself")
         entries = doc["components"]
         if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
             raise ValueError("model file: components must be a list of objects")

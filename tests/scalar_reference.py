@@ -1,8 +1,9 @@
 """Reference versions, the long way, for the tests to check against.
 
 A breadth-first search over one boolean live row that scans every live
-edge at each step, against the packed kernel, and the report writer's
-element-by-element conversion to JSON values.
+edge at each step, against the packed kernel, the report writer's
+element-by-element conversion to JSON values, and the sampler's draw plan
+built from the unit table by one cumulative sum per radix.
 """
 
 import math
@@ -54,3 +55,26 @@ def jsonify(obj):
     if isinstance(obj, float) and (math.isinf(obj) or math.isnan(obj)):
         return repr(obj)
     return obj
+
+
+def draw_plan(model):
+    """``models._build_draw_plan`` from the unit table's probabilities: per
+    radix, one ``np.cumsum`` in choice order over the masses of the choices
+    that make an edge live, giving every choice's ``[lo, hi)`` slice."""
+    radices, choice_probs, edge_choice = model._units[:3]
+    bearing = np.zeros(choice_probs.size + 2, dtype=bool)
+    bearing[edge_choice] = True
+    mass = np.where(bearing[:-2], choice_probs, 0.0)
+    lo, hi = np.zeros(bearing.size), np.zeros(bearing.size)
+    hi[-1] = 1.0
+    ends = np.cumsum(radices)
+    for d in np.unique(radices).tolist():
+        at = (ends - radices)[radices == d][:, None] + np.arange(d)
+        cum = np.cumsum(mass[at], axis=1)
+        hi[at], lo[at[:, 1:]] = cum, cum[:, :-1]
+    zero = choice_probs.size
+    lo_id = np.where(lo[edge_choice] > 0.0, edge_choice - 1, zero)
+    hi_id = np.where(lo[edge_choice] < hi[edge_choice], edge_choice, zero)
+    lo_id[hi_id == zero] = zero
+    choice_unit = np.append(np.repeat(np.arange(radices.size), radices), [0, 0])
+    return choice_unit, hi, hi_id, lo_id

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import infmax as im
 from infmax import cli
@@ -549,9 +549,11 @@ class Node:
     items: object
 
 
+ODD_TEXT = "\x00\x1f\x7f\"\\/\u00e9\u2028\U0001f600"
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.text(max_size=4), st.floats(),
-    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308]),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308, -0.0, 1e-320,
+                     2**64, -2**64, "inf", "nan", ODD_TEXT]),
     st.floats().map(np.float64), st.floats(width=32).map(np.float32),
     st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_))
 arrays = st.one_of(st.lists(st.floats(), max_size=4).map(np.array),
@@ -571,6 +573,65 @@ def test_jsonify_matches_the_element_by_element_reference(obj):
     got, want = cli._jsonify(obj), scalar_reference.jsonify(obj)
     assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
     assert json.dumps([got]) == json.dumps([want])
+
+
+@given(obj=json_inputs)
+@example(obj={ODD_TEXT: ["inf", "nan", float("inf"), -0.0, 1e-320, 1e308, 2**70, -2**70,
+                         True, False, None, [], {}, [[]], {"": {}}, [0.5, -0.0, 1e-320]]})
+def test_report_writer_is_json_dumps_with_indent_2(obj):
+    plain = cli._jsonify(obj)
+    assert cli._dumps(plain) == json.dumps(plain, indent=2)
+
+
+def test_report_writer_raises_type_error_on_values_that_are_not_plain():
+    # What json.dumps refuses too, and keys other than strings, which
+    # _jsonify never leaves.
+    for value in (np.int64(1), {1, 2}, b"x", object(), [1.5, np.float32(2)]):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps({"result": [value]})
+    with pytest.raises(TypeError):
+        cli._dumps({"result": {1: 2}})
+
+
+def test_every_report_is_the_text_of_json_dumps_with_indent_2(tmp_path, monkeypatch):
+    reports = []
+    dumps = cli._dumps
+
+    def recording(value, *indent):
+        text = dumps(value, *indent)
+        if not indent:
+            reports.append((value, text))
+        return text
+
+    monkeypatch.setattr(cli, "_dumps", recording)
+    tree, tw, sketches = (str(tmp_path / name) for name in ("t.model", "tw.model", "tw.sk"))
+    runs = [
+        ["gen", "--family", "tree", "--tau", "3", "--model-out", tree],
+        ["gen", "--family", "mixture", "--model-out", tw],
+        ["simulate", "--model", tw, "--seeds", "0,5", "--tau", "2", "--num", "70",
+         "--emit-values"],
+        ["exact", "--model", tree, "--seeds", "0", "--tau", "3"],
+        ["estimate", "--model", tw, "--seeds", "0", "--tau", "2", "--eps", "0.5",
+         "--delta", "0.1", "--mode", "moa"],
+        ["sketch-build", "--model", tw, "--tau", "2", "--pool-size", "20", "--k", "8",
+         "--sketch-out", sketches],
+        ["sketch-query", "--sketches", sketches, "--seeds", "0,5"],
+        ["maximize", "--model", tree, "--s", "2", "--tau", "2", "--method", "brute"],
+        ["maximize", "--model", tree, "--s", "2", "--tau", "2", "--method", "greedy"],
+        ["audit-variance", "--model", tree, "--seeds", "0", "--tau", "3"],
+        ["rrs-compare", "--model", tw, "--tau", "4", "--num-searches", "200"],
+        ["bench", "--only", "1,8,9,11"],
+    ]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"report{i}.json"
+        assert run_cli(["--out", str(out)] + argv) == 0, argv
+        assert len(reports) == i + 1
+        value, text = reports[-1]
+        assert value["command"] == argv[0]
+        assert text == json.dumps(value, indent=2)
+        assert out.read_text() == text + "\n"
 
 
 def test_module_entrypoint_runs():

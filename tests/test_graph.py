@@ -18,7 +18,8 @@ def test_basic_construction_and_csr():
 
 def test_in_edge_order_is_the_stable_argsort_of_heads():
     # The packed-key sort orders in-edges by head, then edge id: no edges,
-    # one head repeated, and random graphs with repeated heads.
+    # one head repeated, and random graphs with repeated heads.  A graph
+    # sorts its in-edges only when something reads them.
     draw = np.random.default_rng(4)
     cases = [(3, np.zeros(0, dtype=np.int64)), (5, np.full(9, 2)), (1, np.zeros(4, dtype=int))]
     cases += [(n, draw.integers(0, n, size=m)) for n, m in ((2, 50), (40, 7), (300, 2000))]
@@ -26,9 +27,12 @@ def test_in_edge_order_is_the_stable_argsort_of_heads():
         tails = (heads + 1) % max(n, 1)
         g = Graph(n, tails, heads, np.full(heads.size, 0.5), np.full(heads.size, -1),
                   np.ones(n))
+        assert "_in_order" not in vars(g) and "_in_start" not in vars(g)
         expect = np.argsort(heads, kind="stable")
         assert g._in_order.dtype == np.int64
         assert np.array_equal(g._in_order, expect)
+        assert np.array_equal(g._in_start, np.searchsorted(heads[expect], np.arange(n + 1)))
+        assert g._in_order is vars(g)["_in_order"]
         assert np.array_equal(g.reversed._in_order, np.argsort(tails, kind="stable"))
 
 

@@ -199,6 +199,31 @@ def test_model_document_loads_or_raises_input_error(doc):
         assert isinstance(model, im.DiffusionModel)
 
 
+def _mixture(*paths):
+    return json.dumps({"kind": "mixture",
+                       "components": [{"path": p, "weight": 1 / len(paths)} for p in paths]})
+
+
+def test_a_mixture_that_includes_itself_is_malformed(tmp_path, capsys):
+    for name, text in COMPANIONS.items():
+        (tmp_path / name).write_text(text)
+    # Directly; through a second mixture file, named another way; and a
+    # file included twice, which is no loop.
+    (tmp_path / "self.model").write_text(_mixture("self.model"))
+    (tmp_path / "a.model").write_text(_mixture("c.model", "b.model"))
+    (tmp_path / "b.model").write_text(_mixture("./a.model"))
+    (tmp_path / "twice.model").write_text(_mixture("c.model", "c.model"))
+    for name, culprit in (("self.model", "self.model"), ("a.model", "./a.model")):
+        message = f"model file {str(tmp_path / culprit)!r} includes itself"
+        with pytest.raises(ValueError) as raised:
+            im.load_model(tmp_path / name)
+        assert str(raised.value) == message
+        assert cli.main(["exact", "--model", str(tmp_path / name), "--seeds", "0",
+                         "--tau", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert len(im.load_model(tmp_path / "twice.model").components) == 2
+
+
 def _set(key, value):
     def edit(doc):
         doc[key] = value

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 import infmax as im
 from infmax import exact, models, rng
+import scalar_reference
 from scalar_reference import reach_ids
 import stream_reference
 
@@ -349,6 +350,31 @@ SAMPLER_MODELS = {
 }
 # The reference covers simulations 0 .. REFERENCE_STOP - 1.
 REFERENCE_STOP = 1023 + 2113
+
+
+def lt_random(seed):
+    # In-degrees of 8 and more, where a row's sum is pairwise, not running;
+    # every seventh edge at weight 0, and each node's in-weights scaled to
+    # sum to 0.9 or, at every third node, to 1 up to rounding.
+    g = im.families.gen_random_ic(16, 150, seed=seed).graph
+    probs = np.where(np.arange(g.num_edges) % 7 == 0, 0.0, g.probs)
+    total = np.bincount(g.heads, weights=probs, minlength=g.num_nodes)
+    target = np.where(np.arange(g.num_nodes) % 3 == 0, 1.0, 0.9)
+    probs *= np.divide(target, total, out=np.zeros_like(total), where=total > 0)[g.heads]
+    return im.lt_model(im.Graph(g.num_nodes, g.tails, g.heads, probs, g.groups,
+                                g.node_weights))
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLER_MODELS) + ["lt-random"])
+def test_draw_plan_equals_the_per_radix_reference(kind):
+    cases = ([lt_random(seed) for seed in range(4)] if kind == "lt-random"
+             else [SAMPLER_MODELS[kind]()])
+    for model in cases:
+        for part, _, _ in model.parts:
+            got, want = part._draw_plan, scalar_reference.draw_plan(part)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 1023, 1024, 1025, 2113])
