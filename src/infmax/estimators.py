@@ -29,7 +29,7 @@ import numpy as np
 from .graph import Graph, as_seed_tuple
 # reverse_reach_set is no longer called here; it stays a module attribute
 # because perfbench/layers.py wraps it at this site.
-from .models import (DiffusionModel, _total_dtype, _unit_weights, _word_sampler,
+from .models import (DiffusionModel, _total_dtype, _unit_weights,
                      ball_edges, node_weighted_sums, pack_rows, reach_mask_batch, reach_rows,
                      reverse_reach_set, sample_pool, set_reaches, start_mask, unpack_rows)
 from . import models, rng
@@ -817,7 +817,11 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     every node that reaches it within ``tau`` live steps.  Each chunk of
     searches runs as one propagation over ``Graph.reversed``, one search
     per row with its target set in that row only; the credits are added
-    search by search, in order, like a loop over scalar searches.  With
+    search by search, in order, like a loop over scalar searches.  A
+    search reads an edge only when its head is within ``tau - 1`` steps of
+    the target, so a chunk draws only those edge bits, marked by one
+    propagation over the ``p > 0`` edges from the same start rows; the
+    others are 0 and never read.  At ``tau`` 0 nothing is drawn.  With
     unit weights a node's credit is the number of searches it reaches, the
     popcount of its row of the chunk's mask, added as an integer: every
     partial sum of the scalar loop is that integer count, exact below the
@@ -836,11 +840,9 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
     acc = np.zeros(n, dtype=np.int64 if unit else np.float64)
     # A full search reads a simulation of the model; a marginal one, of its
     # marginal_edge_model on the marginal-flip stream.
-    if mode == FULL_SIMULATION:
-        draw, _ = model._edge_sampler
-    else:
-        draw, _ = _word_sampler(marginal_edge_model(model), np.arange(g.num_edges),
-                                rng.STREAM_RRS_EDGES)
+    draw, _, tests = model._edge_sampler if mode == FULL_SIMULATION else model._marginal_sampler
+    # Every bit set on the p > 0 edges, the ones any simulation can hold live.
+    can_live = np.where(g.probs > 0.0, ~np.uint64(0), np.uint64(0))[:, None]
     # Chunks of whole words where they hold more than one.
     chunk = max(1, _RRS_CELLS // max(n, 1))
     if chunk > 64:
@@ -849,8 +851,18 @@ def rrs_estimate(model: DiffusionModel, mode: str, num_searches: int, tau: int,
         count = min(chunk, num_searches - lo)
         u = rng.sim_uniforms(master_seed, rng.STREAM_RRS_TARGET, lo, count)
         targets = np.minimum((u * n).astype(np.int64), n - 1)
-        words, _ = draw(master_seed, lo, count)
-        mask = reach_mask_batch(g.reversed, words, start_mask(n, targets), tau)
+        start = start_mask(n, targets)
+        if tau == 0:
+            mask = start
+        else:
+            need = None
+            if tests:
+                # A search reads an edge only when its head is within tau - 1
+                # steps of the target, which no edge at p = 0 shortens.
+                live = np.broadcast_to(can_live, (g.num_edges, start.shape[1]))
+                need = reach_mask_batch(g.reversed, live, start, tau - 1)[g.heads]
+            words, _ = draw(master_seed, lo, count, need)
+            mask = reach_mask_batch(g.reversed, words, start, tau)
         if unit:
             # Padding bits never spread from the start mask's zero padding.
             acc += np.bitwise_count(mask).sum(axis=1, dtype=np.int64)

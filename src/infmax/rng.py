@@ -30,6 +30,7 @@ Every stochastic draw in this package is a pure function of
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -62,6 +63,15 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 # Digit rounds per batch of less_words.  After 8 rounds about 22% of
 # 64-simulation words still hold an undecided simulation, after 16 about 0.1%.
 _ROUNDS = 8
+# Test x word cells per piece of less_words' first batch, so that its two
+# rounds x cells hash arrays stay near 512 kB each.
+_BATCH_CELLS = 1 << 13
+# The cost of a cell left undecided by less_words' first batch, in rounds of
+# that batch over one cell (_first_rounds).  Least-squares fits of the time of
+# 8,000-cell calls (400 x 20 and 200 x 40 cells) over first batches of 2 to
+# 8 rounds, at 2 to 32 undecided bits a cell, gave 14 and 11 (one core of a
+# 2-core Xeon VM, numpy 2.4.6).
+_CARRY = 12.0
 
 
 def check_master_seed(master_seed) -> int:
@@ -160,9 +170,11 @@ def _digits(x: np.ndarray, start: int, count: int) -> np.ndarray:
         # Digits start + lo .. start + lo + 63 as bits 63 down to 0: the
         # fraction of x * 2**(start + lo), exact, scaled by 2**64.  Where
         # that product passes the largest double, those digits are past the
-        # last 1 and the fraction of inf is 0.
-        with np.errstate(over="ignore"):
-            frac = np.modf(np.ldexp(x, start + lo))[0]
+        # last 1 and the fraction of inf is 0.  From digit 0 it is x.
+        frac = x
+        if start + lo:
+            with np.errstate(over="ignore"):
+                frac = np.modf(np.ldexp(x, start + lo))[0]
         block = rows[lo:lo + 64]
         np.left_shift((frac * 2.0**64).astype(np.uint64),
                       np.arange(len(block), dtype=np.uint64)[:, None], out=block)
@@ -170,23 +182,34 @@ def _digits(x: np.ndarray, start: int, count: int) -> np.ndarray:
     return rows
 
 
-def _hashed(base: np.ndarray, k: int, gamma: int):
-    """``(h, scratch)``: the hashed words of rounds ``k .. k + _ROUNDS -
+def _first_rounds(bits: float) -> int:
+    """Rounds of ``less_words``' first batch over cells that hold ``bits``
+    undecided simulations each on average: the ``r`` in ``1 .. _ROUNDS``
+    of least expected cost ``r + _CARRY * (1 - (1 - 2**-r)**bits)``, the
+    first batch's rounds plus the cells it leaves undecided, each a
+    simulation undecided after ``r`` rounds with probability ``2**-r``."""
+    return min(range(1, _ROUNDS + 1),
+               key=lambda r: r - _CARRY * math.expm1(bits * math.log1p(-2.0**-r)))
+
+
+def _hashed(base: np.ndarray, k: int, rounds: int, gamma: int):
+    """``(h, scratch)``: the hashed words of rounds ``k .. k + rounds -
     1``, a round per row, of the cells whose round-0 counters ``c`` give
     ``base = key + c * gamma``, and a scratch array of their shape."""
-    h, scratch = np.empty((2, _ROUNDS) + base.shape, dtype=np.uint64)
-    steps = np.arange(k, k + _ROUNDS, dtype=np.uint64) * np.uint64(gamma)
+    h, scratch = np.empty((2, rounds) + base.shape, dtype=np.uint64)
+    steps = np.arange(k, k + rounds, dtype=np.uint64) * np.uint64(gamma)
     np.add(base, steps.reshape((-1,) + (1,) * base.ndim), out=h)
     _mix(h, scratch)
     return h, scratch
 
 
-def _first_less(h: np.ndarray, digit: np.ndarray):
-    """``(less, same)`` of one batch.  ``h`` holds the hashed words of the
-    batch's rounds and ``digit`` the threshold's digits (all ones or zero),
-    both ``(rounds, ...)``; ``less`` has the bits that first differ in a
-    round where the threshold's digit is 1, and ``same`` those that differ
-    in no round.  Both inputs are overwritten."""
+def _first_less(h: np.ndarray, digit: np.ndarray, less: np.ndarray,
+                same: np.ndarray) -> None:
+    """Write ``less`` and ``same`` of one batch.  ``h`` holds the hashed
+    words of the batch's rounds and ``digit`` the threshold's digits (all
+    ones or zero), both ``(rounds, ...)``; ``less`` gets the bits that first
+    differ in a round where the threshold's digit is 1, and ``same`` those
+    that differ in no round.  Both inputs are overwritten."""
     # h becomes the running OR of the differing digits, then the bits where
     # each simulation first differs, which digit keeps where the threshold's
     # digit is 1.
@@ -194,11 +217,11 @@ def _first_less(h: np.ndarray, digit: np.ndarray):
     rows = list(h)
     for r in range(1, len(rows)):
         rows[r] |= rows[r - 1]
-    same = ~rows[-1]
+    np.invert(rows[-1], out=same)
     for r in range(len(rows) - 1, 0, -1):
         rows[r] ^= rows[r - 1]
     digit &= h
-    return np.bitwise_or.reduce(digit, axis=0), same
+    np.bitwise_or.reduce(digit, axis=0, out=less)
 
 
 def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarray,
@@ -217,18 +240,25 @@ def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarra
     digit of ``x`` is 1; those still undecided after the last 1 of ``x``
     have ``u >= x``.  So ``P(u < x) = x`` exactly, and tests of one unit
     against ``lo < hi`` read the same digits: ``u < lo`` implies ``u < hi``.
-    Rounds run in batches of ``_ROUNDS``; a running OR over a batch's
-    differing digits marks each simulation's first difference.  Each
-    test's digits for the first three batches are built once per call.  The
-    first batch runs over the whole ``(T, W)`` grid, each test's digits
-    copied along its row; later ones run over the cells still undecided,
-    gathering their tests' digits.  A decided cell carried along adds no
-    bit: its ``undecided`` bits are clear, or its threshold has no 1 digit
-    left.
+    Rounds run in batches; a running OR over a batch's differing digits
+    marks each simulation's first difference.  The first batch runs over
+    the whole ``(T, W)`` grid, in pieces of whole words of at most
+    ``_BATCH_CELLS`` cells, each test's digits copied along its row, for
+    :func:`_first_rounds` of the undecided bits per nonzero cell: 8 rounds
+    for 32 or more, fewer for sparse masks such as a reverse search's.
+    Later batches of ``_ROUNDS`` run over the cells of every piece still
+    undecided, gathering their tests' digits.  Each test's digits for the
+    first three batches are built once per call.  A decided cell carried
+    along adds no bit: its ``undecided`` bits are clear, or its threshold
+    has no 1 digit left.  No bit depends on the batch lengths or pieces.
     """
     key, gamma = stream_key(master_seed, stream_id)
     undecided = np.asarray(undecided, dtype=np.uint64)
     tests, width = undecided.shape
+    nonzero = np.count_nonzero(undecided)
+    if not nonzero:
+        return np.zeros((tests, width), dtype=np.uint64)
+    first = _first_rounds(int(np.bitwise_count(undecided).sum(dtype=np.int64)) / nonzero)
     x = np.asarray(x, dtype=np.float64)
     rounds = _rounds(x)
     words = np.arange(word, word + width, dtype=np.uint64)
@@ -237,13 +267,18 @@ def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarra
     base = ((at_unit + np.uint64(key))[:, None]
             + words * np.uint64((gamma << ROUND_BITS) & _WORD))
     # The digits of the first three batches, a row per round.
-    digits = _digits(x, 0, 3 * _ROUNDS)
-    h, digit = _hashed(base, 0, gamma)
-    np.copyto(digit, digits[:_ROUNDS, :, None])
-    live, u = _first_less(h, digit)
+    digits = _digits(x, 0, first + 2 * _ROUNDS)
+    live, u = np.empty((2, tests, width), dtype=np.uint64)
+    piece = max(1, _BATCH_CELLS // max(tests, 1))
+    for lo in range(0, width, piece):
+        h, digit = _hashed(base[:, lo:lo + piece], 0, first, gamma)
+        np.copyto(digit, digits[:first, :, None])
+        _first_less(h, digit, live[:, lo:lo + piece], u[:, lo:lo + piece])
+        # Freed before the next piece's are made.
+        del h, digit
     live &= undecided
     u &= undecided
-    held = (u != 0) & (rounds > _ROUNDS)[:, None]
+    held = (u != 0) & (rounds > first)[:, None]
     left = np.count_nonzero(held)
     if not left:
         return live
@@ -254,13 +289,14 @@ def less_words(master_seed: int, stream_id: int, units: np.ndarray, x: np.ndarra
     cells = np.flatnonzero(held)
     base, u, test = base.reshape(-1).take(cells), u.reshape(-1).take(cells), cells // width
     flat = live.reshape(-1)
-    k = _ROUNDS
+    k = first
     while True:
-        h, digit = _hashed(base, k, gamma)
-        table = (digits[k:k + _ROUNDS] if k < 3 * _ROUNDS
+        h, digit = _hashed(base, k, _ROUNDS, gamma)
+        table = (digits[k:k + _ROUNDS] if k + _ROUNDS <= len(digits)
                  else _digits(x, k, _ROUNDS))
         np.take(table, test, axis=1, out=digit, mode="clip")
-        less, same = _first_less(h, digit)
+        less, same = np.empty((2, cells.size), dtype=np.uint64)
+        _first_less(h, digit, less, same)
         flat[cells] |= less & u
         u &= same
         k += _ROUNDS

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 import infmax as im
 from infmax import estimators, models, rng
+from scalar_reference import reach_ids
 import stream_reference
 
 
@@ -500,8 +501,8 @@ def marginal_flips(model, master_seed, num_searches):
     g = model.graph
     p = model.marginal_edge_probs
     if num_searches > 65:
-        draw, _ = im.models._word_sampler(im.marginal_edge_model(model),
-                                          np.arange(g.num_edges), rng.STREAM_RRS_EDGES)
+        draw = im.models._word_sampler(im.marginal_edge_model(model),
+                                       np.arange(g.num_edges), rng.STREAM_RRS_EDGES)[0]
         return im.unpack_rows(draw(master_seed, 0, num_searches)[0], num_searches)
     live = np.zeros((num_searches, g.num_edges), dtype=bool)
     live[:, p >= 1.0] = True
@@ -597,6 +598,51 @@ def test_rrs_estimate_bytes_do_not_depend_on_chunk_size(kind, per_chunk, monkeyp
         got = im.rrs_estimate(model, mode, searches, 2, 9)
         monkeypatch.undo()
         assert got.tobytes() == expect.tobytes()
+
+
+def test_rrs_estimate_asks_for_no_bit_outside_the_searches_balls(monkeypatch):
+    # Every bit a reverse search asks the stream for belongs to a unit that
+    # some edge reads whose head lies within tau - 1 steps of the search's
+    # target, over the p > 0 edges.  At tau 0, and on the two-world model's
+    # full simulations, whose edges are all at p = 1, nothing is asked.
+    asked = []
+    less_words = rng.less_words
+
+    def logged_less_words(master_seed, stream_id, units, x, word, undecided):
+        asked.append((np.array(units), word, np.array(undecided)))
+        return less_words(master_seed, stream_id, units, x, word, undecided)
+
+    monkeypatch.setattr(rng, "less_words", logged_less_words)
+    searches = 150
+    cases = [(RRS_MODELS[kind], mode) for kind in ("ic", "ic-constant", "lt", "bdep")
+             for mode in (im.FULL_SIMULATION, im.MARGINAL)]
+    cases.append((RRS_MODELS["mixture"], im.MARGINAL))
+    for model, mode in cases:
+        g = model.graph
+        sampled = model if mode == im.FULL_SIMULATION else im.marginal_edge_model(model)
+        choice_unit, choice_end, hi_id, lo_id = sampled._draw_plan
+        heads = {}
+        for e, ids in enumerate(zip(hi_id.tolist(), lo_id.tolist())):
+            for i in ids:
+                if 0.0 < choice_end[i] < 1.0:
+                    heads.setdefault(int(choice_unit[i]), set()).add(int(g.heads[e]))
+        u = rng.sim_uniforms(5, rng.STREAM_RRS_TARGET, 0, searches)
+        targets = np.minimum((u * g.num_nodes).astype(np.int64), g.num_nodes - 1)
+        for tau in range(4):
+            asked.clear()
+            im.rrs_estimate(model, mode, searches, tau, 5)
+            assert bool(asked) == (tau > 0)
+            balls = [set(reach_ids(g.reversed, g.probs > 0.0, [t], tau - 1).tolist())
+                     for t in targets.tolist()] if tau else []
+            for units, word, undecided in asked:
+                for (i, j), bits in np.ndenumerate(undecided):
+                    for b in (b for b in range(64) if (int(bits) >> b) & 1):
+                        sim = 64 * (word + j) + b
+                        assert sim < searches and heads[int(units[i])] & balls[sim]
+    for tau in range(6):
+        asked.clear()
+        im.rrs_estimate(RRS_MODELS["mixture"], im.FULL_SIMULATION, searches, tau, 5)
+        assert not asked
 
 
 def test_rrs_estimate_credit_memory_is_bounded():

@@ -422,9 +422,11 @@ def test_draw_steps_match_reference_loops(cells, monkeypatch):
 
 
 def test_wide_selections_split_calls_within_the_budget(monkeypatch):
-    # Selections of 150 and about 300 tests against a budget of 64 cells:
-    # each rng.less_words call takes one word of at most 64 tests, and the
-    # words equal the default budget's at threads 1 and 3.
+    # Selections of 150 and about 300 tests against budgets of 64 cells:
+    # each rng.less_words call takes at most 64 tests over its block's two
+    # words (every block starts 9 simulations into a word), each piece of
+    # its first batch hashes at most 64 cells of them, and the words equal
+    # the default budgets' at threads 1 and 3.
     def wide_models():
         g = random_model(7, n=50, m=150).graph
         sums = np.bincount(g.heads, weights=g.probs, minlength=50)
@@ -434,24 +436,33 @@ def test_wide_selections_split_calls_within_the_budget(monkeypatch):
                 im.mixture_model([(lt, 0.5), (random_model(8, n=50, m=150), 0.5)])]
 
     expect = [im.sample_pool(model, 4, 700, 9, packed=True) for model in wide_models()]
-    shapes = []
-    less_words = rng.less_words
+    shapes, pieces = [], []
+    less_words, hashed = rng.less_words, rng._hashed
 
     def logged_less_words(*args):
         shapes.append(np.shape(args[-1]))
         return less_words(*args)
 
+    def logged_hashed(base, k, *args):
+        if k == 0:
+            pieces.append(base.shape)
+        return hashed(base, k, *args)
+
     monkeypatch.setattr(rng, "less_words", logged_less_words)
+    monkeypatch.setattr(rng, "_hashed", logged_hashed)
     monkeypatch.setattr(models, "_HASH_CELLS", 64)
+    monkeypatch.setattr(rng, "_BATCH_CELLS", 64)
     for model, (words, comps) in zip(wide_models(), expect):
         for threads in (1, 3):
             shapes.clear()
+            pieces.clear()
             got, got_comps = im.sample_pool(model, 4, 700, 9, threads, packed=True)
             assert np.array_equal(got, words)
             assert (comps is None) == (got_comps is None)
             assert comps is None or np.array_equal(got_comps, comps)
-            assert {width for _, width in shapes} == {1}
+            assert {width for _, width in shapes} == {2}
             assert max(tests for tests, _ in shapes) == 64
+            assert max(tests * width for tests, width in pieces) == 64
 
 
 @pytest.fixture
@@ -514,6 +525,25 @@ def test_a_selection_draws_only_its_units(hash_log):
         im.sample_pool(model, 3, count, start, edges=mask)
         assert {entry for stream_id, units in hash_log for entry in units} == {3, 4, 5, 17}
         assert {stream_id for stream_id, _ in hash_log} == {rng.STREAM_EDGES}
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLER_MODELS))
+def test_a_need_draws_the_full_bits_inside_it_and_zero_outside(kind):
+    # Needs of a few bits, of about a third and of every bit, with their
+    # second word empty, over ranges that start at, inside and past a word.
+    model = SAMPLER_MODELS[kind]()
+    m = model.graph.num_edges
+    draw, _, _ = model._edge_sampler
+    picks = np.random.default_rng(m)
+    for start, count in ((0, 64), (5, 700), (64, 1100)):
+        full, comps = draw(13, start, count)
+        for share in (0.03, 0.3, 1.0):
+            need = im.pack_rows(picks.random((count, m)) < share)
+            need[:, 1:2] = 0
+            got, got_comps = draw(13, start, count, need)
+            assert got.dtype == np.uint64 and np.array_equal(got, full & need)
+            assert (comps is None) == (got_comps is None)
+            assert comps is None or np.array_equal(got_comps, comps)
 
 
 @given(kind=st.sampled_from(sorted(SAMPLER_MODELS)), start=st.integers(0, 200),

@@ -100,6 +100,56 @@ def test_less_words_batches_match_the_reference(rounds, monkeypatch):
         assert got.dtype == np.uint64 and got.shape == shape
 
 
+@pytest.mark.parametrize("rounds", [1, 2, 8])
+def test_less_words_on_sparse_masks_match_the_reference(rounds, monkeypatch):
+    # One to four undecided bits a word and every fifth word empty, as a
+    # reverse search's need leaves them, so the first batch is short; its
+    # pieces hold one word of every test.
+    monkeypatch.setattr(rng, "_ROUNDS", rounds)
+    units = np.array([0, 3, 3, 7, 1, 9, rng.MAX_UNITS - 1])
+    monkeypatch.setattr(rng, "_BATCH_CELLS", units.size)
+    picks = np.random.default_rng(rounds)
+    undecided = np.zeros((units.size, 6), dtype=np.uint64)
+    for (i, j), _ in np.ndenumerate(undecided):
+        if (i + j) % 5:
+            for b in picks.choice(64, picks.integers(1, 5), replace=False).tolist():
+                undecided[i, j] |= np.uint64(1 << b)
+    for word in (0, 2**27 - 7):
+        got = rng.less_words(11, rng.STREAM_UNITS, units, BATCH_THRESHOLDS, word, undecided)
+        assert got.dtype == np.uint64 and got.shape == undecided.shape
+        for (i, j), bits in np.ndenumerate(undecided):
+            expect = sum(1 << b for b in range(64) if (int(bits) >> b) & 1
+                         and stream_reference.less(11, rng.STREAM_UNITS, int(units[i]),
+                                                   64 * (word + j) + b,
+                                                   BATCH_THRESHOLDS[i]))
+            assert int(got[i, j]) == expect, (word, i, j)
+
+
+def test_first_batch_rounds_follow_the_undecided_bits(monkeypatch):
+    # Full words and a two-component mixture's rows, 64 and 32 bits a cell,
+    # keep 8 rounds; a reverse search's need, about 3.6 bits, takes 5.
+    first = []
+    hashed = rng._hashed
+
+    def logged_hashed(base, k, rounds, gamma):
+        if k == 0:
+            first.append(rounds)
+        return hashed(base, k, rounds, gamma)
+
+    monkeypatch.setattr(rng, "_hashed", logged_hashed)
+    units, x = np.arange(40), np.linspace(0.05, 0.95, 40)
+    picks = np.random.default_rng(1)
+    sparse = np.zeros((40, 8, 64), dtype=bool)
+    sparse.reshape(-1)[picks.choice(sparse.size, 40 * 8 * 36 // 10, replace=False)] = True
+    for mask, rounds in ((~np.uint64(0), 8), (np.uint64(0x5555555555555555), 8),
+                         (np.packbits(sparse, axis=2, bitorder="little").view("<u8")[..., 0], 5)):
+        first.clear()
+        rng.less_words(3, rng.STREAM_EDGES, units, x, 0, np.broadcast_to(mask, (40, 8)))
+        assert first == [rounds]
+    assert rng._first_rounds(64) == rng._first_rounds(32) == 8
+    assert rng._first_rounds(3.6) == 5
+
+
 def test_sim_uniforms_match_the_reference():
     for start in (0, 1000, rng.MAX_SIMULATIONS - 70):
         got = rng.sim_uniforms(5, rng.STREAM_MIXTURE, start, 70)
